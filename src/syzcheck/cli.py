@@ -17,7 +17,7 @@ import time
 
 from .complexes import build_slice, slice_to_json, slice_to_text
 from .errors import CapacityError, MismatchError
-from .homology import DEFAULT_PRIME, is_prime, reduced_betti
+from .homology import DEFAULT_PRIME, check_prime, reduced_betti
 from .koszul import tor_dimension
 from .lattice import multidegree, veronese_points
 from .npchecker import FAILS, NpQuery, check_np, cross_validate
@@ -63,9 +63,7 @@ def _prime(args) -> int:
     prime = getattr(args, "prime", None)
     if prime is None:
         return DEFAULT_PRIME
-    if not is_prime(prime):
-        raise ValueError(f"--prime {prime} is not prime")
-    return prime
+    return check_prime(prime)
 
 
 def _emit_json(doc) -> int:

@@ -1,22 +1,26 @@
 """Divisor complexes restricted to a band of dimensions, with boundary maps.
 
-For a configuration A and a bound vector v, the complex has one vertex per
-point a with v - a admissible, and a set of points F is a face when the sum
-of F stays admissible against v. For the monomial (veronese) presets the
-admissibility test is coordinatewise comparison with v; for general
-configurations it is semigroup membership of the residual.
+For a configuration A and a bound vector b, a set F of points is a face when
+the residual b - sum(F) lies in the semigroup of A, so a bound outside the
+semigroup gives the void complex, without even the empty face.
 
-Only dimensions inside a requested band [j_lo, j_hi] are materialized, since
-one reduced homology rank needs three consecutive dimensions. Faces are
-stored per dimension as integer index matrices over the local vertex list,
-rows in lexicographic order, which makes face lookups and boundary assembly
-pure array operations. Local vertex i is point config.points[vertices[i]].
+One level expansion enumerates every configuration, growing faces from the
+empty face one vertex at a time. It compares b - sum(F) >= 0 coordinatewise
+and passes survivors through a residual-membership predicate `member`, which
+is None for the monomial (veronese) presets: every point there has coordinate
+sum d and b lies in the semigroup, so the bound test alone is exact.
+
+Only dimensions inside a requested band [j_lo, j_hi] are kept, since one
+reduced homology rank needs three consecutive dimensions. Faces are stored
+per dimension as integer index matrices over the local vertex list, rows in
+lexicographic order, which makes face lookups and boundary assembly pure
+array operations. Local vertex i is point config.points[vertices[i]].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,22 +31,6 @@ from .lattice import PointConfig, Vector, membership_tester
 DEFAULT_FACE_CAP = 5 * 10**7
 
 
-@dataclass(frozen=True)
-class Face:
-    """A single face, as strictly increasing indices into config.points."""
-
-    vertex_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for x, y in zip(self.vertex_indices, self.vertex_indices[1:]):
-            if x >= y:
-                raise ValueError("vertex indices must be strictly increasing")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vertex_indices) - 1
-
-
 @dataclass(eq=False)
 class ComplexSlice:
     """Faces of one divisor complex with dimension in [j_lo, j_hi].
@@ -50,7 +38,7 @@ class ComplexSlice:
     faces_by_dim[t] is an (N_t, t+1) int32 matrix of local vertex indices,
     rows lexicographically increasing; dimension -1 is a (1, 0) or (0, 0)
     matrix recording whether the empty face is present (it is, exactly when
-    the complex has at least one vertex and the band starts at -1).
+    the bound lies in the semigroup).
     """
 
     config: PointConfig
@@ -75,20 +63,11 @@ class ComplexSlice:
             return 0
         return int(self.faces_by_dim[dim].shape[0])
 
-    def faces(self, dim: int) -> list[Face]:
-        """Faces of one dimension with global point indices."""
-        if dim not in self.faces_by_dim:
-            raise ValueError(f"dimension {dim} outside slice band {self.dims}")
-        arr = self.faces_by_dim[dim]
-        if dim == -1:
-            return [Face(())] * arr.shape[0]
-        glob = self.vertices[arr]
-        return [Face(tuple(int(x) for x in row)) for row in glob]
-
     def face_point_sets(self, dim: int) -> list[tuple[Vector, ...]]:
         """Faces of one dimension as tuples of actual points."""
         pts = self.config.points
-        return [tuple(pts[i] for i in f.vertex_indices) for f in self.faces(dim)]
+        return [tuple(pts[i] for i in row)
+                for row in self.vertices[self.faces_by_dim[dim]].tolist()]
 
     def level_keys(self, dim: int) -> np.ndarray:
         """Strictly increasing int64 key per face (mixed-radix over the local
@@ -201,30 +180,31 @@ def _encode_rows(arr: np.ndarray, vertex_count: int) -> np.ndarray:
     return keys
 
 
-def _expand_level(cur: np.ndarray, sums: np.ndarray, local_points: np.ndarray,
-                  bound: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _expand_level(cur: np.ndarray, sums: np.ndarray, points: np.ndarray,
+                  bound: np.ndarray, cap: int, member) -> tuple[np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
     A child is parent + vertex w with w greater than the parent's last vertex
-    and the extended sum still under the bound. Children come out in
-    lexicographic order because parents are lexicographic and appending a
-    vertex preserves prefix order.
+    (any w for the empty face, k = 0) and the extended sum still admissible:
+    under the bound and, when `member` is given, with a residual in the
+    semigroup. Children come out in lexicographic order because parents are
+    lexicographic and appending a vertex preserves prefix order.
     """
     n, k = cur.shape
-    v_count = local_points.shape[0]
     if n == 0:
         return (np.zeros((0, k + 1), dtype=cur.dtype),
                 np.zeros((0, sums.shape[1]), dtype=sums.dtype))
-    last = cur[:, -1]
+    last = cur[:, -1] if k else np.full(n, -1)
     parent_blocks: list[np.ndarray] = []
     vert_blocks: list[np.ndarray] = []
     total = 0
-    for w in range(v_count):
-        resid = bound - local_points[w]
-        if (resid < 0).any():
-            continue
+    resids = bound - points
+    for w in np.flatnonzero((resids >= 0).all(axis=1)).tolist():
+        resid = resids[w]
         cand = (last < w) & (sums <= resid).all(axis=1)
         rows = np.flatnonzero(cand)
+        if member is not None and rows.size:
+            rows = rows[[member(r) for r in (resid - sums[rows]).tolist()]]
         if rows.size == 0:
             continue
         total += int(rows.size)
@@ -241,43 +221,8 @@ def _expand_level(cur: np.ndarray, sums: np.ndarray, local_points: np.ndarray,
     parents = parents[order]
     verts = verts[order]
     children = np.hstack([cur[parents], verts[:, None]])
-    child_sums = sums[parents] + local_points[verts]
+    child_sums = sums[parents] + points[verts]
     return children, child_sums
-
-
-def _faces_general(config: PointConfig, bound: Vector, j_hi: int,
-                   cap: int) -> tuple[list[int], dict[int, list[tuple[int, ...]]]]:
-    """Depth-first enumeration under the semigroup-membership residual rule."""
-    member = membership_tester(config)
-    pts = config.points
-    residuals = [tuple(b - a for b, a in zip(bound, p)) for p in pts]
-    vertex_ids = [i for i, r in enumerate(residuals)
-                  if all(x >= 0 for x in r) and member(r)]
-    local_points = [pts[i] for i in vertex_ids]
-    v_count = len(vertex_ids)
-    by_dim: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(j_hi + 1)}
-    total = 0
-
-    def extend(prefix: tuple[int, ...], resid: tuple[int, ...]) -> None:
-        nonlocal total
-        t = len(prefix) - 1
-        by_dim[t].append(prefix)
-        total += 1
-        if total > cap:
-            raise CapacityError(f"face count exceeds cap {cap} during expansion")
-        if t == j_hi:
-            return
-        for w in range(prefix[-1] + 1, v_count):
-            nxt = tuple(x - y for x, y in zip(resid, local_points[w]))
-            if all(x >= 0 for x in nxt) and member(nxt):
-                extend(prefix + (w,), nxt)
-
-    if j_hi >= 0:
-        for w in range(v_count):
-            resid = tuple(x - y for x, y in zip(bound, local_points[w]))
-            if all(x >= 0 for x in resid) and member(resid):
-                extend((w,), resid)
-    return vertex_ids, by_dim
 
 
 def _find_cone_apex(faces_by_dim: dict[int, np.ndarray],
@@ -292,8 +237,8 @@ def _find_cone_apex(faces_by_dim: dict[int, np.ndarray],
     v_count = local_points.shape[0]
     candidates = list(range(v_count))
     for t in range(0, j_hi):
-        faces = faces_by_dim.get(t)
-        if faces is None or faces.shape[0] == 0:
+        faces = faces_by_dim[t]
+        if faces.shape[0] == 0:
             continue
         sums = sums_by_dim[t]
         surviving = []
@@ -323,6 +268,11 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
                 find_cone_apex: bool = False) -> ComplexSlice:
     """Materialize the faces of the divisor complex with dims in [j_lo, j_hi].
 
+    Levels are expanded from the empty face up to dimension j_hi, so the
+    vertices are the one-point extensions of the empty face. General
+    configurations test each residual for semigroup membership; the veronese
+    presets need only the coordinatewise bound test, which is exact there.
+
     Args:
         config: the point configuration.
         bound: nonnegative bound vector of matching length.
@@ -334,7 +284,7 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
             known to vanish without linear algebra.
 
     Raises:
-        CapacityError: projected face count exceeds max_faces.
+        CapacityError: the face count of some dimension exceeds max_faces.
     """
     if j_lo < -1:
         raise ValueError("j_lo must be >= -1")
@@ -346,75 +296,59 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     if any(x < 0 for x in bb):
         raise ValueError("bound vector must be nonnegative")
 
-    faces_by_dim: dict[int, np.ndarray] = {}
-    sums_by_dim: dict[int, np.ndarray] = {}
-
-    if config.kind == "veronese":
-        pts = np.asarray(config.points, dtype=np.int64)
-        barr = np.asarray(bb, dtype=np.int64)
-        if sum(bb) % config.d != 0:
-            # residuals b - sum(F) all miss the divisibility condition, so no
-            # subset is a face and the complex is void
-            vertices = np.zeros(0, dtype=np.int64)
-        else:
-            vertices = np.flatnonzero((pts <= barr).all(axis=1)).astype(np.int64)
-        local_points = pts[vertices]
-        v_count = int(vertices.size)
-        if v_count > max_faces:
-            raise CapacityError(f"vertex count exceeds cap {max_faces}")
-        cur = np.arange(v_count, dtype=np.int32).reshape(v_count, 1)
-        cur_sums = local_points.copy()
-        for t in range(0, j_hi + 1):
-            if t > 0:
-                cur, cur_sums = _expand_level(cur, cur_sums, local_points, barr, max_faces)
-            if j_lo <= t:
-                faces_by_dim[t] = cur
-                sums_by_dim[t] = cur_sums
-            elif find_cone_apex:
-                sums_by_dim[t] = cur_sums
-                faces_by_dim.setdefault(t, cur)
-            if cur.shape[0] == 0:
-                for rest in range(t + 1, j_hi + 1):
-                    if j_lo <= rest:
-                        faces_by_dim[rest] = np.zeros((0, rest + 1), dtype=np.int32)
-                break
-    else:
-        vertex_ids, by_dim = _faces_general(config, bb, j_hi, max_faces)
-        vertices = np.asarray(vertex_ids, dtype=np.int64)
-        local_points = np.asarray([config.points[i] for i in vertex_ids],
-                                  dtype=np.int64).reshape(len(vertex_ids), config.ambient_dim)
-        v_count = int(vertices.size)
-        for t in range(0, j_hi + 1):
-            rows = by_dim.get(t, [])
-            arr = np.asarray(rows, dtype=np.int32).reshape(len(rows), t + 1)
-            if j_lo <= t or find_cone_apex:
-                faces_by_dim[t] = arr
-                if arr.shape[0]:
-                    sums_by_dim[t] = local_points[arr].sum(axis=1)
-                else:
-                    sums_by_dim[t] = np.zeros((0, config.ambient_dim), dtype=np.int64)
-
-    if j_lo == -1:
-        # the empty face is present exactly when the bound itself lies in
-        # the semigroup (downward closure makes this imply every vertex case)
-        empty_count = 1 if membership_tester(config)(bb) else 0
-        faces_by_dim[-1] = np.zeros((empty_count, 0), dtype=np.int32)
+    pts = np.asarray(config.points, dtype=np.int64).reshape(-1, config.ambient_dim)
+    barr = np.asarray(bb, dtype=np.int64)
+    in_semigroup = membership_tester(config)
+    member = None if config.kind == "veronese" else in_semigroup
+    # the empty face is present exactly when the bound lies in the semigroup;
+    # without it no face is, so a bound outside gives the void complex
+    empty_count = int(in_semigroup(bb))
+    empty = np.zeros((empty_count, 0), dtype=np.int32)
+    empty_sum = np.zeros((empty_count, config.ambient_dim), dtype=np.int64)
+    singletons, _ = _expand_level(empty, empty_sum, pts, barr, max_faces, member)
+    vertices = singletons[:, 0].astype(np.int64)
+    local_points = pts[vertices]
+    all_faces = {-1: empty,
+                 0: np.arange(vertices.size, dtype=np.int32).reshape(-1, 1)}
+    all_sums = {0: local_points}
+    for t in range(1, j_hi + 1):
+        all_faces[t], all_sums[t] = _expand_level(all_faces[t - 1], all_sums[t - 1],
+                                                  local_points, barr, max_faces, member)
 
     apex: int | None = None
-    if find_cone_apex and v_count > 0:
-        barr = np.asarray(bb, dtype=np.int64)
-        member = None if config.kind == "veronese" else membership_tester(config)
-        apex = _find_cone_apex(faces_by_dim, sums_by_dim, local_points, barr,
-                               j_hi, member)
+    if find_cone_apex and vertices.size > 0:
+        apex = _find_cone_apex(all_faces, all_sums, local_points, barr, j_hi, member)
 
-    # drop dimensions materialized only for the apex scan
-    faces_by_dim = {t: a for t, a in faces_by_dim.items() if j_lo <= t <= j_hi}
-    for t in range(max(j_lo, 0), j_hi + 1):
-        faces_by_dim.setdefault(t, np.zeros((0, t + 1), dtype=np.int32))
-
+    faces_by_dim = {t: all_faces[t] for t in range(j_lo, j_hi + 1)}
     return ComplexSlice(config=config, bound=bb, j_lo=j_lo, j_hi=j_hi,
                         vertices=vertices, faces_by_dim=faces_by_dim,
                         cone_apex=apex)
+
+
+def masked_boundary(sub: np.ndarray, alive_rows: np.ndarray,
+                    alive_cols: np.ndarray) -> BoundaryMatrix:
+    """Signed boundary restricted to living faces, rows and columns compacted.
+
+    sub is a subface_rows matrix: entry [f, i] is the row of face f with its
+    i-th vertex dropped, which gets sign (-1)^i. Entries come column by
+    column in face order, and within a column in vertex order.
+    """
+    n_rows = int(alive_rows.sum())
+    face_ids = np.flatnonzero(alive_cols)
+    n_cols = int(face_ids.size)
+    w = sub.shape[1]
+    if n_cols == 0 or w == 0:
+        z = np.zeros(0, dtype=np.int64)
+        return BoundaryMatrix(rows=n_rows, cols=n_cols, row_idx=z, col_idx=z, values=z)
+    row_map = np.full(alive_rows.size, -1, dtype=np.int64)
+    row_map[np.flatnonzero(alive_rows)] = np.arange(n_rows, dtype=np.int64)
+    rows = sub[face_ids].ravel()
+    cols = np.repeat(np.arange(n_cols, dtype=np.int64), w)
+    sign_row = np.array([1 if i % 2 == 0 else -1 for i in range(w)], dtype=np.int64)
+    vals = np.tile(sign_row, n_cols)
+    keep = alive_rows[rows]
+    return BoundaryMatrix(rows=n_rows, cols=n_cols, row_idx=row_map[rows[keep]],
+                          col_idx=cols[keep], values=vals[keep])
 
 
 def boundary_matrix(slice_: ComplexSlice, j: int) -> BoundaryMatrix:
@@ -426,25 +360,13 @@ def boundary_matrix(slice_: ComplexSlice, j: int) -> BoundaryMatrix:
     """
     if j < slice_.j_lo + 1 or j > slice_.j_hi:
         raise ValueError(f"boundary at {j} needs dims {j - 1} and {j} inside {slice_.dims}")
-    rows = slice_.face_count(j - 1)
-    cols = slice_.face_count(j)
-    width = j + 1 if j >= 1 else 1
-    if cols == 0:
-        return BoundaryMatrix(rows=rows, cols=cols,
-                              row_idx=np.zeros(0, dtype=np.int64),
-                              col_idx=np.zeros(0, dtype=np.int64),
-                              values=np.zeros(0, dtype=np.int64))
-    sub = slice_.subface_rows(j)
-    row_idx = sub.ravel().astype(np.int64)
-    col_idx = np.repeat(np.arange(cols, dtype=np.int64), width)
-    sign_row = np.array([1 if i % 2 == 0 else -1 for i in range(width)], dtype=np.int64)
-    values = np.tile(sign_row, cols)
-    return BoundaryMatrix(rows=rows, cols=cols, row_idx=row_idx,
-                          col_idx=col_idx, values=values)
+    return masked_boundary(slice_.subface_rows(j),
+                           np.ones(slice_.face_count(j - 1), dtype=bool),
+                           np.ones(slice_.face_count(j), dtype=bool))
 
 
 def slice_to_text(slice_: ComplexSlice) -> str:
-    """Face listing, one 'dim: i1 i2 ... ik' line per face, global indices."""
+    """The faces, one 'dim: i1 i2 ... ik' line per face, global indices."""
     lines = []
     for t in range(slice_.j_lo, slice_.j_hi + 1):
         if t == -1:

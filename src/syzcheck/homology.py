@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import BoundaryMatrix, ComplexSlice
+from .complexes import BoundaryMatrix, ComplexSlice, masked_boundary
 from .errors import CapacityError
 from .lattice import Multidegree
 
@@ -45,6 +45,18 @@ def is_prime(m: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_prime(p: int) -> int:
+    """p if it is an odd prime below 2**31, else ValueError. The range test
+    runs first: trial division of a 48-bit prime takes seconds."""
+    if p >= 2**31:
+        raise ValueError("primes above 31 bits overflow the dense kernel")
+    if p <= 2:
+        raise ValueError(f"modulus {p} must be an odd prime")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return p
 
 
 @dataclass(frozen=True)
@@ -157,10 +169,7 @@ def rank_mod_p(m: BoundaryMatrix, p: int, *,
     (Markowitz style), switching to dense once the active block is small.
     Deterministic: ties break on the lowest index.
     """
-    if not is_prime(p) or p <= 2:
-        raise ValueError(f"modulus {p} is not an odd prime")
-    if p >= 2**31:
-        raise ValueError("primes above 31 bits overflow the dense kernel")
+    check_prime(p)
     if m.rows == 0 or m.cols == 0 or m.nnz == 0:
         return RankResult(rank=0, method="modular", prime=p, certified_over_Q=False)
     if max(m.rows, m.cols) <= dense_threshold:
@@ -361,27 +370,6 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
     return alive, sub
 
 
-def _residual_matrix(sub_t: np.ndarray, alive_rows: np.ndarray,
-                     alive_cols: np.ndarray) -> BoundaryMatrix:
-    """Boundary restricted to living faces, with rows and columns compacted."""
-    n_rows = int(alive_rows.sum())
-    face_ids = np.flatnonzero(alive_cols)
-    n_cols = int(face_ids.size)
-    w = sub_t.shape[1]
-    if n_cols == 0 or w == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return BoundaryMatrix(rows=n_rows, cols=n_cols, row_idx=z, col_idx=z, values=z)
-    row_map = np.full(alive_rows.size, -1, dtype=np.int64)
-    row_map[np.flatnonzero(alive_rows)] = np.arange(n_rows, dtype=np.int64)
-    rows = sub_t[face_ids].ravel()
-    cols = np.repeat(np.arange(n_cols, dtype=np.int64), w)
-    sign_row = np.array([1 if i % 2 == 0 else -1 for i in range(w)], dtype=np.int64)
-    vals = np.tile(sign_row, n_cols)
-    keep = alive_rows[rows]
-    return BoundaryMatrix(rows=n_rows, cols=n_cols, row_idx=row_map[rows[keep]],
-                          col_idx=cols[keep], values=vals[keep])
-
-
 def _grade_or_none(slice_: ComplexSlice) -> int | None:
     try:
         return slice_.config.degree_of(slice_.bound)
@@ -390,9 +378,7 @@ def _grade_or_none(slice_: ComplexSlice) -> int | None:
 
 
 def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first", *,
-                  prime: int = DEFAULT_PRIME, use_cascade: bool = True,
-                  dense_threshold: int = DENSE_THRESHOLD,
-                  exact_cap: int = EXACT_COLUMN_CAP) -> BettiNumber:
+                  prime: int = DEFAULT_PRIME) -> BettiNumber:
     """Rank of the j-th reduced homology of the sliced complex.
 
     value = (#j-faces) - rank(boundary_j) - rank(boundary_{j+1}); the slice
@@ -408,29 +394,23 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
     md = Multidegree(coords=slice_.bound, total_degree=_grade_or_none(slice_))
     if slice_.cone_apex is not None and slice_.j_lo + 1 <= j <= slice_.j_hi - 1:
         return BettiNumber(j=j, value=0, multidegree=md, certified=True)
-    if use_cascade:
-        alive, sub = _reduce_band(slice_)
-    else:
-        alive = {t: np.ones(slice_.face_count(t), dtype=bool)
-                 for t in range(slice_.j_lo, slice_.j_hi + 1)}
-        sub = {t: slice_.subface_rows(t)
-               for t in range(slice_.j_lo + 1, slice_.j_hi + 1)}
-    lower = _residual_matrix(sub[j], alive[j - 1], alive[j])
-    upper = _residual_matrix(sub[j + 1], alive[j], alive[j + 1])
+    alive, sub = _reduce_band(slice_)
+    lower = masked_boundary(sub[j], alive[j - 1], alive[j])
+    upper = masked_boundary(sub[j + 1], alive[j], alive[j + 1])
     n_alive = int(alive[j].sum())
     if strategy == "exact":
-        r1 = rank_exact(lower, max_cols=exact_cap)
-        r2 = rank_exact(upper, max_cols=exact_cap)
+        r1 = rank_exact(lower)
+        r2 = rank_exact(upper)
         value = n_alive - r1.rank - r2.rank
         certified = True
     else:
-        r1 = rank_mod_p(lower, prime, dense_threshold=dense_threshold)
-        r2 = rank_mod_p(upper, prime, dense_threshold=dense_threshold)
+        r1 = rank_mod_p(lower, prime)
+        r2 = rank_mod_p(upper, prime)
         value = n_alive - r1.rank - r2.rank
         certified = value == 0
         if value > 0:
-            e1 = rank_exact(lower, max_cols=exact_cap)
-            e2 = rank_exact(upper, max_cols=exact_cap)
+            e1 = rank_exact(lower)
+            e2 = rank_exact(upper)
             value = n_alive - e1.rank - e2.rank
             certified = True
     if value < 0:

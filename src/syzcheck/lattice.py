@@ -6,8 +6,8 @@ d into n+1 nonnegative parts), which generates the coordinate semigroup of
 the degree-d embedding of projective n-space. Everything downstream (divisor
 complexes, Betti tables, Koszul weights) is graded by this semigroup.
 
-Point order is lexicographic descending on exponent vectors. Face indices
-and matrix indices all derive from that order, so runs are bit-reproducible.
+Point order is lexicographic descending on exponent vectors. The indices of
+faces and matrices all derive from that order, so runs are bit-reproducible.
 """
 
 from __future__ import annotations

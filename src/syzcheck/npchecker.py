@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from math import comb
@@ -29,7 +30,7 @@ import numpy as np
 
 from .complexes import DEFAULT_FACE_CAP, build_slice
 from .errors import CapacityError, MismatchError
-from .homology import DEFAULT_PRIME, BettiNumber, reduced_betti
+from .homology import DEFAULT_PRIME, BettiNumber, check_prime, reduced_betti
 from .koszul import tor_dimension
 from .lattice import (
     Multidegree,
@@ -46,8 +47,8 @@ FAILS = "fails"
 
 @dataclass(frozen=True)
 class NpQuery:
-    """One verdict request. q_max, slack default to p and the effective
-    ambient dimension; explicit_degrees is only read in explicit mode and
+    """One verdict request. q_max, slack default to p and the ambient
+    dimension n; explicit_degrees is only read in explicit mode and
     is intersected with [q+2, infinity) per q, because lower degrees say
     nothing about the linearity property."""
 
@@ -59,7 +60,6 @@ class NpQuery:
     explicit_degrees: tuple[int, ...] = ()
     slack: int | None = None
     field_strategy: str = "modular_first"
-    use_reduction: bool = False
     use_symmetry: bool = True
     prime: int = DEFAULT_PRIME
     threads: int = 1
@@ -82,6 +82,7 @@ class NpQuery:
             raise ValueError(f"unknown field_strategy {self.field_strategy!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        check_prime(self.prime)
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,15 @@ class NpVerdict:
     status: str
     witness: Witness | None
     checked_degrees: dict[int, tuple[int, ...]]
-    effective_n: int
     query: NpQuery
     jobs_total: int
     jobs_reused: int
     elapsed_seconds: float
+
+    @property
+    def effective_n(self) -> int:
+        """The ambient dimension the sweep ran in, always query.n."""
+        return self.query.n
 
     def to_json(self) -> dict:
         # elapsed time deliberately excluded: serialized verdicts must be
@@ -111,7 +116,7 @@ class NpVerdict:
             "d": self.query.d,
             "p": self.query.p,
             "effective_n": self.effective_n,
-            "slack": _effective_slack(self.query, self.effective_n),
+            "slack": _effective_slack(self.query),
             "degree_bound_mode": self.query.degree_bound_mode,
             "field_strategy": self.query.field_strategy,
             "prime": self.query.prime,
@@ -147,14 +152,8 @@ class NpVerdict:
                 f"beyond the window are not covered by this computation.")
 
 
-def reduce_dimension(n: int, p: int, *, enabled: bool = True) -> int:
-    """Verdicts for all n >= p agree with the verdict at n = p, so the
-    ambient dimension can be capped at p when reduction is requested."""
-    return min(n, p) if enabled else n
-
-
-def _effective_slack(query: NpQuery, effective_n: int) -> int:
-    return query.slack if query.slack is not None else effective_n
+def _effective_slack(query: NpQuery) -> int:
+    return query.slack if query.slack is not None else query.n
 
 
 def _query_hash(query: NpQuery) -> str:
@@ -163,7 +162,8 @@ def _query_hash(query: NpQuery) -> str:
         "degree_bound_mode": query.degree_bound_mode,
         "explicit_degrees": list(query.explicit_degrees),
         "slack": query.slack, "field_strategy": query.field_strategy,
-        "use_reduction": query.use_reduction, "use_symmetry": query.use_symmetry,
+        # a retired option, pinned so that store file names do not move
+        "use_reduction": False, "use_symmetry": query.use_symmetry,
         "prime": query.prime,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -189,14 +189,25 @@ class ResultsStore:
         if key not in self._index:
             idx: dict[tuple[Vector, int], tuple[int, bool]] = {}
             path = self._betti_file(n, d)
-            if path.exists():
-                with path.open() as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
+            data = path.read_bytes() if path.exists() else b""
+            start = 0
+            for line in data.splitlines(keepends=True):
+                end = start + len(line)
+                if line.strip():
+                    try:
                         rec = json.loads(line)
-                        idx[(tuple(rec["b"]), rec["j"])] = (rec["value"], rec["certified"])
+                    except ValueError:
+                        if data[end:].strip():
+                            raise
+                        # the last write was cut short: skip the fragment
+                        # and cut it off, so the next record starts on a
+                        # fresh line (unless another writer appended since)
+                        with path.open("r+b") as fh:
+                            if fh.seek(0, os.SEEK_END) == len(data):
+                                fh.truncate(start)
+                        break
+                    idx[(tuple(rec["b"]), rec["j"])] = (rec["value"], rec["certified"])
+                start = end
             self._index[key] = idx
         return self._index[key]
 
@@ -290,9 +301,8 @@ def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
     obstruction, or holds_up_to_bound with the exact ranges checked."""
     t0 = time.perf_counter()
-    n_eff = reduce_dimension(query.n, query.p, enabled=query.use_reduction)
-    config = veronese_points(n_eff, query.d)
-    slack = _effective_slack(query, n_eff)
+    config = veronese_points(query.n, query.d)
+    slack = _effective_slack(query)
     q_hi = min(query.p, query.q_max if query.q_max is not None else query.p)
     store = ResultsStore(query.store_path) if query.store_path else None
 
@@ -317,12 +327,12 @@ def check_np(query: NpQuery) -> NpVerdict:
             pending: list[dict] = []
             cached: dict[Vector, int] = {}
             for coords in coords_list:
-                hit = store.get(n_eff, query.d, coords, q - 1) if store else None
+                hit = store.get(query.n, query.d, coords, q - 1) if store else None
                 if hit is not None:
                     cached[coords] = hit
                     jobs_reused += 1
                 else:
-                    pending.append({"n": n_eff, "d": query.d, "coords": coords,
+                    pending.append({"n": query.n, "d": query.d, "coords": coords,
                                     "q": q, "deg": deg,
                                     "strategy": query.field_strategy,
                                     "prime": query.prime,
@@ -341,7 +351,7 @@ def check_np(query: NpQuery) -> NpVerdict:
                             f"capacity: {res['capacity_error']}")
                     value, certified = res["value"], res["certified"]
                     if store:
-                        store.put(n_eff, query.d, coords, q - 1, value, certified)
+                        store.put(query.n, query.d, coords, q - 1, value, certified)
                 computed_rows.append((coords, q - 1, value, certified))
                 if witness is None and value > 0 and certified:
                     md = Multidegree(coords=coords, total_degree=deg)
@@ -354,7 +364,7 @@ def check_np(query: NpQuery) -> NpVerdict:
             break
 
     verdict = NpVerdict(status=FAILS if witness else HOLDS, witness=witness,
-                        checked_degrees=checked, effective_n=n_eff, query=query,
+                        checked_degrees=checked, query=query,
                         jobs_total=jobs_total, jobs_reused=jobs_reused,
                         elapsed_seconds=time.perf_counter() - t0)
     if store:

@@ -74,6 +74,18 @@ def test_bad_prime_rejected(capsys):
     assert "not prime" in err
 
 
+def test_wide_prime_rejected_before_trial_division(capsys, monkeypatch):
+    # a 48-bit prime: trial division alone would take seconds
+    def no_trial_division(m):
+        raise AssertionError("trial division ran")
+
+    monkeypatch.setattr("syzcheck.homology.is_prime", no_trial_division)
+    code, _, err = run(capsys, "betti", "-n", "2", "-d", "3", "-b", "9,9,9",
+                       "-j", "6", "--prime", "281474976710597")
+    assert code == 2
+    assert "31 bits" in err
+
+
 def test_complex_text_and_json(capsys):
     code, out, _ = run(capsys, "complex", "-n", "1", "-d", "2", "-b", "4,2",
                        "-j=-1,1")

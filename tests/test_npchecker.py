@@ -11,9 +11,9 @@ from syzcheck.npchecker import (
     HOLDS,
     NpQuery,
     ResultsStore,
+    _query_hash,
     check_np,
     cross_validate,
-    reduce_dimension,
 )
 
 
@@ -25,13 +25,6 @@ def verdict_237():
 @pytest.fixture(scope="module")
 def verdict_326():
     return check_np(NpQuery(n=3, d=2, p=6))
-
-
-def test_reduce_dimension():
-    assert reduce_dimension(10, 4) == 4
-    assert reduce_dimension(3, 4) == 3
-    assert reduce_dimension(4, 4) == 4
-    assert reduce_dimension(10, 4, enabled=False) == 10
 
 
 def test_query_validation():
@@ -49,6 +42,18 @@ def test_query_validation():
         NpQuery(n=2, d=2, p=2, field_strategy="float")
     with pytest.raises(ValueError):
         NpQuery(n=2, d=2, p=2, threads=0)
+
+
+def test_query_rejects_bad_prime():
+    for bad in (15, 2, 2**31 + 11):
+        with pytest.raises(ValueError):
+            NpQuery(n=2, d=2, p=2, prime=bad)
+
+
+def test_query_hash_is_pinned():
+    # store file names derive from this hash; it must not move between versions
+    assert _query_hash(NpQuery(n=2, d=3, p=7)) == "150f6ff6b637"
+    assert _query_hash(NpQuery(n=4, d=3, p=4, slack=1)) == "2fff09a376f7"
 
 
 def test_trivial_p1_has_empty_q_range():
@@ -130,15 +135,6 @@ def test_symmetry_on_off_agree():
     assert v_on.witness.q == v_off.witness.q
 
 
-def test_reduction_soundness():
-    wide = check_np(NpQuery(n=5, d=2, p=2, use_reduction=True))
-    narrow = check_np(NpQuery(n=2, d=2, p=2))
-    assert wide.effective_n == 2
-    assert wide.status == narrow.status == HOLDS
-    assert wide.checked_degrees == narrow.checked_degrees
-    assert wide.jobs_total == narrow.jobs_total
-
-
 def test_worker_pool_matches_inline():
     inline = check_np(NpQuery(n=2, d=2, p=2, threads=1))
     pooled = check_np(NpQuery(n=2, d=2, p=2, threads=2))
@@ -184,6 +180,34 @@ def test_store_reuse(tmp_path):
     assert len(csvs) == 1
     header = csvs[0].read_text().splitlines()[0]
     assert header == "b,j,value,certified"
+
+
+def test_store_skips_torn_tail(tmp_path):
+    store = str(tmp_path)
+    first = check_np(NpQuery(n=2, d=2, p=2, store_path=store))
+    betti_file = tmp_path / "betti-n2-d2.jsonl"
+    betti_file.write_bytes(betti_file.read_bytes()[:-5])
+
+    second = check_np(NpQuery(n=2, d=2, p=2, store_path=store))
+    assert second.jobs_total == 1
+    assert second.jobs_reused == first.jobs_total - 1
+    counters = ("jobs_total", "jobs_reused")
+    assert {k: v for k, v in second.to_json().items() if k not in counters} == \
+           {k: v for k, v in first.to_json().items() if k not in counters}
+
+    third = check_np(NpQuery(n=2, d=2, p=2, store_path=store))
+    assert third.jobs_total == 0
+    assert third.jobs_reused == first.jobs_total
+
+
+def test_store_rejects_unparseable_line_before_the_tail(tmp_path):
+    check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
+    betti_file = tmp_path / "betti-n2-d2.jsonl"
+    lines = betti_file.read_text().splitlines()
+    lines[0] = lines[0][:-3]
+    betti_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
 
 
 def test_store_only_reuses_certified(tmp_path):
