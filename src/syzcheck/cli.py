@@ -103,8 +103,7 @@ def cmd_betti(args) -> int:
     config = veronese_points(args.n, args.d)
     coords = _canonicalize(_parse_b(args.b))
     b = multidegree(config, coords)  # membership-validating
-    slc = build_slice(config, coords, -1, args.j + 1,
-                      find_cone_apex=args.cone_shortcut)
+    slc = build_slice(config, coords, -1, args.j + 1)
     bn = reduced_betti(slc, args.j, _strategy(args), prime=_prime(args))
     if args.format == "json":
         return _emit_json({"b": list(coords), "degree": b.total_degree,
@@ -124,8 +123,7 @@ def _build_query(args) -> NpQuery:
     return NpQuery(n=args.n, d=args.d, p=args.p, q_max=args.qmax,
                    slack=args.slack, field_strategy=_strategy(args),
                    prime=_prime(args), threads=_threads(args),
-                   store_path=_store(args),
-                   use_cone_shortcut=args.cone_shortcut)
+                   store_path=_store(args))
 
 
 def cmd_check_np(args) -> int:
@@ -211,7 +209,7 @@ def cmd_bench(args) -> int:
 
 
 def _add_common(sub, *, prime=True, fmt=True, exact=True, threads=False,
-                store=False, cone=False):
+                store=False):
     if fmt:
         sub.add_argument("--format", choices=("json", "csv", "text"),
                          default="text")
@@ -227,9 +225,6 @@ def _add_common(sub, *, prime=True, fmt=True, exact=True, threads=False,
     if store:
         sub.add_argument("--store", default=None,
                          help="results directory (env SYZCHECK_STORE)")
-    if cone:
-        sub.add_argument("--cone-shortcut", action="store_true",
-                         help="skip homology when a vertex cones the whole band")
 
 
 def _positive(text: str) -> int:
@@ -265,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=_positive, required=True)
     sp.add_argument("-b", required=True, help="multidegree, comma-separated")
     sp.add_argument("-j", type=int, required=True, help="homological dimension")
-    _add_common(sp, cone=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_betti)
 
     sp = subs.add_parser("check-np", help="linearity verdict for (n, d, p)")
@@ -276,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra degrees beyond q+2 to sweep (default: effective n)")
     sp.add_argument("--qmax", type=int, default=None,
                     help="cap on the homological index q (default: p)")
-    _add_common(sp, threads=True, store=True, cone=True)
+    _add_common(sp, threads=True, store=True)
     sp.set_defaults(func=cmd_check_np)
 
     sp = subs.add_parser("koszul", help="graded Tor piece from the contraction complex")
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=_positive, required=True)
     sp.add_argument("--slack", type=int, default=None)
     sp.add_argument("--qmax", type=int, default=None)
-    _add_common(sp, fmt=False, threads=True, store=True, cone=True)
+    _add_common(sp, fmt=False, threads=True, store=True)
     sp.set_defaults(func=cmd_bench)
 
     return parser

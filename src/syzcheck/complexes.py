@@ -225,10 +225,10 @@ def _expand_level(cur: np.ndarray, sums: np.ndarray, points: np.ndarray,
     return children, child_sums
 
 
-def _find_cone_apex(faces_by_dim: dict[int, np.ndarray],
-                    sums_by_dim: dict[int, np.ndarray],
-                    local_points: np.ndarray, bound: np.ndarray,
-                    j_hi: int, member=None) -> int | None:
+def _cone_apex(faces_by_dim: dict[int, np.ndarray],
+               sums_by_dim: dict[int, np.ndarray],
+               local_points: np.ndarray, bound: np.ndarray,
+               j_hi: int, member=None) -> int | None:
     """A local vertex w is an apex when every stored face of dimension at
     most j_hi - 1 not containing w extends by w inside the bound. Such a
     vertex cones the complex through dimension j_hi - 1, so reduced homology
@@ -264,14 +264,16 @@ def _find_cone_apex(faces_by_dim: dict[int, np.ndarray],
 
 
 def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
-                *, max_faces: int = DEFAULT_FACE_CAP,
-                find_cone_apex: bool = False) -> ComplexSlice:
+                *, max_faces: int = DEFAULT_FACE_CAP) -> ComplexSlice:
     """Materialize the faces of the divisor complex with dims in [j_lo, j_hi].
 
     Levels are expanded from the empty face up to dimension j_hi, so the
     vertices are the one-point extensions of the empty face. General
     configurations test each residual for semigroup membership; the veronese
     presets need only the coordinatewise bound test, which is exact there.
+    The slice is then scanned for a vertex coning every dimension below
+    j_hi; the slice records it as cone_apex, and reduced homology in
+    [j_lo+1, j_hi-1] is known to vanish without linear algebra.
 
     Args:
         config: the point configuration.
@@ -279,9 +281,6 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
         j_lo: lowest dimension kept, at least -1.
         j_hi: highest dimension kept.
         max_faces: per-dimension face count guard.
-        find_cone_apex: scan for a vertex coning all dims below j_hi; if one
-            exists the slice records it and homology in [j_lo+1, j_hi-1] is
-            known to vanish without linear algebra.
 
     Raises:
         CapacityError: the face count of some dimension exceeds max_faces.
@@ -315,9 +314,7 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
         all_faces[t], all_sums[t] = _expand_level(all_faces[t - 1], all_sums[t - 1],
                                                   local_points, barr, max_faces, member)
 
-    apex: int | None = None
-    if find_cone_apex and vertices.size > 0:
-        apex = _find_cone_apex(all_faces, all_sums, local_points, barr, j_hi, member)
+    apex = _cone_apex(all_faces, all_sums, local_points, barr, j_hi, member)
 
     faces_by_dim = {t: all_faces[t] for t in range(j_lo, j_hi + 1)}
     return ComplexSlice(config=config, bound=bb, j_lo=j_lo, j_hi=j_hi,

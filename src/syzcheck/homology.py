@@ -1,8 +1,10 @@
 """Exact reduced homology ranks for divisor complex slices.
 
-Pipeline: a unit-pivot cancellation cascade shrinks the chain complex with
-no arithmetic, then the residual boundary ranks are computed modulo a prime,
-with fraction-free rational confirmation for any nonzero answer.
+Pipeline: a slice with a coning vertex (found by build_slice) has zero
+homology inside its band with no linear algebra. Otherwise a unit-pivot
+cancellation cascade shrinks the chain complex with no arithmetic, then the
+residual boundary ranks are computed modulo a prime, with fraction-free
+rational confirmation for any nonzero answer.
 
 The cascade removes pairs (g, f) with g a facet of f whenever either g has
 exactly one living coface (free-face collapse) or f has exactly one living
@@ -30,26 +32,40 @@ from .lattice import Multidegree
 DEFAULT_PRIME = 1_073_741_789
 # dense elimination below this size; sparse elimination above
 DENSE_THRESHOLD = 512
-# refuse exact rational elimination beyond this many columns
-EXACT_COLUMN_CAP = 20_000
+# refuse exact rational elimination beyond this many matrix cells (rows x
+# cols): Bareiss works on a dense list of Python ints
+EXACT_CELL_CAP = 10**7
 
 
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 7 and 61, exact for every
+    m < 4,759,123,141 (Jaeschke 1993), which covers the primes below 2**31
+    that check_prime admits."""
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    for b in (2, 7, 61):
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 7, 61):
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def check_prime(p: int) -> int:
     """p if it is an odd prime below 2**31, else ValueError. The range test
-    runs first: trial division of a 48-bit prime takes seconds."""
+    runs first, since is_prime is exact only below 4.76e9."""
     if p >= 2**31:
         raise ValueError("primes above 31 bits overflow the dense kernel")
     if p <= 2:
@@ -213,10 +229,12 @@ def _bareiss_rank(mat: list[list[int]]) -> int:
     return r
 
 
-def rank_exact(m: BoundaryMatrix, *, max_cols: int = EXACT_COLUMN_CAP) -> RankResult:
-    """Rank over Q by fraction-free (Bareiss) elimination on exact integers."""
-    if m.cols > max_cols:
-        raise CapacityError(f"{m.cols} columns exceed the exact-rank cap {max_cols}")
+def rank_exact(m: BoundaryMatrix, *, max_cells: int = EXACT_CELL_CAP) -> RankResult:
+    """Rank over Q by fraction-free (Bareiss) elimination on exact integers.
+    The rows x cols cap is tested before the dense matrix is allocated."""
+    if m.rows * m.cols > max_cells:
+        raise CapacityError(f"{m.rows}x{m.cols} matrix exceeds the exact-rank cap "
+                            f"of {max_cells} cells")
     if m.rows == 0 or m.cols == 0 or m.nnz == 0:
         return RankResult(rank=0, method="exact_rational", prime=None,
                           certified_over_Q=True)

@@ -64,7 +64,6 @@ class NpQuery:
     prime: int = DEFAULT_PRIME
     threads: int = 1
     store_path: str | None = None
-    use_cone_shortcut: bool = False
     max_faces: int = DEFAULT_FACE_CAP
 
     def __post_init__(self) -> None:
@@ -246,6 +245,8 @@ class ResultsStore:
 
 def _betti_job(payload: dict) -> dict:
     """One orbit representative: build the banded slice and take homology.
+    A coning vertex found by build_slice certifies the zero outright;
+    otherwise the rank runs cascade, modular rank, exact confirmation.
 
     Runs in worker processes; everything in and out is picklable, and
     capacity problems come back as data so the aggregator can name the
@@ -262,9 +263,7 @@ def _betti_job(payload: dict) -> dict:
     q = payload["q"]
     try:
         config = veronese_points(payload["n"], payload["d"])
-        slc = build_slice(config, coords, -1, q,
-                          max_faces=payload["max_faces"],
-                          find_cone_apex=payload["cone"])
+        slc = build_slice(config, coords, -1, q, max_faces=payload["max_faces"])
         bn = reduced_betti(slc, q - 1, payload["strategy"], prime=payload["prime"])
         return {"coords": coords, "q": q, "deg": payload["deg"],
                 "value": bn.value, "certified": bn.certified}
@@ -336,7 +335,6 @@ def check_np(query: NpQuery) -> NpVerdict:
                                     "q": q, "deg": deg,
                                     "strategy": query.field_strategy,
                                     "prime": query.prime,
-                                    "cone": query.use_cone_shortcut,
                                     "max_faces": query.max_faces})
             jobs_total += len(pending)
             results = {r["coords"]: r for r in _run_block(pending, query.threads, config)}

@@ -180,20 +180,18 @@ def test_face_cap_guard():
 
 def test_cone_apex_found_on_coned_complex():
     cfg = veronese_points(1, 2)
-    slc = build_slice(cfg, (4, 2), -1, 2, find_cone_apex=True)
+    slc = build_slice(cfg, (4, 2), -1, 2)
     assert slc.cone_apex == 0
 
 
 def test_cone_apex_absent_when_no_vertex_cones():
     cfg = veronese_points(1, 3)
-    slc = build_slice(cfg, (4, 2), -1, 1, find_cone_apex=True)
+    slc = build_slice(cfg, (4, 2), -1, 1)
     assert slc.cone_apex is None
-    default = build_slice(cfg, (4, 2), -1, 1)
-    assert default.cone_apex is None
 
 
 def test_cone_apex_on_full_simplex():
-    slc = build_slice(line_triple(), (6,), -1, 2, find_cone_apex=True)
+    slc = build_slice(line_triple(), (6,), -1, 2)
     assert slc.cone_apex == 0
 
 

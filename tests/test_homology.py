@@ -1,5 +1,6 @@
 """Rank engines and reduced homology against independent oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -94,7 +95,22 @@ def test_rank_result_fields():
 def test_rank_exact_capacity_guard():
     wide = make_matrix(1, 30, [(0, c, 1) for c in range(30)])
     with pytest.raises(CapacityError):
-        rank_exact(wide, max_cols=10)
+        rank_exact(wide, max_cells=10)
+
+
+def test_rank_exact_cell_cap_bounds_memory():
+    # 16 million cells with one entry: few columns, but a dense list of
+    # Python ints that size takes over 100 MB, so the default cap must
+    # refuse it before anything is allocated
+    square = make_matrix(4000, 4000, [(0, 0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            rank_exact(square)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_random_sparse_ranks_agree_across_primes():
@@ -234,10 +250,49 @@ def test_modular_rank_never_exceeds_exact():
 
 def test_cone_certificate_short_circuits():
     cfg = veronese_points(1, 2)
-    slc = build_slice(cfg, (4, 2), -1, 2, find_cone_apex=True)
+    slc = build_slice(cfg, (4, 2), -1, 2)
     assert slc.cone_apex is not None
     bn = reduced_betti(slc, 1)
     assert bn.value == 0 and bn.certified
+
+
+def cone_grid():
+    """(config, bound) pairs: Veronese orbit representatives of small degree
+    and the general configurations of the other tests, whose faces need the
+    residual-membership predicate."""
+    for n, d in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+        cfg = veronese_points(n, d)
+        for deg in range(0, 5):
+            for m in enumerate_multidegrees(cfg, deg, up_to_symmetry=True):
+                yield cfg, m.canonical.coords
+    for pts in ([(1,), (2,), (3,)], [(2,), (3,)]):
+        cfg = general_config(pts)
+        for b in range(0, 10):
+            yield cfg, (b,)
+    cfg = general_config([(2, 0), (1, 1), (0, 3)])
+    for b0 in range(0, 6):
+        for b1 in range(0, 7):
+            yield cfg, (b0, b1)
+
+
+def test_cone_certificate_matches_brute_force():
+    # the certificate answers 0 from a theorem; the naive oracle ranks the
+    # full boundaries over Q. Every band -1..q with q <= 3 is checked.
+    coned = unconed = 0
+    for cfg, b in cone_grid():
+        oracle = build_slice(cfg, b, -1, 3)
+        expected = {j: naive_betti(oracle, j) for j in range(0, 3)}
+        for q in range(1, 4):
+            slc = build_slice(cfg, b, -1, q)
+            if slc.cone_apex is None:
+                unconed += 1
+            else:
+                coned += 1
+            for j in range(0, q):
+                bn = reduced_betti(slc, j)
+                assert bn.certified
+                assert bn.value == expected[j], (cfg.points, b, q, j)
+    assert coned > 0 and unconed > 0
 
 
 def test_betti_value_is_dataclass_with_multidegree():
@@ -247,6 +302,27 @@ def test_betti_value_is_dataclass_with_multidegree():
     assert bn.multidegree.coords == (3, 3)
     assert bn.multidegree.total_degree == 2
     assert bn.certified
+
+
+def trial_division_is_prime(m):
+    if m < 2:
+        return False
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(m) == trial_division_is_prime(m) for m in range(200_000))
+    rng = np.random.default_rng(31)
+    for m in rng.integers(2**29, 2**31, size=2000).tolist():
+        assert is_prime(m) == trial_division_is_prime(m), m
+    # strong pseudoprimes to some of the bases, and Carmichael numbers
+    for m in (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 41041, 825265):
+        assert not is_prime(m), m
 
 
 def test_is_prime_small_values():
