@@ -5,10 +5,12 @@ the residual b - sum(F) lies in the semigroup of A, so a bound outside the
 semigroup gives the void complex, without even the empty face.
 
 One level expansion enumerates every configuration, growing faces from the
-empty face one vertex at a time. It compares b - sum(F) >= 0 coordinatewise
-and passes survivors through a residual-membership predicate `member`, which
-is None for the monomial (veronese) presets: every point there has coordinate
-sum d and b lies in the semigroup, so the bound test alone is exact.
+empty face one vertex at a time. Its candidates join two faces that differ
+only in their last vertex (Agrawal-Srikant prefix join), as whole arrays.
+It compares b - sum(F) >= 0 coordinatewise and passes survivors through a
+residual-membership predicate `member`, which is None for the monomial
+(veronese) presets: every point there has coordinate sum d and b lies in
+the semigroup, so the bound test alone is exact.
 
 Only dimensions inside a requested band [j_lo, j_hi] are kept, since one
 reduced homology rank needs three consecutive dimensions. Faces are stored
@@ -29,6 +31,8 @@ from .lattice import PointConfig, Vector, membership_tester
 
 # per-dimension face count guard
 DEFAULT_FACE_CAP = 5 * 10**7
+# candidate (parent, partner) pairs tested per array pass of _expand_level
+EXPANSION_CHUNK = 1 << 14
 
 
 @dataclass(eq=False)
@@ -184,45 +188,63 @@ def _expand_level(cur: np.ndarray, sums: np.ndarray, points: np.ndarray,
                   bound: np.ndarray, cap: int, member) -> tuple[np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
-    A child is parent + vertex w with w greater than the parent's last vertex
-    (any w for the empty face, k = 0) and the extended sum still admissible:
-    under the bound and, when `member` is given, with a residual in the
-    semigroup. Children come out in lexicographic order because parents are
-    lexicographic and appending a vertex preserves prefix order.
+    A child is parent F plus a vertex w after F's last vertex a (any w for
+    the empty face, k = 0) whose sum stays admissible: under the bound and,
+    when `member` is given, with a residual in the semigroup. As faces are
+    closed under subsets, w must end a later row F - a + w of F's prefix
+    block (the contiguous rows sharing its first k-1 vertices). Candidate
+    pairs (parent, later row of its block) run parent-major, so children
+    come out lexicographic; they are tested in runs of about EXPANSION_CHUNK
+    pairs, and the child count is checked against cap after each run.
     """
     n, k = cur.shape
-    if n == 0:
-        return (np.zeros((0, k + 1), dtype=cur.dtype),
-                np.zeros((0, sums.shape[1]), dtype=sums.dtype))
-    last = cur[:, -1] if k else np.full(n, -1)
-    parent_blocks: list[np.ndarray] = []
-    vert_blocks: list[np.ndarray] = []
-    total = 0
-    resids = bound - points
-    for w in np.flatnonzero((resids >= 0).all(axis=1)).tolist():
-        resid = resids[w]
-        cand = (last < w) & (sums <= resid).all(axis=1)
-        rows = np.flatnonzero(cand)
-        if member is not None and rows.size:
-            rows = rows[[member(r) for r in (resid - sums[rows]).tolist()]]
-        if rows.size == 0:
-            continue
-        total += int(rows.size)
+    rows = np.arange(n, dtype=np.int64)
+    if k == 0:  # the empty face (n is 0 or 1) pairs with every point
+        first, n_pairs = np.zeros(n, dtype=np.int64), np.full(n, points.shape[0])
+        partner_vertex = np.arange(points.shape[0], dtype=cur.dtype)
+    else:
+        new_block = rows == 0
+        for c in range(k - 1):
+            new_block[1:] |= cur[1:, c] != cur[:-1, c]
+        block_ends = np.append(np.flatnonzero(new_block)[1:], n)
+        first = rows + 1
+        n_pairs = block_ends[np.cumsum(new_block) - 1] - first
+        partner_vertex = cur[:, -1]
+    pair_cum = np.cumsum(n_pairs)
+    # coordinate-major, so each coordinate is tested with flat gathers
+    slack_t = np.ascontiguousarray((bound - sums).T)
+    points_t = np.ascontiguousarray(points.T)
+    par_blocks = [np.zeros(0, dtype=np.int64)]
+    vert_blocks = [np.zeros(0, dtype=cur.dtype)]
+    total = lo = 0
+    while lo < n:
+        done = int(pair_cum[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(pair_cum, done + EXPANSION_CHUNK, side="right")),
+                 lo + 1)
+        counts = n_pairs[lo:hi]
+        par = np.repeat(rows[lo:hi], counts)
+        # partner row: first[r] plus the pair's offset within parent r's run
+        partner = np.arange(done, pair_cum[hi - 1]) + np.repeat(
+            first[lo:hi] - pair_cum[lo:hi] + counts, counts)
+        verts = partner_vertex.take(partner)
+        ok = np.ones(par.size, dtype=bool)
+        for slack, coord in zip(slack_t, points_t):
+            ok &= coord.take(verts) <= slack.take(par)
+        par, verts = par[ok], verts[ok]
+        if member is not None:
+            resid = (bound - sums[par] - points[verts]).tolist()
+            keep = np.array([member(r) for r in resid], dtype=bool)
+            par, verts = par[keep], verts[keep]
+        total += int(par.size)
         if total > cap:
             raise CapacityError(f"face count exceeds cap {cap} during expansion")
-        parent_blocks.append(rows)
-        vert_blocks.append(np.full(rows.size, w, dtype=cur.dtype))
-    if not parent_blocks:
-        return (np.zeros((0, k + 1), dtype=cur.dtype),
-                np.zeros((0, sums.shape[1]), dtype=sums.dtype))
-    parents = np.concatenate(parent_blocks)
+        par_blocks.append(par)
+        vert_blocks.append(verts)
+        lo = hi
+    parents = np.concatenate(par_blocks)
     verts = np.concatenate(vert_blocks)
-    order = np.lexsort((verts, parents))
-    parents = parents[order]
-    verts = verts[order]
-    children = np.hstack([cur[parents], verts[:, None]])
-    child_sums = sums[parents] + points[verts]
-    return children, child_sums
+    children = np.hstack([cur.take(parents, axis=0), verts[:, None]])
+    return children, sums.take(parents, axis=0) + points.take(verts, axis=0)
 
 
 def _cone_apex(faces_by_dim: dict[int, np.ndarray],

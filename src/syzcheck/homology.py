@@ -260,9 +260,35 @@ def _ragged_take(ptr: np.ndarray, idx: np.ndarray,
     return idx[flat], np.repeat(keys, lens)
 
 
+def _claim_pairs(cand: np.ndarray, count: np.ndarray, partner: np.ndarray,
+                 alive_own: np.ndarray, alive_other: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Claim in one array pass the pairs an increasing scan of the distinct
+    candidates would: a living candidate with count 1 and a living partner,
+    the first claimant of a partner winning it. Marks both sides dead and
+    returns (claimants, partners); cand may hold repeats."""
+    cand = np.sort(cand)
+    cand = cand[alive_own[cand] & (count[cand] == 1)]
+    other = partner[cand]
+    ok = alive_other[other]
+    cand, other = cand[ok], other[ok]
+    _, first = np.unique(other, return_index=True)
+    first.sort()
+    cand, other = cand[first], other[first]
+    alive_own[cand] = False
+    alive_other[other] = False
+    return cand, other
+
+
 def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
                                                 dict[int, np.ndarray]]:
     """Run the cancellation cascade over the whole band.
+
+    A round is a down-pass over dimensions upward (a face with one living
+    facet claims it) and an up-pass downward (a face with one living coface
+    claims it), each dimension one _claim_pairs call. Then the killed faces'
+    neighbours update their counts and index sums (a face with count 1 reads
+    its partner off the sum). Rounds repeat until one claims nothing.
 
     Returns (alive flags per dimension, facet-row matrices per dimension).
     The surviving faces carry the same homology as the input in every
@@ -293,98 +319,51 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
         acc = np.zeros(below, dtype=np.int64)
         np.add.at(acc, flat, cols)
         sm_up[t - 1] = acc
-        order = np.argsort(flat, kind="stable")
-        cof_idx[t - 1] = cols[order]
+        # cofaces grouped by facet: sort facet * N + coface (< 2**63 under the cap)
+        radix = max(counts[t], 1)
+        cof_idx[t - 1] = np.sort(flat * radix + cols) % radix
         ptr = np.zeros(below + 1, dtype=np.int64)
         np.cumsum(freq, out=ptr[1:])
         cof_ptr[t - 1] = ptr
 
-    pend_dc: dict[int, np.ndarray | None] = {t: None for t in range(bot + 1, top + 1)}
-    pend_uc: dict[int, np.ndarray | None] = {t: None for t in range(bot, top)}
-
+    # each pass takes (and clears) its pending candidates: faces that had
+    # count 1 at the start or after the last update
+    pend_dc = {t: np.flatnonzero(dc[t] == 1) for t in dc}
+    pend_uc = {t: np.flatnonzero(uc[t] == 1) for t in uc}
+    # a round: down-pass upward, then up-pass downward, as
+    # (pending, counts, partner sums, dimension, partner dimension)
+    passes = ([(pend_dc, dc, sm_dn, t, t - 1) for t in range(bot + 1, top + 1)]
+              + [(pend_uc, uc, sm_up, t, t + 1) for t in range(top - 1, bot - 1, -1)])
+    empty = np.zeros(0, dtype=np.int64)
     while True:
-        kills: dict[int, list[int]] = {t: [] for t in dims}
-        claimed = 0
-        for t in range(bot + 1, top + 1):
-            cand = pend_dc[t]
-            if cand is None:
-                cand = np.flatnonzero(dc[t] == 1)
-            pend_dc[t] = np.zeros(0, dtype=np.int64)
-            if cand.size == 0:
-                continue
-            alive_t = alive[t]
-            alive_b = alive[t - 1]
-            dct = dc[t]
-            smt = sm_dn[t]
-            for f in cand.tolist():
-                if not alive_t[f] or dct[f] != 1:
-                    continue
-                g = int(smt[f])
-                if not alive_b[g]:
-                    continue
-                alive_t[f] = False
-                alive_b[g] = False
-                kills[t].append(f)
-                kills[t - 1].append(g)
-                claimed += 1
-        for t in range(top - 1, bot - 1, -1):
-            cand = pend_uc[t]
-            if cand is None:
-                cand = np.flatnonzero(uc[t] == 1)
-            pend_uc[t] = np.zeros(0, dtype=np.int64)
-            if cand.size == 0:
-                continue
-            alive_t = alive[t]
-            alive_a = alive[t + 1]
-            uct = uc[t]
-            smt = sm_up[t]
-            for g in cand.tolist():
-                if not alive_t[g] or uct[g] != 1:
-                    continue
-                f = int(smt[g])
-                if not alive_a[f]:
-                    continue
-                alive_t[g] = False
-                alive_a[f] = False
-                kills[t].append(g)
-                kills[t + 1].append(f)
-                claimed += 1
-        if claimed == 0:
+        kills: dict[int, list[np.ndarray]] = {t: [] for t in dims}
+        for pend, count, partner, t, u in passes:
+            own, other = _claim_pairs(pend.pop(t, empty), count[t], partner[t],
+                                      alive[t], alive[u])
+            kills[t].append(own)
+            kills[u].append(other)
+        # faces killed in one round are distinct, so concatenation suffices
+        killed_by_dim = {t: np.concatenate(k) for t, k in kills.items() if k}
+        if not any(k.size for k in killed_by_dim.values()):
             break
-        add_dc: dict[int, list[np.ndarray]] = {}
-        add_uc: dict[int, list[np.ndarray]] = {}
-        for t in dims:
-            if not kills[t]:
-                continue
-            killed = np.asarray(sorted(set(kills[t])), dtype=np.int64)
-            if t >= bot + 1 and sub[t].shape[1]:
+        # update counts and partner sums; the next round's candidates are the
+        # neighbours that now have count 1 and are alive, repeats included
+        for t, killed in killed_by_dim.items():
+            if t in sub:
                 gs = sub[t][killed].ravel()
                 fs = np.repeat(killed, sub[t].shape[1])
                 keep = alive[t - 1][gs]
-                if keep.any():
-                    gs2 = gs[keep]
-                    np.subtract.at(uc[t - 1], gs2, 1)
-                    np.subtract.at(sm_up[t - 1], gs2, fs[keep])
-                    touched = np.unique(gs2)
-                    hits = touched[(uc[t - 1][touched] == 1) & alive[t - 1][touched]]
-                    if hits.size:
-                        add_uc.setdefault(t - 1, []).append(hits)
-            if t <= top - 1 and (t in cof_ptr):
+                gs = gs[keep]
+                np.subtract.at(uc[t - 1], gs, 1)
+                np.subtract.at(sm_up[t - 1], gs, fs[keep])
+                pend_uc[t - 1] = gs[(uc[t - 1][gs] == 1) & alive[t - 1][gs]]
+            if t in cof_ptr:
                 fs, gs = _ragged_take(cof_ptr[t], cof_idx[t], killed)
-                if fs.size:
-                    keep = alive[t + 1][fs]
-                    if keep.any():
-                        fs2 = fs[keep]
-                        np.subtract.at(dc[t + 1], fs2, 1)
-                        np.subtract.at(sm_dn[t + 1], fs2, gs[keep])
-                        touched = np.unique(fs2)
-                        hits = touched[(dc[t + 1][touched] == 1) & alive[t + 1][touched]]
-                        if hits.size:
-                            add_dc.setdefault(t + 1, []).append(hits)
-        for t, chunks in add_dc.items():
-            pend_dc[t] = np.unique(np.concatenate(chunks + [pend_dc[t]]))
-        for t, chunks in add_uc.items():
-            pend_uc[t] = np.unique(np.concatenate(chunks + [pend_uc[t]]))
+                keep = alive[t + 1][fs]
+                fs = fs[keep]
+                np.subtract.at(dc[t + 1], fs, 1)
+                np.subtract.at(sm_dn[t + 1], fs, gs[keep])
+                pend_dc[t + 1] = fs[(dc[t + 1][fs] == 1) & alive[t + 1][fs]]
     return alive, sub
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 from typing import Iterator, Sequence
@@ -143,8 +144,13 @@ class OrbitRep:
     orbit_size: int
 
 
+@lru_cache(maxsize=16)
 def veronese_points(n: int, d: int) -> PointConfig:
     """All exponent vectors of degree-d monomials in n+1 variables.
+
+    Cached: every Betti job of a sweep asks for the same configuration, and
+    validating it costs Fraction arithmetic over every point. The frozen
+    PointConfig is safe to share.
 
     Args:
         n: projective dimension, n >= 1.

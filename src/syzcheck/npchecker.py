@@ -227,20 +227,34 @@ class ResultsStore:
         with self._betti_file(n, d).open("a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    def write_verdict(self, query_hash: str, doc: dict) -> Path:
-        path = self.root / f"verdict-{query_hash}.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    def _write_atomically(self, name: str, text: str) -> Path:
+        """Write text to a temporary file in the store, then rename it over
+        root/name: readers see the old file or the new one, never a torn
+        one, and a failed write leaves no temporary file behind."""
+        path = self.root / name
+        tmp = self.root / f".{name}.{os.getpid()}-{os.urandom(6).hex()}.tmp"
+        fh = tmp.open("x")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
+
+    def write_verdict(self, query_hash: str, doc: dict) -> Path:
+        return self._write_atomically(f"verdict-{query_hash}.json",
+                                      json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     def write_betti_csv(self, query_hash: str,
                         rows: list[tuple[Vector, int, int, bool]]) -> Path:
-        path = self.root / f"betti-{query_hash}.csv"
         lines = ["b,j,value,certified"]
         for coords, j, value, certified in rows:
             b = " ".join(str(x) for x in coords)
             lines.append(f"{b},{j},{value},{str(certified).lower()}")
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        return self._write_atomically(f"betti-{query_hash}.csv",
+                                      "\n".join(lines) + "\n")
 
 
 def _betti_job(payload: dict) -> dict:

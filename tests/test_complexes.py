@@ -1,5 +1,6 @@
 """Divisor complex slices and boundary matrices."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -176,6 +177,22 @@ def test_face_cap_guard():
     cfg = veronese_points(2, 2)
     with pytest.raises(CapacityError):
         build_slice(cfg, (6, 6, 6), -1, 4, max_faces=10)
+
+
+def test_face_cap_bounds_memory():
+    # every set of at most ten of the 35 points fits under this bound, so
+    # dimension 4 alone has C(35, 5) = 324,632 faces. The guard must stop
+    # the expansion while it holds a bounded block of candidate pairs:
+    # testing all of that level's pairs at once peaks near 19 MiB
+    cfg = veronese_points(4, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build_slice(cfg, (30,) * 5, -1, 12, max_faces=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_cone_apex_found_on_coned_complex():

@@ -12,6 +12,7 @@ from syzcheck.homology import (
     BettiNumber,
     RankResult,
     DEFAULT_PRIME,
+    _claim_pairs,
     is_prime,
     rank_exact,
     rank_mod_p,
@@ -293,6 +294,33 @@ def test_cone_certificate_matches_brute_force():
                 assert bn.certified
                 assert bn.value == expected[j], (cfg.points, b, q, j)
     assert coned > 0 and unconed > 0
+
+
+def scan_claims(cand, count, partner, alive_own, alive_other):
+    # the face-by-face scan the cascade ran before its passes became arrays
+    claimed = []
+    for f in sorted(set(cand.tolist())):
+        if alive_own[f] and count[f] == 1 and alive_other[partner[f]]:
+            alive_own[f] = alive_other[partner[f]] = False
+            claimed.append((f, int(partner[f])))
+    return claimed
+
+
+def test_claim_pairs_matches_sequential_scan():
+    # small partner ranges force many candidates onto one partner
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n_own, n_other = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        count = rng.integers(0, 3, size=n_own)
+        partner = rng.integers(0, n_other, size=n_own)
+        alive_own = rng.random(n_own) < 0.8
+        alive_other = rng.random(n_other) < 0.8
+        cand = rng.integers(0, n_own, size=int(rng.integers(0, 50)))
+        own_ref, other_ref = alive_own.copy(), alive_other.copy()
+        expected = scan_claims(cand, count, partner, own_ref, other_ref)
+        fs, gs = _claim_pairs(cand, count, partner, alive_own, alive_other)
+        assert list(zip(fs.tolist(), gs.tolist())) == expected
+        assert (alive_own == own_ref).all() and (alive_other == other_ref).all()
 
 
 def test_betti_value_is_dataclass_with_multidegree():

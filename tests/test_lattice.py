@@ -77,6 +77,18 @@ def test_veronese_rejects_degenerate_parameters():
         veronese_points(2, 0)
 
 
+def test_veronese_points_is_cached():
+    # the cache shares one validated configuration; bad parameters are not
+    # cached and raise on every call
+    assert veronese_points(4, 3) is veronese_points(4, 3)
+    assert veronese_points(2, 3) is not veronese_points(3, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            veronese_points(0, 3)
+        with pytest.raises(ValueError):
+            veronese_points(3, 0)
+
+
 def test_points_are_lex_descending():
     for n, d in [(1, 3), (2, 2), (3, 3)]:
         pts = veronese_points(n, d).points

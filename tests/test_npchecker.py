@@ -1,6 +1,7 @@
 """Tests for the verdict orchestrator and the two-pipeline cross-check."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,40 @@ def test_store_rejects_unparseable_line_before_the_tail(tmp_path):
     betti_file.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
+
+
+def test_store_writes_are_atomic(tmp_path, monkeypatch):
+    store = ResultsStore(tmp_path)
+    verdict = store.write_verdict("abc", {"status": HOLDS})
+    csv = store.write_betti_csv("abc", [((4, 2, 2), 1, 0, True)])
+    assert verdict == tmp_path / "verdict-abc.json"
+    assert csv == tmp_path / "betti-abc.csv"
+    before = {path: path.read_bytes() for path in (verdict, csv)}
+
+    real_open = Path.open
+
+    def torn_open(self, mode="r", *args, **kwargs):
+        # every file opened for writing takes half the text, then fails
+        fh = real_open(self, mode, *args, **kwargs)
+        if "r" not in mode:
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(Path, "open", torn_open)
+    with pytest.raises(OSError):
+        store.write_verdict("abc", {"status": FAILS, "pad": "x" * 1000})
+    with pytest.raises(OSError):
+        store.write_betti_csv("abc", [((4, 2, 2), j, 1, True) for j in range(50)])
+    monkeypatch.undo()
+    assert {path: path.read_bytes() for path in (verdict, csv)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["betti-abc.csv",
+                                                         "verdict-abc.json"]
 
 
 def test_store_only_reuses_certified(tmp_path):
