@@ -12,6 +12,12 @@ residual-membership predicate `member`, which is None for the monomial
 (veronese) presets: every point there has coordinate sum d and b lies in
 the semigroup, so the bound test alone is exact.
 
+A vertex w cones the complex through dimension j_hi - 1 when every face
+below j_hi that avoids w extends by w. It is found from face counts alone:
+per level, bincounts over the face columns give how many faces contain each
+vertex, and w cones exactly when the faces avoiding it at level t number as
+many as the faces containing it at level t + 1.
+
 Only dimensions inside a requested band [j_lo, j_hi] are kept, since one
 reduced homology rank needs three consecutive dimensions. Faces are stored
 per dimension as integer index matrices over the local vertex list, rows in
@@ -148,11 +154,6 @@ class BoundaryMatrix:
             shape=(self.rows, self.cols),
         )
 
-    def to_text(self) -> str:
-        """Triplet export, one 'row col value' line per entry."""
-        return "\n".join(f"{int(r)} {int(c)} {int(v)}"
-                         for r, c, v in zip(self.row_idx, self.col_idx, self.values))
-
 
 def make_matrix(rows: int, cols: int,
                 triplets: Sequence[tuple[int, int, int]]) -> BoundaryMatrix:
@@ -247,42 +248,32 @@ def _expand_level(cur: np.ndarray, sums: np.ndarray, points: np.ndarray,
     return children, sums.take(parents, axis=0) + points.take(verts, axis=0)
 
 
-def _cone_apex(faces_by_dim: dict[int, np.ndarray],
-               sums_by_dim: dict[int, np.ndarray],
-               local_points: np.ndarray, bound: np.ndarray,
-               j_hi: int, member=None) -> int | None:
-    """A local vertex w is an apex when every stored face of dimension at
-    most j_hi - 1 not containing w extends by w inside the bound. Such a
+def _cone_apex(faces_by_dim: dict[int, np.ndarray], j_hi: int) -> int | None:
+    """The lowest local vertex w such that every stored face of dimension
+    below j_hi that avoids w extends by w to a stored face, or None. Such a
     vertex cones the complex through dimension j_hi - 1, so reduced homology
-    vanishes there. `member` is the residual admissibility test for general
-    configurations; None means coordinatewise comparison suffices."""
-    v_count = local_points.shape[0]
-    candidates = list(range(v_count))
-    for t in range(0, j_hi):
-        faces = faces_by_dim[t]
-        if faces.shape[0] == 0:
-            continue
-        sums = sums_by_dim[t]
-        surviving = []
-        for w in candidates:
-            outside = ~(faces == w).any(axis=1)
-            if not outside.any():
-                surviving.append(w)
-                continue
-            resid = bound - local_points[w]
-            if (resid < 0).any():
-                continue
-            if not (sums[outside] <= resid).all():
-                continue
-            if member is not None:
-                leftovers = resid - sums[outside]
-                if not all(member(tuple(int(x) for x in row)) for row in leftovers):
-                    continue
-            surviving.append(w)
-        candidates = surviving
-        if not candidates:
-            return None
-    return candidates[0] if candidates else None
+    vanishes there.
+
+    The test is a face count. Each (t+1)-face G containing w comes from
+    exactly one t-face avoiding w, namely G - w, a face since faces are
+    closed under subsets. So deg_{t+1}(w), the number of (t+1)-faces
+    containing w, counts the t-faces avoiding w that extend by w, and all
+    N_t - deg_t(w) of them extend exactly when the two numbers agree. The
+    level lists are complete (expansion already applied the membership
+    predicate), so the count is exact for general configurations too.
+    """
+    v_count = faces_by_dim[0].shape[0]
+    apex = np.ones(v_count, dtype=bool)
+    deg = np.ones(v_count, dtype=np.int64)  # each vertex is one 0-face
+    for t in range(j_hi):
+        # column by column: bincount copies its input to int64, and a whole
+        # level at once would briefly take twice the level's own memory
+        deg_up = sum(np.bincount(col, minlength=v_count)
+                     for col in faces_by_dim[t + 1].T)
+        apex &= faces_by_dim[t].shape[0] - deg == deg_up
+        deg = deg_up
+    hits = np.flatnonzero(apex)
+    return int(hits[0]) if hits.size else None
 
 
 def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
@@ -293,8 +284,9 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     vertices are the one-point extensions of the empty face. General
     configurations test each residual for semigroup membership; the veronese
     presets need only the coordinatewise bound test, which is exact there.
-    The slice is then scanned for a vertex coning every dimension below
-    j_hi; the slice records it as cone_apex, and reduced homology in
+    The lowest vertex coning every dimension below j_hi is then read off
+    the per-level vertex degrees of the faces (`_cone_apex`, no membership
+    call); the slice records it as cone_apex, and reduced homology in
     [j_lo+1, j_hi-1] is known to vanish without linear algebra.
 
     Args:
@@ -336,7 +328,7 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
         all_faces[t], all_sums[t] = _expand_level(all_faces[t - 1], all_sums[t - 1],
                                                   local_points, barr, max_faces, member)
 
-    apex = _cone_apex(all_faces, all_sums, local_points, barr, j_hi, member)
+    apex = _cone_apex(all_faces, j_hi)
 
     faces_by_dim = {t: all_faces[t] for t in range(j_lo, j_hi + 1)}
     return ComplexSlice(config=config, bound=bb, j_lo=j_lo, j_hi=j_hi,

@@ -290,37 +290,3 @@ def enumerate_multidegrees(config: PointConfig, total_degree: int,
         raise CapacityError(f"{count} multidegrees exceed cap {COMPOSITION_COUNT_CAP}")
     return [Multidegree(coords=c, total_degree=total_degree)
             for c in compositions(total, k)]
-
-
-def config_to_json(config: PointConfig) -> dict:
-    """JSON-ready dict {kind, n, d, points}."""
-    return {
-        "kind": config.kind,
-        "n": config.n,
-        "d": config.d,
-        "points": [list(a) for a in config.points],
-    }
-
-
-def config_from_json(data: dict) -> PointConfig:
-    """Inverse of config_to_json."""
-    if data.get("kind") == "veronese":
-        cfg = veronese_points(int(data["n"]), int(data["d"]))
-        if [list(a) for a in cfg.points] != data["points"]:
-            raise ValueError("point list does not match the veronese preset")
-        return cfg
-    return general_config(data["points"])
-
-
-def parse_points_text(text: str) -> PointConfig:
-    """Parse a general configuration: one point per line, whitespace-separated
-    integers; blank lines and '#' comments ignored."""
-    pts = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        pts.append(tuple(int(tok) for tok in body.split()))
-    if not pts:
-        raise ValueError("no points found")
-    return general_config(pts)

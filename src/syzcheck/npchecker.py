@@ -302,7 +302,7 @@ def _run_block(jobs: list[dict], threads: int, config: PointConfig) -> list[dict
                    key=lambda i: (-_job_cost(jobs[i]["n"], jobs[i]["d"],
                                              jobs[i]["coords"], jobs[i]["q"], config),
                                   jobs[i]["coords"]))
-    with multiprocessing.get_context("fork").Pool(threads) as pool:
+    with multiprocessing.get_context("fork").Pool(min(threads, len(jobs))) as pool:
         shuffled = pool.map(_betti_job, [jobs[i] for i in order])
     results: list[dict] = [None] * len(jobs)  # type: ignore[list-item]
     for pos, i in enumerate(order):

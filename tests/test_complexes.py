@@ -234,7 +234,6 @@ def test_slice_json_export():
 
 def test_matrix_text_and_container():
     bm = make_matrix(2, 2, [(0, 0, 1), (1, 1, -1)])
-    assert bm.to_text() == "0 0 1\n1 1 -1"
     assert bm.nnz == 2
     assert isinstance(bm, BoundaryMatrix)
 

@@ -276,6 +276,17 @@ def cone_grid():
             yield cfg, (b0, b1)
 
 
+def set_apex(slc, q):
+    # the lowest vertex w with F + w stored for every stored face F of
+    # dimension below q that avoids w, straight from the definition
+    faces = {frozenset(row) for t in range(-1, q + 1)
+             for row in slc.faces_by_dim[t].tolist()}
+    for w in range(slc.vertex_count):
+        if all(f | {w} in faces for f in faces if len(f) <= q and w not in f):
+            return w
+    return None
+
+
 def test_cone_certificate_matches_brute_force():
     # the certificate answers 0 from a theorem; the naive oracle ranks the
     # full boundaries over Q. Every band -1..q with q <= 3 is checked.
@@ -285,6 +296,7 @@ def test_cone_certificate_matches_brute_force():
         expected = {j: naive_betti(oracle, j) for j in range(0, 3)}
         for q in range(1, 4):
             slc = build_slice(cfg, b, -1, q)
+            assert slc.cone_apex == set_apex(slc, q), (cfg.points, b, q)
             if slc.cone_apex is None:
                 unconed += 1
             else:

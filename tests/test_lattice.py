@@ -9,12 +9,9 @@ from syzcheck.lattice import (
     Multidegree,
     canonical_rep,
     compositions,
-    config_from_json,
-    config_to_json,
     enumerate_multidegrees,
     general_config,
     multidegree,
-    parse_points_text,
     partitions_into,
     semigroup_contains,
     veronese_points,
@@ -213,19 +210,6 @@ def test_partitions_into_order_and_shape():
     for p in partitions_into(18, 5):
         assert list(p) == sorted(p, reverse=True)
         assert sum(p) == 18
-
-
-def test_config_json_round_trip():
-    cfg = veronese_points(2, 2)
-    assert config_from_json(config_to_json(cfg)) == cfg
-    gen = general_config([(2, 0), (1, 1), (0, 3)])
-    assert config_from_json(config_to_json(gen)).points == gen.points
-
-
-def test_parse_points_text():
-    cfg = parse_points_text("# header\n2 0\n1 1\n\n0 3\n")
-    assert cfg.points == ((2, 0), (1, 1), (0, 3))
-    assert cfg.kind == "general"
 
 
 def test_general_config_homogenizer_validation():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from syzcheck import npchecker
 from syzcheck.errors import CapacityError, MismatchError
 from syzcheck.koszul import TorSlice
 from syzcheck.npchecker import (
@@ -142,6 +143,35 @@ def test_worker_pool_matches_inline():
     assert inline.status == pooled.status
     assert inline.checked_degrees == pooled.checked_degrees
     assert inline.jobs_total == pooled.jobs_total
+
+
+def test_worker_pool_is_sized_by_block(monkeypatch):
+    # a fake fork context records each pool's size and maps inline, so no
+    # process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            sizes.append((self.processes, len(items)))
+            return [fn(item) for item in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(npchecker.multiprocessing, "get_context",
+                        lambda method: FakeContext())
+    check_np(NpQuery(n=2, d=2, p=2, threads=64))
+    assert sizes
+    assert all(size == min(64, jobs) for size, jobs in sizes), sizes
 
 
 def test_capacity_error_names_the_multidegree():
