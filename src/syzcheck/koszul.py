@@ -10,6 +10,11 @@ differentials
 and takes kernel dimension minus image rank in the middle, optionally
 restricted to one torus weight. Both pipelines must agree wherever both are
 defined; the checker module asserts exactly that.
+
+The complex is GL(V)-equivariant, so a weight and its coordinate
+permutations have the same Tor dimension. A full weight sweep therefore
+ranks one dominant weight per permutation orbit and spreads the value over
+the orbit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .complexes import BoundaryMatrix, make_matrix
 from .errors import CapacityError
 from .homology import DEFAULT_PRIME, rank_exact, rank_mod_p
-from .lattice import Vector, compositions
+from .lattice import Vector, compositions, orbit_expansion, partitions_into
 
 # refuse bases beyond this many elements
 DEFAULT_BASIS_GUARD = 10**6
@@ -208,10 +213,13 @@ def tor_dimension(p: int, q: int, n: int, d: int,
     """Dimension of the graded Tor piece at (p, q), per weight or total.
 
     With a weight: the single weight-restricted complex. Without one and
-    with sweep enabled: every weight of coordinate sum (p+q)*d is computed
-    and the nonzero ones recorded. Index p = 0 is rejected; that piece is
-    the trivial one-dimensional module in degree zero by convention and
-    involves no Koszul homology.
+    with sweep enabled: one dominant (non-increasing) weight of coordinate
+    sum (p+q)*d is computed per coordinate-permutation orbit, and a nonzero
+    value is recorded for every member of the orbit. The complex is
+    GL(V)-equivariant, so permuted weights have equal Tor dimension; the
+    tests check this against the every-composition sweep. Index p = 0 is
+    rejected; that piece is the trivial one-dimensional module in degree
+    zero by convention and involves no Koszul homology.
     """
     if p < 1:
         raise ValueError("p >= 1 required; the p = 0 piece is the documented constant")
@@ -236,9 +244,10 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         return TorSlice(p=p, q=q, total_dim=value_at(None), weights={})
     total = 0
     weights: dict[Vector, int] = {}
-    for b in compositions((p + q) * d, n + 1):
+    for b in partitions_into((p + q) * d, n + 1):
         val = value_at(b)
         if val:
-            weights[b] = val
-            total += val
+            orbit = orbit_expansion(b)
+            weights.update(dict.fromkeys(orbit, val))
+            total += val * len(orbit)
     return TorSlice(p=p, q=q, total_dim=total, weights=weights)

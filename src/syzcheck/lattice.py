@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -253,9 +252,29 @@ def canonical_rep(b: Multidegree) -> OrbitRep:
 
 
 def orbit_expansion(coords: Sequence[int]) -> list[Vector]:
-    """All distinct coordinate permutations, lexicographically descending."""
-    cc = tuple(int(x) for x in coords)
-    return sorted({p for p in permutations(cc)}, reverse=True)
+    """All distinct coordinate permutations, lexicographically descending.
+
+    Generated directly as successive previous permutations of the multiset,
+    starting from its non-increasing arrangement, so each distinct
+    permutation is produced once and no k! intermediate set is built.
+    """
+    cur = sorted((int(x) for x in coords), reverse=True)
+    k = len(cur)
+    out = [tuple(cur)]
+    while True:
+        # the rightmost descent; everything after it is non-decreasing
+        i = k - 2
+        while i >= 0 and cur[i] <= cur[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        # swap in the largest smaller entry, then make the tail non-increasing
+        j = k - 1
+        while cur[j] >= cur[i]:
+            j -= 1
+        cur[i], cur[j] = cur[j], cur[i]
+        cur[i + 1:] = cur[:i:-1]
+        out.append(tuple(cur))
 
 
 def enumerate_multidegrees(config: PointConfig, total_degree: int,

@@ -4,8 +4,11 @@ The Tor slices computed by the Koszul module are GL-representations, so
 their weight multiplicities are permutation-symmetric and decompose
 uniquely into Schur characters. The decomposition here is the classical
 greedy one: peel off the lexicographically largest surviving weight, whose
-multiplicity is the coefficient of that Schur term, subtract, repeat. Any
-negative intermediate multiplicity means the input was not a genuine
+multiplicity is the coefficient of that Schur term, subtract, repeat. Once
+the input is checked to be symmetric, every step keeps it symmetric, so the
+peel reads and updates only the dominant (non-increasing) weights: one per
+permutation orbit, where a Schur character has the Kostka number K_{lambda mu}.
+Any negative intermediate multiplicity means the input was not a genuine
 character and is reported as a hard error, never clamped.
 
 Kostka numbers (weight multiplicities of a single Schur character) are
@@ -15,16 +18,16 @@ memoisation across calls.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Iterable
 
 from .errors import CapacityError, MismatchError
 from .koszul import DEFAULT_BASIS_GUARD, monomial_basis, tor_dimension
-from .lattice import Vector, partitions_into
+from .lattice import Vector, orbit_expansion, orbit_size_of, partitions_into
 
 
 @dataclass(frozen=True, order=True)
@@ -77,10 +80,16 @@ class WeightCharacter:
         return sum(self.mults.values())
 
     def is_symmetric(self) -> bool:
-        for w, m in self.mults.items():
-            for ww in permutations(w):
-                if self.mults.get(ww, 0) != m:
-                    return False
+        """Each permutation orbit is present whole, with one multiplicity."""
+        orbits: defaultdict[Vector, list[Vector]] = defaultdict(list)
+        for w in self.mults:
+            orbits[tuple(sorted(w, reverse=True))].append(w)
+        for key, members in orbits.items():
+            # distinct permutations of key: the whole orbit iff as many
+            if len(members) != orbit_size_of(key):
+                return False
+            if len({self.mults[w] for w in members}) != 1:
+                return False
         return True
 
 
@@ -173,37 +182,42 @@ def schur_character(shape: Partition | Iterable[int], v_dim: int) -> WeightChara
     for mu in partitions_into(lam.size, v_dim):
         k = kostka(lam, mu)
         if k:
-            for w in set(permutations(mu)):
-                mults[w] = k
+            mults.update(dict.fromkeys(orbit_expansion(mu), k))
     return WeightCharacter(v_dim=v_dim, mults=mults)
 
 
 def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
     """Greedy peeling of the lex-largest weight. Requires a symmetric
-    character; a negative multiplicity at any stage is a hard error."""
+    character; a negative multiplicity at any stage is a hard error.
+
+    Subtracting Schur characters keeps the remainder symmetric, so only
+    the dominant weights are tracked: each stands for its whole orbit."""
     if not char.is_symmetric():
         raise ValueError("character is not symmetric under coordinate permutations")
-    work = dict(char.mults)
+    work = {w: m for w, m in char.mults.items()
+            if all(a >= b for a, b in zip(w, w[1:]))}
     terms: dict[Partition, int] = {}
     while work:
+        # the lex-max dominant weight is the lex-max weight of the remainder
         top = max(work)
         c = work[top]
         if c < 0:
             raise MismatchError(f"negative multiplicity {c} at weight {top}")
-        # In a symmetric character the lex-max weight is non-increasing:
-        # otherwise its sorted permutation would be lex-larger and present.
         lam = partition(top)
         terms[lam] = terms.get(lam, 0) + c
-        for w, k in schur_character(lam, char.v_dim).mults.items():
-            left = work.get(w, 0) - c * k
+        for mu in partitions_into(lam.size, char.v_dim):
+            k = kostka(lam, mu)
+            if not k:
+                continue
+            left = work.get(mu, 0) - c * k
             if left < 0:
                 raise MismatchError(
                     f"subtracting {c} copies of Schur {lam.parts} drives weight "
-                    f"{w} to {left}; input was not a genuine character")
+                    f"{mu} to {left}; input was not a genuine character")
             if left:
-                work[w] = left
+                work[mu] = left
             else:
-                work.pop(w, None)
+                work.pop(mu, None)
     return SchurDecomposition(v_dim=char.v_dim, terms=terms)
 
 

@@ -32,6 +32,12 @@ CASES = {
                                         "-p", "1", "-q", "1", "--format", "json"],
     "schur-p2-q1-d3-vdim4-json": ["schur", "-p", "2", "-q", "1", "-d", "3",
                                   "--vdim", "4", "--format", "json"],
+    "koszul-n2-d2-p2-q1-csv": ["koszul", "-n", "2", "-d", "2", "-p", "2",
+                               "-q", "1", "--format", "csv"],
+    "koszul-n1-d3-p1-q1-json": ["koszul", "-n", "1", "-d", "3", "-p", "1",
+                                "-q", "1", "--format", "json"],
+    "schur-p2-q1-d2-vdim3-csv": ["schur", "-p", "2", "-q", "1", "-d", "2",
+                                 "--vdim", "3", "--format", "csv"],
 }
 
 

@@ -23,6 +23,7 @@ from syzcheck.koszul import (
     wedge_tensor_basis,
 )
 from syzcheck.lattice import compositions, veronese_points
+from syzcheck.reptheory import WeightCharacter, schur_decompose, tor_schur_decomposition
 
 
 def fraction_rank(matrix: "BoundaryMatrix") -> int:
@@ -154,6 +155,34 @@ def test_tor_invariant_under_coordinate_permutation():
                 assert seen[key] == val, (p, q, n, d, b)
             else:
                 seen[key] = val
+
+
+# (p, q, n, d) for the brute-force gate of the orbit sweep
+ORBIT_GATE_CASES = [(1, 1, 1, 3), (1, 2, 2, 2), (2, 1, 2, 2), (2, 2, 2, 2), (1, 1, 3, 2)]
+
+
+def every_composition_weights(p, q, n, d):
+    """The sweep without the symmetry shortcut: one rank pair per weight."""
+    weights = {}
+    for b in compositions((p + q) * d, n + 1):
+        val = tor_dimension(p, q, n, d, weight=b).total_dim
+        if val:
+            weights[b] = val
+    return weights
+
+
+def test_orbit_sweep_matches_every_composition():
+    for case in ORBIT_GATE_CASES:
+        swept = tor_dimension(*case)
+        brute = every_composition_weights(*case)
+        assert swept.weights == brute, case
+        assert swept.total_dim == sum(brute.values()), case
+
+
+def test_schur_peel_matches_brute_force_character():
+    for (p, q, n, d) in [(1, 2, 2, 2), (2, 1, 2, 2)]:
+        brute = WeightCharacter(n + 1, every_composition_weights(p, q, n, d))
+        assert tor_schur_decomposition(p, q, d, n + 1) == schur_decompose(brute)
 
 
 def test_preconditions_rejected():

@@ -12,6 +12,7 @@ from syzcheck.lattice import (
     enumerate_multidegrees,
     general_config,
     multidegree,
+    orbit_expansion,
     partitions_into,
     semigroup_contains,
     veronese_points,
@@ -149,6 +150,15 @@ def test_orbit_expansion_recovers_full_enumeration():
             assert len(orbit) == rep.orbit_size
             expanded.extend(orbit)
         assert sorted(expanded) == full
+
+
+def test_orbit_expansion_matches_distinct_permutations():
+    from itertools import permutations
+
+    for parts in range(1, 7):
+        for total in range(7):
+            for c in compositions(total, parts):
+                assert orbit_expansion(c) == sorted(set(permutations(c)), reverse=True), c
 
 
 def test_enumerated_multidegrees_are_members():

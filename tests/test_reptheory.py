@@ -121,6 +121,22 @@ def test_schur_decompose_rejects_asymmetric():
         schur_decompose(WeightCharacter(2, {(2, 0): 1}))
 
 
+def test_is_symmetric_needs_whole_orbits_with_one_multiplicity():
+    full = {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1,
+            (1, 0, 2): 1, (0, 2, 1): 1, (0, 1, 2): 1, (1, 1, 1): 3}
+    assert WeightCharacter(3, full).is_symmetric()
+    missing = dict(full)
+    del missing[(0, 1, 2)]
+    assert not WeightCharacter(3, missing).is_symmetric()
+    uneven = dict(full)
+    uneven[(1, 0, 2)] = 2
+    assert not WeightCharacter(3, uneven).is_symmetric()
+    with pytest.raises(ValueError):
+        schur_decompose(WeightCharacter(3, missing))
+    with pytest.raises(ValueError):
+        schur_decompose(WeightCharacter(3, uneven))
+
+
 def test_schur_decompose_rejects_non_character():
     # symmetric support with a hole at (1, 1): not a nonnegative sum of
     # Schur characters, must fail loudly rather than clamp
