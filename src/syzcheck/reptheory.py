@@ -174,15 +174,19 @@ def kostka(shape: Partition | Iterable[int], content: Iterable[int]) -> int:
     return _kostka_sorted(lam.parts, tuple(sorted((c for c in mu if c), reverse=True)))
 
 
+def _dominant_kostka(lam: Partition, v_dim: int) -> dict[Vector, int]:
+    """The Kostka row of lam at its dominant weights: K_{lam mu} for each
+    partition mu of |lam| into v_dim parts (zeros kept), nonzero only."""
+    return {mu: k for mu in partitions_into(lam.size, v_dim) if (k := kostka(lam, mu))}
+
+
 def schur_character(shape: Partition | Iterable[int], v_dim: int) -> WeightCharacter:
     """Weight multiplicities of one Schur functor applied to a v_dim-dim
     space: Kostka numbers, spread over all permutations of each content."""
     lam = shape if isinstance(shape, Partition) else partition(shape)
     mults: dict[Vector, int] = {}
-    for mu in partitions_into(lam.size, v_dim):
-        k = kostka(lam, mu)
-        if k:
-            mults.update(dict.fromkeys(orbit_expansion(mu), k))
+    for mu, k in _dominant_kostka(lam, v_dim).items():
+        mults.update(dict.fromkeys(orbit_expansion(mu), k))
     return WeightCharacter(v_dim=v_dim, mults=mults)
 
 
@@ -205,10 +209,7 @@ def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
             raise MismatchError(f"negative multiplicity {c} at weight {top}")
         lam = partition(top)
         terms[lam] = terms.get(lam, 0) + c
-        for mu in partitions_into(lam.size, char.v_dim):
-            k = kostka(lam, mu)
-            if not k:
-                continue
+        for mu, k in _dominant_kostka(lam, char.v_dim).items():
             left = work.get(mu, 0) - c * k
             if left < 0:
                 raise MismatchError(

@@ -23,7 +23,11 @@ from syzcheck.koszul import (
     wedge_tensor_basis,
 )
 from syzcheck.lattice import compositions, veronese_points
-from syzcheck.reptheory import WeightCharacter, schur_decompose, tor_schur_decomposition
+from syzcheck.reptheory import (
+    WeightCharacter,
+    reconstruct_character,
+    tor_schur_decomposition,
+)
 
 
 def fraction_rank(matrix: "BoundaryMatrix") -> int:
@@ -182,7 +186,8 @@ def test_orbit_sweep_matches_every_composition():
 def test_schur_peel_matches_brute_force_character():
     for (p, q, n, d) in [(1, 2, 2, 2), (2, 1, 2, 2)]:
         brute = WeightCharacter(n + 1, every_composition_weights(p, q, n, d))
-        assert tor_schur_decomposition(p, q, d, n + 1) == schur_decompose(brute)
+        decomp = tor_schur_decomposition(p, q, d, n + 1)
+        assert reconstruct_character(decomp) == brute, (p, q, n, d)
 
 
 def test_preconditions_rejected():

@@ -6,10 +6,19 @@
 
 `--parent` is a second source checkout, usually of the parent commit. The
 change is the checkout this script lives in. Each pair runs
-`python3 perfbench/run.py --trace 0` once in each checkout, for one workload,
-with the `run_seconds` of BENCHMARK.json; which side runs first alternates
-from pair to pair. Both sides therefore run the same benchmark code only if
-`perfbench/` is the same in both checkouts, which the script checks.
+`python3 perfbench/run.py --trace 0` once for each side, for one workload,
+with the `run_seconds` of BENCHMARK.json and seed = pair index + 1 (the seed
+only names the run's files); which side runs first alternates from pair to
+pair. Both sides run the same benchmark code only if `perfbench/` is the
+same in both checkouts, which the script checks.
+
+The runs do not happen in the checkouts themselves. `src/` and `perfbench/`
+of each side are copied into `parent/` and `change/` of one temporary
+directory (under $TMPDIR), so both sides run from paths of equal length
+and without leftover files. Peak RSS depends on that path through glibc's
+sliding mmap threshold: the same files run from directories whose paths
+differ only in length read np-paper peak_rss_mb up to 1.1 MB apart, far
+beyond the benchmark's 0.05 MB bound.
 
 The output file, at the root of the change checkout, keeps every run's last
 stdout line (the benchmark's JSON result) and, per workload and side, the
@@ -24,17 +33,22 @@ import filecmp
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parent.parent
+# equal lengths, so the staged copies' paths are equally long
 SIDES = ("parent", "change")
+# left behind by runs and imports, not part of a checkout's source
+LEFTOVERS = ("results", ".scratch", "__pycache__")
 
 
 def _same_tree(a: Path, b: Path) -> bool:
-    cmp = filecmp.dircmp(a, b, ignore=["results", ".scratch", "__pycache__"])
+    cmp = filecmp.dircmp(a, b, ignore=list(LEFTOVERS))
 
     def clean(c: filecmp.dircmp) -> bool:
         if c.left_only or c.right_only or c.diff_files or c.funny_files:
@@ -42,6 +56,14 @@ def _same_tree(a: Path, b: Path) -> bool:
         return all(clean(sub) for sub in c.subdirs.values())
 
     return clean(cmp)
+
+
+def stage(checkout: Path, dest: Path) -> Path:
+    """Copy the parts of a checkout that perfbench/run.py uses into dest."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(checkout / part, dest / part,
+                        ignore=shutil.ignore_patterns(*LEFTOVERS))
+    return dest
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -97,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     ap.add_argument("--workloads", nargs="+", choices=names, default=names)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
     parent = args.parent.resolve()
     if not (parent / "perfbench" / "run.py").is_file():
@@ -111,7 +132,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     seconds = bench["run_seconds"]
-    roots = {"parent": parent, "change": CHANGE}
     doc = {
         "label": args.label,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
@@ -120,20 +140,23 @@ def main(argv: list[str] | None = None) -> int:
                     "platform": platform.platform()},
         "workloads": {},
     }
-    for workload in args.workloads:
-        runs = []
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for side in order:
-                run = run_once(roots[side], workload, seed, seconds)
-                runs.append({"pair": i, "side": side, "first": side == order[0],
-                             "seed": seed, **run})
-                wall = (run["result"] or {}).get("metrics", {}).get("wall_s", {})
-                print(f"{workload} pair {i} {side}: exit {run['returncode']}, "
-                      f"wall_s {wall.get('value')}", file=sys.stderr)
-        doc["workloads"][workload] = {"summary": summarize(runs, bench["end_to_end"]),
-                                      "runs": runs}
+    with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
+        roots = {side: stage(checkout, Path(tmp) / side)
+                 for side, checkout in zip(SIDES, (parent, CHANGE))}
+        for workload in args.workloads:
+            runs = []
+            for i in range(args.pairs):
+                seed = i + 1
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    run = run_once(roots[side], workload, seed, seconds)
+                    runs.append({"pair": i, "side": side, "first": side == order[0],
+                                 "seed": seed, **run})
+                    wall = (run["result"] or {}).get("metrics", {}).get("wall_s", {})
+                    print(f"{workload} pair {i} {side}: exit {run['returncode']}, "
+                          f"wall_s {wall.get('value')}", file=sys.stderr)
+            doc["workloads"][workload] = {"summary": summarize(runs, bench["end_to_end"]),
+                                          "runs": runs}
     out = CHANGE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(out.name)
