@@ -101,15 +101,13 @@ class ComplexSlice:
             if self.face_count(-1) == 0 and n_faces > 0:
                 raise ValueError("empty face missing below a nonempty vertex set")
             return np.zeros((n_faces, 1), dtype=np.int64)
-        faces = self.faces_by_dim[dim]
-        below = self.level_keys(dim - 1)
         width = dim + 1
-        v_count = self.vertex_count
         if n_faces == 0:
             return np.zeros((0, width), dtype=np.int64)
+        below = self.level_keys(dim - 1)
         keys = self.level_keys(dim)
         out = np.empty((n_faces, width), dtype=np.int64)
-        radix = np.int64(v_count)
+        radix = np.int64(self.vertex_count)
         for i in range(width):
             hi_base = radix ** np.int64(width - i)
             lo_base = radix ** np.int64(width - 1 - i)
@@ -172,11 +170,12 @@ def make_matrix(rows: int, cols: int,
 
 
 def _encode_rows(arr: np.ndarray, vertex_count: int) -> np.ndarray:
-    """Mixed-radix int64 key per row; strictly monotone w.r.t. lex order."""
+    """Mixed-radix int64 key per row; strictly monotone w.r.t. lex order.
+    The 64-bit range is checked only when there are rows to encode."""
     n, width = arr.shape
-    if width == 0:
+    if width == 0 or n == 0:
         return np.zeros(n, dtype=np.int64)
-    if vertex_count and vertex_count ** width >= 2**63:
+    if vertex_count ** width >= 2**63:
         raise CapacityError("face keys exceed 64-bit range for this vertex count")
     keys = np.zeros(n, dtype=np.int64)
     radix = np.int64(max(vertex_count, 1))
@@ -261,11 +260,14 @@ def _cone_apex(faces_by_dim: dict[int, np.ndarray], j_hi: int) -> int | None:
     N_t - deg_t(w) of them extend exactly when the two numbers agree. The
     level lists are complete (expansion already applied the membership
     predicate), so the count is exact for general configurations too.
+    Above the first empty level every count is zero, so the scan stops there.
     """
     v_count = faces_by_dim[0].shape[0]
     apex = np.ones(v_count, dtype=bool)
     deg = np.ones(v_count, dtype=np.int64)  # each vertex is one 0-face
     for t in range(j_hi):
+        if faces_by_dim[t].shape[0] == 0:
+            break
         # column by column: bincount copies its input to int64, and a whole
         # level at once would briefly take twice the level's own memory
         deg_up = sum(np.bincount(col, minlength=v_count)
@@ -281,7 +283,8 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     """Materialize the faces of the divisor complex with dims in [j_lo, j_hi].
 
     Levels are expanded from the empty face up to dimension j_hi, so the
-    vertices are the one-point extensions of the empty face. General
+    vertices are the one-point extensions of the empty face; above the
+    first empty level nothing is expanded. General
     configurations test each residual for semigroup membership; the veronese
     presets need only the coordinatewise bound test, which is exact there.
     The lowest vertex coning every dimension below j_hi is then read off
@@ -325,6 +328,9 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
                  0: np.arange(vertices.size, dtype=np.int32).reshape(-1, 1)}
     all_sums = {0: local_points}
     for t in range(1, j_hi + 1):
+        if all_faces[t - 1].shape[0] == 0:
+            all_faces[t] = np.zeros((0, t + 1), dtype=np.int32)
+            continue
         all_faces[t], all_sums[t] = _expand_level(all_faces[t - 1], all_sums[t - 1],
                                                   local_points, barr, max_faces, member)
 

@@ -38,14 +38,13 @@ DEFAULT_BASIS_GUARD = 10**6
 @dataclass(frozen=True, eq=False)
 class MonomialBasis:
     """All exponent vectors of one symmetric power, in the canonical
-    lexicographic descending order shared with the point configurations."""
+    lexicographic descending order shared with the point configurations,
+    and the position of each one in that order."""
 
     degree: int
     v_dim: int
     exponents: tuple[Vector, ...]
-
-    def index_of(self, exponent: Vector) -> int | None:
-        return _basis_lookup(self.degree, self.v_dim).get(exponent)
+    index: dict[Vector, int]
 
     @property
     def size(self) -> int:
@@ -56,34 +55,9 @@ class MonomialBasis:
 def monomial_basis(degree: int, v_dim: int) -> MonomialBasis:
     if degree < 0 or v_dim < 1:
         raise ValueError("need degree >= 0 and v_dim >= 1")
-    return MonomialBasis(degree=degree, v_dim=v_dim,
-                         exponents=tuple(compositions(degree, v_dim)))
-
-
-@lru_cache(maxsize=None)
-def _basis_lookup(degree: int, v_dim: int) -> dict[Vector, int]:
-    basis = monomial_basis(degree, v_dim)
-    return {e: i for i, e in enumerate(basis.exponents)}
-
-
-@dataclass(eq=False)
-class WedgeTensorBasis:
-    """Basis of wedge^p Sym^d V (x) Sym^{s} V, optionally weight-restricted.
-
-    Elements are (strictly increasing index tuple into the degree-d basis,
-    index into the degree-s basis), ordered wedge-major and deterministic.
-    """
-
-    p: int
-    wedge_degree: int
-    sym_degree: int
-    v_dim: int
-    weight: Vector | None
-    elements: list[tuple[tuple[int, ...], int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
+    exponents = tuple(compositions(degree, v_dim))
+    return MonomialBasis(degree=degree, v_dim=v_dim, exponents=exponents,
+                         index={e: i for i, e in enumerate(exponents)})
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +76,14 @@ def _wedge_table(p: int, degree: int, v_dim: int):
 
 def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
                        weight: Vector | None = None,
-                       max_basis: int = DEFAULT_BASIS_GUARD) -> WedgeTensorBasis:
+                       max_basis: int = DEFAULT_BASIS_GUARD) -> list[tuple[tuple[int, ...], int]]:
+    """Basis of wedge^p Sym^{wedge_degree} V (x) Sym^{sym_degree} V, or of
+    its weight space when a weight is given.
+
+    Elements are (strictly increasing index tuple into the wedge_degree
+    monomial basis, index into the sym_degree basis), ordered wedge-major
+    and deterministic.
+    """
     if p < 0:
         raise ValueError("exterior power must be nonnegative")
     mon = monomial_basis(wedge_degree, v_dim)
@@ -122,13 +103,12 @@ def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
         combos, sums = _wedge_table(p, wedge_degree, v_dim)
         rem = np.asarray(weight, dtype=np.int64)[None, :] - sums
         for i in np.nonzero((rem >= 0).all(axis=1))[0]:
-            s = sym.index_of(tuple(int(x) for x in rem[i]))
+            s = sym.index.get(tuple(int(x) for x in rem[i]))
             if s is not None:
                 elements.append((combos[i], s))
         if len(elements) > max_basis:
             raise CapacityError(f"basis exceeds guard {max_basis}")
-    return WedgeTensorBasis(p=p, wedge_degree=wedge_degree, sym_degree=sym_degree,
-                            v_dim=v_dim, weight=weight, elements=elements)
+    return elements
 
 
 def koszul_map(p: int, q: int, n: int, d: int,
@@ -156,17 +136,17 @@ def koszul_map(p: int, q: int, n: int, d: int,
     mon = monomial_basis(d, v_dim)
     sym_dom = monomial_basis(q * d, v_dim)
     sym_cod = monomial_basis((q + 1) * d, v_dim)
-    row_of = {elem: i for i, elem in enumerate(cod.elements)}
+    row_of = {elem: i for i, elem in enumerate(cod)}
     triplets: list[tuple[int, int, int]] = []
-    for col, (w, s) in enumerate(dom.elements):
+    for col, (w, s) in enumerate(dom):
         f = sym_dom.exponents[s]
         for i, mi in enumerate(w):
             e = mon.exponents[mi]
             prod = tuple(a + b for a, b in zip(f, e))
-            target = (w[:i] + w[i + 1:], sym_cod.index_of(prod))
+            target = (w[:i] + w[i + 1:], sym_cod.index[prod])
             row = row_of[target]
             triplets.append((row, col, 1 if i % 2 == 0 else -1))
-    return make_matrix(len(cod.elements), len(dom.elements), triplets)
+    return make_matrix(len(cod), len(dom), triplets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,17 +187,17 @@ def _middle_homology_dim(down: BoundaryMatrix, up: BoundaryMatrix,
 
 def tor_dimension(p: int, q: int, n: int, d: int,
                   weight: Vector | None = None, *,
-                  sweep: bool = True, strategy: str = "modular_first",
+                  strategy: str = "modular_first",
                   prime: int = DEFAULT_PRIME,
                   max_basis: int = DEFAULT_BASIS_GUARD) -> TorSlice:
     """Dimension of the graded Tor piece at (p, q), per weight or total.
 
-    With a weight: the single weight-restricted complex. Without one and
-    with sweep enabled: one dominant (non-increasing) weight of coordinate
-    sum (p+q)*d is computed per coordinate-permutation orbit, and a nonzero
-    value is recorded for every member of the orbit. The complex is
-    GL(V)-equivariant, so permuted weights have equal Tor dimension; the
-    tests check this against the every-composition sweep. Index p = 0 is
+    With a weight: the single weight-restricted complex. Without one: one
+    dominant (non-increasing) weight of coordinate sum (p+q)*d is computed
+    per coordinate-permutation orbit, and a nonzero value is recorded for
+    every member of the orbit. The complex is GL(V)-equivariant, so
+    permuted weights have equal Tor dimension; the tests check this against
+    every weight and against the unrestricted complex. Index p = 0 is
     rejected; that piece is the trivial one-dimensional module in degree
     zero by convention and involves no Koszul homology.
     """
@@ -228,7 +208,7 @@ def tor_dimension(p: int, q: int, n: int, d: int,
     if strategy not in ("modular_first", "exact"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def value_at(b: Vector | None) -> int:
+    def value_at(b: Vector) -> int:
         down = koszul_map(p, q, n, d, b, max_basis=max_basis)
         up = koszul_map(p + 1, q - 1, n, d, b, max_basis=max_basis)
         if up.cols and up.rows != down.cols:
@@ -240,8 +220,6 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         val = value_at(weight)
         weights = {weight: val} if val else {}
         return TorSlice(p=p, q=q, total_dim=val, weights=weights)
-    if not sweep:
-        return TorSlice(p=p, q=q, total_dim=value_at(None), weights={})
     total = 0
     weights: dict[Vector, int] = {}
     for b in partitions_into((p + q) * d, n + 1):

@@ -244,13 +244,6 @@ def orbit_size_of(coords: Sequence[int]) -> int:
     return size
 
 
-def canonical_rep(b: Multidegree) -> OrbitRep:
-    """Sort coordinates non-increasingly and attach the orbit size."""
-    canon = tuple(sorted(b.coords, reverse=True))
-    return OrbitRep(canonical=Multidegree(coords=canon, total_degree=b.total_degree),
-                    orbit_size=orbit_size_of(canon))
-
-
 def orbit_expansion(coords: Sequence[int]) -> list[Vector]:
     """All distinct coordinate permutations, lexicographically descending.
 

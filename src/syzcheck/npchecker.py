@@ -4,15 +4,17 @@ The criterion: the embedding satisfies the linearity property at level p
 exactly when the reduced homology H~_{q-1} of the divisor complex vanishes
 for every q <= p and every multidegree b of lattice degree at least q + 2.
 Infinitely many degrees qualify, so the checker sweeps a configurable
-finite window (default: q + 2 up to q + 2 + slack) and reports
+finite window, degrees q + 2 up to q + 2 + slack, and reports
 holds_up_to_bound, never an unconditional theorem. A single certified
 nonzero homology rank is already a complete disproof, reported as fails
 with the witness.
 
 Work is organised as one job per coordinate-permutation orbit of bound
-vectors; jobs inside a (q, degree) block may run in a worker pool, but the
-witness is always the first nonzero in the deterministic search order
-(q ascending, degree ascending, canonical representative order).
+vectors: permuting the coordinates of b permutes the points of the
+configuration, so the divisor complexes of an orbit are isomorphic. Jobs
+inside a (q, degree) block may run in a worker pool, but the witness is
+always the first nonzero in the deterministic search order (q ascending,
+degree ascending, canonical representative order).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -47,20 +48,17 @@ FAILS = "fails"
 
 @dataclass(frozen=True)
 class NpQuery:
-    """One verdict request. q_max, slack default to p and the ambient
-    dimension n; explicit_degrees is only read in explicit mode and
-    is intersected with [q+2, infinity) per q, because lower degrees say
-    nothing about the linearity property."""
+    """One verdict request. q_max and slack default to p and the ambient
+    dimension n. Each q in 2 .. min(p, q_max) is checked at the degrees
+    q + 2 .. q + 2 + slack, one job per coordinate-permutation orbit of
+    multidegrees."""
 
     n: int
     d: int
     p: int
     q_max: int | None = None
-    degree_bound_mode: str = "per_q"
-    explicit_degrees: tuple[int, ...] = ()
     slack: int | None = None
     field_strategy: str = "modular_first"
-    use_symmetry: bool = True
     prime: int = DEFAULT_PRIME
     threads: int = 1
     store_path: str | None = None
@@ -73,10 +71,6 @@ class NpQuery:
             raise ValueError("q_max must be >= 2")
         if self.slack is not None and self.slack < 0:
             raise ValueError("slack must be >= 0")
-        if self.degree_bound_mode not in ("per_q", "explicit"):
-            raise ValueError(f"unknown degree_bound_mode {self.degree_bound_mode!r}")
-        if self.degree_bound_mode == "explicit" and not self.explicit_degrees:
-            raise ValueError("explicit mode needs a nonempty degree list")
         if self.field_strategy not in ("modular_first", "exact"):
             raise ValueError(f"unknown field_strategy {self.field_strategy!r}")
         if self.threads < 1:
@@ -99,24 +93,19 @@ class NpVerdict:
     query: NpQuery
     jobs_total: int
     jobs_reused: int
-    elapsed_seconds: float
-
-    @property
-    def effective_n(self) -> int:
-        """The ambient dimension the sweep ran in, always query.n."""
-        return self.query.n
 
     def to_json(self) -> dict:
-        # elapsed time deliberately excluded: serialized verdicts must be
-        # identical across reruns with the same flags and prime
+        # no timings: serialized verdicts must be identical across reruns
+        # with the same flags and prime. effective_n and degree_bound_mode
+        # are constants, kept so that the document's bytes stay the same.
         doc = {
             "status": self.status,
             "n": self.query.n,
             "d": self.query.d,
             "p": self.query.p,
-            "effective_n": self.effective_n,
+            "effective_n": self.query.n,
             "slack": _effective_slack(self.query),
-            "degree_bound_mode": self.query.degree_bound_mode,
+            "degree_bound_mode": "per_q",
             "field_strategy": self.query.field_strategy,
             "prime": self.query.prime,
             "checked_degrees": {str(q): list(ds) for q, ds in sorted(self.checked_degrees.items())},
@@ -138,7 +127,7 @@ class NpVerdict:
     def text(self) -> str:
         q = self.query
         head = (f"linearity property at level p={q.p} for the degree-{q.d} "
-                f"embedding of projective {self.effective_n}-space")
+                f"embedding of projective {q.n}-space")
         if self.status == FAILS:
             w = self.witness
             return (f"{head}: FAILS. Certified witness: homology rank "
@@ -158,11 +147,10 @@ def _effective_slack(query: NpQuery) -> int:
 def _query_hash(query: NpQuery) -> str:
     payload = {
         "n": query.n, "d": query.d, "p": query.p, "q_max": query.q_max,
-        "degree_bound_mode": query.degree_bound_mode,
-        "explicit_degrees": list(query.explicit_degrees),
         "slack": query.slack, "field_strategy": query.field_strategy,
-        # a retired option, pinned so that store file names do not move
-        "use_reduction": False, "use_symmetry": query.use_symmetry,
+        # retired options, pinned so that store file names do not move
+        "degree_bound_mode": "per_q", "explicit_degrees": [],
+        "use_reduction": False, "use_symmetry": True,
         "prime": query.prime,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
@@ -313,7 +301,6 @@ def _run_block(jobs: list[dict], threads: int, config: PointConfig) -> list[dict
 def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
     obstruction, or holds_up_to_bound with the exact ranges checked."""
-    t0 = time.perf_counter()
     config = veronese_points(query.n, query.d)
     slack = _effective_slack(query)
     q_hi = min(query.p, query.q_max if query.q_max is not None else query.p)
@@ -326,17 +313,11 @@ def check_np(query: NpQuery) -> NpVerdict:
     witness: Witness | None = None
 
     for q in range(2, q_hi + 1):
-        if query.degree_bound_mode == "per_q":
-            degrees = tuple(range(q + 2, q + 2 + slack + 1))
-        else:
-            degrees = tuple(sorted(set(x for x in query.explicit_degrees if x >= q + 2)))
+        degrees = tuple(range(q + 2, q + 3 + slack))
         checked[q] = degrees
         for deg in degrees:
-            reps = enumerate_multidegrees(config, deg, up_to_symmetry=query.use_symmetry)
-            if query.use_symmetry:
-                coords_list = [r.canonical.coords for r in reps]
-            else:
-                coords_list = [m.coords for m in reps]
+            coords_list = [r.canonical.coords for r in
+                           enumerate_multidegrees(config, deg, up_to_symmetry=True)]
             pending: list[dict] = []
             cached: dict[Vector, int] = {}
             for coords in coords_list:
@@ -377,8 +358,7 @@ def check_np(query: NpQuery) -> NpVerdict:
 
     verdict = NpVerdict(status=FAILS if witness else HOLDS, witness=witness,
                         checked_degrees=checked, query=query,
-                        jobs_total=jobs_total, jobs_reused=jobs_reused,
-                        elapsed_seconds=time.perf_counter() - t0)
+                        jobs_total=jobs_total, jobs_reused=jobs_reused)
     if store:
         h = _query_hash(query)
         store.write_verdict(h, verdict.to_json())

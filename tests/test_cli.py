@@ -48,6 +48,13 @@ def test_betti_values(capsys):
     assert json.loads(out)["value"] == 0
 
 
+def test_betti_above_the_top_dimension(capsys):
+    # 3 vertices, one edge: nothing above dimension 1, so the answer is 0
+    code, out, err = run(capsys, "betti", "-n", "1", "-d", "2", "-b", "2,2", "-j", "45")
+    assert (code, err) == (0, "")
+    assert out == "reduced homology rank at b=(2, 2), dimension 45: 0 (certified)\n"
+
+
 def test_betti_membership_error(capsys):
     code, _, err = run(capsys, "betti", "-n", "1", "-d", "3", "-b", "4,0", "-j", "0")
     assert code == 2

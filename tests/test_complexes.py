@@ -212,6 +212,31 @@ def test_cone_apex_on_full_simplex():
     assert slc.cone_apex == 0
 
 
+def test_band_above_the_top_face_stays_cheap(monkeypatch):
+    # (2,2) over the conic has 3 vertices and one edge. Every level above
+    # dimension 1 is empty, so a band up to dimension 3000 must expand
+    # only the nonempty levels and encode no keys for the empty ones
+    # (3**46 already overflows int64).
+    from syzcheck import complexes
+    from syzcheck.homology import reduced_betti
+
+    calls = []
+    expand = complexes._expand_level
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return expand(*args)
+
+    monkeypatch.setattr(complexes, "_expand_level", counted)
+    slc = build_slice(veronese_points(1, 2), (2, 2), -1, 3000)
+    assert [slc.face_count(t) for t in (-1, 0, 1, 2, 3000)] == [1, 3, 1, 0, 0]
+    assert slc.faces_by_dim[3000].shape == (0, 3001)
+    assert calls == [1, 3, 1]  # parents of the vertices, the edge, level 2
+    assert slc.cone_apex is None
+    assert reduced_betti(slc, 0).value == 1
+    assert reduced_betti(slc, 2999).value == 0
+
+
 def test_slice_text_export():
     cfg = veronese_points(1, 3)
     slc = build_slice(cfg, (3, 3), -1, 1)

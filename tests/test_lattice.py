@@ -7,12 +7,12 @@ from math import comb
 from syzcheck.errors import CapacityError, UnsupportedConfigError
 from syzcheck.lattice import (
     Multidegree,
-    canonical_rep,
     compositions,
     enumerate_multidegrees,
     general_config,
     multidegree,
     orbit_expansion,
+    orbit_size_of,
     partitions_into,
     semigroup_contains,
     veronese_points,
@@ -150,6 +150,9 @@ def test_orbit_expansion_recovers_full_enumeration():
             assert len(orbit) == rep.orbit_size
             expanded.extend(orbit)
         assert sorted(expanded) == full
+    for coords, size in [((0, 3), 2), ((0, 3, 3), 3), ((2, 2, 2), 1),
+                         ((0, 0, 5, 0, 1), 20)]:
+        assert orbit_size_of(coords) == len(set(permutations(coords))) == size
 
 
 def test_orbit_expansion_matches_distinct_permutations():
@@ -178,26 +181,6 @@ def test_enumerate_rejects_general_configs():
     gen = general_config([(1, 0), (0, 1)])
     with pytest.raises(UnsupportedConfigError):
         enumerate_multidegrees(gen, 2)
-
-
-def test_canonical_rep_examples():
-    cfg = veronese_points(1, 3)
-    rep = canonical_rep(multidegree(cfg, (0, 3)))
-    assert rep.canonical.coords == (3, 0)
-    assert rep.orbit_size == 2
-
-    cfg2 = veronese_points(2, 3)
-    rep2 = canonical_rep(multidegree(cfg2, (0, 3, 3)))
-    assert rep2.canonical.coords == (3, 3, 0)
-    assert rep2.orbit_size == 3
-
-    rep3 = canonical_rep(multidegree(cfg2, (2, 2, 2)))
-    assert rep3.orbit_size == 1
-
-    cfg4 = veronese_points(4, 3)
-    rep4 = canonical_rep(multidegree(cfg4, (0, 0, 5, 0, 1)))
-    assert rep4.canonical.coords == (5, 1, 0, 0, 0)
-    assert rep4.orbit_size == 20
 
 
 def test_multidegree_factory_validates_membership():

@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 from syzcheck import npchecker
+from syzcheck.complexes import build_slice
 from syzcheck.errors import CapacityError, MismatchError
+from syzcheck.homology import reduced_betti
 from syzcheck.koszul import TorSlice
+from syzcheck.lattice import compositions, veronese_points
 from syzcheck.npchecker import (
     FAILS,
     HOLDS,
@@ -36,10 +39,6 @@ def test_query_validation():
         NpQuery(n=2, d=2, p=2, q_max=1)
     with pytest.raises(ValueError):
         NpQuery(n=2, d=2, p=2, slack=-1)
-    with pytest.raises(ValueError):
-        NpQuery(n=2, d=2, p=2, degree_bound_mode="weird")
-    with pytest.raises(ValueError):
-        NpQuery(n=2, d=2, p=2, degree_bound_mode="explicit")
     with pytest.raises(ValueError):
         NpQuery(n=2, d=2, p=2, field_strategy="float")
     with pytest.raises(ValueError):
@@ -70,7 +69,7 @@ def test_small_holding_case():
     assert verdict.status == HOLDS
     assert verdict.witness is None
     assert verdict.checked_degrees == {2: (4, 5, 6)}
-    assert verdict.effective_n == 2
+    assert verdict.to_json()["effective_n"] == 2
     assert "up to the checked degree bound" in verdict.text()
 
 
@@ -108,33 +107,27 @@ def test_failure_monotonic_in_p_with_lifted_witness(verdict_326):
     assert v6.witness.b.total_degree == 8
 
 
-def test_explicit_degree_mode():
-    q = NpQuery(n=2, d=3, p=7, degree_bound_mode="explicit", explicit_degrees=(9,))
-    verdict = check_np(q)
-    assert verdict.status == FAILS
-    assert verdict.witness.q == 7
-    assert verdict.witness.b.coords == (9, 9, 9)
-    # degrees below q+2 carry no information and must be dropped per q
-    q2 = NpQuery(n=2, d=2, p=3, degree_bound_mode="explicit", explicit_degrees=(3, 4))
-    v2 = check_np(q2)
-    assert v2.checked_degrees == {2: (4,), 3: ()}
-    assert v2.status == HOLDS
-
-
-def test_symmetry_on_off_agree():
-    on = check_np(NpQuery(n=2, d=2, p=2, use_symmetry=True))
-    off = check_np(NpQuery(n=2, d=2, p=2, use_symmetry=False))
-    assert on.status == off.status == HOLDS
-    assert on.checked_degrees == off.checked_degrees
-    assert off.jobs_total > on.jobs_total
-
-    q = NpQuery(n=2, d=3, p=7, degree_bound_mode="explicit", explicit_degrees=(9,))
-    v_on = check_np(q)
-    v_off = check_np(NpQuery(n=2, d=3, p=7, degree_bound_mode="explicit",
-                             explicit_degrees=(9,), use_symmetry=False))
-    assert v_on.status == v_off.status == FAILS
-    assert v_on.witness.b == v_off.witness.b
-    assert v_on.witness.q == v_off.witness.q
+def test_every_composition_matches_its_orbit_representative():
+    # check_np ranks one orbit representative per multidegree. Brute force:
+    # every composition of the default windows of (2,2,2) and (1,3,3), and
+    # of the (2,3,7) witness block, against its non-increasing sort.
+    # (n, d, p, q, degree); slack defaults to n
+    blocks = [(2, 2, 2, 2, deg) for deg in (4, 5, 6)]
+    blocks += [(1, 3, 3, q, deg) for q in (2, 3) for deg in (q + 2, q + 3)]
+    blocks += [(2, 3, 7, 7, 9)]
+    nonzero = []
+    for n, d, p, q, deg in blocks:
+        cfg = veronese_points(n, d)
+        at_rep = {}
+        for b in compositions(deg * d, n + 1):
+            value = reduced_betti(build_slice(cfg, b, -1, q), q - 1).value
+            rep = tuple(sorted(b, reverse=True))
+            if rep not in at_rep:
+                at_rep[rep] = reduced_betti(build_slice(cfg, rep, -1, q), q - 1).value
+            assert value == at_rep[rep], (n, d, q, b)
+            if value:
+                nonzero.append(b)
+    assert nonzero == [(9, 9, 9)]
 
 
 def test_worker_pool_matches_inline():
