@@ -155,6 +155,23 @@ def test_orbit_expansion_recovers_full_enumeration():
         assert orbit_size_of(coords) == len(set(permutations(coords))) == size
 
 
+def test_canonical_rep_examples():
+    # the symmetric enumeration holds each multidegree's orbit as its
+    # non-increasing sort, with the orbit size
+    for n, coords, canon, size in [(1, (0, 3), (3, 0), 2),
+                                   (2, (0, 3, 3), (3, 3, 0), 3),
+                                   (2, (2, 2, 2), (2, 2, 2), 1),
+                                   (4, (0, 0, 5, 0, 1), (5, 1, 0, 0, 0), 20)]:
+        cfg = veronese_points(n, 3)
+        b = multidegree(cfg, coords)
+        reps = {r.canonical.coords: r
+                for r in enumerate_multidegrees(cfg, b.total_degree, up_to_symmetry=True)}
+        rep = reps[tuple(sorted(b.coords, reverse=True))]
+        assert rep.canonical.coords == canon
+        assert rep.canonical.total_degree == b.total_degree
+        assert rep.orbit_size == size
+
+
 def test_orbit_expansion_matches_distinct_permutations():
     from itertools import permutations
 
