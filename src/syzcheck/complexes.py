@@ -16,7 +16,10 @@ A vertex w cones the complex through dimension j_hi - 1 when every face
 below j_hi that avoids w extends by w. It is found from face counts alone:
 per level, bincounts over the face columns give how many faces contain each
 vertex, and w cones exactly when the faces avoiding it at level t number as
-many as the faces containing it at level t + 1.
+many as the faces containing it at level t + 1. For the veronese presets a
+cheaper sufficient test reads only the point coordinates (`vertex_cone_mask`,
+one array pass over many bounds), so a caller can certify a coned zero
+before any face is built; build_slice itself always runs the count test.
 
 Only dimensions inside a requested band [j_lo, j_hi] are kept, since one
 reduced homology rank needs three consecutive dimensions. Faces are stored
@@ -32,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, UnsupportedConfigError
 from .lattice import PointConfig, Vector, membership_tester
 
 # per-dimension face count guard
@@ -276,6 +279,52 @@ def _cone_apex(faces_by_dim: dict[int, np.ndarray], j_hi: int) -> int | None:
         deg = deg_up
     hits = np.flatnonzero(apex)
     return int(hits[0]) if hits.size else None
+
+
+def vertex_cone_mask(config: PointConfig, bounds, k: int) -> np.ndarray:
+    """For each row b of bounds, whether some vertex w provably cones every
+    face with at most k vertices, read off the point coordinates alone.
+
+    Let top_i(w) be the sum of the k largest i-th coordinates over the
+    vertices other than w. If b_i - w_i >= min(b_i, top_i(w)) for every i,
+    a face F avoiding w with at most k vertices has (sum F)_i <= b_i and
+    (sum F)_i <= top_i(w), so sum F + w <= b, and for the veronese presets
+    the bound test is the whole face test: F + w is a face. Then
+    build_slice(config, b, -1, k) finds a cone apex and reduced homology
+    vanishes in dimension k - 1. The test is sufficient only; a False row
+    may still be coned. A bound outside the semigroup (the void complex)
+    gives False.
+
+    One array pass over all rows: points not below b are zeroed, each
+    coordinate column is sorted once, and with T(m) the sum of the m
+    largest values of a column, top_i(w) is T(k+1) - w_i when w_i reaches
+    the k-th largest value and T(k) otherwise.
+
+    Args:
+        config: a veronese configuration.
+        bounds: an (R, n+1) array of bound vectors.
+        k: the band top, at least 1.
+
+    Returns:
+        R booleans.
+    """
+    if config.kind != "veronese":
+        raise UnsupportedConfigError("the vertex cone test needs a veronese configuration")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pts = np.asarray(config.points, dtype=np.int64)
+    m = pts.shape[0]
+    b = np.asarray(bounds, dtype=np.int64).reshape(-1, pts.shape[1])[:, None, :]
+    below = (pts <= b).all(axis=2)
+    vals = np.where(below[:, :, None], pts, 0)
+    ranked = -np.sort(-vals, axis=1)
+    top = np.cumsum(ranked, axis=1)
+    top_k, top_k1 = top[:, min(k, m) - 1], top[:, min(k + 1, m) - 1]
+    kth = ranked[:, k - 1] if k <= m else np.zeros_like(top_k)
+    others = np.where(vals >= kth[:, None], top_k1[:, None] - vals, top_k[:, None])
+    cones = (b - vals >= np.minimum(b, others)).all(axis=2) & below
+    in_semigroup = b.sum(axis=2)[:, 0] % config.d == 0
+    return cones.any(axis=1) & in_semigroup
 
 
 def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,

@@ -25,8 +25,6 @@ Vector = tuple[int, ...]
 
 # enumerate_multidegrees refuses total weights above this (k*d guard)
 ENUMERATION_WEIGHT_GUARD = 10**6
-# full composition listings are refused above this projected count
-COMPOSITION_COUNT_CAP = 5 * 10**7
 
 
 def compositions(total: int, parts: int) -> Iterator[Vector]:
@@ -271,20 +269,25 @@ def orbit_expansion(coords: Sequence[int]) -> list[Vector]:
 
 
 def enumerate_multidegrees(config: PointConfig, total_degree: int,
-                           up_to_symmetry: bool = False) -> list[Multidegree] | list[OrbitRep]:
-    """All semigroup elements of the given total degree.
+                           up_to_symmetry: bool = True) -> list[OrbitRep]:
+    """One representative per coordinate-permutation orbit of the semigroup
+    elements of the given total degree.
 
-    For a veronese configuration these are the vectors in N^{n+1} with
-    coordinate sum total_degree * d. With up_to_symmetry, one non-increasing
-    representative per coordinate-permutation orbit is returned, with its
-    orbit size. Order is lexicographic descending in both modes.
+    For a veronese configuration these elements are the vectors in N^{n+1}
+    with coordinate sum total_degree * d; each orbit is returned as its
+    non-increasing representative with its orbit size, in lexicographic
+    descending order. `lattice.compositions` lists every element.
+    up_to_symmetry=False is refused: orbit representatives are the only
+    mode, and the keyword is kept for callers that spell it out.
 
     Raises:
         UnsupportedConfigError: for general configurations (enumeration has
             no termination bound without a grading).
-        CapacityError: when total_degree * d exceeds the weight guard, or a
-            full (non-symmetric) listing would exceed the count cap.
+        CapacityError: when total_degree * d exceeds the weight guard.
     """
+    if not up_to_symmetry:
+        raise ValueError("enumerate_multidegrees lists orbit representatives only; "
+                         "use compositions for every element")
     if config.kind != "veronese":
         raise UnsupportedConfigError("multidegree enumeration needs a veronese configuration")
     if total_degree < 0:
@@ -292,13 +295,6 @@ def enumerate_multidegrees(config: PointConfig, total_degree: int,
     total = total_degree * config.d
     if total > ENUMERATION_WEIGHT_GUARD:
         raise CapacityError(f"coordinate sum {total} exceeds guard {ENUMERATION_WEIGHT_GUARD}")
-    k = config.ambient_dim
-    if up_to_symmetry:
-        return [OrbitRep(canonical=Multidegree(coords=part, total_degree=total_degree),
-                         orbit_size=orbit_size_of(part))
-                for part in partitions_into(total, k)]
-    count = comb(total + k - 1, k - 1)
-    if count > COMPOSITION_COUNT_CAP:
-        raise CapacityError(f"{count} multidegrees exceed cap {COMPOSITION_COUNT_CAP}")
-    return [Multidegree(coords=c, total_degree=total_degree)
-            for c in compositions(total, k)]
+    return [OrbitRep(canonical=Multidegree(coords=part, total_degree=total_degree),
+                     orbit_size=orbit_size_of(part))
+            for part in partitions_into(total, config.ambient_dim)]

@@ -11,10 +11,13 @@ with the witness.
 
 Work is organised as one job per coordinate-permutation orbit of bound
 vectors: permuting the coordinates of b permutes the points of the
-configuration, so the divisor complexes of an orbit are isomorphic. Jobs
-inside a (q, degree) block may run in a worker pool, but the witness is
-always the first nonzero in the deterministic search order (q ascending,
-degree ascending, canonical representative order).
+configuration, so the divisor complexes of an orbit are isomorphic. Most
+jobs are zeros certified by a coning vertex; one array pass per (q, degree)
+block (`vertex_cone_mask`) finds most of those from the point coordinates
+alone, and they never reach build_slice or the worker pool. The rest may
+run in a worker pool, but the witness is always the first nonzero in the
+deterministic search order (q ascending, degree ascending, canonical
+representative order).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import DEFAULT_FACE_CAP, build_slice
+from .complexes import DEFAULT_FACE_CAP, build_slice, vertex_cone_mask
 from .errors import CapacityError, MismatchError
 from .homology import DEFAULT_PRIME, BettiNumber, check_prime, reduced_betti
 from .koszul import tor_dimension
@@ -246,9 +249,10 @@ class ResultsStore:
 
 
 def _betti_job(payload: dict) -> dict:
-    """One orbit representative: build the banded slice and take homology.
-    A coning vertex found by build_slice certifies the zero outright;
-    otherwise the rank runs cascade, modular rank, exact confirmation.
+    """One orbit representative that the vertex test did not certify: build
+    the banded slice and take homology. A coning vertex found by the face
+    counts of build_slice still certifies the zero outright; otherwise the
+    rank runs cascade, modular rank, exact confirmation.
 
     Runs in worker processes; everything in and out is picklable, and
     capacity problems come back as data so the aggregator can name the
@@ -317,22 +321,26 @@ def check_np(query: NpQuery) -> NpVerdict:
         checked[q] = degrees
         for deg in degrees:
             coords_list = [r.canonical.coords for r in
-                           enumerate_multidegrees(config, deg, up_to_symmetry=True)]
-            pending: list[dict] = []
+                           enumerate_multidegrees(config, deg)]
             cached: dict[Vector, int] = {}
-            for coords in coords_list:
-                hit = store.get(query.n, query.d, coords, q - 1) if store else None
-                if hit is not None:
-                    cached[coords] = hit
-                    jobs_reused += 1
-                else:
-                    pending.append({"n": query.n, "d": query.d, "coords": coords,
-                                    "q": q, "deg": deg,
-                                    "strategy": query.field_strategy,
-                                    "prime": query.prime,
-                                    "max_faces": query.max_faces})
-            jobs_total += len(pending)
-            results = {r["coords"]: r for r in _run_block(pending, query.threads, config)}
+            if store:
+                for coords in coords_list:
+                    hit = store.get(query.n, query.d, coords, q - 1)
+                    if hit is not None:
+                        cached[coords] = hit
+            jobs_reused += len(cached)
+            todo = [coords for coords in coords_list if coords not in cached]
+            jobs_total += len(todo)
+            # a vertex-coned job is a certified zero before any face is built
+            coned = vertex_cone_mask(config, todo, q)
+            results = {coords: {"value": 0, "certified": True}
+                       for coords, cone in zip(todo, coned) if cone}
+            pending = [{"n": query.n, "d": query.d, "coords": coords, "q": q,
+                        "deg": deg, "strategy": query.field_strategy,
+                        "prime": query.prime, "max_faces": query.max_faces}
+                       for coords, cone in zip(todo, coned) if not cone]
+            results.update((r["coords"], r)
+                           for r in _run_block(pending, query.threads, config))
             for coords in coords_list:
                 if coords in cached:
                     value, certified = cached[coords], True
@@ -413,26 +421,29 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     p + q: the graded Tor dimension from the explicit contraction complex
     against the divisor-complex homology in dimension p - 1. One rank pair
     is computed per coordinate-permutation orbit and reported for every
-    member of the orbit; any disagreement raises immediately, naming the
-    multidegree."""
+    member of the orbit (a representative that the vertex test cones takes
+    its homology 0 without a slice); any disagreement raises immediately,
+    naming the multidegree."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
     config = veronese_points(n, d)
     store = ResultsStore(store_path) if store_path else None
     pairs: list[CrossPair] = []
-    for rep in enumerate_multidegrees(config, p + q, up_to_symmetry=True):
-        coords = rep.canonical.coords
+    reps = [rep.canonical.coords for rep in enumerate_multidegrees(config, p + q)]
+    for coords, coned in zip(reps, vertex_cone_mask(config, reps, p)):
         tor = tor_dimension(p, q, n, d, weight=coords, strategy=strategy,
                             prime=prime).total_dim
         hit = store.get(n, d, coords, p - 1) if store else None
         if hit is not None:
             betti = hit
         else:
-            slc = build_slice(config, coords, -1, p)
-            bn = reduced_betti(slc, p - 1, strategy, prime=prime)
-            betti = bn.value
+            betti, certified = 0, True  # a vertex-coned zero builds no face
+            if not coned:
+                bn = reduced_betti(build_slice(config, coords, -1, p), p - 1,
+                                   strategy, prime=prime)
+                betti, certified = bn.value, bn.certified
             if store:
-                store.put(n, d, coords, p - 1, bn.value, bn.certified)
+                store.put(n, d, coords, p - 1, betti, certified)
         if tor != betti:
             raise MismatchError(
                 f"pipelines disagree at b={coords}: tor={tor}, homology={betti}")

@@ -55,6 +55,17 @@ def test_betti_above_the_top_dimension(capsys):
     assert out == "reduced homology rank at b=(2, 2), dimension 45: 0 (certified)\n"
 
 
+def test_betti_far_above_the_top_dimension_runs_no_cascade(capsys, monkeypatch):
+    # dimension 30000 has no face, so the rank is 0 before any cascade round
+    def no_cascade(*args):
+        raise AssertionError("cascade ran on an empty level")
+
+    monkeypatch.setattr("syzcheck.homology._claim_pairs", no_cascade)
+    code, out, err = run(capsys, "betti", "-n", "1", "-d", "2", "-b", "2,2", "-j", "30000")
+    assert (code, err) == (0, "")
+    assert out == "reduced homology rank at b=(2, 2), dimension 30000: 0 (certified)\n"
+
+
 def test_betti_membership_error(capsys):
     code, _, err = run(capsys, "betti", "-n", "1", "-d", "3", "-b", "4,0", "-j", "0")
     assert code == 2

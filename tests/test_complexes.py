@@ -12,8 +12,9 @@ from syzcheck.complexes import (
     make_matrix,
     slice_to_json,
     slice_to_text,
+    vertex_cone_mask,
 )
-from syzcheck.errors import CapacityError
+from syzcheck.errors import CapacityError, UnsupportedConfigError
 from syzcheck.lattice import enumerate_multidegrees, general_config, veronese_points
 
 
@@ -117,7 +118,7 @@ def test_boundary_out_of_band_rejected():
 def test_boundary_composition_vanishes():
     for n, d, deg in [(1, 3, 3), (2, 2, 3), (2, 3, 2)]:
         cfg = veronese_points(n, d)
-        for m in enumerate_multidegrees(cfg, deg, up_to_symmetry=True):
+        for m in enumerate_multidegrees(cfg, deg):
             slc = build_slice(cfg, m.canonical.coords, -1, 3)
             for j in range(0, 3):
                 a = boundary_matrix(slc, j).to_scipy()
@@ -145,7 +146,7 @@ def test_veronese_rule_matches_residual_rule():
         gen = general_config(cfg.points)
         top = len(cfg.points) - 1
         for deg in range(0, 5):
-            for m in enumerate_multidegrees(cfg, deg, up_to_symmetry=True):
+            for m in enumerate_multidegrees(cfg, deg):
                 b = m.canonical.coords
                 for slc in (build_slice(cfg, b, -1, top), build_slice(gen, b, -1, top)):
                     for t in range(-1, top + 1):
@@ -271,3 +272,17 @@ def test_general_config_uses_residual_rule():
     slc2 = build_slice(gen, (5,), -1, 1)
     assert faces_as_point_sets(slc2, 0) == {frozenset({(2,)}), frozenset({(3,)})}
     assert slc2.face_count(1) == 1
+
+
+def test_vertex_cone_mask_examples():
+    # v_2(P^1) at (4, 2): (2, 0) plus either other vertex stays below the
+    # bound, so it cones; at (2, 2) only (2, 0) and (0, 2) span an edge and
+    # (1, 1) stays isolated; (3, 2) lies outside the semigroup (void complex)
+    cfg = veronese_points(1, 2)
+    assert vertex_cone_mask(cfg, [(4, 2), (2, 2), (3, 2)], 2).tolist() == [True, False, False]
+    assert build_slice(cfg, (4, 2), -1, 2).cone_apex is not None
+    assert vertex_cone_mask(cfg, [], 2).shape == (0,)
+    with pytest.raises(ValueError):
+        vertex_cone_mask(cfg, [(4, 2)], 0)
+    with pytest.raises(UnsupportedConfigError):
+        vertex_cone_mask(general_config([(1,), (2,)]), [(3,)], 1)

@@ -118,23 +118,28 @@ def test_general_membership_matches_brute_force():
 
 
 def test_enumerate_line_cubic_degree_two():
+    # every multidegree of degree 2, listed by compositions of 2 * d
     cfg = veronese_points(1, 3)
-    got = [m.coords for m in enumerate_multidegrees(cfg, 2)]
+    got = list(compositions(2 * 3, 2))
     assert got == [(6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5), (0, 6)]
-    assert all(m.total_degree == 2 for m in enumerate_multidegrees(cfg, 2))
+    assert all(cfg.degree_of(c) == 2 for c in got)
 
 
 def test_enumerate_line_cubic_degree_two_symmetric():
     cfg = veronese_points(1, 3)
-    reps = enumerate_multidegrees(cfg, 2, up_to_symmetry=True)
+    reps = enumerate_multidegrees(cfg, 2)
     assert [r.canonical.coords for r in reps] == [(6, 0), (5, 1), (4, 2), (3, 3)]
     assert [r.orbit_size for r in reps] == [2, 2, 2, 1]
+    # the keyword is accepted for callers that spell it out, never switched off
+    assert enumerate_multidegrees(cfg, 2, up_to_symmetry=True) == reps
+    with pytest.raises(ValueError):
+        enumerate_multidegrees(cfg, 2, up_to_symmetry=False)
 
 
 def test_enumerate_p4_cubic_degree_six_symmetric_count():
     # value frozen from an independent partition-count recursion
     cfg = veronese_points(4, 3)
-    reps = enumerate_multidegrees(cfg, 6, up_to_symmetry=True)
+    reps = enumerate_multidegrees(cfg, 6)
     assert len(reps) == 141
 
 
@@ -143,9 +148,9 @@ def test_orbit_expansion_recovers_full_enumeration():
 
     for n, d, k in [(2, 2, 3), (3, 2, 2), (1, 3, 4)]:
         cfg = veronese_points(n, d)
-        full = sorted(m.coords for m in enumerate_multidegrees(cfg, k))
+        full = sorted(compositions(k * d, n + 1))
         expanded = []
-        for rep in enumerate_multidegrees(cfg, k, up_to_symmetry=True):
+        for rep in enumerate_multidegrees(cfg, k):
             orbit = set(permutations(rep.canonical.coords))
             assert len(orbit) == rep.orbit_size
             expanded.extend(orbit)
@@ -165,7 +170,7 @@ def test_canonical_rep_examples():
         cfg = veronese_points(n, 3)
         b = multidegree(cfg, coords)
         reps = {r.canonical.coords: r
-                for r in enumerate_multidegrees(cfg, b.total_degree, up_to_symmetry=True)}
+                for r in enumerate_multidegrees(cfg, b.total_degree)}
         rep = reps[tuple(sorted(b.coords, reverse=True))]
         assert rep.canonical.coords == canon
         assert rep.canonical.total_degree == b.total_degree
@@ -184,8 +189,10 @@ def test_orbit_expansion_matches_distinct_permutations():
 def test_enumerated_multidegrees_are_members():
     for n, d, k in [(2, 3, 3), (3, 2, 4)]:
         cfg = veronese_points(n, d)
-        for m in enumerate_multidegrees(cfg, k):
-            assert semigroup_contains(cfg, m.coords)
+        for c in compositions(k * d, n + 1):
+            assert semigroup_contains(cfg, c)
+        for rep in enumerate_multidegrees(cfg, k):
+            assert semigroup_contains(cfg, rep.canonical.coords)
 
 
 def test_enumerate_weight_guard():

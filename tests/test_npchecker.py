@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 from syzcheck import npchecker
-from syzcheck.complexes import build_slice
+from syzcheck.complexes import build_slice, vertex_cone_mask
 from syzcheck.errors import CapacityError, MismatchError
 from syzcheck.homology import reduced_betti
 from syzcheck.koszul import TorSlice
-from syzcheck.lattice import compositions, veronese_points
+from syzcheck.lattice import compositions, enumerate_multidegrees, veronese_points
 from syzcheck.npchecker import (
     FAILS,
     HOLDS,
@@ -20,6 +20,8 @@ from syzcheck.npchecker import (
     check_np,
     cross_validate,
 )
+
+STORE_GOLDEN = Path(__file__).parent / "golden" / "store-n2-d3-p7"
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +164,70 @@ def test_worker_pool_is_sized_by_block(monkeypatch):
 
     monkeypatch.setattr(npchecker.multiprocessing, "get_context",
                         lambda method: FakeContext())
-    check_np(NpQuery(n=2, d=2, p=2, threads=64))
-    assert sizes
-    assert all(size == min(64, jobs) for size, jobs in sizes), sizes
+    # every job of (2,2,2) is vertex-coned and opens no pool; the degree-4
+    # and degree-5 blocks of (2,3,2) keep 6 and 3 jobs that are not
+    check_np(NpQuery(n=2, d=3, p=2, threads=64))
+    assert sizes == [(6, 6), (3, 3)]
+
+
+def test_vertex_cone_decides_most_jobs_before_any_face_is_built(monkeypatch):
+    # over the default windows of (2,3,6) and (3,2,5) the vertex test fires
+    # on 706 of the 707 and 790 of the 790 jobs that build_slice finds
+    # coned, and on no other job; check_np builds a slice for the rest only
+    for n, d, p, jobs, coned, fired in [(2, 3, 6, 752, 707, 706),
+                                        (3, 2, 5, 819, 790, 790)]:
+        cfg = veronese_points(n, d)
+        seen = {"jobs": 0, "coned": 0, "fired": 0}
+        for q in range(2, p + 1):
+            for deg in range(q + 2, q + 3 + n):
+                reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, deg)]
+                for b, fires in zip(reps, vertex_cone_mask(cfg, reps, q)):
+                    apex = build_slice(cfg, b, -1, q).cone_apex
+                    assert apex is not None or not fires, (n, d, q, b)
+                    seen["jobs"] += 1
+                    seen["coned"] += apex is not None
+                    seen["fired"] += bool(fires)
+        assert seen == {"jobs": jobs, "coned": coned, "fired": fired}
+
+        built = []
+
+        def counting_build_slice(config, coords, *args, **kwargs):
+            built.append(coords)
+            return build_slice(config, coords, *args, **kwargs)
+
+        monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
+        verdict = check_np(NpQuery(n=n, d=d, p=p))
+        monkeypatch.undo()
+        assert verdict.status == HOLDS
+        assert verdict.jobs_total == jobs
+        assert len(built) == jobs - fired
+
+
+def test_cross_validate_skips_vertex_coned_representatives(monkeypatch):
+    built = []
+
+    def counting_build_slice(config, coords, *args, **kwargs):
+        built.append(coords)
+        return build_slice(config, coords, *args, **kwargs)
+
+    monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
+    report = cross_validate(2, 2, 1, 2)
+    assert report.compared == 28 and report.mismatches == 0
+    cfg = veronese_points(2, 2)
+    reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, 3)]
+    assert built == [b for b, fires in zip(reps, vertex_cone_mask(cfg, reps, 1))
+                     if not fires]
+    assert len(built) < len(reps)
+
+
+def test_store_files_match_recording(tmp_path):
+    # the store of a failing verdict, recorded before coned jobs skipped
+    # build_slice: every row, value and byte stays the same
+    check_np(NpQuery(n=2, d=3, p=7, store_path=str(tmp_path)))
+    names = ["betti-n2-d3.jsonl", "verdict-150f6ff6b637.json", "betti-150f6ff6b637.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (STORE_GOLDEN / name).read_bytes(), name
 
 
 def test_capacity_error_names_the_multidegree():

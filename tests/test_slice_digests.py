@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from syzcheck.complexes import build_slice
-from syzcheck.homology import _reduce_band
+from syzcheck.complexes import build_slice, vertex_cone_mask
+from syzcheck.homology import _reduce_band, reduced_betti
 from syzcheck.lattice import enumerate_multidegrees, general_config, veronese_points
 
 GOLDEN = Path(__file__).parent / "golden" / "slices.json"
@@ -31,7 +31,7 @@ def slices():
                            (3, 2, (3, 4, 5), (2, 3, 4))]:
         cfg = veronese_points(n, d)
         for deg in degs:
-            for m in enumerate_multidegrees(cfg, deg, up_to_symmetry=True):
+            for m in enumerate_multidegrees(cfg, deg):
                 b = m.canonical.coords
                 for q in qs:
                     yield f"v{d}P{n}/{','.join(map(str, b))}/{q}", cfg, b, q
@@ -77,6 +77,20 @@ def test_slice_digests_match_recording():
     assert sorted(digests) == sorted(recorded)
     changed = [k for k in digests if digests[k] != recorded[k]]
     assert not changed, f"{len(changed)} slices differ, first {changed[:5]}"
+
+
+def test_vertex_cone_mask_fires_only_on_coned_slices():
+    # the vertex test decides which jobs never reach build_slice; on every
+    # pinned veronese slice where it fires, the face-count test finds an apex
+    fired = 0
+    for label, cfg, b, q in slices():
+        if cfg.kind != "veronese" or not vertex_cone_mask(cfg, [b], q)[0]:
+            continue
+        fired += 1
+        slc = build_slice(cfg, b, -1, q)
+        assert slc.cone_apex is not None, label
+        assert reduced_betti(slc, q - 1).value == 0, label
+    assert fired == 425
 
 
 if __name__ == "__main__":
