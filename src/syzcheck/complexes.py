@@ -21,16 +21,25 @@ cheaper sufficient test reads only the point coordinates (`vertex_cone_mask`,
 one array pass over many bounds), so a caller can certify a coned zero
 before any face is built; build_slice itself always runs the count test.
 
+Each face is born as a parent face plus one later vertex, and that record
+is its identity within its level: rows run parent-major, so the key
+parent * V + last vertex (V the vertex count) increases strictly down a
+level, and the rows sharing a parent are the prefix block that the next
+expansion joins. The facets of every face follow level by level: F + w
+minus its i-th vertex F_i is (F - F_i) + w, found by one search for the
+key of that pair, and F + w minus w is the parent F itself.
+
 Only dimensions inside a requested band [j_lo, j_hi] are kept, since one
-reduced homology rank needs three consecutive dimensions. Faces are stored
-per dimension as integer index matrices over the local vertex list, rows in
-lexicographic order, which makes face lookups and boundary assembly pure
-array operations. Local vertex i is point config.points[vertices[i]].
+reduced homology rank needs three consecutive dimensions, and no level
+above the first empty one is built. Faces are stored per dimension as
+integer index matrices over the local vertex list, rows in lexicographic
+order, which makes face lookups and boundary assembly pure array
+operations. Local vertex i is point config.points[vertices[i]].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +60,11 @@ class ComplexSlice:
     faces_by_dim[t] is an (N_t, t+1) int32 matrix of local vertex indices,
     rows lexicographically increasing; dimension -1 is a (1, 0) or (0, 0)
     matrix recording whether the empty face is present (it is, exactly when
-    the bound lies in the semigroup).
+    the bound lies in the semigroup). facets_by_dim[t], for t > j_lo, is the
+    (N_t, t+1) int64 matrix whose entry [f, i] is the row, in dimension t-1,
+    of face f with its i-th vertex removed. Both stop at the first empty
+    level of the band; `faces` and `subface_rows` read every level above it
+    as empty.
     """
 
     config: PointConfig
@@ -60,8 +73,8 @@ class ComplexSlice:
     j_hi: int
     vertices: np.ndarray
     faces_by_dim: dict[int, np.ndarray]
+    facets_by_dim: dict[int, np.ndarray]
     cone_apex: int | None = None
-    _keys: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -71,57 +84,28 @@ class ComplexSlice:
     def vertex_count(self) -> int:
         return int(self.vertices.size)
 
+    def faces(self, dim: int) -> np.ndarray:
+        """The face matrix of one dimension; empty where none is stored."""
+        arr = self.faces_by_dim.get(dim)
+        return np.zeros((0, dim + 1), dtype=np.int32) if arr is None else arr
+
     def face_count(self, dim: int) -> int:
-        if dim not in self.faces_by_dim:
-            return 0
-        return int(self.faces_by_dim[dim].shape[0])
+        return int(self.faces(dim).shape[0])
 
     def face_point_sets(self, dim: int) -> list[tuple[Vector, ...]]:
         """Faces of one dimension as tuples of actual points."""
         pts = self.config.points
         return [tuple(pts[i] for i in row)
-                for row in self.vertices[self.faces_by_dim[dim]].tolist()]
-
-    def level_keys(self, dim: int) -> np.ndarray:
-        """Strictly increasing int64 key per face (mixed-radix over the local
-        vertex count); the key order equals the lexicographic row order."""
-        cached = self._keys.get(dim)
-        if cached is not None:
-            return cached
-        arr = self.faces_by_dim[dim]
-        keys = _encode_rows(arr, self.vertex_count)
-        self._keys[dim] = keys
-        return keys
+                for row in self.vertices[self.faces(dim)].tolist()]
 
     def subface_rows(self, dim: int) -> np.ndarray:
         """(N_dim, dim+1) matrix: entry [f, i] is the row index, in dimension
         dim-1, of face f with its i-th vertex removed. For dim 0 this is a
         single column of zeros pointing at the empty face."""
-        if dim - 1 not in self.faces_by_dim or dim not in self.faces_by_dim:
+        if not self.j_lo < dim <= self.j_hi:
             raise ValueError(f"boundary at dimension {dim} needs dims {dim - 1} and {dim}")
-        n_faces = self.face_count(dim)
-        if dim == 0:
-            if self.face_count(-1) == 0 and n_faces > 0:
-                raise ValueError("empty face missing below a nonempty vertex set")
-            return np.zeros((n_faces, 1), dtype=np.int64)
-        width = dim + 1
-        if n_faces == 0:
-            return np.zeros((0, width), dtype=np.int64)
-        below = self.level_keys(dim - 1)
-        keys = self.level_keys(dim)
-        out = np.empty((n_faces, width), dtype=np.int64)
-        radix = np.int64(self.vertex_count)
-        for i in range(width):
-            hi_base = radix ** np.int64(width - i)
-            lo_base = radix ** np.int64(width - 1 - i)
-            sub = (keys // hi_base) * lo_base + (keys % lo_base)
-            pos = np.searchsorted(below, sub)
-            if pos.size and (pos >= below.size).any():
-                raise RuntimeError("band is not closed downward")
-            if not np.array_equal(below[pos], sub):
-                raise RuntimeError("band is not closed downward")
-            out[:, i] = pos
-        return out
+        sub = self.facets_by_dim.get(dim)
+        return np.zeros((0, dim + 1), dtype=np.int64) if sub is None else sub
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,33 +156,22 @@ def make_matrix(rows: int, cols: int,
     )
 
 
-def _encode_rows(arr: np.ndarray, vertex_count: int) -> np.ndarray:
-    """Mixed-radix int64 key per row; strictly monotone w.r.t. lex order.
-    The 64-bit range is checked only when there are rows to encode."""
-    n, width = arr.shape
-    if width == 0 or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    if vertex_count ** width >= 2**63:
-        raise CapacityError("face keys exceed 64-bit range for this vertex count")
-    keys = np.zeros(n, dtype=np.int64)
-    radix = np.int64(max(vertex_count, 1))
-    for i in range(width):
-        keys = keys * radix + arr[:, i].astype(np.int64)
-    return keys
-
-
-def _expand_level(cur: np.ndarray, sums: np.ndarray, points: np.ndarray,
-                  bound: np.ndarray, cap: int, member) -> tuple[np.ndarray, np.ndarray]:
+def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
+                  points: np.ndarray, bound: np.ndarray, cap: int,
+                  member) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
     A child is parent F plus a vertex w after F's last vertex a (any w for
     the empty face, k = 0) whose sum stays admissible: under the bound and,
     when `member` is given, with a residual in the semigroup. As faces are
     closed under subsets, w must end a later row F - a + w of F's prefix
-    block (the contiguous rows sharing its first k-1 vertices). Candidate
-    pairs (parent, later row of its block) run parent-major, so children
-    come out lexicographic; they are tested in runs of about EXPANSION_CHUNK
-    pairs, and the child count is checked against cap after each run.
+    block, the rows sharing F's own parent row (`parent_rows`, unused for
+    the empty face). Candidate pairs (parent, later row of its block) run
+    parent-major, so children come out lexicographic; they are tested in
+    runs of about EXPANSION_CHUNK pairs, and the child count is checked
+    against cap after each run.
+
+    Returns the children, their coordinate sums and their parent rows.
     """
     n, k = cur.shape
     rows = np.arange(n, dtype=np.int64)
@@ -206,9 +179,8 @@ def _expand_level(cur: np.ndarray, sums: np.ndarray, points: np.ndarray,
         first, n_pairs = np.zeros(n, dtype=np.int64), np.full(n, points.shape[0])
         partner_vertex = np.arange(points.shape[0], dtype=cur.dtype)
     else:
-        new_block = rows == 0
-        for c in range(k - 1):
-            new_block[1:] |= cur[1:, c] != cur[:-1, c]
+        new_block = np.ones(n, dtype=bool)
+        new_block[1:] = parent_rows[1:] != parent_rows[:-1]
         block_ends = np.append(np.flatnonzero(new_block)[1:], n)
         first = rows + 1
         n_pairs = block_ends[np.cumsum(new_block) - 1] - first
@@ -247,10 +219,10 @@ def _expand_level(cur: np.ndarray, sums: np.ndarray, points: np.ndarray,
     parents = np.concatenate(par_blocks)
     verts = np.concatenate(vert_blocks)
     children = np.hstack([cur.take(parents, axis=0), verts[:, None]])
-    return children, sums.take(parents, axis=0) + points.take(verts, axis=0)
+    return children, sums.take(parents, axis=0) + points.take(verts, axis=0), parents
 
 
-def _cone_apex(faces_by_dim: dict[int, np.ndarray], j_hi: int) -> int | None:
+def _cone_apex(levels: list[np.ndarray], j_hi: int) -> int | None:
     """The lowest local vertex w such that every stored face of dimension
     below j_hi that avoids w extends by w to a stored face, or None. Such a
     vertex cones the complex through dimension j_hi - 1, so reduced homology
@@ -263,22 +235,43 @@ def _cone_apex(faces_by_dim: dict[int, np.ndarray], j_hi: int) -> int | None:
     N_t - deg_t(w) of them extend exactly when the two numbers agree. The
     level lists are complete (expansion already applied the membership
     predicate), so the count is exact for general configurations too.
-    Above the first empty level every count is zero, so the scan stops there.
+    levels[t] holds the t-faces, through j_hi or the first empty level.
     """
-    v_count = faces_by_dim[0].shape[0]
+    v_count = levels[0].shape[0]
     apex = np.ones(v_count, dtype=bool)
     deg = np.ones(v_count, dtype=np.int64)  # each vertex is one 0-face
     for t in range(j_hi):
-        if faces_by_dim[t].shape[0] == 0:
+        if levels[t].shape[0] == 0:
             break
         # column by column: bincount copies its input to int64, and a whole
         # level at once would briefly take twice the level's own memory
         deg_up = sum(np.bincount(col, minlength=v_count)
-                     for col in faces_by_dim[t + 1].T)
-        apex &= faces_by_dim[t].shape[0] - deg == deg_up
+                     for col in levels[t + 1].T)
+        apex &= levels[t].shape[0] - deg == deg_up
         deg = deg_up
     hits = np.flatnonzero(apex)
     return int(hits[0]) if hits.size else None
+
+
+def _facet_rows(below: np.ndarray, parents: np.ndarray, last: np.ndarray,
+                keys: np.ndarray, v_count: int) -> np.ndarray:
+    """Facet rows of one level from those of the level below.
+
+    A face is its parent F plus its last vertex w. Dropping w leaves F, the
+    parent row itself. Dropping F_i leaves (F - F_i) + w: its parent is the
+    row below[F, i] of F - F_i and its last vertex is w, so its key
+    below[F, i] * V + w is searched in the keys of the level below. One
+    search per column keeps the temporaries one column wide, and on
+    np-paper's slices it ran faster than one search over the whole matrix.
+    """
+    out = np.empty((parents.size, below.shape[1] + 1), dtype=np.int64)
+    out[:, -1] = parents
+    for i, col in enumerate(below.T):
+        want = col.take(parents) * v_count + last
+        out[:, i] = found = np.searchsorted(keys, want)
+        if not np.array_equal(keys.take(found, mode="clip"), want):
+            raise RuntimeError("band is not closed downward")
+    return out
 
 
 def vertex_cone_mask(config: PointConfig, bounds, k: int) -> np.ndarray:
@@ -333,13 +326,15 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
 
     Levels are expanded from the empty face up to dimension j_hi, so the
     vertices are the one-point extensions of the empty face; above the
-    first empty level nothing is expanded. General
+    first empty level nothing is expanded or stored. General
     configurations test each residual for semigroup membership; the veronese
     presets need only the coordinatewise bound test, which is exact there.
     The lowest vertex coning every dimension below j_hi is then read off
     the per-level vertex degrees of the faces (`_cone_apex`, no membership
     call); the slice records it as cone_apex, and reduced homology in
-    [j_lo+1, j_hi-1] is known to vanish without linear algebra.
+    [j_lo+1, j_hi-1] is known to vanish without linear algebra. Last, the
+    facet rows of every level are derived from the parent rows that the
+    expansion returned (`_facet_rows`).
 
     Args:
         config: the point configuration.
@@ -370,25 +365,36 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     empty_count = int(in_semigroup(bb))
     empty = np.zeros((empty_count, 0), dtype=np.int32)
     empty_sum = np.zeros((empty_count, config.ambient_dim), dtype=np.int64)
-    singletons, _ = _expand_level(empty, empty_sum, pts, barr, max_faces, member)
+    singletons, _, _ = _expand_level(empty, None, empty_sum, pts, barr, max_faces, member)
     vertices = singletons[:, 0].astype(np.int64)
+    v_count = vertices.size
     local_points = pts[vertices]
-    all_faces = {-1: empty,
-                 0: np.arange(vertices.size, dtype=np.int32).reshape(-1, 1)}
-    all_sums = {0: local_points}
-    for t in range(1, j_hi + 1):
-        if all_faces[t - 1].shape[0] == 0:
-            all_faces[t] = np.zeros((0, t + 1), dtype=np.int32)
-            continue
-        all_faces[t], all_sums[t] = _expand_level(all_faces[t - 1], all_sums[t - 1],
-                                                  local_points, barr, max_faces, member)
+    # levels[t] holds the t-faces and parents[t] their parent rows in level t-1
+    levels = [np.arange(v_count, dtype=np.int32).reshape(-1, 1)]
+    parents = [np.zeros(v_count, dtype=np.int64)]
+    sums = local_points
+    while len(levels) <= j_hi and levels[-1].shape[0]:
+        faces, sums, par = _expand_level(levels[-1], parents[-1], sums, local_points,
+                                         barr, max_faces, member)
+        levels.append(faces)
+        parents.append(par)
 
-    apex = _cone_apex(all_faces, j_hi)
+    apex = _cone_apex(levels, j_hi)
 
-    faces_by_dim = {t: all_faces[t] for t in range(j_lo, j_hi + 1)}
+    faces_by_dim = {-1: empty} if j_lo == -1 else {}
+    facets_by_dim = {}
+    facets = np.zeros((v_count, 1), dtype=np.int64)  # each vertex drops to the empty face
+    for t in range(min(len(levels) - 1, j_hi) + 1):
+        if t:
+            keys = parents[t - 1] * v_count + levels[t - 1][:, -1]
+            facets = _facet_rows(facets, parents[t], levels[t][:, -1], keys, v_count)
+        if t >= j_lo:
+            faces_by_dim[t] = levels[t]
+        if t > j_lo:
+            facets_by_dim[t] = facets
     return ComplexSlice(config=config, bound=bb, j_lo=j_lo, j_hi=j_hi,
                         vertices=vertices, faces_by_dim=faces_by_dim,
-                        cone_apex=apex)
+                        facets_by_dim=facets_by_dim, cone_apex=apex)
 
 
 def masked_boundary(sub: np.ndarray, alive_rows: np.ndarray,
@@ -433,16 +439,9 @@ def boundary_matrix(slice_: ComplexSlice, j: int) -> BoundaryMatrix:
 
 def slice_to_text(slice_: ComplexSlice) -> str:
     """The faces, one 'dim: i1 i2 ... ik' line per face, global indices."""
-    lines = []
-    for t in range(slice_.j_lo, slice_.j_hi + 1):
-        if t == -1:
-            for _ in range(slice_.face_count(-1)):
-                lines.append("-1:")
-            continue
-        glob = slice_.vertices[slice_.faces_by_dim[t]]
-        for row in glob:
-            lines.append(f"{t}: " + " ".join(str(int(x)) for x in row))
-    return "\n".join(lines)
+    return "\n".join(f"{t}:" + "".join(f" {x}" for x in row)
+                     for t, faces in slice_.faces_by_dim.items()
+                     for row in slice_.vertices[faces].tolist())
 
 
 def slice_to_json(slice_: ComplexSlice) -> dict:

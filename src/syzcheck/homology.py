@@ -16,7 +16,8 @@ differential is the plain submatrix and homology of the band is unchanged.
 
 Certification: a rank modulo p never exceeds the rational rank, so a Betti
 number that comes out zero modulo p is zero over Q; nonzero values are only
-reported certified after exact rational confirmation of both ranks.
+reported certified after exact rational confirmation of both ranks. The
+Koszul pipeline certifies its homology through the same `middle_homology`.
 """
 
 from __future__ import annotations
@@ -299,8 +300,7 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
     dims = list(range(bot, top + 1))
     counts = {t: slice_.face_count(t) for t in dims}
     alive = {t: np.ones(counts[t], dtype=bool) for t in dims}
-    sub = {t: slice_.subface_rows(t).astype(np.int64)
-           for t in range(bot + 1, top + 1)}
+    sub = {t: slice_.subface_rows(t) for t in range(bot + 1, top + 1)}
 
     dc: dict[int, np.ndarray] = {}
     sm_dn: dict[int, np.ndarray] = {}
@@ -368,6 +368,33 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
     return alive, sub
 
 
+def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, strategy: str,
+                    prime: int, rankers=None) -> int:
+    """dim ker(out_map) - rank(in_map), certified over Q.
+
+    The certification ladder of both pipelines: under modular_first both
+    ranks are taken modulo prime, which certifies a zero (a modular rank
+    never exceeds the rational one), and a nonzero value is re-ranked
+    exactly; the exact strategy ranks exactly from the start. A negative
+    value is a RuntimeError. rankers is the (modular, exact) pair of rank
+    functions to call, by default this module's rank_mod_p and rank_exact.
+    """
+    modular, exact = rankers or (rank_mod_p, rank_exact)
+
+    def value(rank) -> int:
+        return out_map.cols - rank(out_map).rank - rank(in_map).rank
+
+    if strategy == "exact":
+        val = value(exact)
+    else:
+        val = value(lambda m: modular(m, prime))
+        if val > 0:
+            val = value(exact)
+    if val < 0:
+        raise RuntimeError("negative homology rank")
+    return val
+
+
 def _grade_or_none(slice_: ComplexSlice) -> int | None:
     try:
         return slice_.config.degree_of(slice_.bound)
@@ -380,10 +407,9 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
     """Rank of the j-th reduced homology of the sliced complex.
 
     value = (#j-faces) - rank(boundary_j) - rank(boundary_{j+1}); the slice
-    band must contain [j-1, j+1]. Under modular_first a nonzero value
-    triggers exact rational re-ranking of both residual boundaries before
-    being reported, and certified is always true on return unless the exact
-    stage was skipped by caps (which raises instead).
+    band must contain [j-1, j+1]. The residual boundaries of the cascade are
+    ranked by `middle_homology`, so certified is always true on return; an
+    exact rank beyond its cell cap raises instead.
     """
     if strategy not in ("modular_first", "exact"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -395,24 +421,7 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
     if coned or slice_.face_count(j) == 0:
         return BettiNumber(j=j, value=0, multidegree=md, certified=True)
     alive, sub = _reduce_band(slice_)
-    lower = masked_boundary(sub[j], alive[j - 1], alive[j])
-    upper = masked_boundary(sub[j + 1], alive[j], alive[j + 1])
-    n_alive = int(alive[j].sum())
-    if strategy == "exact":
-        r1 = rank_exact(lower)
-        r2 = rank_exact(upper)
-        value = n_alive - r1.rank - r2.rank
-        certified = True
-    else:
-        r1 = rank_mod_p(lower, prime)
-        r2 = rank_mod_p(upper, prime)
-        value = n_alive - r1.rank - r2.rank
-        certified = value == 0
-        if value > 0:
-            e1 = rank_exact(lower)
-            e2 = rank_exact(upper)
-            value = n_alive - e1.rank - e2.rank
-            certified = True
-    if value < 0:
-        raise RuntimeError(f"negative homology rank at {slice_.bound}, j={j}")
-    return BettiNumber(j=j, value=value, multidegree=md, certified=certified)
+    value = middle_homology(masked_boundary(sub[j], alive[j - 1], alive[j]),
+                            masked_boundary(sub[j + 1], alive[j], alive[j + 1]),
+                            strategy, prime)
+    return BettiNumber(j=j, value=value, multidegree=md, certified=True)

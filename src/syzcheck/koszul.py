@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexes import BoundaryMatrix, make_matrix
 from .errors import CapacityError
-from .homology import DEFAULT_PRIME, rank_exact, rank_mod_p
+from .homology import DEFAULT_PRIME, middle_homology, rank_exact, rank_mod_p
 from .lattice import Vector, compositions, orbit_expansion, partitions_into
 
 # refuse bases beyond this many elements
@@ -168,23 +168,6 @@ class TorSlice:
         }
 
 
-def _middle_homology_dim(down: BoundaryMatrix, up: BoundaryMatrix,
-                         strategy: str, prime: int) -> int:
-    """dim ker(down) - rank(up), with the certification ladder of the
-    homology module: nonzero modular answers are confirmed rationally."""
-    def value_from(rank_fn) -> int:
-        return down.cols - rank_fn(down) - rank_fn(up)
-
-    if strategy == "exact":
-        return value_from(lambda m: rank_exact(m).rank)
-    val = value_from(lambda m: rank_mod_p(m, prime).rank)
-    if val > 0:
-        val = value_from(lambda m: rank_exact(m).rank)
-    if val < 0:
-        raise RuntimeError("negative homology dimension in the Koszul complex")
-    return val
-
-
 def tor_dimension(p: int, q: int, n: int, d: int,
                   weight: Vector | None = None, *,
                   strategy: str = "modular_first",
@@ -213,7 +196,8 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         up = koszul_map(p + 1, q - 1, n, d, b, max_basis=max_basis)
         if up.cols and up.rows != down.cols:
             raise RuntimeError("Koszul interface dimensions disagree")
-        return _middle_homology_dim(down, up, strategy, prime)
+        # this module's rank names, so the Koszul ranks can be wrapped apart
+        return middle_homology(down, up, strategy, prime, (rank_mod_p, rank_exact))
 
     if weight is not None:
         weight = tuple(int(x) for x in weight)

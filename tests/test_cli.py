@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from syzcheck.cli import main
+from syzcheck.koszul import tor_dimension
 
 
 def run(capsys, *argv):
@@ -64,6 +66,30 @@ def test_betti_far_above_the_top_dimension_runs_no_cascade(capsys, monkeypatch):
     code, out, err = run(capsys, "betti", "-n", "1", "-d", "2", "-b", "2,2", "-j", "30000")
     assert (code, err) == (0, "")
     assert out == "reduced homology rank at b=(2, 2), dimension 30000: 0 (certified)\n"
+
+
+def test_betti_far_above_the_top_dimension_stores_no_level(capsys):
+    # the band 299999..300001 lies above the first empty level (dimension
+    # 2), so no level of it is stored and memory does not grow with j
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "betti", "-n", "1", "-d", "2", "-b", "2,2",
+                             "-j", "300000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out == "reduced homology rank at b=(2, 2), dimension 300000: 0 (certified)\n"
+    assert peak < 2**20
+
+
+def test_betti_on_faces_wider_than_64_bit_keys(capsys):
+    # 18 vertices and faces of 16: whole-row keys in base 18 would need
+    # 18**16 > 2**63. The Koszul oracle gives the same weight the same 1.
+    code, out, err = run(capsys, "betti", "-n", "1", "-d", "17", "-b", "151,121", "-j", "14")
+    assert (code, err) == (0, "")
+    assert out == "reduced homology rank at b=(151, 121), dimension 14: 1 (certified)\n"
+    assert tor_dimension(15, 1, 1, 17, weight=(151, 121)).total_dim == 1
 
 
 def test_betti_membership_error(capsys):

@@ -1,5 +1,6 @@
 """Divisor complex slices and boundary matrices."""
 
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -150,7 +151,7 @@ def test_veronese_rule_matches_residual_rule():
                 b = m.canonical.coords
                 for slc in (build_slice(cfg, b, -1, top), build_slice(gen, b, -1, top)):
                     for t in range(-1, top + 1):
-                        got = [tuple(f) for f in slc.vertices[slc.faces_by_dim[t]].tolist()]
+                        got = [tuple(f) for f in slc.vertices[slc.faces(t)].tolist()]
                         assert got == brute_force_faces(cfg, b, t), (n, d, b, t)
 
 
@@ -216,8 +217,7 @@ def test_cone_apex_on_full_simplex():
 def test_band_above_the_top_face_stays_cheap(monkeypatch):
     # (2,2) over the conic has 3 vertices and one edge. Every level above
     # dimension 1 is empty, so a band up to dimension 3000 must expand
-    # only the nonempty levels and encode no keys for the empty ones
-    # (3**46 already overflows int64).
+    # only the nonempty levels and store nothing above the first empty one.
     from syzcheck import complexes
     from syzcheck.homology import reduced_betti
 
@@ -231,11 +231,30 @@ def test_band_above_the_top_face_stays_cheap(monkeypatch):
     monkeypatch.setattr(complexes, "_expand_level", counted)
     slc = build_slice(veronese_points(1, 2), (2, 2), -1, 3000)
     assert [slc.face_count(t) for t in (-1, 0, 1, 2, 3000)] == [1, 3, 1, 0, 0]
-    assert slc.faces_by_dim[3000].shape == (0, 3001)
+    assert sorted(slc.faces_by_dim) == [-1] + sorted(slc.facets_by_dim) == [-1, 0, 1, 2]
+    assert slc.faces(3000).shape == (0, 3001)
+    assert slc.subface_rows(3000).shape == (0, 3001)
     assert calls == [1, 3, 1]  # parents of the vertices, the edge, level 2
     assert slc.cone_apex is None
     assert reduced_betti(slc, 0).value == 1
     assert reduced_betti(slc, 2999).value == 0
+
+
+def test_band_above_the_top_face_costs_no_memory():
+    # ten million levels requested, three built: time and memory must not
+    # grow with the band's top
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        slc = build_slice(veronese_points(1, 2), (2, 2), -1, 10**7)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 2**20
+    assert slc.face_count(10**7) == 0
+    assert slice_to_text(slc).splitlines() == ["-1:", "0: 0", "0: 1", "0: 2", "1: 0 2"]
 
 
 def test_slice_text_export():

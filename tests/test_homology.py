@@ -280,7 +280,7 @@ def set_apex(slc, q):
     # the lowest vertex w with F + w stored for every stored face F of
     # dimension below q that avoids w, straight from the definition
     faces = {frozenset(row) for t in range(-1, q + 1)
-             for row in slc.faces_by_dim[t].tolist()}
+             for row in slc.faces(t).tolist()}
     for w in range(slc.vertex_count):
         if all(f | {w} in faces for f in faces if len(f) <= q and w not in f):
             return w

@@ -52,7 +52,7 @@ def slice_digest(slc) -> str:
 
     put("vertices", slc.vertices)
     for t in range(slc.j_lo, slc.j_hi + 1):
-        put(f"faces{t}", slc.faces_by_dim[t])
+        put(f"faces{t}", slc.faces(t))
     h.update(f"apex:{slc.cone_apex};".encode())
     alive, _ = _reduce_band(slc)
     for t in sorted(alive):
@@ -91,6 +91,23 @@ def test_vertex_cone_mask_fires_only_on_coned_slices():
         assert slc.cone_apex is not None, label
         assert reduced_betti(slc, q - 1).value == 0, label
     assert fired == 425
+
+
+def test_facet_rows_drop_one_vertex():
+    # subface_rows(t)[f, i] must be the row of face f minus its i-th vertex,
+    # looked up by brute force among the rows of the level below
+    checked = 0
+    for label, cfg, b, q in slices():
+        slc = build_slice(cfg, b, -1, q)
+        for t in range(0, q + 1):
+            row_of = {tuple(r): i for i, r in enumerate(slc.faces(t - 1).tolist())}
+            want = [[row_of[tuple(f[:i] + f[i + 1:])] for i in range(t + 1)]
+                    for f in slc.faces(t).tolist()]
+            got = slc.subface_rows(t)
+            assert got.shape == (slc.face_count(t), t + 1), (label, t)
+            assert got.tolist() == want, (label, t)
+            checked += len(want)
+    assert checked > 10**5
 
 
 if __name__ == "__main__":

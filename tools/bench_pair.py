@@ -18,7 +18,9 @@ directory (under $TMPDIR), so both sides run from paths of equal length
 and without leftover files. Peak RSS depends on that path through glibc's
 sliding mmap threshold: the same files run from directories whose paths
 differ only in length read np-paper peak_rss_mb up to 1.1 MB apart, far
-beyond the benchmark's 0.05 MB bound.
+beyond the benchmark's 0.05 MB bound. Each staged copy is byte-compiled
+once, and the runs see no PYTHONDONTWRITEBYTECODE, so neither side
+compiles its modules inside a round's setup_s.
 
 The output file, at the root of the change checkout, keeps every run's last
 stdout line (the benchmark's JSON result) and, per workload and side, the
@@ -29,6 +31,7 @@ which the change read better, as BENCHMARK.json defines better.
 from __future__ import annotations
 
 import argparse
+import compileall
 import filecmp
 import json
 import os
@@ -59,17 +62,21 @@ def _same_tree(a: Path, b: Path) -> bool:
 
 
 def stage(checkout: Path, dest: Path) -> Path:
-    """Copy the parts of a checkout that perfbench/run.py uses into dest."""
+    """Copy the parts of a checkout that perfbench/run.py uses into dest,
+    byte-compiled."""
     for part in ("src", "perfbench"):
         shutil.copytree(checkout / part, dest / part,
                         ignore=shutil.ignore_patterns(*LEFTOVERS))
+    if not compileall.compile_dir(dest, quiet=1):
+        raise RuntimeError(f"byte-compiling {dest} failed")
     return dest
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1]) if lines else None
     return {"returncode": proc.returncode, "result": result}
