@@ -13,21 +13,21 @@ residual-membership predicate `member`, which is None for the monomial
 the semigroup, so the bound test alone is exact.
 
 A vertex w cones the complex through dimension j_hi - 1 when every face
-below j_hi that avoids w extends by w. It is found from face counts alone:
-per level, bincounts over the face columns give how many faces contain each
-vertex, and w cones exactly when the faces avoiding it at level t number as
-many as the faces containing it at level t + 1. For the veronese presets a
-cheaper sufficient test reads only the point coordinates (`vertex_cone_mask`,
-one array pass over many bounds), so a caller can certify a coned zero
-before any face is built; build_slice itself always runs the count test.
+below j_hi that avoids w extends by w, and then reduced homology vanishes
+there. For the veronese presets `vertex_cone_mask` proves such a cone from
+the point coordinates alone, one array pass over many bounds, so a caller
+certifies a coned zero before any face is built. It is the only cone
+certificate: build_slice does not look for an apex, and the cancellation
+cascade reduces whatever coned slice it is handed.
 
 Each face is born as a parent face plus one later vertex, and that record
 is its identity within its level: rows run parent-major, so the key
 parent * V + last vertex (V the vertex count) increases strictly down a
 level, and the rows sharing a parent are the prefix block that the next
 expansion joins. The facets of every face follow level by level: F + w
-minus its i-th vertex F_i is (F - F_i) + w, found by one search for the
-key of that pair, and F + w minus w is the parent F itself.
+minus w is the parent F itself, minus F's last vertex it is the partner
+row that the expansion joined F with, and minus any other vertex F_i it is
+(F - F_i) + w, found by one search for the key of that pair.
 
 Only dimensions inside a requested band [j_lo, j_hi] are kept, since one
 reduced homology rank needs three consecutive dimensions, and no level
@@ -74,7 +74,6 @@ class ComplexSlice:
     vertices: np.ndarray
     faces_by_dim: dict[int, np.ndarray]
     facets_by_dim: dict[int, np.ndarray]
-    cone_apex: int | None = None
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -158,7 +157,7 @@ def make_matrix(rows: int, cols: int,
 
 def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
                   points: np.ndarray, bound: np.ndarray, cap: int,
-                  member) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  member) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
     A child is parent F plus a vertex w after F's last vertex a (any w for
@@ -171,7 +170,8 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
     runs of about EXPANSION_CHUNK pairs, and the child count is checked
     against cap after each run.
 
-    Returns the children, their coordinate sums and their parent rows.
+    Returns the children, their coordinate sums, their parent rows and
+    their partner rows (for the empty face, the partners' point indices).
     """
     n, k = cur.shape
     rows = np.arange(n, dtype=np.int64)
@@ -190,6 +190,7 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
     slack_t = np.ascontiguousarray((bound - sums).T)
     points_t = np.ascontiguousarray(points.T)
     par_blocks = [np.zeros(0, dtype=np.int64)]
+    partner_blocks = [np.zeros(0, dtype=np.int64)]
     vert_blocks = [np.zeros(0, dtype=cur.dtype)]
     total = lo = 0
     while lo < n:
@@ -205,68 +206,42 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
         ok = np.ones(par.size, dtype=bool)
         for slack, coord in zip(slack_t, points_t):
             ok &= coord.take(verts) <= slack.take(par)
-        par, verts = par[ok], verts[ok]
+        par, partner, verts = par[ok], partner[ok], verts[ok]
         if member is not None:
             resid = (bound - sums[par] - points[verts]).tolist()
             keep = np.array([member(r) for r in resid], dtype=bool)
-            par, verts = par[keep], verts[keep]
+            par, partner, verts = par[keep], partner[keep], verts[keep]
         total += int(par.size)
         if total > cap:
             raise CapacityError(f"face count exceeds cap {cap} during expansion")
         par_blocks.append(par)
+        partner_blocks.append(partner)
         vert_blocks.append(verts)
         lo = hi
     parents = np.concatenate(par_blocks)
     verts = np.concatenate(vert_blocks)
     children = np.hstack([cur.take(parents, axis=0), verts[:, None]])
-    return children, sums.take(parents, axis=0) + points.take(verts, axis=0), parents
+    return (children, sums.take(parents, axis=0) + points.take(verts, axis=0), parents,
+            np.concatenate(partner_blocks))
 
 
-def _cone_apex(levels: list[np.ndarray], j_hi: int) -> int | None:
-    """The lowest local vertex w such that every stored face of dimension
-    below j_hi that avoids w extends by w to a stored face, or None. Such a
-    vertex cones the complex through dimension j_hi - 1, so reduced homology
-    vanishes there.
-
-    The test is a face count. Each (t+1)-face G containing w comes from
-    exactly one t-face avoiding w, namely G - w, a face since faces are
-    closed under subsets. So deg_{t+1}(w), the number of (t+1)-faces
-    containing w, counts the t-faces avoiding w that extend by w, and all
-    N_t - deg_t(w) of them extend exactly when the two numbers agree. The
-    level lists are complete (expansion already applied the membership
-    predicate), so the count is exact for general configurations too.
-    levels[t] holds the t-faces, through j_hi or the first empty level.
-    """
-    v_count = levels[0].shape[0]
-    apex = np.ones(v_count, dtype=bool)
-    deg = np.ones(v_count, dtype=np.int64)  # each vertex is one 0-face
-    for t in range(j_hi):
-        if levels[t].shape[0] == 0:
-            break
-        # column by column: bincount copies its input to int64, and a whole
-        # level at once would briefly take twice the level's own memory
-        deg_up = sum(np.bincount(col, minlength=v_count)
-                     for col in levels[t + 1].T)
-        apex &= levels[t].shape[0] - deg == deg_up
-        deg = deg_up
-    hits = np.flatnonzero(apex)
-    return int(hits[0]) if hits.size else None
-
-
-def _facet_rows(below: np.ndarray, parents: np.ndarray, last: np.ndarray,
-                keys: np.ndarray, v_count: int) -> np.ndarray:
+def _facet_rows(below: np.ndarray, parents: np.ndarray, partners: np.ndarray,
+                last: np.ndarray, keys: np.ndarray, v_count: int) -> np.ndarray:
     """Facet rows of one level from those of the level below.
 
     A face is its parent F plus its last vertex w. Dropping w leaves F, the
-    parent row itself. Dropping F_i leaves (F - F_i) + w: its parent is the
-    row below[F, i] of F - F_i and its last vertex is w, so its key
-    below[F, i] * V + w is searched in the keys of the level below. One
-    search per column keeps the temporaries one column wide, and on
-    np-paper's slices it ran faster than one search over the whole matrix.
+    parent row itself, and dropping F's last vertex leaves the partner row
+    that the expansion joined F with. Dropping any other F_i leaves
+    (F - F_i) + w: its parent is the row below[F, i] of F - F_i and its
+    last vertex is w, so its key below[F, i] * V + w is searched in the
+    keys of the level below. One search per column keeps the temporaries
+    one column wide, and on np-paper's slices it ran faster than one search
+    over the whole matrix.
     """
     out = np.empty((parents.size, below.shape[1] + 1), dtype=np.int64)
     out[:, -1] = parents
-    for i, col in enumerate(below.T):
+    out[:, -2] = partners
+    for i, col in enumerate(below.T[:-1]):
         want = col.take(parents) * v_count + last
         out[:, i] = found = np.searchsorted(keys, want)
         if not np.array_equal(keys.take(found, mode="clip"), want):
@@ -282,11 +257,10 @@ def vertex_cone_mask(config: PointConfig, bounds, k: int) -> np.ndarray:
     vertices other than w. If b_i - w_i >= min(b_i, top_i(w)) for every i,
     a face F avoiding w with at most k vertices has (sum F)_i <= b_i and
     (sum F)_i <= top_i(w), so sum F + w <= b, and for the veronese presets
-    the bound test is the whole face test: F + w is a face. Then
-    build_slice(config, b, -1, k) finds a cone apex and reduced homology
-    vanishes in dimension k - 1. The test is sufficient only; a False row
-    may still be coned. A bound outside the semigroup (the void complex)
-    gives False.
+    the bound test is the whole face test: F + w is a face. So w cones the
+    complex through dimension k - 1, where reduced homology vanishes. The
+    test is sufficient only; a False row may still be coned. A bound
+    outside the semigroup (the void complex) gives False.
 
     One array pass over all rows: points not below b are zeroed, each
     coordinate column is sorted once, and with T(m) the sum of the m
@@ -329,12 +303,9 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     first empty level nothing is expanded or stored. General
     configurations test each residual for semigroup membership; the veronese
     presets need only the coordinatewise bound test, which is exact there.
-    The lowest vertex coning every dimension below j_hi is then read off
-    the per-level vertex degrees of the faces (`_cone_apex`, no membership
-    call); the slice records it as cone_apex, and reduced homology in
-    [j_lo+1, j_hi-1] is known to vanish without linear algebra. Last, the
-    facet rows of every level are derived from the parent rows that the
-    expansion returned (`_facet_rows`).
+    Then the facet rows of every level are derived from the parent and
+    partner rows that the expansion returned (`_facet_rows`). No cone test
+    runs here; callers certify coned zeros beforehand (`vertex_cone_mask`).
 
     Args:
         config: the point configuration.
@@ -365,21 +336,22 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     empty_count = int(in_semigroup(bb))
     empty = np.zeros((empty_count, 0), dtype=np.int32)
     empty_sum = np.zeros((empty_count, config.ambient_dim), dtype=np.int64)
-    singletons, _, _ = _expand_level(empty, None, empty_sum, pts, barr, max_faces, member)
+    singletons, _, _, _ = _expand_level(empty, None, empty_sum, pts, barr, max_faces, member)
     vertices = singletons[:, 0].astype(np.int64)
     v_count = vertices.size
     local_points = pts[vertices]
-    # levels[t] holds the t-faces and parents[t] their parent rows in level t-1
+    # levels[t] holds the t-faces, and parents[t] and partners[t] the rows in
+    # level t-1 of each face minus its last and minus its second-last vertex
     levels = [np.arange(v_count, dtype=np.int32).reshape(-1, 1)]
     parents = [np.zeros(v_count, dtype=np.int64)]
+    partners = [None]
     sums = local_points
     while len(levels) <= j_hi and levels[-1].shape[0]:
-        faces, sums, par = _expand_level(levels[-1], parents[-1], sums, local_points,
-                                         barr, max_faces, member)
+        faces, sums, par, partner = _expand_level(levels[-1], parents[-1], sums,
+                                                  local_points, barr, max_faces, member)
         levels.append(faces)
         parents.append(par)
-
-    apex = _cone_apex(levels, j_hi)
+        partners.append(partner)
 
     faces_by_dim = {-1: empty} if j_lo == -1 else {}
     facets_by_dim = {}
@@ -387,14 +359,15 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     for t in range(min(len(levels) - 1, j_hi) + 1):
         if t:
             keys = parents[t - 1] * v_count + levels[t - 1][:, -1]
-            facets = _facet_rows(facets, parents[t], levels[t][:, -1], keys, v_count)
+            facets = _facet_rows(facets, parents[t], partners[t], levels[t][:, -1],
+                                 keys, v_count)
         if t >= j_lo:
             faces_by_dim[t] = levels[t]
         if t > j_lo:
             facets_by_dim[t] = facets
     return ComplexSlice(config=config, bound=bb, j_lo=j_lo, j_hi=j_hi,
                         vertices=vertices, faces_by_dim=faces_by_dim,
-                        facets_by_dim=facets_by_dim, cone_apex=apex)
+                        facets_by_dim=facets_by_dim)
 
 
 def masked_boundary(sub: np.ndarray, alive_rows: np.ndarray,

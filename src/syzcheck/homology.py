@@ -1,11 +1,12 @@
 """Exact reduced homology ranks for divisor complex slices.
 
-Pipeline: a slice with a coning vertex (found by build_slice) has zero
-homology inside its band with no linear algebra, and so has a dimension
-with no face. Otherwise a unit-pivot cancellation cascade shrinks the chain
+Pipeline: a dimension with no face has zero homology with no linear
+algebra. Otherwise a unit-pivot cancellation cascade shrinks the chain
 complex with no arithmetic, then the residual boundary ranks are computed
 modulo a prime, with fraction-free rational confirmation for any nonzero
-answer.
+answer. Coned slices take the same path: callers certify most of them
+before any face is built (`complexes.vertex_cone_mask`), and the cascade
+and rank certify the rest.
 
 The cascade removes pairs (g, f) with g a facet of f whenever either g has
 exactly one living coface (free-face collapse) or f has exactly one living
@@ -416,9 +417,8 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
     if j - 1 < slice_.j_lo or j + 1 > slice_.j_hi:
         raise ValueError(f"betti at {j} needs dims [{j - 1}, {j + 1}] inside {slice_.dims}")
     md = Multidegree(coords=slice_.bound, total_degree=_grade_or_none(slice_))
-    coned = slice_.cone_apex is not None and slice_.j_lo + 1 <= j <= slice_.j_hi - 1
     # no j-face, no j-chain: a band far above the top face runs no cascade
-    if coned or slice_.face_count(j) == 0:
+    if slice_.face_count(j) == 0:
         return BettiNumber(j=j, value=0, multidegree=md, certified=True)
     alive, sub = _reduce_band(slice_)
     value = middle_homology(masked_boundary(sub[j], alive[j - 1], alive[j]),

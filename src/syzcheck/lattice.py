@@ -278,7 +278,8 @@ def enumerate_multidegrees(config: PointConfig, total_degree: int,
     non-increasing representative with its orbit size, in lexicographic
     descending order. `lattice.compositions` lists every element.
     up_to_symmetry=False is refused: orbit representatives are the only
-    mode, and the keyword is kept for callers that spell it out.
+    mode, and the keyword is kept for callers that spell it out (the
+    criterion-09 acceptance test does).
 
     Raises:
         UnsupportedConfigError: for general configurations (enumeration has

@@ -12,11 +12,12 @@ with the witness.
 Work is organised as one job per coordinate-permutation orbit of bound
 vectors: permuting the coordinates of b permutes the points of the
 configuration, so the divisor complexes of an orbit are isomorphic. Most
-jobs are zeros certified by a coning vertex; one array pass per (q, degree)
-block (`vertex_cone_mask`) finds most of those from the point coordinates
-alone, and they never reach build_slice or the worker pool. The rest may
-run in a worker pool, but the witness is always the first nonzero in the
-deterministic search order (q ascending, degree ascending, canonical
+jobs are zeros certified by a coning vertex, the one cone certificate: one
+array pass per (q, degree) block (`vertex_cone_mask`) reads it off the
+point coordinates, and those jobs never reach build_slice or the worker
+pool. Every other job builds its slice and takes the cascade and rank. It
+may run in a worker pool, but the witness is always the first nonzero in
+the deterministic search order (q ascending, degree ascending, canonical
 representative order).
 """
 
@@ -160,6 +161,16 @@ def _query_hash(query: NpQuery) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _is_record(rec) -> bool:
+    """Whether a parsed store line has the fields and types that put writes."""
+    def is_int(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    return (isinstance(rec, dict) and isinstance(rec.get("b"), list)
+            and all(map(is_int, rec["b"])) and is_int(rec.get("j"))
+            and is_int(rec.get("value")) and isinstance(rec.get("certified"), bool))
+
+
 class ResultsStore:
     """Append-only directory store. Homology values live in one JSON-lines
     file per configuration so distinct queries over the same points share
@@ -181,14 +192,14 @@ class ResultsStore:
             path = self._betti_file(n, d)
             data = path.read_bytes() if path.exists() else b""
             start = 0
-            for line in data.splitlines(keepends=True):
+            for number, line in enumerate(data.splitlines(keepends=True), 1):
                 end = start + len(line)
                 if line.strip():
                     try:
                         rec = json.loads(line)
                     except ValueError:
                         if data[end:].strip():
-                            raise
+                            raise ValueError(f"{path} line {number} is not JSON") from None
                         # the last write was cut short: skip the fragment
                         # and cut it off, so the next record starts on a
                         # fresh line (unless another writer appended since)
@@ -196,6 +207,9 @@ class ResultsStore:
                             if fh.seek(0, os.SEEK_END) == len(data):
                                 fh.truncate(start)
                         break
+                    # a torn write is never whole JSON, so a bad record is fatal
+                    if not _is_record(rec):
+                        raise ValueError(f"{path} line {number} is not a store record")
                     idx[(tuple(rec["b"]), rec["j"])] = (rec["value"], rec["certified"])
                 start = end
             self._index[key] = idx
@@ -250,9 +264,9 @@ class ResultsStore:
 
 def _betti_job(payload: dict) -> dict:
     """One orbit representative that the vertex test did not certify: build
-    the banded slice and take homology. A coning vertex found by the face
-    counts of build_slice still certifies the zero outright; otherwise the
-    rank runs cascade, modular rank, exact confirmation.
+    the banded slice and take homology through the cascade, modular rank
+    and exact confirmation. A cone that the vertex test missed comes out 0
+    the same way.
 
     Runs in worker processes; everything in and out is picklable, and
     capacity problems come back as data so the aggregator can name the
@@ -422,8 +436,9 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     against the divisor-complex homology in dimension p - 1. One rank pair
     is computed per coordinate-permutation orbit and reported for every
     member of the orbit (a representative that the vertex test cones takes
-    its homology 0 without a slice); any disagreement raises immediately,
-    naming the multidegree."""
+    its homology 0 without a slice; any other builds its slice and takes
+    the cascade and rank); any disagreement raises immediately, naming the
+    multidegree."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
     config = veronese_points(n, d)

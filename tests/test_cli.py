@@ -222,6 +222,18 @@ def test_store_env_and_flag(capsys, tmp_path, monkeypatch):
     assert not (env_dir / "betti-n1-d3.jsonl").exists()
 
 
+@pytest.mark.parametrize("record", ['{"b": [4, 0], "j": 0}', "[1,2]",
+                                    '{"b": [4, 0], "j": 0, "value": "1", "certified": true}'])
+def test_malformed_store_record_exits_2(capsys, tmp_path, record):
+    # whole JSON that is not a record is no torn tail: exit 2 naming the
+    # file and line, never a traceback or exit 1 (a negative verdict)
+    (tmp_path / "betti-n1-d2.jsonl").write_text(record + "\n")
+    code, out, err = run(capsys, "check-np", "-n", "1", "-d", "2", "-p", "2",
+                         "--store", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "betti-n1-d2.jsonl line 1 is not a store record" in err
+
+
 def test_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("SYZCHECK_THREADS", "2")
     code, out, _ = run(capsys, "check-np", "-n", "1", "-d", "2", "-p", "2",

@@ -197,23 +197,6 @@ def test_face_cap_bounds_memory():
     assert peak < 12 * 2**20
 
 
-def test_cone_apex_found_on_coned_complex():
-    cfg = veronese_points(1, 2)
-    slc = build_slice(cfg, (4, 2), -1, 2)
-    assert slc.cone_apex == 0
-
-
-def test_cone_apex_absent_when_no_vertex_cones():
-    cfg = veronese_points(1, 3)
-    slc = build_slice(cfg, (4, 2), -1, 1)
-    assert slc.cone_apex is None
-
-
-def test_cone_apex_on_full_simplex():
-    slc = build_slice(line_triple(), (6,), -1, 2)
-    assert slc.cone_apex == 0
-
-
 def test_band_above_the_top_face_stays_cheap(monkeypatch):
     # (2,2) over the conic has 3 vertices and one edge. Every level above
     # dimension 1 is empty, so a band up to dimension 3000 must expand
@@ -235,7 +218,6 @@ def test_band_above_the_top_face_stays_cheap(monkeypatch):
     assert slc.faces(3000).shape == (0, 3001)
     assert slc.subface_rows(3000).shape == (0, 3001)
     assert calls == [1, 3, 1]  # parents of the vertices, the edge, level 2
-    assert slc.cone_apex is None
     assert reduced_betti(slc, 0).value == 1
     assert reduced_betti(slc, 2999).value == 0
 
@@ -299,7 +281,6 @@ def test_vertex_cone_mask_examples():
     # (1, 1) stays isolated; (3, 2) lies outside the semigroup (void complex)
     cfg = veronese_points(1, 2)
     assert vertex_cone_mask(cfg, [(4, 2), (2, 2), (3, 2)], 2).tolist() == [True, False, False]
-    assert build_slice(cfg, (4, 2), -1, 2).cone_apex is not None
     assert vertex_cone_mask(cfg, [], 2).shape == (0,)
     with pytest.raises(ValueError):
         vertex_cone_mask(cfg, [(4, 2)], 0)

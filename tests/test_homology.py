@@ -250,11 +250,21 @@ def test_modular_rank_never_exceeds_exact():
 
 
 def test_cone_certificate_short_circuits():
-    cfg = veronese_points(1, 2)
-    slc = build_slice(cfg, (4, 2), -1, 2)
-    assert slc.cone_apex is not None
-    bn = reduced_betti(slc, 1)
-    assert bn.value == 0 and bn.certified
+    # the vertex test cones v_2(P^1) at (4, 2), so check_np builds no slice
+    # there; built anyway, every coned slice below ranks to the same
+    # certified 0 through the cascade. Brute force finds the apex, and none
+    # for v_3(P^1) at (4, 2), where the values come from the rank alone
+    v2 = veronese_points(1, 2)
+    assert vertex_cone_mask(v2, [(4, 2)], 2).tolist() == [True]
+    for cfg, b, q, apex in [(v2, (4, 2), 2, 0),
+                            (veronese_points(1, 3), (4, 2), 1, None),
+                            (general_config([(1,), (2,), (3,)]), (6,), 2, 0)]:
+        slc = build_slice(cfg, b, -1, q)
+        assert set_apex(slc, q) == apex, (cfg.points, b)
+        for j in range(0, q):
+            bn = reduced_betti(slc, j)
+            assert bn.certified and bn.value == naive_betti(slc, j), (cfg.points, b, j)
+            assert apex is None or bn.value == 0
 
 
 def cone_grid():
@@ -288,16 +298,15 @@ def set_apex(slc, q):
 
 
 def test_cone_certificate_matches_brute_force():
-    # the certificate answers 0 from a theorem; the naive oracle ranks the
-    # full boundaries over Q. Every band -1..q with q <= 3 is checked.
+    # coned or not, the cascade and rank agree with the naive oracle, which
+    # ranks the full boundaries over Q. Every band -1..q with q <= 3 is checked.
     coned = unconed = 0
     for cfg, b in cone_grid():
         oracle = build_slice(cfg, b, -1, 3)
         expected = {j: naive_betti(oracle, j) for j in range(0, 3)}
         for q in range(1, 4):
             slc = build_slice(cfg, b, -1, q)
-            assert slc.cone_apex == set_apex(slc, q), (cfg.points, b, q)
-            if slc.cone_apex is None:
+            if set_apex(slc, q) is None:
                 unconed += 1
             else:
                 coned += 1
@@ -309,7 +318,7 @@ def test_cone_certificate_matches_brute_force():
 
 
 def test_vertex_cone_mask_is_sound_on_the_cone_grid():
-    # wherever the vertex test fires, build_slice finds a cone apex for the
+    # wherever the vertex test fires, brute force finds a cone apex for the
     # same band top and the rank is a certified 0, checked by the naive oracle
     fired = 0
     for cfg, b in cone_grid():
@@ -320,7 +329,7 @@ def test_vertex_cone_mask_is_sound_on_the_cone_grid():
             slc = build_slice(cfg, b, -1, k)
             if fires:
                 fired += 1
-                assert slc.cone_apex is not None, (cfg.points, b, k)
+                assert set_apex(slc, k) is not None, (cfg.points, b, k)
                 bn = reduced_betti(slc, k - 1)
                 assert bn.certified and bn.value == 0 == naive_betti(slc, k - 1)
     assert fired > 0

@@ -20,6 +20,7 @@ from syzcheck.npchecker import (
     check_np,
     cross_validate,
 )
+from test_homology import set_apex
 
 STORE_GOLDEN = Path(__file__).parent / "golden" / "store-n2-d3-p7"
 
@@ -172,7 +173,7 @@ def test_worker_pool_is_sized_by_block(monkeypatch):
 
 def test_vertex_cone_decides_most_jobs_before_any_face_is_built(monkeypatch):
     # over the default windows of (2,3,6) and (3,2,5) the vertex test fires
-    # on 706 of the 707 and 790 of the 790 jobs that build_slice finds
+    # on 706 of the 707 and 790 of the 790 jobs that brute force finds
     # coned, and on no other job; check_np builds a slice for the rest only
     for n, d, p, jobs, coned, fired in [(2, 3, 6, 752, 707, 706),
                                         (3, 2, 5, 819, 790, 790)]:
@@ -182,7 +183,7 @@ def test_vertex_cone_decides_most_jobs_before_any_face_is_built(monkeypatch):
             for deg in range(q + 2, q + 3 + n):
                 reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, deg)]
                 for b, fires in zip(reps, vertex_cone_mask(cfg, reps, q)):
-                    apex = build_slice(cfg, b, -1, q).cone_apex
+                    apex = set_apex(build_slice(cfg, b, -1, q), q)
                     assert apex is not None or not fires, (n, d, q, b)
                     seen["jobs"] += 1
                     seen["coned"] += apex is not None

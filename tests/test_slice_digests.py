@@ -1,8 +1,9 @@
 """Faces, coning vertex and cascade survivors of many slices, pinned by digest.
 
 Each slice in SLICES is hashed (SHA-256) over its local vertex list, every
-face matrix of its band, its cone apex and the alive mask per dimension that
-the cancellation cascade leaves. The digests in tests/golden/slices.json were
+face matrix of its band, its cone apex (the lowest coning vertex, found by
+brute force) and the alive mask per dimension that the cancellation cascade
+leaves. The digests in tests/golden/slices.json were
 recorded before the enumerator and the cascade became array passes, so this
 test holds both to "same faces, same matching", bit for bit. To re-record
 after an intended change, run `PYTHONPATH=src python tests/test_slice_digests.py`
@@ -18,6 +19,7 @@ import numpy as np
 from syzcheck.complexes import build_slice, vertex_cone_mask
 from syzcheck.homology import _reduce_band, reduced_betti
 from syzcheck.lattice import enumerate_multidegrees, general_config, veronese_points
+from test_homology import set_apex
 
 GOLDEN = Path(__file__).parent / "golden" / "slices.json"
 
@@ -42,7 +44,7 @@ def slices():
             yield f"general/{b0},{b1}/3", cfg, (b0, b1), 3
 
 
-def slice_digest(slc) -> str:
+def slice_digest(slc, apex) -> str:
     h = hashlib.sha256()
 
     def put(tag, arr):
@@ -53,7 +55,7 @@ def slice_digest(slc) -> str:
     put("vertices", slc.vertices)
     for t in range(slc.j_lo, slc.j_hi + 1):
         put(f"faces{t}", slc.faces(t))
-    h.update(f"apex:{slc.cone_apex};".encode())
+    h.update(f"apex:{apex};".encode())
     alive, _ = _reduce_band(slc)
     for t in sorted(alive):
         put(f"alive{t}", alive[t])
@@ -65,8 +67,9 @@ def compute():
     unconed = 0
     for label, cfg, b, q in slices():
         slc = build_slice(cfg, b, -1, q)
-        unconed += slc.cone_apex is None
-        digests[label] = slice_digest(slc)
+        apex = set_apex(slc, q)
+        unconed += apex is None
+        digests[label] = slice_digest(slc, apex)
     return digests, unconed
 
 
@@ -81,14 +84,14 @@ def test_slice_digests_match_recording():
 
 def test_vertex_cone_mask_fires_only_on_coned_slices():
     # the vertex test decides which jobs never reach build_slice; on every
-    # pinned veronese slice where it fires, the face-count test finds an apex
+    # pinned veronese slice where it fires, brute force finds an apex
     fired = 0
     for label, cfg, b, q in slices():
         if cfg.kind != "veronese" or not vertex_cone_mask(cfg, [b], q)[0]:
             continue
         fired += 1
         slc = build_slice(cfg, b, -1, q)
-        assert slc.cone_apex is not None, label
+        assert set_apex(slc, q) is not None, label
         assert reduced_betti(slc, q - 1).value == 0, label
     assert fired == 425
 
