@@ -234,6 +234,17 @@ def _positive(text: str) -> int:
     return val
 
 
+def _dimension(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if val < 0:
+        raise argparse.ArgumentTypeError(
+            f"homological dimension must be 0 or more, got {val}")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syzcheck",
@@ -259,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=_positive, required=True)
     sp.add_argument("-d", type=_positive, required=True)
     sp.add_argument("-b", required=True, help="multidegree, comma-separated")
-    sp.add_argument("-j", type=int, required=True, help="homological dimension")
+    sp.add_argument("-j", type=_dimension, required=True,
+                    help="homological dimension, 0 or more")
     _add_common(sp)
     sp.set_defaults(func=cmd_betti)
 

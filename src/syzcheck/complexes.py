@@ -17,8 +17,9 @@ below j_hi that avoids w extends by w, and then reduced homology vanishes
 there. For the veronese presets `vertex_cone_mask` proves such a cone from
 the point coordinates alone, one array pass over many bounds, so a caller
 certifies a coned zero before any face is built. It is the only cone
-certificate: build_slice does not look for an apex, and the cancellation
-cascade reduces whatever coned slice it is handed.
+certificate: build_slice does not look for an apex, and `reduced_betti`
+(element matching, then the cancellation cascade) takes whatever coned
+slice it is handed.
 
 Each face is born as a parent face plus one later vertex, and that record
 is its identity within its level: rows run parent-major, so the key

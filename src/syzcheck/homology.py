@@ -1,12 +1,24 @@
 """Exact reduced homology ranks for divisor complex slices.
 
-Pipeline: a dimension with no face has zero homology with no linear
-algebra. Otherwise a unit-pivot cancellation cascade shrinks the chain
-complex with no arithmetic, then the residual boundary ranks are computed
-modulo a prime, with fraction-free rational confirmation for any nonzero
-answer. Coned slices take the same path: callers certify most of them
-before any face is built (`complexes.vertex_cone_mask`), and the cascade
-and rank certify the rest.
+Pipeline, certificates in order: a dimension j with no face has zero
+homology with no linear algebra. Otherwise an element matching of the
+cells of dimensions j-1, j and j+1 (`_element_matching`) certifies a zero
+when it leaves no critical j-cell. Otherwise a unit-pivot cancellation
+cascade shrinks the chain complex with no arithmetic, then the residual
+boundary ranks are computed modulo a prime, with fraction-free rational
+confirmation for any nonzero answer. Coned slices take the same path:
+callers certify most of them before any face is built
+(`complexes.vertex_cone_mask`), and the later certificates take the rest.
+
+The element matching walks the local vertices in index order and, at
+vertex v, pairs every unmatched face G containing v with G - v when that
+facet is unmatched too. A sequence of such element matchings is acyclic
+(Jonsson, Simplicial Complexes of Graphs, LNM 1928, 2008) with incidence
+coefficients +-1, so by algebraic Morse theory (Skoldberg, Trans. AMS
+2006) the band, a based chain complex whose middle homology is H~_j, has
+H~_j = 0 over Z when no j-cell stays critical. It serves both field
+strategies. Nonzero values, and with them witnesses, come only from the
+cascade and rank.
 
 The cascade removes pairs (g, f) with g a facet of f whenever either g has
 exactly one living coface (free-face collapse) or f has exactly one living
@@ -369,6 +381,59 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
     return alive, sub
 
 
+def _element_matching(slice_: ComplexSlice, j: int):
+    """Pair the cells of dimensions j-1, j and j+1 by the element matchings
+    of the module docstring, yielding (t, coface rows in dimension t, facet
+    rows in dimension t-1) for t = j+1 and t = j at each local vertex in
+    index order. The faces G containing a vertex v have distinct facets
+    G - v, all avoiding v, so the pairs of one vertex are disjoint and each
+    dimension is one array pass.
+
+    Each dimension's vertex labels are sorted once, in the narrowest dtype
+    that holds the vertex count (a stable sort of 16-bit labels is a radix
+    sort); only the order is kept, and an entry's face row is its position
+    in that order divided by the face width.
+    """
+    label = np.int16 if slice_.vertex_count < 2**15 - 1 else np.int32
+    free = {t: np.ones(slice_.face_count(t), dtype=bool) for t in (j - 1, j, j + 1)}
+    passes = []
+    for t in (j + 1, j):
+        if not free[t].size:
+            continue
+        labels = slice_.faces(t).ravel().astype(label)
+        order = np.argsort(labels, kind="stable")
+        order = order.astype(np.int32 if order.size < 2**31 else np.int64)
+        ptr = np.searchsorted(labels[order],
+                              np.arange(slice_.vertex_count + 1, dtype=label))
+        del labels
+        passes.append((t, order, ptr, slice_.subface_rows(t).ravel()))
+    # the last pass is dimension j, and a vertex in no j-face lies in no
+    # (j+1)-face either, so it has nothing to match
+    for v in np.flatnonzero(np.diff(passes[-1][2])).tolist() if passes else ():
+        for t, order, ptr, facets in passes:
+            at = order[ptr[v]:ptr[v + 1]]
+            rows = at // (t + 1)
+            keep = free[t][rows]
+            rows, below = rows[keep], facets[at[keep]]
+            keep = free[t - 1][below]
+            rows, below = rows[keep], below[keep]
+            free[t][rows] = False
+            free[t - 1][below] = False
+            yield t, rows, below
+
+
+def _matching_certifies_zero(slice_: ComplexSlice, j: int) -> bool:
+    """Whether the element matching leaves no critical j-cell, which proves
+    H~_j = 0 over Z. Every prefix of an acyclic matching is acyclic, so the
+    matching stops at the first pass that leaves none."""
+    left = slice_.face_count(j)
+    for _, rows, _ in _element_matching(slice_, j):
+        left -= rows.size
+        if not left:
+            return True
+    return False
+
+
 def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, strategy: str,
                     prime: int, rankers=None) -> int:
     """dim ker(out_map) - rank(in_map), certified over Q.
@@ -408,9 +473,12 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
     """Rank of the j-th reduced homology of the sliced complex.
 
     value = (#j-faces) - rank(boundary_j) - rank(boundary_{j+1}); the slice
-    band must contain [j-1, j+1]. The residual boundaries of the cascade are
-    ranked by `middle_homology`, so certified is always true on return; an
-    exact rank beyond its cell cap raises instead.
+    band must contain [j-1, j+1]. Certificates in order: no j-face gives 0;
+    an element matching of dims j-1 .. j+1 that leaves no critical j-cell
+    gives 0 (over Z, so under either strategy); otherwise the residual
+    boundaries of the cascade are ranked by `middle_homology`. certified
+    is always true on return; an exact rank beyond its cell cap raises
+    instead.
     """
     if strategy not in ("modular_first", "exact"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -418,7 +486,7 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
         raise ValueError(f"betti at {j} needs dims [{j - 1}, {j + 1}] inside {slice_.dims}")
     md = Multidegree(coords=slice_.bound, total_degree=_grade_or_none(slice_))
     # no j-face, no j-chain: a band far above the top face runs no cascade
-    if slice_.face_count(j) == 0:
+    if slice_.face_count(j) == 0 or _matching_certifies_zero(slice_, j):
         return BettiNumber(j=j, value=0, multidegree=md, certified=True)
     alive, sub = _reduce_band(slice_)
     value = middle_homology(masked_boundary(sub[j], alive[j - 1], alive[j]),

@@ -15,9 +15,11 @@ configuration, so the divisor complexes of an orbit are isomorphic. Most
 jobs are zeros certified by a coning vertex, the one cone certificate: one
 array pass per (q, degree) block (`vertex_cone_mask`) reads it off the
 point coordinates, and those jobs never reach build_slice or the worker
-pool. Every other job builds its slice and takes the cascade and rank. It
-may run in a worker pool, but the witness is always the first nonzero in
-the deterministic search order (q ascending, degree ascending, canonical
+pool. Every other job builds its slice and goes through `reduced_betti`:
+an element matching certifies nearly all of the remaining zeros, and the
+cascade and rank decide the rest, every nonzero included. A job may run
+in a worker pool, but the witness is always the first nonzero in the
+deterministic search order (q ascending, degree ascending, canonical
 representative order).
 """
 
@@ -264,9 +266,10 @@ class ResultsStore:
 
 def _betti_job(payload: dict) -> dict:
     """One orbit representative that the vertex test did not certify: build
-    the banded slice and take homology through the cascade, modular rank
-    and exact confirmation. A cone that the vertex test missed comes out 0
-    the same way.
+    the banded slice and take homology through `reduced_betti`, where an
+    element matching of dims q-2 .. q certifies most zeros, and the
+    cascade, modular rank and exact confirmation decide the rest. A cone
+    that the vertex test missed comes out 0 the same way.
 
     Runs in worker processes; everything in and out is picklable, and
     capacity problems come back as data so the aggregator can name the
@@ -274,10 +277,11 @@ def _betti_job(payload: dict) -> dict:
 
     The band runs from the empty face up to dimension q even though the
     rank formula only needs [q - 2, q]: level enumeration walks up from
-    the vertices either way, the lower levels are small, and keeping them
-    lets pair cancellation start at the bottom.  On the fat complexes
-    near the degree bound that turns minutes of sparse elimination into
-    milliseconds of cascade.
+    the vertices either way, and the lower levels are small. The matching
+    reads dims q-2 .. q only; for the jobs it leaves to the cascade,
+    keeping the lower levels lets pair cancellation start at the bottom,
+    which on the fat complexes near the degree bound turns minutes of
+    sparse elimination into milliseconds.
     """
     coords = payload["coords"]
     q = payload["q"]
@@ -437,7 +441,7 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     is computed per coordinate-permutation orbit and reported for every
     member of the orbit (a representative that the vertex test cones takes
     its homology 0 without a slice; any other builds its slice and takes
-    the cascade and rank); any disagreement raises immediately, naming the
+    `reduced_betti`); any disagreement raises immediately, naming the
     multidegree."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")

@@ -92,6 +92,22 @@ def test_betti_on_faces_wider_than_64_bit_keys(capsys):
     assert tor_dimension(15, 1, 1, 17, weight=(151, 121)).total_dim == 1
 
 
+def test_betti_rejects_a_negative_dimension(capsys):
+    # -j -1 would need dimension -2, which no band has: refused while the
+    # arguments are parsed, naming the accepted range
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "-n", "2", "-d", "2", "-b", "2,2,2", "-j", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument -j: homological dimension must be 0 or more, got -1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "-n", "2", "-d", "2", "-b", "2,2,2", "-j", "x"])
+    assert exc.value.code == 2
+    assert "argument -j: invalid int value: 'x'" in capsys.readouterr().err
+    code, out, _ = run(capsys, "betti", "-n", "2", "-d", "2", "-b", "2,2,2", "-j", "0")
+    assert code == 0 and out.endswith(": 0 (certified)\n")
+
+
 def test_betti_membership_error(capsys):
     code, _, err = run(capsys, "betti", "-n", "1", "-d", "3", "-b", "4,0", "-j", "0")
     assert code == 2

@@ -1,19 +1,32 @@
 """Rank engines and reduced homology against independent oracles."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from syzcheck.complexes import boundary_matrix, build_slice, make_matrix, vertex_cone_mask
+from syzcheck import homology
+from syzcheck.complexes import (
+    ComplexSlice,
+    boundary_matrix,
+    build_slice,
+    make_matrix,
+    masked_boundary,
+    vertex_cone_mask,
+)
 from syzcheck.errors import CapacityError
 from syzcheck.homology import (
     BettiNumber,
     RankResult,
     DEFAULT_PRIME,
     _claim_pairs,
+    _element_matching,
+    _matching_certifies_zero,
+    _reduce_band,
     is_prime,
+    middle_homology,
     rank_exact,
     rank_mod_p,
     reduced_betti,
@@ -177,7 +190,8 @@ def test_reduced_betti_band_requirement():
 
 
 def test_reduced_betti_strategies_and_cascade_agree():
-    # both strategies run the cascade; the naive oracle ranks the full
+    # both strategies go through the same certificates (face count,
+    # matching, then cascade and rank); the naive oracle ranks the full
     # boundaries over Q
     cfg = veronese_points(2, 2)
     for m in enumerate_multidegrees(cfg, 3):
@@ -349,6 +363,177 @@ def test_empty_level_short_circuits_the_cascade(monkeypatch):
         assert (bn.value, bn.certified) == (0, True)
     for strategy in ("modular_first", "exact"):
         assert reduced_betti(slc, 11, strategy).value == 0
+
+
+def cascade_betti(slc, j, strategy="modular_first"):
+    # the cascade and rank alone, without the face-count and matching zeros
+    alive, sub = _reduce_band(slc)
+    return middle_homology(masked_boundary(sub[j], alive[j - 1], alive[j]),
+                           masked_boundary(sub[j + 1], alive[j], alive[j + 1]),
+                           strategy, DEFAULT_PRIME)
+
+
+def test_cascade_and_rank_match_brute_force_on_the_cone_grid():
+    # the matching now decides most zeros before the cascade, so the cascade
+    # and rank are checked on their own in every band -1..q with q <= 3
+    for cfg, b in cone_grid():
+        oracle = build_slice(cfg, b, -1, 3)
+        expected = {j: naive_betti(oracle, j) for j in range(0, 3)}
+        for q in range(1, 4):
+            slc = build_slice(cfg, b, -1, q)
+            for j in range(0, q):
+                for strategy in ("modular_first", "exact"):
+                    got = cascade_betti(slc, j, strategy)
+                    assert got == expected[j], (cfg.points, b, q, j, strategy)
+
+
+def window_slices(n, d, p, slack):
+    # the slices check_np hands to reduced_betti: the jobs of its degree
+    # window that the vertex cone test leaves, band -1..q, at j = q - 1
+    cfg = veronese_points(n, d)
+    for q in range(2, p + 1):
+        for deg in range(q + 2, q + 3 + slack):
+            bs = [m.canonical.coords for m in enumerate_multidegrees(cfg, deg)]
+            for b, coned in zip(bs, vertex_cone_mask(cfg, bs, q)):
+                if not coned:
+                    yield b, build_slice(cfg, b, -1, q), q - 1
+
+
+def test_matching_never_certifies_a_nonzero():
+    # brute force on the cone grid (band -1..3, every nonempty j), and the
+    # unconed jobs of two verdict windows that hold the witnesses (9,9,9)
+    # and (4,4,4,4); their slices have up to 14,000 faces, so the cascade
+    # and rank, checked above against brute force, give the reference there
+    fires = Counter()
+    for cfg, b in cone_grid():
+        slc = build_slice(cfg, b, -1, 3)
+        for j in range(0, 3):
+            if slc.face_count(j):
+                value = naive_betti(slc, j)
+                fired = _matching_certifies_zero(slc, j)
+                assert not (fired and value), (cfg.points, b, j)
+                fires["grid", fired, value > 0] += 1
+    for window in [(2, 3, 7, 2), (3, 2, 6, 3)]:
+        for b, slc, j in window_slices(*window):
+            value = cascade_betti(slc, j)
+            fired = _matching_certifies_zero(slc, j)
+            assert not (fired and value), (window, b, j)
+            fires["window", fired, value > 0] += 1
+    assert fires == {("grid", True, False): 258, ("grid", False, True): 33,
+                     ("window", True, False): 72, ("window", False, False): 3,
+                     ("window", False, True): 2}
+
+
+def has_directed_cycle(succ):
+    # Kahn's algorithm: a digraph is acyclic exactly when repeatedly
+    # removing nodes without predecessors removes every node
+    indeg = Counter(w for ws in succ.values() for w in ws)
+    nodes = set(succ) | set(indeg)
+    ready = [u for u in nodes if not indeg[u]]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
+        for w in succ.get(u, ()):
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return removed < len(nodes)
+
+
+def test_element_matching_is_acyclic():
+    # every matched pair is (facet, coface) in the band j-1..j+1, no cell is
+    # matched twice, and the Hasse digraph of the band (coface to facet)
+    # with the matched edges reversed has no directed cycle. The detector
+    # first: a hollow triangle with each vertex matched to the edge leaving
+    # it, all the way round, is the classic cyclic matching
+    triangle = {"v0": ["e01"], "e01": ["v1"], "v1": ["e12"], "e12": ["v2"],
+                "v2": ["e20"], "e20": ["v0"]}
+    assert has_directed_cycle(triangle)
+    del triangle["v2"]
+    assert not has_directed_cycle(triangle)
+    checked = 0
+    for cfg, b in cone_grid():
+        slc = build_slice(cfg, b, -1, 3)
+        for j in range(0, 3):
+            faces = {t: [frozenset(r) for r in slc.faces(t).tolist()]
+                     for t in (j - 1, j, j + 1)}
+            row_of = {t: {f: i for i, f in enumerate(fs)} for t, fs in faces.items()}
+            up = {}
+            for t, rows, below in _element_matching(slc, j):
+                for g, f in zip(rows.tolist(), below.tolist()):
+                    assert faces[t - 1][f] < faces[t][g], (cfg.points, b, j)
+                    assert (t, g) not in up.values() and (t - 1, f) not in up
+                    assert (t - 1, f) not in up.values() and (t, g) not in up
+                    up[t - 1, f] = (t, g)
+            succ = {}
+            for t in (j, j + 1):
+                for g, face in enumerate(faces[t]):
+                    for v in face:
+                        f = row_of[t - 1][face - {v}]
+                        if up.get((t - 1, f)) == (t, g):
+                            succ.setdefault((t - 1, f), []).append((t, g))
+                        else:
+                            succ.setdefault((t, g), []).append((t - 1, f))
+            assert not has_directed_cycle(succ), (cfg.points, b, j)
+            checked += bool(up)
+    assert checked > 0
+
+
+def test_matching_leaves_a_critical_cell_and_the_cascade_decides(monkeypatch):
+    # v_2(P^3) at (3,3,3,3), q = 4, is a zero job of the (3,2,6,3) window
+    # where the matching leaves one critical 3-cell: reduced_betti falls
+    # through to the cascade and rank, which give the certified 0
+    slc = build_slice(veronese_points(3, 2), (3, 3, 3, 3), -1, 4)
+    matched = sum(rows.size for _, rows, _ in _element_matching(slc, 3))
+    assert slc.face_count(3) - matched == 1
+    assert not _matching_certifies_zero(slc, 3)
+    rounds = []
+    claim = homology._claim_pairs
+    monkeypatch.setattr("syzcheck.homology._claim_pairs",
+                        lambda *args: rounds.append(1) or claim(*args))
+    for strategy in ("modular_first", "exact"):
+        bn = reduced_betti(slc, 3, strategy)
+        assert (bn.value, bn.certified) == (0, True)
+    assert rounds
+    assert naive_betti(slc, 3) == 0
+
+
+def test_matching_zero_runs_no_cascade(monkeypatch):
+    # v_3(P^2) at (9,9,3), q = 5: the matching pairs off every 4-cell
+    def no_cascade(*args):
+        raise AssertionError("cascade ran on a matched slice")
+
+    slc = build_slice(veronese_points(2, 3), (9, 9, 3), -1, 5)
+    monkeypatch.setattr("syzcheck.homology._claim_pairs", no_cascade)
+    for strategy in ("modular_first", "exact"):
+        bn = reduced_betti(slc, 4, strategy)
+        assert (bn.value, bn.certified) == (0, True)
+
+
+def test_matching_on_more_vertices_than_16_bit_labels_hold():
+    # 65,539 vertices, most isolated: a square 0-b-a-c-0, hollow (H~_1 = 1)
+    # or split into two triangles by the edge 0-a (H~_1 = 0). Wrapped to 16
+    # bits, a would read as 0, and matching both at once would pair edges
+    # 0b and ab with the one vertex b and certify the hollow square
+    v = 2**16 + 3
+    a, b, c = v - 3, v - 2, v - 1
+    for filled in (True, False):
+        edges = [[0, b], [0, c], [a, b], [a, c]]
+        facets = {0: np.zeros((v, 1), dtype=np.int64),
+                  1: np.array([[b, 0], [c, 0], [b, a], [c, a]], dtype=np.int64)}
+        faces = {-1: np.zeros((1, 0), dtype=np.int32),
+                 0: np.arange(v, dtype=np.int32)[:, None]}
+        if filled:
+            edges.insert(0, [0, a])
+            facets[1] = np.vstack([[a, 0], facets[1]])
+            faces[2] = np.array([[0, a, b], [0, a, c]], dtype=np.int32)
+            facets[2] = np.array([[3, 1, 0], [4, 2, 0]], dtype=np.int64)
+        faces[1] = np.array(edges, dtype=np.int32)
+        slc = ComplexSlice(config=general_config([(1,)]), bound=(1,), j_lo=-1, j_hi=2,
+                           vertices=np.arange(v), faces_by_dim=faces,
+                           facets_by_dim=facets)
+        assert _matching_certifies_zero(slc, 1) == filled
 
 
 def scan_claims(cand, count, partner, alive_own, alive_other):
