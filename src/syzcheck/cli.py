@@ -46,7 +46,12 @@ def _threads(args) -> int:
     if getattr(args, "threads", None) is not None:
         return args.threads
     env = os.environ.get("SYZCHECK_THREADS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"SYZCHECK_THREADS must be an integer, got {env!r}")
 
 
 def _store(args) -> str | None:
@@ -228,7 +233,10 @@ def _add_common(sub, *, prime=True, fmt=True, exact=True, threads=False,
 
 
 def _positive(text: str) -> int:
-    val = int(text)
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if val < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {val}")
     return val

@@ -5,8 +5,10 @@ homology with no linear algebra. Otherwise an element matching of the
 cells of dimensions j-1, j and j+1 (`_element_matching`) certifies a zero
 when it leaves no critical j-cell. Otherwise a unit-pivot cancellation
 cascade shrinks the chain complex with no arithmetic, then the residual
-boundary ranks are computed modulo a prime, with fraction-free rational
-confirmation for any nonzero answer. Coned slices take the same path:
+boundary ranks are computed modulo a prime, with exact rational
+confirmation for any nonzero answer (`rank_exact`: elimination on +-1
+pivots over the integers, then fraction-free elimination of whatever is
+left without a unit entry). Coned slices take the same path:
 callers certify most of them before any face is built
 (`complexes.vertex_cone_mask`), and the later certificates take the rest.
 
@@ -48,7 +50,8 @@ DEFAULT_PRIME = 1_073_741_789
 # dense elimination below this size; sparse elimination above
 DENSE_THRESHOLD = 512
 # refuse exact rational elimination beyond this many matrix cells (rows x
-# cols): Bareiss works on a dense list of Python ints
+# cols): unit pivots fill in sparse rows of Python ints, and Bareiss works on
+# the residual as a dense list of them
 EXACT_CELL_CAP = 10**7
 
 
@@ -134,26 +137,46 @@ def _dense_rank_mod_p(dense: np.ndarray, p: int) -> int:
     return rank
 
 
-def _sparse_rank_mod_p(bm: BoundaryMatrix, p: int, dense_threshold: int) -> int:
-    rows_d: dict[int, dict[int, int]] = {}
+def _sparse_rows(bm: BoundaryMatrix, reduce) -> tuple[dict[int, dict[int, int]],
+                                                     dict[int, set[int]]]:
+    """The rows of bm as {col: value} dicts and the set of rows holding each
+    column. Duplicate triplets are summed, as a dense += would, then reduce
+    maps each sum to the entry kept; entries it maps to zero are dropped."""
+    sums: dict[int, dict[int, int]] = {}
     for r, c, v in zip(bm.row_idx.tolist(), bm.col_idx.tolist(), bm.values.tolist()):
-        vv = v % p
-        if vv:
-            rows_d.setdefault(r, {})[c] = vv
+        row = sums.setdefault(r, {})
+        row[c] = row.get(c, 0) + v
+    rows_d: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for r, row in rows_d.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
+    for r, row in sums.items():
+        kept = {c: rv for c, v in row.items() if (rv := reduce(v))}
+        if kept:
+            rows_d[r] = kept
+            for c in kept:
+                col_rows.setdefault(c, set()).add(r)
+    return rows_d, col_rows
+
+
+def _dense_rows(rows_d: dict[int, dict[int, int]],
+                col_rows: dict[int, set[int]]) -> list[list[int]]:
+    """The living rows as dense lists over the living columns, both in
+    index order."""
+    col_pos = {c: i for i, c in enumerate(sorted(col_rows))}
+    dense = []
+    for r in sorted(rows_d):
+        row = [0] * len(col_pos)
+        for c, v in rows_d[r].items():
+            row[col_pos[c]] = v
+        dense.append(row)
+    return dense
+
+
+def _sparse_rank_mod_p(bm: BoundaryMatrix, p: int, dense_threshold: int) -> int:
+    rows_d, col_rows = _sparse_rows(bm, lambda v: v % p)
     rank = 0
     while col_rows and rows_d:
         if len(rows_d) <= dense_threshold and len(col_rows) <= dense_threshold:
-            row_ids = sorted(rows_d)
-            col_ids = sorted(col_rows)
-            col_pos = {c: i for i, c in enumerate(col_ids)}
-            dense = np.zeros((len(row_ids), len(col_ids)), dtype=np.int64)
-            for i, r in enumerate(row_ids):
-                for c, v in rows_d[r].items():
-                    dense[i, col_pos[c]] = v
+            dense = np.array(_dense_rows(rows_d, col_rows), dtype=np.int64)
             return rank + _dense_rank_mod_p(dense, p)
         c = min(col_rows, key=lambda cc: (len(col_rows[cc]), cc))
         holders = col_rows[c]
@@ -244,19 +267,69 @@ def _bareiss_rank(mat: list[list[int]]) -> int:
     return r
 
 
+def _unit_pivot(rows_d: dict[int, dict[int, int]],
+                col_rows: dict[int, set[int]]) -> tuple[int, int] | None:
+    """(row, col) of the next unit pivot: the column with the fewest living
+    entries among those holding a +-1, then the shortest row with a +-1 in
+    it, ties on the lowest index. None when no living entry is a unit."""
+    for _, c in sorted(zip(map(len, col_rows.values()), col_rows)):
+        units = [r for r in col_rows[c] if rows_d[r][c] in (1, -1)]
+        if units:
+            return min(units, key=lambda rr: (len(rows_d[rr]), rr)), c
+    return None
+
+
+def _unit_pivot_rank(rows_d: dict[int, dict[int, int]],
+                     col_rows: dict[int, set[int]]) -> int:
+    """Eliminate on +-1 pivots, in place, while any living entry is a unit;
+    returns the number of pivots. A unit u is its own inverse, so clearing
+    column c from a row with entry a subtracts the integer multiple a * u of
+    the pivot row: every entry stays an integer, and what is left is the
+    Schur complement, whose rational rank is the rank still to find."""
+    rank = 0
+    while (pivot := _unit_pivot(rows_d, col_rows)) is not None:
+        r, c = pivot
+        piv_row = rows_d.pop(r)
+        for k in piv_row:
+            held = col_rows[k]
+            held.discard(r)
+            if not held:
+                del col_rows[k]
+        u = piv_row[c]
+        for r2 in col_rows.pop(c, ()):
+            row2 = rows_d[r2]
+            f = row2[c] * u
+            for k, v in piv_row.items():
+                nv = row2.get(k, 0) - f * v
+                if nv:
+                    if k not in row2:
+                        col_rows.setdefault(k, set()).add(r2)
+                    row2[k] = nv
+                elif k in row2:
+                    del row2[k]
+                    held = col_rows.get(k)
+                    if held is not None:
+                        held.discard(r2)
+                        if not held:
+                            del col_rows[k]
+            if not row2:
+                del rows_d[r2]
+        rank += 1
+    return rank
+
+
 def rank_exact(m: BoundaryMatrix, *, max_cells: int = EXACT_CELL_CAP) -> RankResult:
-    """Rank over Q by fraction-free (Bareiss) elimination on exact integers.
-    The rows x cols cap is tested before the dense matrix is allocated."""
+    """Rank over Q on exact integers: elimination on +-1 pivots while any
+    entry is a unit, then fraction-free (Bareiss) elimination of the dense
+    residual, which holds no unit. The rows x cols cap is tested before
+    anything is allocated."""
     if m.rows * m.cols > max_cells:
         raise CapacityError(f"{m.rows}x{m.cols} matrix exceeds the exact-rank cap "
                             f"of {max_cells} cells")
-    if m.rows == 0 or m.cols == 0 or m.nnz == 0:
-        return RankResult(rank=0, method="exact_rational", prime=None,
-                          certified_over_Q=True)
-    mat = [[0] * m.cols for _ in range(m.rows)]
-    for r, c, v in zip(m.row_idx.tolist(), m.col_idx.tolist(), m.values.tolist()):
-        mat[r][c] += v
-    rank = _bareiss_rank(mat)
+    rows_d, col_rows = _sparse_rows(m, int)  # int keeps each sum as it is
+    rank = _unit_pivot_rank(rows_d, col_rows)
+    if rows_d:
+        rank += _bareiss_rank(_dense_rows(rows_d, col_rows))
     return RankResult(rank=rank, method="exact_rational", prime=None,
                       certified_over_Q=True)
 

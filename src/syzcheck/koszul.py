@@ -111,6 +111,16 @@ def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
     return elements
 
 
+@lru_cache(maxsize=3)
+def _indexed_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
+                   weight: Vector | None, max_basis: int):
+    """wedge_tensor_basis and the position of each element in it. The
+    three most recent are kept: the two maps around one weight's middle
+    term use three bases, the middle one twice."""
+    basis = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim, weight, max_basis)
+    return basis, {elem: i for i, elem in enumerate(basis)}
+
+
 def koszul_map(p: int, q: int, n: int, d: int,
                weight: Vector | None = None, *,
                max_basis: int = DEFAULT_BASIS_GUARD) -> BoundaryMatrix:
@@ -131,12 +141,11 @@ def koszul_map(p: int, q: int, n: int, d: int,
             raise ValueError("weight must be nonnegative")
         if sum(weight) != (p + q) * d:
             raise ValueError(f"weight sum must be {(p + q) * d} for this map")
-    dom = wedge_tensor_basis(p, d, q * d, v_dim, weight, max_basis)
-    cod = wedge_tensor_basis(p - 1, d, (q + 1) * d, v_dim, weight, max_basis)
+    dom, _ = _indexed_basis(p, d, q * d, v_dim, weight, max_basis)
+    cod, row_of = _indexed_basis(p - 1, d, (q + 1) * d, v_dim, weight, max_basis)
     mon = monomial_basis(d, v_dim)
     sym_dom = monomial_basis(q * d, v_dim)
     sym_cod = monomial_basis((q + 1) * d, v_dim)
-    row_of = {elem: i for i, elem in enumerate(cod)}
     triplets: list[tuple[int, int, int]] = []
     for col, (w, s) in enumerate(dom):
         f = sym_dom.exponents[s]

@@ -108,6 +108,13 @@ def test_betti_rejects_a_negative_dimension(capsys):
     assert code == 0 and out.endswith(": 0 (certified)\n")
 
 
+def test_points_rejects_a_non_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["points", "-n", "x", "-d", "2"])
+    assert exc.value.code == 2
+    assert "argument -n: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_betti_membership_error(capsys):
     code, _, err = run(capsys, "betti", "-n", "1", "-d", "3", "-b", "4,0", "-j", "0")
     assert code == 2
@@ -256,6 +263,13 @@ def test_threads_env(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["status"] == "holds_up_to_bound"
+
+
+def test_threads_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SYZCHECK_THREADS", "abc")
+    code, out, err = run(capsys, "check-np", "-n", "2", "-d", "2", "-p", "1")
+    assert code == 2 and out == ""
+    assert "SYZCHECK_THREADS must be an integer, got 'abc'" in err
 
 
 def test_bench_timing_on_stderr_only(capsys):

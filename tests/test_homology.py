@@ -127,6 +127,60 @@ def test_rank_exact_cell_cap_bounds_memory():
     assert peak < 2**20
 
 
+def random_integer_matrix(rng, rows, cols, entries, values):
+    # seeded triplets drawn from values, with repeated positions kept so
+    # that duplicates are summed (and may cancel)
+    triplets = [(int(rng.integers(0, rows)), int(rng.integers(0, cols)),
+                 int(rng.choice(values))) for _ in range(entries)]
+    return make_matrix(rows, cols, triplets)
+
+
+def test_rank_exact_matches_fraction_rank():
+    # unit pivots first, Bareiss on what is left, against naive rational
+    # elimination; non-unit entries make fill-in leave residuals
+    rng = np.random.default_rng(20261018)
+    for trial in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+        entries = int(rng.integers(0, rows * cols + 4))
+        values = (1, -1, 2, -3, 5) if trial % 3 else (2, -2, 3, -3, 5, 6)
+        bm = random_integer_matrix(rng, rows, cols, entries, values)
+        assert rank_exact(bm).rank == fraction_rank(bm), trial
+
+
+def test_rank_exact_sums_duplicate_triplets():
+    # (0, 0) cancels to zero, leaving column 0 empty, and (1, 1) sums to
+    # the unit -1
+    bm = make_matrix(2, 2, [(0, 0, 2), (0, 0, -2), (0, 1, 3),
+                            (1, 1, 2), (1, 1, -3)])
+    assert rank_exact(bm).rank == fraction_rank(bm) == 1
+    cancel = make_matrix(2, 2, [(0, 0, 1), (1, 1, 4), (0, 0, -1), (1, 1, -4)])
+    assert rank_exact(cancel).rank == 0
+
+
+def test_rank_exact_residual_goes_to_bareiss(monkeypatch):
+    seen = []
+    bareiss = homology._bareiss_rank
+
+    def spy(mat):
+        seen.append([row[:] for row in mat])
+        return bareiss(mat)
+
+    monkeypatch.setattr(homology, "_bareiss_rank", spy)
+    # no unit anywhere: Bareiss gets the whole matrix
+    no_unit = make_matrix(2, 3, [(0, 0, 2), (0, 1, 4), (1, 1, -3), (1, 2, 6)])
+    assert rank_exact(no_unit).rank == fraction_rank(no_unit) == 2
+    assert seen == [[[2, 4, 0], [0, -3, 6]]]
+    # the unit pivot at (0, 0) fills (1, 1) with -1 - 1 = -2, no unit
+    seen.clear()
+    fill = make_matrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    assert rank_exact(fill).rank == 2
+    assert seen == [[[-2]]]
+    # unit pivots alone decide the hollow triangle
+    seen.clear()
+    assert rank_exact(hollow_triangle_matrix()).rank == 2
+    assert seen == []
+
+
 def test_random_sparse_ranks_agree_across_primes():
     # exact rank against three random 30-bit primes, seeded
     rng = np.random.default_rng(20240817)

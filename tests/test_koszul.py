@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 
+from syzcheck import homology, koszul
 from syzcheck.complexes import build_slice
 from syzcheck.errors import CapacityError
 from syzcheck.homology import reduced_betti
@@ -22,7 +23,7 @@ from syzcheck.koszul import (
     tor_dimension,
     wedge_tensor_basis,
 )
-from syzcheck.lattice import compositions, veronese_points
+from syzcheck.lattice import compositions, partitions_into, veronese_points
 from syzcheck.reptheory import (
     WeightCharacter,
     reconstruct_character,
@@ -219,6 +220,43 @@ def test_exact_strategy_agrees_with_modular_first():
         mod = tor_dimension(1, 1, 1, 2, weight=b).total_dim
         exact = tor_dimension(1, 1, 1, 2, weight=b, strategy="exact").total_dim
         assert mod == exact
+
+
+def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
+    # every Koszul differential here is decided by unit pivots alone
+    def no_bareiss(mat):
+        if mat:
+            raise AssertionError(f"Bareiss on a {len(mat)}-row residual")
+        return 0
+
+    monkeypatch.setattr(homology, "_bareiss_rank", no_bareiss)
+    for piece, total in (((1, 1, 1, 3), 3), ((2, 1, 2, 2), 8), ((1, 2, 2, 2), 0)):
+        exact = tor_dimension(*piece, strategy="exact")
+        assert exact.total_dim == total, piece
+        assert exact.weights == tor_dimension(*piece).weights, piece
+
+
+def test_middle_basis_built_once_per_weight(monkeypatch):
+    # the two maps around one weight use three bases: the middle term is
+    # the domain of one and the codomain of the other
+    builds = []
+    build = koszul.wedge_tensor_basis
+
+    def counting(*args):
+        builds.append(args[:3])
+        return build(*args)
+
+    monkeypatch.setattr(koszul, "wedge_tensor_basis", counting)
+    koszul._indexed_basis.cache_clear()
+    t = tor_dimension(2, 1, 2, 2)
+    weights = sum(1 for _ in partitions_into(6, 3))
+    assert len(builds) == 3 * weights
+    assert len(set(builds)) == 3
+    koszul._indexed_basis.cache_clear()
+    builds.clear()
+    tor_dimension(2, 1, 2, 2, weight=(2, 2, 2))
+    assert sorted(builds) == [(1, 2, 4), (2, 2, 2), (3, 2, 0)]
+    assert t.total_dim == 8
 
 
 def test_tor_slice_json():
