@@ -6,9 +6,11 @@ cells of dimensions j-1, j and j+1 (`_element_matching`) certifies a zero
 when it leaves no critical j-cell. Otherwise a unit-pivot cancellation
 cascade shrinks the chain complex with no arithmetic, then the residual
 boundary ranks are computed modulo a prime, with exact rational
-confirmation for any nonzero answer (`rank_exact`: elimination on +-1
-pivots over the integers, then fraction-free elimination of whatever is
-left without a unit entry). Coned slices take the same path:
+confirmation for any nonzero answer. Both ranks run one sparse elimination
+loop (`_eliminate`, structured Gaussian elimination after LaMacchia and
+Odlyzko, 1991): over F_p every entry is a pivot candidate; over Z only
++-1 entries are, and fraction-free (Bareiss) elimination ranks whatever is
+left without a unit pivot. Coned slices take the same path:
 callers certify most of them before any face is built
 (`complexes.vertex_cone_mask`), and the later certificates take the rest.
 
@@ -37,6 +39,7 @@ Koszul pipeline certifies its homology through the same `middle_homology`.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +50,12 @@ from .lattice import Multidegree
 
 # fixed default prime (30 bits) for reproducible runs
 DEFAULT_PRIME = 1_073_741_789
-# dense elimination below this size; sparse elimination above
+# retired: no rank path depends on matrix size any more; kept because the
+# benchmark's tracer reads it to count "sparse" rank calls
 DENSE_THRESHOLD = 512
-# refuse exact rational elimination beyond this many matrix cells (rows x
-# cols): unit pivots fill in sparse rows of Python ints, and Bareiss works on
-# the residual as a dense list of them
+# refuse exact rational elimination when the residual left by the unit
+# pivots has more cells (rows x cols) than this: Bareiss works on it as a
+# dense list of Python ints, the only dense allocation of either rank
 EXACT_CELL_CAP = 10**7
 
 
@@ -85,7 +89,8 @@ def check_prime(p: int) -> int:
     """p if it is an odd prime below 2**31, else ValueError. The range test
     runs first, since is_prime is exact only below 4.76e9."""
     if p >= 2**31:
-        raise ValueError("primes above 31 bits overflow the dense kernel")
+        raise ValueError("primes above 31 bits are out of range: the primality "
+                         "test is exact only below 4.76e9")
     if p <= 2:
         raise ValueError(f"modulus {p} must be an odd prime")
     if not is_prime(p):
@@ -111,30 +116,6 @@ class BettiNumber:
     value: int
     multidegree: Multidegree
     certified: bool
-
-
-def _dense_rank_mod_p(dense: np.ndarray, p: int) -> int:
-    m = np.remainder(dense, p)
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        col = m[rank:, c]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        r = rank + int(nz[0])
-        if r != rank:
-            m[[rank, r]] = m[[r, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        below = m[rank + 1:, c]
-        nzb = np.flatnonzero(below)
-        if nzb.size:
-            factors = (below[nzb] * inv) % p
-            m[rank + 1 + nzb] = (m[rank + 1 + nzb] - factors[:, None] * m[rank]) % p
-        rank += 1
-    return rank
 
 
 def _sparse_rows(bm: BoundaryMatrix, reduce) -> tuple[dict[int, dict[int, int]],
@@ -171,67 +152,72 @@ def _dense_rows(rows_d: dict[int, dict[int, int]],
     return dense
 
 
-def _sparse_rank_mod_p(bm: BoundaryMatrix, p: int, dense_threshold: int) -> int:
-    rows_d, col_rows = _sparse_rows(bm, lambda v: v % p)
+def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
+               inverse, reduce) -> int:
+    """Structured Gaussian elimination in place on the rows of _sparse_rows;
+    returns the number of pivots. Each step takes the living column with
+    the fewest entries and in it the shortest row whose entry u has an
+    inverse(u) other than None, ties on the lowest index; a column with no
+    such row is parked until its entry count changes. Clearing entry a
+    subtracts reduce(a * inverse(u)) times the pivot row, and reduce maps
+    each new entry to the one kept. What is left, all of it in parked
+    columns, is the Schur complement of the pivots."""
+    # (entry count, column) for every count a column has had; an item whose
+    # count is no longer the column's own is stale and skipped
+    queue = [(len(held), c) for c, held in col_rows.items()]
+    heapq.heapify(queue)
+
+    def recount(k: int) -> None:
+        if col_rows[k]:
+            heapq.heappush(queue, (len(col_rows[k]), k))
+        else:
+            del col_rows[k]
+
     rank = 0
-    while col_rows and rows_d:
-        if len(rows_d) <= dense_threshold and len(col_rows) <= dense_threshold:
-            dense = np.array(_dense_rows(rows_d, col_rows), dtype=np.int64)
-            return rank + _dense_rank_mod_p(dense, p)
-        c = min(col_rows, key=lambda cc: (len(col_rows[cc]), cc))
-        holders = col_rows[c]
+    while queue:
+        n, c = heapq.heappop(queue)
+        if len(col_rows.get(c, ())) != n:
+            continue
+        holders = [r for r in col_rows[c] if inverse(rows_d[r][c]) is not None]
+        if not holders:
+            continue
         r = min(holders, key=lambda rr: (len(rows_d[rr]), rr))
         piv_row = rows_d.pop(r)
-        inv = pow(piv_row[c], p - 2, p)
+        inv = inverse(piv_row.pop(c))
+        targets = col_rows.pop(c)
+        targets.discard(r)
         for k in piv_row:
-            held = col_rows.get(k)
-            if held is not None:
-                held.discard(r)
-                if not held:
-                    del col_rows[k]
-        targets = list(col_rows.get(c, ()))
+            col_rows[k].discard(r)
+            recount(k)
         for r2 in targets:
             row2 = rows_d[r2]
-            f = (row2[c] * inv) % p
+            f = reduce(row2.pop(c) * inv)
             for k, v in piv_row.items():
-                nv = (row2.get(k, 0) - f * v) % p
+                nv = reduce(row2.get(k, 0) - f * v)
                 if nv:
                     if k not in row2:
                         col_rows.setdefault(k, set()).add(r2)
+                        recount(k)
                     row2[k] = nv
-                else:
-                    if k in row2:
-                        del row2[k]
-                        held = col_rows.get(k)
-                        if held is not None:
-                            held.discard(r2)
-                            if not held:
-                                del col_rows[k]
+                elif k in row2:
+                    del row2[k]
+                    col_rows[k].discard(r2)
+                    recount(k)
             if not row2:
                 del rows_d[r2]
-        col_rows.pop(c, None)
         rank += 1
     return rank
 
 
-def rank_mod_p(m: BoundaryMatrix, p: int, *,
-               dense_threshold: int = DENSE_THRESHOLD) -> RankResult:
-    """Rank of m over the field with p elements.
-
-    Dense elimination when both sides are at most dense_threshold, otherwise
-    sparse elimination choosing pivots of minimal column then row fill
-    (Markowitz style), switching to dense once the active block is small.
-    Deterministic: ties break on the lowest index.
-    """
+def rank_mod_p(m: BoundaryMatrix, p: int) -> RankResult:
+    """Rank of m over the field with p elements by _eliminate. Every nonzero
+    entry is invertible, so no column is parked and the pivots come in
+    Markowitz order: the sparsest column, then its shortest row, ties on
+    the lowest index."""
     check_prime(p)
-    if m.rows == 0 or m.cols == 0 or m.nnz == 0:
-        return RankResult(rank=0, method="modular", prime=p, certified_over_Q=False)
-    if max(m.rows, m.cols) <= dense_threshold:
-        dense = np.zeros((m.rows, m.cols), dtype=np.int64)
-        np.add.at(dense, (m.row_idx, m.col_idx), m.values.astype(np.int64))
-        rank = _dense_rank_mod_p(dense, p)
-    else:
-        rank = _sparse_rank_mod_p(m, p, dense_threshold)
+    reduce = p.__rmod__  # v -> v % p
+    rows_d, col_rows = _sparse_rows(m, reduce)
+    rank = _eliminate(rows_d, col_rows, lambda u: pow(u, -1, p), reduce)
     return RankResult(rank=rank, method="modular", prime=p, certified_over_Q=False)
 
 
@@ -267,67 +253,16 @@ def _bareiss_rank(mat: list[list[int]]) -> int:
     return r
 
 
-def _unit_pivot(rows_d: dict[int, dict[int, int]],
-                col_rows: dict[int, set[int]]) -> tuple[int, int] | None:
-    """(row, col) of the next unit pivot: the column with the fewest living
-    entries among those holding a +-1, then the shortest row with a +-1 in
-    it, ties on the lowest index. None when no living entry is a unit."""
-    for _, c in sorted(zip(map(len, col_rows.values()), col_rows)):
-        units = [r for r in col_rows[c] if rows_d[r][c] in (1, -1)]
-        if units:
-            return min(units, key=lambda rr: (len(rows_d[rr]), rr)), c
-    return None
-
-
-def _unit_pivot_rank(rows_d: dict[int, dict[int, int]],
-                     col_rows: dict[int, set[int]]) -> int:
-    """Eliminate on +-1 pivots, in place, while any living entry is a unit;
-    returns the number of pivots. A unit u is its own inverse, so clearing
-    column c from a row with entry a subtracts the integer multiple a * u of
-    the pivot row: every entry stays an integer, and what is left is the
-    Schur complement, whose rational rank is the rank still to find."""
-    rank = 0
-    while (pivot := _unit_pivot(rows_d, col_rows)) is not None:
-        r, c = pivot
-        piv_row = rows_d.pop(r)
-        for k in piv_row:
-            held = col_rows[k]
-            held.discard(r)
-            if not held:
-                del col_rows[k]
-        u = piv_row[c]
-        for r2 in col_rows.pop(c, ()):
-            row2 = rows_d[r2]
-            f = row2[c] * u
-            for k, v in piv_row.items():
-                nv = row2.get(k, 0) - f * v
-                if nv:
-                    if k not in row2:
-                        col_rows.setdefault(k, set()).add(r2)
-                    row2[k] = nv
-                elif k in row2:
-                    del row2[k]
-                    held = col_rows.get(k)
-                    if held is not None:
-                        held.discard(r2)
-                        if not held:
-                            del col_rows[k]
-            if not row2:
-                del rows_d[r2]
-        rank += 1
-    return rank
-
-
 def rank_exact(m: BoundaryMatrix, *, max_cells: int = EXACT_CELL_CAP) -> RankResult:
-    """Rank over Q on exact integers: elimination on +-1 pivots while any
-    entry is a unit, then fraction-free (Bareiss) elimination of the dense
-    residual, which holds no unit. The rows x cols cap is tested before
-    anything is allocated."""
-    if m.rows * m.cols > max_cells:
-        raise CapacityError(f"{m.rows}x{m.cols} matrix exceeds the exact-rank cap "
-                            f"of {max_cells} cells")
+    """Rank over Q on exact integers: _eliminate on +-1 pivots (a unit is
+    its own inverse, so every entry stays an integer), then fraction-free
+    (Bareiss) elimination of the unit-free residual as dense rows. The
+    rows x cols cap is tested on that residual before it is made."""
     rows_d, col_rows = _sparse_rows(m, int)  # int keeps each sum as it is
-    rank = _unit_pivot_rank(rows_d, col_rows)
+    rank = _eliminate(rows_d, col_rows, {1: 1, -1: -1}.get, int)
+    if len(rows_d) * len(col_rows) > max_cells:
+        raise CapacityError(f"{len(rows_d)}x{len(col_rows)} residual exceeds the "
+                            f"exact-rank cap of {max_cells} cells")
     if rows_d:
         rank += _bareiss_rank(_dense_rows(rows_d, col_rows))
     return RankResult(rank=rank, method="exact_rational", prime=None,

@@ -55,6 +55,25 @@ def fraction_rank(bm):
     return rank
 
 
+def naive_rank_mod_p(bm, p):
+    # naive dense row reduction over F_p, no shortcuts shared with the package
+    rows = [[0] * bm.cols for _ in range(bm.rows)]
+    for r, c, v in bm.entries:
+        rows[r][c] = (rows[r][c] + v) % p
+    rank = 0
+    for c in range(bm.cols):
+        piv = next((i for i in range(rank, bm.rows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, bm.rows):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def naive_betti(slc, j):
     lower = boundary_matrix(slc, j)
     upper = boundary_matrix(slc, j + 1)
@@ -107,24 +126,44 @@ def test_rank_result_fields():
 
 
 def test_rank_exact_capacity_guard():
-    wide = make_matrix(1, 30, [(0, c, 1) for c in range(30)])
+    # no unit pivot: the whole 1 x 30 row is the residual, 30 cells > 10
+    wide = make_matrix(1, 30, [(0, c, 2) for c in range(30)])
     with pytest.raises(CapacityError):
         rank_exact(wide, max_cells=10)
 
 
-def test_rank_exact_cell_cap_bounds_memory():
-    # 16 million cells with one entry: few columns, but a dense list of
-    # Python ints that size takes over 100 MB, so the default cap must
-    # refuse it before anything is allocated
+def test_rank_exact_cell_cap_bounds_memory(monkeypatch):
+    # 16 million declared cells with one entry: the unit pivot decides it,
+    # with no dense allocation
     square = make_matrix(4000, 4000, [(0, 0, 1)])
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
-            rank_exact(square)
+        assert rank_exact(square).rank == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+    # a unit-free 4000 x 4000 residual (a row and a column of 2s) is refused
+    # before its dense rows are built
+    def unreachable(*args):
+        raise AssertionError("dense residual built past the cap")
+
+    monkeypatch.setattr(homology, "_dense_rows", unreachable)
+    monkeypatch.setattr(homology, "_bareiss_rank", unreachable)
+    cross = make_matrix(4000, 4000, [(0, c, 2) for c in range(4000)]
+                        + [(r, 0, 2) for r in range(1, 4000)])
+    with pytest.raises(CapacityError):
+        rank_exact(cross)
+
+
+def test_rank_exact_unit_bidiagonal_beyond_the_cell_cap():
+    # 3200 x 3200 declared cells exceed the cap, but +-1 pivots rank it
+    # with no residual
+    n = 3200
+    bidiagonal = make_matrix(n, n, [(i, i, 1) for i in range(n)]
+                             + [(i, i + 1, -1) for i in range(n - 1)])
+    assert rank_exact(bidiagonal).rank == n
 
 
 def random_integer_matrix(rng, rows, cols, entries, values):
@@ -205,22 +244,20 @@ def test_random_sparse_ranks_agree_across_primes():
             assert rank_mod_p(bm, p).rank == exact
 
 
-def test_sparse_and_dense_elimination_agree():
-    rng = np.random.default_rng(7)
-    for trial in range(5):
-        triplets = []
-        seen = set()
-        for _ in range(80):
-            r = int(rng.integers(0, 30))
-            c = int(rng.integers(0, 40))
-            if (r, c) in seen:
-                continue
-            seen.add((r, c))
-            triplets.append((r, c, 1 if rng.integers(0, 2) else -1))
-        bm = make_matrix(30, 40, triplets)
-        dense = rank_mod_p(bm, DEFAULT_PRIME, dense_threshold=512).rank
-        sparse = rank_mod_p(bm, DEFAULT_PRIME, dense_threshold=4).rank
-        assert dense == sparse
+def test_rank_mod_p_matches_naive_elimination():
+    # multiples of p vanish, p + 1 and 1 - p are units mod p without being
+    # +-1, cancelling duplicates vanish, and the last row and column stay
+    # empty
+    rng = np.random.default_rng(20261019)
+    for p in (7, DEFAULT_PRIME):
+        values = (1, -1, 2, -3, p, -2 * p, p + 1, 1 - p)
+        for trial in range(40):
+            rows, cols = (int(x) for x in rng.integers(1, 16, size=2))
+            entries = int(rng.integers(0, rows * cols + 4))
+            bm = random_integer_matrix(rng, rows, cols, entries, values)
+            cancel = [(r, c, s * v) for r, c, v in bm.entries[:3] for s in (1, -1)]
+            bm = make_matrix(rows + 1, cols + 1, bm.entries + cancel)
+            assert rank_mod_p(bm, p).rank == naive_rank_mod_p(bm, p), (p, trial)
 
 
 def test_reduced_betti_examples():
