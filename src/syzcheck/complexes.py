@@ -131,14 +131,6 @@ class BoundaryMatrix:
     def nnz(self) -> int:
         return int(self.row_idx.size)
 
-    def to_scipy(self):
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix(
-            (self.values.astype(np.int64), (self.row_idx, self.col_idx)),
-            shape=(self.rows, self.cols),
-        )
-
 
 def make_matrix(rows: int, cols: int,
                 triplets: Sequence[tuple[int, int, int]]) -> BoundaryMatrix:
@@ -157,7 +149,7 @@ def make_matrix(rows: int, cols: int,
 
 
 def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
-                  points: np.ndarray, bound: np.ndarray, cap: int,
+                  points: np.ndarray, bound: np.ndarray,
                   member) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
@@ -169,7 +161,7 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
     the empty face). Candidate pairs (parent, later row of its block) run
     parent-major, so children come out lexicographic; they are tested in
     runs of about EXPANSION_CHUNK pairs, and the child count is checked
-    against cap after each run.
+    against DEFAULT_FACE_CAP after each run.
 
     Returns the children, their coordinate sums, their parent rows and
     their partner rows (for the empty face, the partners' point indices).
@@ -213,8 +205,9 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
             keep = np.array([member(r) for r in resid], dtype=bool)
             par, partner, verts = par[keep], partner[keep], verts[keep]
         total += int(par.size)
-        if total > cap:
-            raise CapacityError(f"face count exceeds cap {cap} during expansion")
+        if total > DEFAULT_FACE_CAP:
+            raise CapacityError(
+                f"face count exceeds cap {DEFAULT_FACE_CAP} during expansion")
         par_blocks.append(par)
         partner_blocks.append(partner)
         vert_blocks.append(verts)
@@ -295,8 +288,8 @@ def vertex_cone_mask(config: PointConfig, bounds, k: int) -> np.ndarray:
     return cones.any(axis=1) & in_semigroup
 
 
-def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
-                *, max_faces: int = DEFAULT_FACE_CAP) -> ComplexSlice:
+def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
+                j_hi: int) -> ComplexSlice:
     """Materialize the faces of the divisor complex with dims in [j_lo, j_hi].
 
     Levels are expanded from the empty face up to dimension j_hi, so the
@@ -313,10 +306,10 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
         bound: nonnegative bound vector of matching length.
         j_lo: lowest dimension kept, at least -1.
         j_hi: highest dimension kept.
-        max_faces: per-dimension face count guard.
 
     Raises:
-        CapacityError: the face count of some dimension exceeds max_faces.
+        CapacityError: the face count of some dimension exceeds
+            DEFAULT_FACE_CAP, read at each call.
     """
     if j_lo < -1:
         raise ValueError("j_lo must be >= -1")
@@ -337,7 +330,7 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     empty_count = int(in_semigroup(bb))
     empty = np.zeros((empty_count, 0), dtype=np.int32)
     empty_sum = np.zeros((empty_count, config.ambient_dim), dtype=np.int64)
-    singletons, _, _, _ = _expand_level(empty, None, empty_sum, pts, barr, max_faces, member)
+    singletons, _, _, _ = _expand_level(empty, None, empty_sum, pts, barr, member)
     vertices = singletons[:, 0].astype(np.int64)
     v_count = vertices.size
     local_points = pts[vertices]
@@ -349,7 +342,7 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int, j_hi: int,
     sums = local_points
     while len(levels) <= j_hi and levels[-1].shape[0]:
         faces, sums, par, partner = _expand_level(levels[-1], parents[-1], sums,
-                                                  local_points, barr, max_faces, member)
+                                                  local_points, barr, member)
         levels.append(faces)
         parents.append(par)
         partners.append(partner)

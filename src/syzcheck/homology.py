@@ -253,16 +253,17 @@ def _bareiss_rank(mat: list[list[int]]) -> int:
     return r
 
 
-def rank_exact(m: BoundaryMatrix, *, max_cells: int = EXACT_CELL_CAP) -> RankResult:
+def rank_exact(m: BoundaryMatrix) -> RankResult:
     """Rank over Q on exact integers: _eliminate on +-1 pivots (a unit is
     its own inverse, so every entry stays an integer), then fraction-free
     (Bareiss) elimination of the unit-free residual as dense rows. The
-    rows x cols cap is tested on that residual before it is made."""
+    rows x cols cap, EXACT_CELL_CAP read at each call, is tested on that
+    residual before it is made."""
     rows_d, col_rows = _sparse_rows(m, int)  # int keeps each sum as it is
     rank = _eliminate(rows_d, col_rows, {1: 1, -1: -1}.get, int)
-    if len(rows_d) * len(col_rows) > max_cells:
+    if len(rows_d) * len(col_rows) > EXACT_CELL_CAP:
         raise CapacityError(f"{len(rows_d)}x{len(col_rows)} residual exceeds the "
-                            f"exact-rank cap of {max_cells} cells")
+                            f"exact-rank cap of {EXACT_CELL_CAP} cells")
     if rows_d:
         rank += _bareiss_rank(_dense_rows(rows_d, col_rows))
     return RankResult(rank=rank, method="exact_rational", prime=None,

@@ -75,25 +75,25 @@ def _wedge_table(p: int, degree: int, v_dim: int):
 
 
 def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
-                       weight: Vector | None = None,
-                       max_basis: int = DEFAULT_BASIS_GUARD) -> list[tuple[tuple[int, ...], int]]:
+                       weight: Vector | None = None) -> list[tuple[tuple[int, ...], int]]:
     """Basis of wedge^p Sym^{wedge_degree} V (x) Sym^{sym_degree} V, or of
     its weight space when a weight is given.
 
     Elements are (strictly increasing index tuple into the wedge_degree
     monomial basis, index into the sym_degree basis), ordered wedge-major
-    and deterministic.
+    and deterministic. A basis, or the wedge factor alone, of more than
+    DEFAULT_BASIS_GUARD elements (read at each call) raises CapacityError.
     """
     if p < 0:
         raise ValueError("exterior power must be nonnegative")
     mon = monomial_basis(wedge_degree, v_dim)
     sym = monomial_basis(sym_degree, v_dim)
-    if comb(mon.size, p) > max_basis:
-        raise CapacityError(f"wedge basis exceeds guard {max_basis}")
+    if comb(mon.size, p) > DEFAULT_BASIS_GUARD:
+        raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
     elements: list[tuple[tuple[int, ...], int]] = []
     if weight is None:
-        if comb(mon.size, p) * sym.size > max_basis:
-            raise CapacityError(f"basis exceeds guard {max_basis}")
+        if comb(mon.size, p) * sym.size > DEFAULT_BASIS_GUARD:
+            raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
         for w in combinations(range(mon.size), p):
             for s in range(sym.size):
                 elements.append((w, s))
@@ -106,24 +106,25 @@ def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
             s = sym.index.get(tuple(int(x) for x in rem[i]))
             if s is not None:
                 elements.append((combos[i], s))
-        if len(elements) > max_basis:
-            raise CapacityError(f"basis exceeds guard {max_basis}")
+        if len(elements) > DEFAULT_BASIS_GUARD:
+            raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
     return elements
 
 
 @lru_cache(maxsize=3)
 def _indexed_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
-                   weight: Vector | None, max_basis: int):
+                   weight: Vector | None, guard: int):
     """wedge_tensor_basis and the position of each element in it. The
     three most recent are kept: the two maps around one weight's middle
-    term use three bases, the middle one twice."""
-    basis = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim, weight, max_basis)
+    term use three bases, the middle one twice. guard is the
+    DEFAULT_BASIS_GUARD in force, passed only to key the cache, so that a
+    basis cached under a higher guard never skips the check of a lower one."""
+    basis = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim, weight)
     return basis, {elem: i for i, elem in enumerate(basis)}
 
 
 def koszul_map(p: int, q: int, n: int, d: int,
-               weight: Vector | None = None, *,
-               max_basis: int = DEFAULT_BASIS_GUARD) -> BoundaryMatrix:
+               weight: Vector | None = None) -> BoundaryMatrix:
     """Matrix of the contraction differential from wedge^p (x) Sym^{qd} to
     wedge^{p-1} (x) Sym^{(q+1)d}, multiplying the dropped wedge factor into
     the symmetric part with alternating signs.
@@ -141,8 +142,8 @@ def koszul_map(p: int, q: int, n: int, d: int,
             raise ValueError("weight must be nonnegative")
         if sum(weight) != (p + q) * d:
             raise ValueError(f"weight sum must be {(p + q) * d} for this map")
-    dom, _ = _indexed_basis(p, d, q * d, v_dim, weight, max_basis)
-    cod, row_of = _indexed_basis(p - 1, d, (q + 1) * d, v_dim, weight, max_basis)
+    dom, _ = _indexed_basis(p, d, q * d, v_dim, weight, DEFAULT_BASIS_GUARD)
+    cod, row_of = _indexed_basis(p - 1, d, (q + 1) * d, v_dim, weight, DEFAULT_BASIS_GUARD)
     mon = monomial_basis(d, v_dim)
     sym_dom = monomial_basis(q * d, v_dim)
     sym_cod = monomial_basis((q + 1) * d, v_dim)
@@ -180,8 +181,7 @@ class TorSlice:
 def tor_dimension(p: int, q: int, n: int, d: int,
                   weight: Vector | None = None, *,
                   strategy: str = "modular_first",
-                  prime: int = DEFAULT_PRIME,
-                  max_basis: int = DEFAULT_BASIS_GUARD) -> TorSlice:
+                  prime: int = DEFAULT_PRIME) -> TorSlice:
     """Dimension of the graded Tor piece at (p, q), per weight or total.
 
     With a weight: the single weight-restricted complex. Without one: one
@@ -201,8 +201,8 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def value_at(b: Vector) -> int:
-        down = koszul_map(p, q, n, d, b, max_basis=max_basis)
-        up = koszul_map(p + 1, q - 1, n, d, b, max_basis=max_basis)
+        down = koszul_map(p, q, n, d, b)
+        up = koszul_map(p + 1, q - 1, n, d, b)
         if up.cols and up.rows != down.cols:
             raise RuntimeError("Koszul interface dimensions disagree")
         # this module's rank names, so the Koszul ranks can be wrapped apart

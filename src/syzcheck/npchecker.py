@@ -11,11 +11,13 @@ with the witness.
 
 Work is organised as one job per coordinate-permutation orbit of bound
 vectors: permuting the coordinates of b permutes the points of the
-configuration, so the divisor complexes of an orbit are isomorphic. Most
-jobs are zeros certified by a coning vertex, the one cone certificate: one
-array pass per (q, degree) block (`vertex_cone_mask`) reads it off the
-point coordinates, and those jobs never reach build_slice or the worker
-pool. Every other job builds its slice and goes through `reduced_betti`:
+configuration, so the divisor complexes of an orbit are isomorphic. The
+jobs of one (q, degree) block, for check_np and for cross_validate alike,
+run through one block runner, `_betti_block`. Most jobs are zeros
+certified by a coning vertex, the one cone certificate: one array pass
+per block (`vertex_cone_mask`) reads it off the point coordinates, and
+those jobs never reach build_slice or the worker pool. Every other job
+(`_betti_job`) builds its slice and goes through `reduced_betti`:
 an element matching certifies nearly all of the remaining zeros, and the
 cascade and rank decide the rest, every nonzero included. A job may run
 in a worker pool, but the witness is always the first nonzero in the
@@ -30,12 +32,13 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from pathlib import Path
 
 import numpy as np
 
-from .complexes import DEFAULT_FACE_CAP, build_slice, vertex_cone_mask
+from .complexes import build_slice, vertex_cone_mask
 from .errors import CapacityError, MismatchError
 from .homology import DEFAULT_PRIME, BettiNumber, check_prime, reduced_betti
 from .koszul import tor_dimension
@@ -68,7 +71,6 @@ class NpQuery:
     prime: int = DEFAULT_PRIME
     threads: int = 1
     store_path: str | None = None
-    max_faces: int = DEFAULT_FACE_CAP
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.p < 1:
@@ -181,16 +183,21 @@ class ResultsStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._index: dict[tuple[int, int], dict[tuple[Vector, int], tuple[int, bool]]] = {}
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ValueError(f"cannot make store directory {self.root}: "
+                             f"{exc.strerror}") from None
+        self._index: dict[tuple[int, int], dict[tuple[Vector, int], int]] = {}
 
     def _betti_file(self, n: int, d: int) -> Path:
         return self.root / f"betti-n{n}-d{d}.jsonl"
 
-    def _load(self, n: int, d: int) -> dict[tuple[Vector, int], tuple[int, bool]]:
+    def _load(self, n: int, d: int) -> dict[tuple[Vector, int], int]:
+        """The certified values of the file of (n, d), read once."""
         key = (n, d)
         if key not in self._index:
-            idx: dict[tuple[Vector, int], tuple[int, bool]] = {}
+            idx: dict[tuple[Vector, int], int] = {}
             path = self._betti_file(n, d)
             data = path.read_bytes() if path.exists() else b""
             start = 0
@@ -212,25 +219,23 @@ class ResultsStore:
                     # a torn write is never whole JSON, so a bad record is fatal
                     if not _is_record(rec):
                         raise ValueError(f"{path} line {number} is not a store record")
-                    idx[(tuple(rec["b"]), rec["j"])] = (rec["value"], rec["certified"])
+                    if rec["certified"]:
+                        idx[(tuple(rec["b"]), rec["j"])] = rec["value"]
                 start = end
             self._index[key] = idx
         return self._index[key]
 
     def get(self, n: int, d: int, coords: Vector, j: int) -> int | None:
-        hit = self._load(n, d).get((tuple(coords), j))
-        if hit is None or not hit[1]:
-            return None
-        return hit[0]
+        return self._load(n, d).get((tuple(coords), j))
 
-    def put(self, n: int, d: int, coords: Vector, j: int,
-            value: int, certified: bool) -> None:
+    def put(self, n: int, d: int, coords: Vector, j: int, value: int) -> None:
+        """Record a certified value; a key already present is kept."""
         idx = self._load(n, d)
         key = (tuple(coords), j)
         if key in idx:
             return
-        idx[key] = (value, certified)
-        rec = {"b": list(coords), "j": j, "value": value, "certified": certified}
+        idx[key] = value
+        rec = {"b": list(coords), "j": j, "value": value, "certified": True}
         with self._betti_file(n, d).open("a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -255,25 +260,27 @@ class ResultsStore:
                                       json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     def write_betti_csv(self, query_hash: str,
-                        rows: list[tuple[Vector, int, int, bool]]) -> Path:
+                        rows: list[tuple[Vector, int, int]]) -> Path:
         lines = ["b,j,value,certified"]
-        for coords, j, value, certified in rows:
+        for coords, j, value in rows:
             b = " ".join(str(x) for x in coords)
-            lines.append(f"{b},{j},{value},{str(certified).lower()}")
+            lines.append(f"{b},{j},{value},true")
         return self._write_atomically(f"betti-{query_hash}.csv",
                                       "\n".join(lines) + "\n")
 
 
-def _betti_job(payload: dict) -> dict:
-    """One orbit representative that the vertex test did not certify: build
-    the banded slice and take homology through `reduced_betti`, where an
-    element matching of dims q-2 .. q certifies most zeros, and the
-    cascade, modular rank and exact confirmation decide the rest. A cone
-    that the vertex test missed comes out 0 the same way.
+def _betti_job(coords: Vector, config: PointConfig, q: int, strategy: str,
+               prime: int) -> int | CapacityError:
+    """The reduced homology rank in dimension q - 1 of one orbit
+    representative that the vertex test did not certify: build the banded
+    slice and take homology through `reduced_betti`, where an element
+    matching of dims q-2 .. q certifies most zeros, and the cascade,
+    modular rank and exact confirmation decide the rest. A cone that the
+    vertex test missed comes out 0 the same way. Every value is certified.
 
-    Runs in worker processes; everything in and out is picklable, and
-    capacity problems come back as data so the aggregator can name the
-    offending multidegree instead of losing it in the pool.
+    Runs in worker processes; a capacity problem comes back as the caught
+    CapacityError, so `_betti_block` can name the offending multidegree
+    instead of losing it in the pool.
 
     The band runs from the empty face up to dimension q even though the
     rank formula only needs [q - 2, q]: level enumeration walks up from
@@ -283,41 +290,67 @@ def _betti_job(payload: dict) -> dict:
     which on the fat complexes near the degree bound turns minutes of
     sparse elimination into milliseconds.
     """
-    coords = payload["coords"]
-    q = payload["q"]
     try:
-        config = veronese_points(payload["n"], payload["d"])
-        slc = build_slice(config, coords, -1, q, max_faces=payload["max_faces"])
-        bn = reduced_betti(slc, q - 1, payload["strategy"], prime=payload["prime"])
-        return {"coords": coords, "q": q, "deg": payload["deg"],
-                "value": bn.value, "certified": bn.certified}
+        # positional, and looked up at call time: the benchmark's tracer
+        # wraps these two names in this module and reads their arguments
+        slc = build_slice(config, coords, -1, q)
+        return reduced_betti(slc, q - 1, strategy, prime=prime).value
     except CapacityError as exc:
-        return {"coords": coords, "q": q, "deg": payload["deg"],
-                "capacity_error": str(exc)}
+        return exc
 
 
-def _job_cost(n: int, d: int, coords: Vector, q: int,
-              config: PointConfig) -> int:
+def _job_cost(coords: Vector, q: int, config: PointConfig) -> int:
     pts = np.asarray(config.points, dtype=np.int64)
     vcount = int(((pts <= np.asarray(coords, dtype=np.int64)).all(axis=1)).sum())
     return comb(vcount, min(q + 1, vcount))
 
 
-def _run_block(jobs: list[dict], threads: int, config: PointConfig) -> list[dict]:
-    """Run one (q, degree) block, largest expected complex first when a
-    pool is used; results are reordered back to enumeration order."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [_betti_job(j) for j in jobs]
-    order = sorted(range(len(jobs)),
-                   key=lambda i: (-_job_cost(jobs[i]["n"], jobs[i]["d"],
-                                             jobs[i]["coords"], jobs[i]["q"], config),
-                                  jobs[i]["coords"]))
-    with multiprocessing.get_context("fork").Pool(min(threads, len(jobs))) as pool:
-        shuffled = pool.map(_betti_job, [jobs[i] for i in order])
-    results: list[dict] = [None] * len(jobs)  # type: ignore[list-item]
-    for pos, i in enumerate(order):
-        results[i] = shuffled[pos]
-    return results
+def _betti_block(config: PointConfig, reps: list[Vector], q: int, strategy: str,
+                 prime: int, threads: int,
+                 store: ResultsStore | None) -> tuple[list[int], int]:
+    """Certified reduced homology ranks in dimension q - 1 of the orbit
+    representatives reps, all of one lattice degree, in the order given,
+    and how many of them came from the store.
+
+    A stored value is reused; a representative that the vertex test cones
+    is a zero before any face is built; every other one runs `_betti_job`,
+    inline or, with threads > 1, in a forked pool, largest expected
+    complex first. New values go to the store in the order of reps, up to
+    the first job that exceeded capacity, which raises naming its
+    multidegree.
+    """
+    n, d = config.n, config.d
+    cached: dict[Vector, int] = {}
+    if store:
+        for coords in reps:
+            hit = store.get(n, d, coords, q - 1)
+            if hit is not None:
+                cached[coords] = hit
+    todo = [coords for coords in reps if coords not in cached]
+    pending = [coords for coords, cone in zip(todo, vertex_cone_mask(config, todo, q))
+               if not cone]
+    job = partial(_betti_job, config=config, q=q, strategy=strategy, prime=prime)
+    if threads <= 1 or len(pending) <= 1:
+        computed = {coords: job(coords) for coords in pending}
+    else:
+        order = sorted(pending, key=lambda coords: (-_job_cost(coords, q, config), coords))
+        with multiprocessing.get_context("fork").Pool(min(threads, len(order))) as pool:
+            computed = dict(zip(order, pool.map(job, order)))
+
+    values = []
+    for coords in reps:
+        if coords in cached:
+            values.append(cached[coords])
+            continue
+        value = computed.get(coords, 0)  # a vertex-coned zero
+        if isinstance(value, CapacityError):
+            raise CapacityError(
+                f"job at b={coords} (q={q}, degree {sum(coords) // d}) exceeded "
+                f"capacity: {value}")
+        if store:
+            store.put(n, d, coords, q - 1, value)
+        values.append(value)
+    return values, len(cached)
 
 
 def check_np(query: NpQuery) -> NpVerdict:
@@ -329,7 +362,7 @@ def check_np(query: NpQuery) -> NpVerdict:
     store = ResultsStore(query.store_path) if query.store_path else None
 
     checked: dict[int, tuple[int, ...]] = {}
-    computed_rows: list[tuple[Vector, int, int, bool]] = []
+    computed_rows: list[tuple[Vector, int, int]] = []
     jobs_total = 0
     jobs_reused = 0
     witness: Witness | None = None
@@ -338,44 +371,16 @@ def check_np(query: NpQuery) -> NpVerdict:
         degrees = tuple(range(q + 2, q + 3 + slack))
         checked[q] = degrees
         for deg in degrees:
-            coords_list = [r.canonical.coords for r in
-                           enumerate_multidegrees(config, deg)]
-            cached: dict[Vector, int] = {}
-            if store:
-                for coords in coords_list:
-                    hit = store.get(query.n, query.d, coords, q - 1)
-                    if hit is not None:
-                        cached[coords] = hit
-            jobs_reused += len(cached)
-            todo = [coords for coords in coords_list if coords not in cached]
-            jobs_total += len(todo)
-            # a vertex-coned job is a certified zero before any face is built
-            coned = vertex_cone_mask(config, todo, q)
-            results = {coords: {"value": 0, "certified": True}
-                       for coords, cone in zip(todo, coned) if cone}
-            pending = [{"n": query.n, "d": query.d, "coords": coords, "q": q,
-                        "deg": deg, "strategy": query.field_strategy,
-                        "prime": query.prime, "max_faces": query.max_faces}
-                       for coords, cone in zip(todo, coned) if not cone]
-            results.update((r["coords"], r)
-                           for r in _run_block(pending, query.threads, config))
-            for coords in coords_list:
-                if coords in cached:
-                    value, certified = cached[coords], True
-                else:
-                    res = results[coords]
-                    if "capacity_error" in res:
-                        raise CapacityError(
-                            f"job at b={coords} (q={q}, degree {deg}) exceeded "
-                            f"capacity: {res['capacity_error']}")
-                    value, certified = res["value"], res["certified"]
-                    if store:
-                        store.put(query.n, query.d, coords, q - 1, value, certified)
-                computed_rows.append((coords, q - 1, value, certified))
-                if witness is None and value > 0 and certified:
+            reps = [r.canonical.coords for r in enumerate_multidegrees(config, deg)]
+            values, reused = _betti_block(config, reps, q, query.field_strategy,
+                                          query.prime, query.threads, store)
+            jobs_reused += reused
+            jobs_total += len(reps) - reused
+            for coords, value in zip(reps, values):
+                computed_rows.append((coords, q - 1, value))
+                if witness is None and value > 0:
                     md = Multidegree(coords=coords, total_degree=deg)
-                    bn = BettiNumber(j=q - 1, value=value, multidegree=md,
-                                     certified=certified)
+                    bn = BettiNumber(j=q - 1, value=value, multidegree=md, certified=True)
                     witness = Witness(b=md, q=q, betti=bn)
             if witness is not None:
                 break
@@ -439,30 +444,19 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     p + q: the graded Tor dimension from the explicit contraction complex
     against the divisor-complex homology in dimension p - 1. One rank pair
     is computed per coordinate-permutation orbit and reported for every
-    member of the orbit (a representative that the vertex test cones takes
-    its homology 0 without a slice; any other builds its slice and takes
-    `reduced_betti`); any disagreement raises immediately, naming the
-    multidegree."""
+    member of the orbit. The homology side is one `_betti_block`, the same
+    path as a check_np block; any disagreement raises, naming the first
+    disagreeing multidegree."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
     config = veronese_points(n, d)
     store = ResultsStore(store_path) if store_path else None
     pairs: list[CrossPair] = []
     reps = [rep.canonical.coords for rep in enumerate_multidegrees(config, p + q)]
-    for coords, coned in zip(reps, vertex_cone_mask(config, reps, p)):
+    bettis, _ = _betti_block(config, reps, p, strategy, prime, threads=1, store=store)
+    for coords, betti in zip(reps, bettis):
         tor = tor_dimension(p, q, n, d, weight=coords, strategy=strategy,
                             prime=prime).total_dim
-        hit = store.get(n, d, coords, p - 1) if store else None
-        if hit is not None:
-            betti = hit
-        else:
-            betti, certified = 0, True  # a vertex-coned zero builds no face
-            if not coned:
-                bn = reduced_betti(build_slice(config, coords, -1, p), p - 1,
-                                   strategy, prime=prime)
-                betti, certified = bn.value, bn.certified
-            if store:
-                store.put(n, d, coords, p - 1, betti, certified)
         if tor != betti:
             raise MismatchError(
                 f"pipelines disagree at b={coords}: tor={tor}, homology={betti}")

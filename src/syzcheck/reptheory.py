@@ -26,7 +26,8 @@ from math import comb
 from typing import Iterable
 
 from .errors import CapacityError, MismatchError
-from .koszul import DEFAULT_BASIS_GUARD, monomial_basis, tor_dimension
+from . import koszul
+from .koszul import monomial_basis, tor_dimension
 from .lattice import Vector, orbit_expansion, orbit_size_of, partitions_into
 
 
@@ -106,15 +107,17 @@ class SchurDecomposition:
         return [{"partition": lam.to_json(), "mult": m} for lam, m in ordered]
 
 
-def weight_character(p: int, q: int, d: int, v_dim: int, *,
-                     max_basis: int = DEFAULT_BASIS_GUARD) -> WeightCharacter:
-    """Weight multiplicities of wedge^p Sym^d V (x) Sym^{qd} V."""
+def weight_character(p: int, q: int, d: int, v_dim: int) -> WeightCharacter:
+    """Weight multiplicities of wedge^p Sym^d V (x) Sym^{qd} V. A support
+    of more than koszul.DEFAULT_BASIS_GUARD weights, counted with
+    multiplicity and read at each call, raises CapacityError."""
     if p < 0 or q < 0 or d < 1 or v_dim < 1:
         raise ValueError(f"need p, q >= 0, d >= 1, v_dim >= 1, got {(p, q, d, v_dim)}")
     mon = monomial_basis(d, v_dim)
     sym = monomial_basis(q * d, v_dim)
-    if comb(mon.size, p) * sym.size > max_basis:
-        raise CapacityError(f"character support exceeds guard {max_basis}")
+    if comb(mon.size, p) * sym.size > koszul.DEFAULT_BASIS_GUARD:
+        raise CapacityError(
+            f"character support exceeds guard {koszul.DEFAULT_BASIS_GUARD}")
     mults: Counter[Vector] = Counter()
     for wedge in combinations(mon.exponents, p):
         base = [0] * v_dim

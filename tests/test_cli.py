@@ -257,6 +257,26 @@ def test_malformed_store_record_exits_2(capsys, tmp_path, record):
     assert "betti-n1-d2.jsonl line 1 is not a store record" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["check-np", "-n", "1", "-d", "2", "-p", "2"],
+    ["cross-validate", "-n", "1", "-d", "2", "-p", "1", "-q", "1"],
+    ["bench", "-n", "1", "-d", "2", "-p", "2"],
+])
+def test_store_that_cannot_be_a_directory_exits_2(capsys, tmp_path, monkeypatch, command):
+    # a file, or a path under one, is a usage error (exit 2) naming the
+    # path, never a traceback that exits 1 like a negative verdict
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    for path in (blocker, blocker / "store"):
+        code, out, err = run(capsys, *command, "--store", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
+    monkeypatch.setenv("SYZCHECK_STORE", str(blocker))
+    code, out, err = run(capsys, *command)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(blocker) in err
+
+
 def test_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("SYZCHECK_THREADS", "2")
     code, out, _ = run(capsys, "check-np", "-n", "1", "-d", "2", "-p", "2",

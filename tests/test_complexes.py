@@ -4,8 +4,11 @@ import time
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from syzcheck import complexes
 from syzcheck.complexes import (
     BoundaryMatrix,
     boundary_matrix,
@@ -116,14 +119,21 @@ def test_boundary_out_of_band_rejected():
         boundary_matrix(slc, 2)
 
 
+def csr(m: BoundaryMatrix) -> sp.csr_matrix:
+    return sp.csr_matrix(
+        (np.asarray(m.values), (np.asarray(m.row_idx), np.asarray(m.col_idx))),
+        shape=(m.rows, m.cols),
+    )
+
+
 def test_boundary_composition_vanishes():
     for n, d, deg in [(1, 3, 3), (2, 2, 3), (2, 3, 2)]:
         cfg = veronese_points(n, d)
         for m in enumerate_multidegrees(cfg, deg):
             slc = build_slice(cfg, m.canonical.coords, -1, 3)
             for j in range(0, 3):
-                a = boundary_matrix(slc, j).to_scipy()
-                b = boundary_matrix(slc, j + 1).to_scipy()
+                a = csr(boundary_matrix(slc, j))
+                b = csr(boundary_matrix(slc, j + 1))
                 assert (a @ b).nnz == 0, (n, d, m.canonical.coords, j)
 
 
@@ -175,22 +185,24 @@ def test_face_counts_permutation_invariant():
             assert base.face_count(t) == perm.face_count(t), (b, t)
 
 
-def test_face_cap_guard():
+def test_face_cap_guard(monkeypatch):
     cfg = veronese_points(2, 2)
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10)
     with pytest.raises(CapacityError):
-        build_slice(cfg, (6, 6, 6), -1, 4, max_faces=10)
+        build_slice(cfg, (6, 6, 6), -1, 4)
 
 
-def test_face_cap_bounds_memory():
+def test_face_cap_bounds_memory(monkeypatch):
     # every set of at most ten of the 35 points fits under this bound, so
     # dimension 4 alone has C(35, 5) = 324,632 faces. The guard must stop
     # the expansion while it holds a bounded block of candidate pairs:
     # testing all of that level's pairs at once peaks near 19 MiB
     cfg = veronese_points(4, 3)
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10**5)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            build_slice(cfg, (30,) * 5, -1, 12, max_faces=10**5)
+            build_slice(cfg, (30,) * 5, -1, 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -201,7 +213,6 @@ def test_band_above_the_top_face_stays_cheap(monkeypatch):
     # (2,2) over the conic has 3 vertices and one edge. Every level above
     # dimension 1 is empty, so a band up to dimension 3000 must expand
     # only the nonempty levels and store nothing above the first empty one.
-    from syzcheck import complexes
     from syzcheck.homology import reduced_betti
 
     calls = []

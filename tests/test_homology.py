@@ -125,11 +125,12 @@ def test_rank_result_fields():
     assert e.certified_over_Q
 
 
-def test_rank_exact_capacity_guard():
+def test_rank_exact_capacity_guard(monkeypatch):
     # no unit pivot: the whole 1 x 30 row is the residual, 30 cells > 10
     wide = make_matrix(1, 30, [(0, c, 2) for c in range(30)])
+    monkeypatch.setattr(homology, "EXACT_CELL_CAP", 10)
     with pytest.raises(CapacityError):
-        rank_exact(wide, max_cells=10)
+        rank_exact(wide)
 
 
 def test_rank_exact_cell_cap_bounds_memory(monkeypatch):

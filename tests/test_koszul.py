@@ -29,6 +29,7 @@ from syzcheck.reptheory import (
     reconstruct_character,
     tor_schur_decomposition,
 )
+from test_complexes import csr
 
 
 def fraction_rank(matrix: "BoundaryMatrix") -> int:
@@ -103,8 +104,8 @@ def test_composite_of_consecutive_maps_is_zero():
         for d in (1, 2, 3):
             for p in (1, 2, 3):
                 for q in (0, 1, 2):
-                    down = koszul_map(p, q, n, d).to_scipy()
-                    up = koszul_map(p + 1, q - 1, n, d).to_scipy() if q >= 1 else None
+                    down = csr(koszul_map(p, q, n, d))
+                    up = csr(koszul_map(p + 1, q - 1, n, d)) if q >= 1 else None
                     if up is None:
                         continue
                     assert abs(down @ up).sum() == 0
@@ -210,9 +211,11 @@ def test_preconditions_rejected():
         koszul_map(1, 1, 1, 2, (5, -1))
 
 
-def test_basis_guard_trips():
+def test_basis_guard_trips(monkeypatch):
+    koszul_map(2, 2, 2, 3)  # cached under the default guard
+    monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 100)
     with pytest.raises(CapacityError):
-        koszul_map(2, 2, 2, 3, max_basis=100)
+        koszul_map(2, 2, 2, 3)
 
 
 def test_exact_strategy_agrees_with_modular_first():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from syzcheck import npchecker
+from syzcheck import complexes, npchecker
 from syzcheck.complexes import build_slice, vertex_cone_mask
 from syzcheck.errors import CapacityError, MismatchError
 from syzcheck.homology import reduced_betti
@@ -231,9 +231,31 @@ def test_store_files_match_recording(tmp_path):
         assert (tmp_path / name).read_bytes() == (STORE_GOLDEN / name).read_bytes(), name
 
 
-def test_capacity_error_names_the_multidegree():
+def test_capacity_error_names_the_multidegree(monkeypatch):
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 2)
     with pytest.raises(CapacityError, match=r"b=\("):
-        check_np(NpQuery(n=2, d=3, p=2, max_faces=2))
+        check_np(NpQuery(n=2, d=3, p=2))
+
+
+def test_capacity_error_names_the_same_job_inline_and_in_a_pool(monkeypatch):
+    # at degree 4 the pool runs (4, 4, 4), the largest complex, first, but
+    # the error names the first failing representative in enumeration
+    # order, (6, 5, 1). The forked workers inherit the patched cap.
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10)
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(CapacityError) as info:
+            check_np(NpQuery(n=2, d=3, p=2, threads=threads))
+        messages.append(str(info.value))
+    assert messages == 2 * ["job at b=(6, 5, 1) (q=2, degree 4) exceeded capacity: "
+                            "face count exceeds cap 10 during expansion"]
+
+
+def test_cross_validate_names_the_job_over_capacity(monkeypatch):
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 2)
+    with pytest.raises(CapacityError,
+                       match=r"^job at b=\(.*\) \(q=2, degree 4\) exceeded capacity: "):
+        cross_validate(2, 2, 2, 2)
 
 
 def test_verdict_json_shape(verdict_237):
@@ -301,7 +323,7 @@ def test_store_rejects_unparseable_line_before_the_tail(tmp_path):
 def test_store_writes_are_atomic(tmp_path, monkeypatch):
     store = ResultsStore(tmp_path)
     verdict = store.write_verdict("abc", {"status": HOLDS})
-    csv = store.write_betti_csv("abc", [((4, 2, 2), 1, 0, True)])
+    csv = store.write_betti_csv("abc", [((4, 2, 2), 1, 0)])
     assert verdict == tmp_path / "verdict-abc.json"
     assert csv == tmp_path / "betti-abc.csv"
     before = {path: path.read_bytes() for path in (verdict, csv)}
@@ -325,7 +347,7 @@ def test_store_writes_are_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         store.write_verdict("abc", {"status": FAILS, "pad": "x" * 1000})
     with pytest.raises(OSError):
-        store.write_betti_csv("abc", [((4, 2, 2), j, 1, True) for j in range(50)])
+        store.write_betti_csv("abc", [((4, 2, 2), j, 1) for j in range(50)])
     monkeypatch.undo()
     assert {path: path.read_bytes() for path in (verdict, csv)} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["betti-abc.csv",
@@ -333,8 +355,11 @@ def test_store_writes_are_atomic(tmp_path, monkeypatch):
 
 
 def test_store_only_reuses_certified(tmp_path):
+    # the store writes only certified values; a line from elsewhere that
+    # says otherwise is read but never reused
+    (tmp_path / "betti-n2-d2.jsonl").write_text(
+        '{"b": [4, 2, 2], "certified": false, "j": 1, "value": 3}\n')
     store = ResultsStore(tmp_path)
-    store.put(2, 2, (4, 2, 2), 1, 3, False)
     assert store.get(2, 2, (4, 2, 2), 1) is None
     store2 = ResultsStore(tmp_path)
     assert store2.get(2, 2, (4, 2, 2), 1) is None
