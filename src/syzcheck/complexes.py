@@ -92,12 +92,6 @@ class ComplexSlice:
     def face_count(self, dim: int) -> int:
         return int(self.faces(dim).shape[0])
 
-    def face_point_sets(self, dim: int) -> list[tuple[Vector, ...]]:
-        """Faces of one dimension as tuples of actual points."""
-        pts = self.config.points
-        return [tuple(pts[i] for i in row)
-                for row in self.vertices[self.faces(dim)].tolist()]
-
     def subface_rows(self, dim: int) -> np.ndarray:
         """(N_dim, dim+1) matrix: entry [f, i] is the row index, in dimension
         dim-1, of face f with its i-th vertex removed. For dim 0 this is a

@@ -24,12 +24,13 @@ H~_j = 0 over Z when no j-cell stays critical. It serves both field
 strategies. Nonzero values, and with them witnesses, come only from the
 cascade and rank.
 
-The cascade removes pairs (g, f) with g a facet of f whenever either g has
-exactly one living coface (free-face collapse) or f has exactly one living
-facet (single-facet cancellation). Eliminating such a unit pivot never fills
-in: the only fill of pivot elimination lands on columns sharing the pivot
-row, and both rule types make that correction vanish, so the reduced
-differential is the plain submatrix and homology of the band is unchanged.
+The cascade (Kaczynski, Mrozek and Slusarek, Homology computation by
+reduction of chain complexes, 1998) has one rule: a face f whose only
+living facet is g cancels against it. The entry [g, f] is +-1, and that
+pivot fills nothing in: g is the only living row of column f, so the
+Schur correction d[c, f] * d[g, f]^-1 * d[g, x] vanishes for every
+living row c other than g. The reduced differential is the plain submatrix
+on the survivors, and the band's homology is unchanged.
 
 Certification: a rank modulo p never exceeds the rational rank, so a Betti
 number that comes out zero modulo p is zero over Q; nonzero values are only
@@ -270,124 +271,33 @@ def rank_exact(m: BoundaryMatrix) -> RankResult:
                       certified_over_Q=True)
 
 
-def _ragged_take(ptr: np.ndarray, idx: np.ndarray,
-                 keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gather idx[ptr[k]:ptr[k+1]] for each k in keys, with repeats of keys."""
-    starts = ptr[keys]
-    lens = ptr[keys + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    base = np.repeat(starts, lens)
-    shift = np.repeat(np.cumsum(lens) - lens, lens)
-    flat = base + (np.arange(total, dtype=np.int64) - shift)
-    return idx[flat], np.repeat(keys, lens)
-
-
-def _claim_pairs(cand: np.ndarray, count: np.ndarray, partner: np.ndarray,
-                 alive_own: np.ndarray, alive_other: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Claim in one array pass the pairs an increasing scan of the distinct
-    candidates would: a living candidate with count 1 and a living partner,
-    the first claimant of a partner winning it. Marks both sides dead and
-    returns (claimants, partners); cand may hold repeats."""
-    cand = np.sort(cand)
-    cand = cand[alive_own[cand] & (count[cand] == 1)]
-    other = partner[cand]
-    ok = alive_other[other]
-    cand, other = cand[ok], other[ok]
-    _, first = np.unique(other, return_index=True)
-    first.sort()
-    cand, other = cand[first], other[first]
-    alive_own[cand] = False
-    alive_other[other] = False
-    return cand, other
-
-
 def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
                                                 dict[int, np.ndarray]]:
-    """Run the cancellation cascade over the whole band.
+    """Run the cancellation cascade over the whole band. Each round walks
+    the dimensions t upward and, from the alive flags at that point, finds
+    the living t-faces with exactly one living facet; each claims that
+    facet, the lowest claimant winning, and both die. Rounds repeat until
+    one claims nothing.
 
-    A round is a down-pass over dimensions upward (a face with one living
-    facet claims it) and an up-pass downward (a face with one living coface
-    claims it), each dimension one _claim_pairs call. Then the killed faces'
-    neighbours update their counts and index sums (a face with count 1 reads
-    its partner off the sum). Rounds repeat until one claims nothing.
-
-    Returns (alive flags per dimension, facet-row matrices per dimension).
-    The surviving faces carry the same homology as the input in every
-    dimension strictly inside the band.
+    Returns (alive flags, facet-row matrices), each per dimension; the
+    survivors carry the input's homology strictly inside the band.
     """
     bot, top = slice_.j_lo, slice_.j_hi
-    dims = list(range(bot, top + 1))
-    counts = {t: slice_.face_count(t) for t in dims}
-    alive = {t: np.ones(counts[t], dtype=bool) for t in dims}
+    alive = {t: np.ones(slice_.face_count(t), dtype=bool) for t in range(bot, top + 1)}
     sub = {t: slice_.subface_rows(t) for t in range(bot + 1, top + 1)}
-
-    dc: dict[int, np.ndarray] = {}
-    sm_dn: dict[int, np.ndarray] = {}
-    uc: dict[int, np.ndarray] = {}
-    sm_up: dict[int, np.ndarray] = {}
-    cof_ptr: dict[int, np.ndarray] = {}
-    cof_idx: dict[int, np.ndarray] = {}
-    for t in range(bot + 1, top + 1):
-        w = sub[t].shape[1]
-        dc[t] = np.full(counts[t], w, dtype=np.int64)
-        sm_dn[t] = sub[t].sum(axis=1) if counts[t] else np.zeros(0, dtype=np.int64)
-        flat = sub[t].ravel()
-        below = counts[t - 1]
-        freq = np.bincount(flat, minlength=below).astype(np.int64)
-        uc[t - 1] = freq
-        cols = np.repeat(np.arange(counts[t], dtype=np.int64), w)
-        acc = np.zeros(below, dtype=np.int64)
-        np.add.at(acc, flat, cols)
-        sm_up[t - 1] = acc
-        # cofaces grouped by facet: sort facet * N + coface (< 2**63 under the cap)
-        radix = max(counts[t], 1)
-        cof_idx[t - 1] = np.sort(flat * radix + cols) % radix
-        ptr = np.zeros(below + 1, dtype=np.int64)
-        np.cumsum(freq, out=ptr[1:])
-        cof_ptr[t - 1] = ptr
-
-    # each pass takes (and clears) its pending candidates: faces that had
-    # count 1 at the start or after the last update
-    pend_dc = {t: np.flatnonzero(dc[t] == 1) for t in dc}
-    pend_uc = {t: np.flatnonzero(uc[t] == 1) for t in uc}
-    # a round: down-pass upward, then up-pass downward, as
-    # (pending, counts, partner sums, dimension, partner dimension)
-    passes = ([(pend_dc, dc, sm_dn, t, t - 1) for t in range(bot + 1, top + 1)]
-              + [(pend_uc, uc, sm_up, t, t + 1) for t in range(top - 1, bot - 1, -1)])
-    empty = np.zeros(0, dtype=np.int64)
     while True:
-        kills: dict[int, list[np.ndarray]] = {t: [] for t in dims}
-        for pend, count, partner, t, u in passes:
-            own, other = _claim_pairs(pend.pop(t, empty), count[t], partner[t],
-                                      alive[t], alive[u])
-            kills[t].append(own)
-            kills[u].append(other)
-        # faces killed in one round are distinct, so concatenation suffices
-        killed_by_dim = {t: np.concatenate(k) for t, k in kills.items() if k}
-        if not any(k.size for k in killed_by_dim.values()):
-            break
-        # update counts and partner sums; the next round's candidates are the
-        # neighbours that now have count 1 and are alive, repeats included
-        for t, killed in killed_by_dim.items():
-            if t in sub:
-                gs = sub[t][killed].ravel()
-                fs = np.repeat(killed, sub[t].shape[1])
-                keep = alive[t - 1][gs]
-                gs = gs[keep]
-                np.subtract.at(uc[t - 1], gs, 1)
-                np.subtract.at(sm_up[t - 1], gs, fs[keep])
-                pend_uc[t - 1] = gs[(uc[t - 1][gs] == 1) & alive[t - 1][gs]]
-            if t in cof_ptr:
-                fs, gs = _ragged_take(cof_ptr[t], cof_idx[t], killed)
-                keep = alive[t + 1][fs]
-                fs = fs[keep]
-                np.subtract.at(dc[t + 1], fs, 1)
-                np.subtract.at(sm_dn[t + 1], fs, gs[keep])
-                pend_dc[t + 1] = fs[(dc[t + 1][fs] == 1) & alive[t + 1][fs]]
-    return alive, sub
+        claimed = 0
+        for t in sub:
+            live = alive[t - 1][sub[t]]
+            cand = np.flatnonzero(alive[t] & (live.sum(axis=1) == 1))
+            # cand ascends, so each partner's first index is its lowest claimant
+            partner, first = np.unique(sub[t][cand, live[cand].argmax(axis=1)],
+                                       return_index=True)
+            alive[t][cand[first]] = False
+            alive[t - 1][partner] = False
+            claimed += partner.size
+        if not claimed:
+            return alive, sub
 
 
 def _element_matching(slice_: ComplexSlice, j: int):
@@ -473,7 +383,7 @@ def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, strategy: s
 def _grade_or_none(slice_: ComplexSlice) -> int | None:
     try:
         return slice_.config.degree_of(slice_.bound)
-    except Exception:
+    except ValueError:
         return None
 
 

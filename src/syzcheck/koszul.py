@@ -29,7 +29,7 @@ import numpy as np
 from .complexes import BoundaryMatrix, make_matrix
 from .errors import CapacityError
 from .homology import DEFAULT_PRIME, middle_homology, rank_exact, rank_mod_p
-from .lattice import Vector, compositions, orbit_expansion, partitions_into
+from .lattice import Vector, composition_count, compositions, orbit_expansion, partitions_into
 
 # refuse bases beyond this many elements
 DEFAULT_BASIS_GUARD = 10**6
@@ -55,6 +55,8 @@ class MonomialBasis:
 def monomial_basis(degree: int, v_dim: int) -> MonomialBasis:
     if degree < 0 or v_dim < 1:
         raise ValueError("need degree >= 0 and v_dim >= 1")
+    if composition_count(degree, v_dim) > DEFAULT_BASIS_GUARD:
+        raise CapacityError(f"Sym^{degree} of C^{v_dim} exceeds guard {DEFAULT_BASIS_GUARD}")
     exponents = tuple(compositions(degree, v_dim))
     return MonomialBasis(degree=degree, v_dim=v_dim, exponents=exponents,
                          index={e: i for i, e in enumerate(exponents)})

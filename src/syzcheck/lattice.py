@@ -25,6 +25,8 @@ Vector = tuple[int, ...]
 
 # enumerate_multidegrees refuses total weights above this (k*d guard)
 ENUMERATION_WEIGHT_GUARD = 10**6
+# veronese_points refuses configurations of more points than this
+VERONESE_POINT_GUARD = 10**5
 
 
 def compositions(total: int, parts: int) -> Iterator[Vector]:
@@ -41,6 +43,14 @@ def compositions(total: int, parts: int) -> Iterator[Vector]:
     for head in range(total, -1, -1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def composition_count(total: int, parts: int) -> int:
+    """How many vectors compositions(total, parts) yields, C(total + parts - 1,
+    parts - 1), exact up to 10**37. The lower index is capped at 64 so that
+    huge sizes cost nothing; a capped count is still above 10**37, since
+    C(m, k) grows with k up to m / 2 and C(128, 64) > 10**37."""
+    return comb(total + parts - 1, min(total, parts - 1, 64))
 
 
 def partitions_into(total: int, max_parts: int, max_part: int | None = None) -> Iterator[Vector]:
@@ -156,9 +166,14 @@ def veronese_points(n: int, d: int) -> PointConfig:
     Returns:
         PointConfig with C(n+d, n) points in lexicographic descending order
         and homogenizer (1/d, ..., 1/d).
+
+    Raises:
+        CapacityError: when C(n+d, n) exceeds VERONESE_POINT_GUARD.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if composition_count(d, n + 1) > VERONESE_POINT_GUARD:
+        raise CapacityError(f"C({n + d}, {n}) points exceed guard {VERONESE_POINT_GUARD}")
     pts = tuple(compositions(d, n + 1))
     w = tuple(Fraction(1, d) for _ in range(n + 1))
     return PointConfig(kind="veronese", points=pts, n=n, d=d, homogenizer=w)

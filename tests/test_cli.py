@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -62,7 +63,7 @@ def test_betti_far_above_the_top_dimension_runs_no_cascade(capsys, monkeypatch):
     def no_cascade(*args):
         raise AssertionError("cascade ran on an empty level")
 
-    monkeypatch.setattr("syzcheck.homology._claim_pairs", no_cascade)
+    monkeypatch.setattr("syzcheck.homology._reduce_band", no_cascade)
     code, out, err = run(capsys, "betti", "-n", "1", "-d", "2", "-b", "2,2", "-j", "30000")
     assert (code, err) == (0, "")
     assert out == "reduced homology rank at b=(2, 2), dimension 30000: 0 (certified)\n"
@@ -275,6 +276,23 @@ def test_store_that_cannot_be_a_directory_exits_2(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, *command)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(blocker) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["points", "-n", "20", "-d", "20"],
+    ["check-np", "-n", "20", "-d", "20", "-p", "2"],
+    ["koszul", "-n", "20", "-d", "20", "-p", "1", "-q", "1"],
+    ["schur", "-p", "1", "-q", "1", "-d", "20", "--vdim", "21"],
+    ["points", "-n", "1000000000", "-d", "1000000000"],
+])
+def test_too_many_points_or_monomials_exits_2_at_once(capsys, command):
+    # C(40, 20), about 1.4e11 points or monomials, is counted before any is
+    # enumerated: a capacity error, where these commands used to hang
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("capacity error: ") and "exceed" in err
 
 
 def test_threads_env(capsys, monkeypatch):

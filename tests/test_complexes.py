@@ -23,7 +23,9 @@ from syzcheck.lattice import enumerate_multidegrees, general_config, veronese_po
 
 
 def faces_as_point_sets(slc, dim):
-    return {frozenset(f) for f in slc.face_point_sets(dim)}
+    pts = slc.config.points
+    return {frozenset(pts[i] for i in row)
+            for row in slc.vertices[slc.faces(dim)].tolist()}
 
 
 def line_triple():

@@ -21,7 +21,6 @@ from syzcheck.homology import (
     BettiNumber,
     RankResult,
     DEFAULT_PRIME,
-    _claim_pairs,
     _element_matching,
     _matching_certifies_zero,
     _reduce_band,
@@ -449,7 +448,7 @@ def test_empty_level_short_circuits_the_cascade(monkeypatch):
     cfg = veronese_points(1, 2)
     slc = build_slice(cfg, (2, 2), -1, 12)
     assert slc.face_count(1) == 1 and slc.face_count(2) == 0
-    monkeypatch.setattr("syzcheck.homology._claim_pairs", no_cascade)
+    monkeypatch.setattr("syzcheck.homology._reduce_band", no_cascade)
     for j in range(2, 12):
         bn = reduced_betti(slc, j)
         assert (bn.value, bn.certified) == (0, True)
@@ -581,9 +580,9 @@ def test_matching_leaves_a_critical_cell_and_the_cascade_decides(monkeypatch):
     assert slc.face_count(3) - matched == 1
     assert not _matching_certifies_zero(slc, 3)
     rounds = []
-    claim = homology._claim_pairs
-    monkeypatch.setattr("syzcheck.homology._claim_pairs",
-                        lambda *args: rounds.append(1) or claim(*args))
+    reduce_band = homology._reduce_band
+    monkeypatch.setattr("syzcheck.homology._reduce_band",
+                        lambda *args: rounds.append(1) or reduce_band(*args))
     for strategy in ("modular_first", "exact"):
         bn = reduced_betti(slc, 3, strategy)
         assert (bn.value, bn.certified) == (0, True)
@@ -597,7 +596,7 @@ def test_matching_zero_runs_no_cascade(monkeypatch):
         raise AssertionError("cascade ran on a matched slice")
 
     slc = build_slice(veronese_points(2, 3), (9, 9, 3), -1, 5)
-    monkeypatch.setattr("syzcheck.homology._claim_pairs", no_cascade)
+    monkeypatch.setattr("syzcheck.homology._reduce_band", no_cascade)
     for strategy in ("modular_first", "exact"):
         bn = reduced_betti(slc, 4, strategy)
         assert (bn.value, bn.certified) == (0, True)
@@ -628,31 +627,36 @@ def test_matching_on_more_vertices_than_16_bit_labels_hold():
         assert _matching_certifies_zero(slc, 1) == filled
 
 
-def scan_claims(cand, count, partner, alive_own, alive_other):
-    # the face-by-face scan the cascade ran before its passes became arrays
-    claimed = []
-    for f in sorted(set(cand.tolist())):
-        if alive_own[f] and count[f] == 1 and alive_other[partner[f]]:
-            alive_own[f] = alive_other[partner[f]] = False
-            claimed.append((f, int(partner[f])))
-    return claimed
+def scan_band(slc):
+    # the cascade face by face: each pass counts every living face's living
+    # facets at its start, then claims in increasing face order
+    lo, hi = slc.j_lo, slc.j_hi
+    alive = {t: [True] * slc.face_count(t) for t in range(lo, hi + 1)}
+    facets = {t: slc.subface_rows(t).tolist() for t in range(lo + 1, hi + 1)}
+    claimed = True
+    while claimed:
+        claimed = False
+        for t in range(lo + 1, hi + 1):
+            live = [[g for g in row if alive[t - 1][g]] if alive[t][f] else []
+                    for f, row in enumerate(facets[t])]
+            for f, gs in enumerate(live):
+                if len(gs) == 1 and alive[t - 1][gs[0]]:
+                    alive[t][f] = alive[t - 1][gs[0]] = False
+                    claimed = True
+    return alive
 
 
-def test_claim_pairs_matches_sequential_scan():
-    # small partner ranges force many candidates onto one partner
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n_own, n_other = int(rng.integers(1, 40)), int(rng.integers(1, 12))
-        count = rng.integers(0, 3, size=n_own)
-        partner = rng.integers(0, n_other, size=n_own)
-        alive_own = rng.random(n_own) < 0.8
-        alive_other = rng.random(n_other) < 0.8
-        cand = rng.integers(0, n_own, size=int(rng.integers(0, 50)))
-        own_ref, other_ref = alive_own.copy(), alive_other.copy()
-        expected = scan_claims(cand, count, partner, own_ref, other_ref)
-        fs, gs = _claim_pairs(cand, count, partner, alive_own, alive_other)
-        assert list(zip(fs.tolist(), gs.tolist())) == expected
-        assert (alive_own == own_ref).all() and (alive_other == other_ref).all()
+def test_reduce_band_matches_face_by_face_scan():
+    cancelled = 0
+    for cfg, b in cone_grid():
+        slc = build_slice(cfg, b, -1, 3)
+        expected = scan_band(slc)
+        alive, _ = _reduce_band(slc)
+        assert sorted(alive) == sorted(expected)
+        for t in alive:
+            assert alive[t].tolist() == expected[t], (cfg.points, b, t)
+            cancelled += expected[t].count(False)
+    assert cancelled > 1000
 
 
 def test_betti_value_is_dataclass_with_multidegree():

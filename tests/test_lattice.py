@@ -7,6 +7,7 @@ from math import comb
 from syzcheck.errors import CapacityError, UnsupportedConfigError
 from syzcheck.lattice import (
     Multidegree,
+    composition_count,
     compositions,
     enumerate_multidegrees,
     general_config,
@@ -219,6 +220,26 @@ def test_compositions_order_and_count():
     got = list(compositions(2, 3))
     assert got == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     assert len(list(compositions(5, 4))) == comb(5 + 3, 3)
+
+
+def test_composition_count_matches_the_enumeration():
+    # total = 0 and parts = 1 give one composition; past the exact range the
+    # lower index is capped, and the count still exceeds 10**37
+    for total in range(0, 9):
+        for parts in range(1, 7):
+            assert composition_count(total, parts) == len(list(compositions(total, parts)))
+    assert composition_count(40, 21) == comb(60, 20)
+    assert composition_count(70, 70) == comb(139, 64) > 10**37
+    assert composition_count(10**9, 10**9) > 10**37
+
+
+def test_veronese_points_guard(monkeypatch):
+    # the count is checked before the points are made; the cache is keyed
+    # on (n, d), so fresh sizes are used here
+    monkeypatch.setattr("syzcheck.lattice.VERONESE_POINT_GUARD", 55)
+    assert len(veronese_points(3, 4).points) == 35
+    with pytest.raises(CapacityError, match="C\\(8, 3\\) points exceed guard 55"):
+        veronese_points(3, 5)
 
 
 def test_partitions_into_order_and_shape():

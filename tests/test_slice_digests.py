@@ -1,13 +1,15 @@
 """Faces, coning vertex and cascade survivors of many slices, pinned by digest.
 
-Each slice in SLICES is hashed (SHA-256) over its local vertex list, every
-face matrix of its band, its cone apex (the lowest coning vertex, found by
-brute force) and the alive mask per dimension that the cancellation cascade
-leaves. The digests in tests/golden/slices.json were
-recorded before the enumerator and the cascade became array passes, so this
-test holds both to "same faces, same matching", bit for bit. To re-record
-after an intended change, run `PYTHONPATH=src python tests/test_slice_digests.py`
-and review the diff.
+Each slice in SLICES has two SHA-256 digests in tests/golden/slices.json.
+The faces digest covers its local vertex list, every face matrix of its
+band and its cone apex (the lowest coning vertex, found by brute force);
+it holds the enumerator to "same faces", bit for bit, as the one combined
+digest did from before the enumerator became array passes. The
+cascade digest covers the alive mask per dimension that the cancellation
+cascade (`homology._reduce_band`) leaves; it was last re-recorded when the
+cascade became one single-facet rule. A change to either part fails the
+test on that part alone. To re-record after an intended change, run
+`PYTHONPATH=src python tests/test_slice_digests.py` and review the diff.
 """
 
 import hashlib
@@ -44,22 +46,25 @@ def slices():
             yield f"general/{b0},{b1}/3", cfg, (b0, b1), 3
 
 
-def slice_digest(slc, apex) -> str:
+def _digest(arrays) -> str:
     h = hashlib.sha256()
-
-    def put(tag, arr):
+    for tag, arr in arrays:
+        if isinstance(arr, str):
+            h.update(f"{tag}:{arr};".encode())
+            continue
         arr = np.ascontiguousarray(arr)
         h.update(f"{tag}:{arr.dtype.str}:{arr.shape};".encode())
         h.update(arr.tobytes())
-
-    put("vertices", slc.vertices)
-    for t in range(slc.j_lo, slc.j_hi + 1):
-        put(f"faces{t}", slc.faces(t))
-    h.update(f"apex:{apex};".encode())
-    alive, _ = _reduce_band(slc)
-    for t in sorted(alive):
-        put(f"alive{t}", alive[t])
     return h.hexdigest()
+
+
+def slice_digests(slc, apex) -> dict[str, str]:
+    faces = [("vertices", slc.vertices)]
+    faces += [(f"faces{t}", slc.faces(t)) for t in range(slc.j_lo, slc.j_hi + 1)]
+    faces.append(("apex", str(apex)))
+    alive, _ = _reduce_band(slc)
+    return {"faces": _digest(faces),
+            "cascade": _digest((f"alive{t}", alive[t]) for t in sorted(alive))}
 
 
 def compute():
@@ -69,7 +74,7 @@ def compute():
         slc = build_slice(cfg, b, -1, q)
         apex = set_apex(slc, q)
         unconed += apex is None
-        digests[label] = slice_digest(slc, apex)
+        digests[label] = slice_digests(slc, apex)
     return digests, unconed
 
 
@@ -78,8 +83,9 @@ def test_slice_digests_match_recording():
     assert unconed >= 20
     recorded = json.loads(GOLDEN.read_text())
     assert sorted(digests) == sorted(recorded)
-    changed = [k for k in digests if digests[k] != recorded[k]]
-    assert not changed, f"{len(changed)} slices differ, first {changed[:5]}"
+    for part in ("faces", "cascade"):
+        changed = [k for k in digests if digests[k][part] != recorded[k][part]]
+        assert not changed, f"{len(changed)} {part} digests differ, first {changed[:5]}"
 
 
 def test_vertex_cone_mask_fires_only_on_coned_slices():

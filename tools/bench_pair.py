@@ -23,9 +23,11 @@ once, and the runs see no PYTHONDONTWRITEBYTECODE, so neither side
 compiles its modules inside a round's setup_s.
 
 The output file, at the root of the change checkout, keeps every run's last
-stdout line (the benchmark's JSON result) and, per workload and side, the
-median and quartiles of each end-to-end metric, plus the number of pairs in
-which the change read better, as BENCHMARK.json defines better.
+stdout line (the benchmark's JSON result, or null with the return code when
+the run printed none) and, per workload and side, the median and quartiles
+of each end-to-end metric, plus the number of pairs in which the change read
+better, as BENCHMARK.json defines better. The same summary ends the stderr
+log, one line per workload and metric.
 """
 
 from __future__ import annotations
@@ -78,8 +80,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1]) if lines else None
-    return {"returncode": proc.returncode, "result": result}
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    # a run that crashed keeps its return code; the pairs so far are kept
+    return {"returncode": proc.returncode,
+            "result": result if isinstance(result, dict) else None}
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -115,6 +122,26 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     out["change_wins"] = wins
     out["pairs"] = len(pairs)
     return out
+
+
+def report(workload: str, summary: dict, metrics: list[dict]) -> list[str]:
+    """One line per metric: parent median (quartiles), change median, pairs
+    the change won, and the failed operations and finished runs per side."""
+    par, chg = summary["parent"], summary["change"]
+    tail = (f"failed ops {par['failed']}/{chg['failed']}, "
+            f"runs {par['runs']}/{chg['runs']} of {summary['pairs']} (parent/change)")
+    lines = []
+    for m in metrics:
+        name = m["name"]
+        if name not in par or name not in chg:
+            lines.append(f"{workload} {name}: no result on one side; {tail}")
+            continue
+        p, c = par[name], chg[name]
+        lines.append(f"{workload} {name}: parent {p['median']:.4g} "
+                     f"({p['q1']:.4g}-{p['q3']:.4g}), change {c['median']:.4g} "
+                     f"{m['unit']}, change won {summary['change_wins'][name]}"
+                     f"/{summary['pairs']} pairs; {tail}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -166,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
                                           "runs": runs}
     out = CHANGE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
+    for workload, entry in doc["workloads"].items():
+        for line in report(workload, entry["summary"], bench["end_to_end"]):
+            print(line, file=sys.stderr)
     print(out.name)
     return 0
 
