@@ -7,10 +7,18 @@ semigroup gives the void complex, without even the empty face.
 One level expansion enumerates every configuration, growing faces from the
 empty face one vertex at a time. Its candidates join two faces that differ
 only in their last vertex (Agrawal-Srikant prefix join), as whole arrays.
-It compares b - sum(F) >= 0 coordinatewise and passes survivors through a
-residual-membership predicate `member`, which is None for the monomial
-(veronese) presets: every point there has coordinate sum d and b lies in
-the semigroup, so the bound test alone is exact.
+Each face carries its slack b - sum(F) packed into uint64 words: every
+coordinate gets a field of W bits, W one more than the bit length of the
+largest bound or point coordinate, so its top (guard) bit starts clear,
+and a word holds 64 // W fields. With G the mask of the guard bits, a
+vertex w fits under F exactly when ((slack(F) | G) - w) & G == G in every
+word, and clearing the guard bits of that difference leaves the child's
+slack: no field borrows once w fits. Survivors then pass a
+residual-membership test on their unpacked slack, which is skipped for
+the monomial (veronese) presets: every point there has coordinate sum d
+and b lies in the semigroup, so the bound test alone is exact. Bounds
+and points are packed once per build, and a coordinate of 2**63 or more,
+which no 64-bit field can hold with its guard bit, is refused.
 
 A vertex w cones the complex through dimension j_hi - 1 when every face
 below j_hi that avoids w extends by w, and then reduced homology vanishes
@@ -28,7 +36,9 @@ level, and the rows sharing a parent are the prefix block that the next
 expansion joins. The facets of every face follow level by level: F + w
 minus w is the parent F itself, minus F's last vertex it is the partner
 row that the expansion joined F with, and minus any other vertex F_i it is
-(F - F_i) + w, found by one search for the key of that pair.
+(F - F_i) + w, whose key is read from a dense table: the level below is
+scattered once into an int32 array indexed by key, and each facet column
+is one gather from it.
 
 Only dimensions inside a requested band [j_lo, j_hi] are kept, since one
 reduced homology rank needs three consecutive dimensions, and no level
@@ -41,6 +51,7 @@ operations. Local vertex i is point config.points[vertices[i]].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +73,7 @@ class ComplexSlice:
     rows lexicographically increasing; dimension -1 is a (1, 0) or (0, 0)
     matrix recording whether the empty face is present (it is, exactly when
     the bound lies in the semigroup). facets_by_dim[t], for t > j_lo, is the
-    (N_t, t+1) int64 matrix whose entry [f, i] is the row, in dimension t-1,
+    (N_t, t+1) int32 matrix whose entry [f, i] is the row, in dimension t-1,
     of face f with its i-th vertex removed. Both stop at the first empty
     level of the band; `faces` and `subface_rows` read every level above it
     as empty.
@@ -99,7 +110,7 @@ class ComplexSlice:
         if not self.j_lo < dim <= self.j_hi:
             raise ValueError(f"boundary at dimension {dim} needs dims {dim - 1} and {dim}")
         sub = self.facets_by_dim.get(dim)
-        return np.zeros((0, dim + 1), dtype=np.int64) if sub is None else sub
+        return np.zeros((0, dim + 1), dtype=np.int32) if sub is None else sub
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +153,31 @@ def make_matrix(rows: int, cols: int,
     )
 
 
-def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
-                  points: np.ndarray, bound: np.ndarray,
-                  member) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pack(vectors: np.ndarray, width: int, per_word: int) -> np.ndarray:
+    """(R, k) nonnegative integer rows as (ceil(k / per_word), R) uint64
+    words: coordinate i is the field of `width` bits at bit
+    (i % per_word) * width of word i // per_word."""
+    k = vectors.shape[1]
+    shifts = np.arange(k, dtype=np.uint64) % np.uint64(per_word) * np.uint64(width)
+    fields = vectors.astype(np.uint64) << shifts
+    return np.bitwise_or.reduceat(fields, np.arange(0, k, per_word), axis=1).T.copy()
+
+
+def _unpack(words: np.ndarray, k: int, width: int, per_word: int) -> np.ndarray:
+    """The (R, k) rows that `_pack` packed into words."""
+    shifts = np.arange(per_word, dtype=np.uint64) * np.uint64(width)
+    fields = (words.T[:, :, None] >> shifts) & np.uint64((1 << width) - 1)
+    return fields.reshape(words.shape[1], words.shape[0] * per_word)[:, :k]
+
+
+def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
+                  points: np.ndarray, guard: np.uint64,
+                  admits) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
     A child is parent F plus a vertex w after F's last vertex a (any w for
     the empty face, k = 0) whose sum stays admissible: under the bound and,
-    when `member` is given, with a residual in the semigroup. As faces are
+    when `admits` is given, with a residual in the semigroup. As faces are
     closed under subsets, w must end a later row F - a + w of F's prefix
     block, the rows sharing F's own parent row (`parent_rows`, unused for
     the empty face). Candidate pairs (parent, later row of its block) run
@@ -157,28 +185,34 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
     runs of about EXPANSION_CHUNK pairs, and the child count is checked
     against DEFAULT_FACE_CAP after each run.
 
-    Returns the children, their coordinate sums, their parent rows and
-    their partner rows (for the empty face, the partners' point indices).
+    `slack` holds each parent's b - sum(F) and `points` each vertex, packed
+    by `_pack` into words whose fields keep their top bit clear; `guard`
+    is the mask of those top bits. Setting the guard bits of F's slack and
+    subtracting w's word leaves a field's guard bit set exactly when that
+    coordinate of w fits, and no field borrows from the next, so w fits
+    under every coordinate when all guard bits survive in every word.
+    Clearing them again leaves the child's slack, b - sum(F) - w. `admits`
+    maps such (words, M) slacks to M booleans.
+
+    Returns the children, their slack words, their parent rows and their
+    partner rows (for the empty face, the partners' point indices).
     """
     n, k = cur.shape
     rows = np.arange(n, dtype=np.int64)
     if k == 0:  # the empty face (n is 0 or 1) pairs with every point
-        first, n_pairs = np.zeros(n, dtype=np.int64), np.full(n, points.shape[0])
-        partner_vertex = np.arange(points.shape[0], dtype=cur.dtype)
+        first, n_pairs = np.zeros(n, dtype=np.int64), np.full(n, points.shape[1])
+        partner_vertex = np.arange(points.shape[1], dtype=cur.dtype)
     else:
-        new_block = np.ones(n, dtype=bool)
-        new_block[1:] = parent_rows[1:] != parent_rows[:-1]
-        block_ends = np.append(np.flatnonzero(new_block)[1:], n)
+        # parent rows ascend, so a block ends after every row whose parent
+        # is at most its own
         first = rows + 1
-        n_pairs = block_ends[np.cumsum(new_block) - 1] - first
+        n_pairs = np.bincount(parent_rows).cumsum().take(parent_rows) - first
         partner_vertex = cur[:, -1]
     pair_cum = np.cumsum(n_pairs)
-    # coordinate-major, so each coordinate is tested with flat gathers
-    slack_t = np.ascontiguousarray((bound - sums).T)
-    points_t = np.ascontiguousarray(points.T)
     par_blocks = [np.zeros(0, dtype=np.int64)]
     partner_blocks = [np.zeros(0, dtype=np.int64)]
     vert_blocks = [np.zeros(0, dtype=cur.dtype)]
+    slack_blocks = [np.zeros((slack.shape[0], 0), dtype=np.uint64)]
     total = lo = 0
     while lo < n:
         done = int(pair_cum[lo - 1]) if lo else 0
@@ -190,14 +224,12 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
         partner = np.arange(done, pair_cum[hi - 1]) + np.repeat(
             first[lo:hi] - pair_cum[lo:hi] + counts, counts)
         verts = partner_vertex.take(partner)
-        ok = np.ones(par.size, dtype=bool)
-        for slack, coord in zip(slack_t, points_t):
-            ok &= coord.take(verts) <= slack.take(par)
-        par, partner, verts = par[ok], partner[ok], verts[ok]
-        if member is not None:
-            resid = (bound - sums[par] - points[verts]).tolist()
-            keep = np.array([member(r) for r in resid], dtype=bool)
-            par, partner, verts = par[keep], partner[keep], verts[keep]
+        words = (slack.take(par, axis=1) | guard) - points.take(verts, axis=1)
+        fit = np.flatnonzero(reduce(np.bitwise_and, words) & guard == guard)
+        if admits is not None:
+            fit = fit[admits(words.take(fit, axis=1) ^ guard)]
+        par, partner, verts = par.take(fit), partner.take(fit), verts.take(fit)
+        words = words.take(fit, axis=1) ^ guard
         total += int(par.size)
         if total > DEFAULT_FACE_CAP:
             raise CapacityError(
@@ -205,34 +237,43 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, sums: np.ndarray,
         par_blocks.append(par)
         partner_blocks.append(partner)
         vert_blocks.append(verts)
+        slack_blocks.append(words)
         lo = hi
     parents = np.concatenate(par_blocks)
-    verts = np.concatenate(vert_blocks)
-    children = np.hstack([cur.take(parents, axis=0), verts[:, None]])
-    return (children, sums.take(parents, axis=0) + points.take(verts, axis=0), parents,
+    children = np.empty((parents.size, k + 1), dtype=cur.dtype)
+    children[:, :k] = cur.take(parents, axis=0)
+    children[:, k] = np.concatenate(vert_blocks)
+    return (children, np.concatenate(slack_blocks, axis=1), parents,
             np.concatenate(partner_blocks))
 
 
 def _facet_rows(below: np.ndarray, parents: np.ndarray, partners: np.ndarray,
-                last: np.ndarray, keys: np.ndarray, v_count: int) -> np.ndarray:
+                last: np.ndarray, keys: np.ndarray, key_space: int,
+                v_count: int) -> np.ndarray:
     """Facet rows of one level from those of the level below.
 
     A face is its parent F plus its last vertex w. Dropping w leaves F, the
     parent row itself, and dropping F's last vertex leaves the partner row
     that the expansion joined F with. Dropping any other F_i leaves
     (F - F_i) + w: its parent is the row below[F, i] of F - F_i and its
-    last vertex is w, so its key below[F, i] * V + w is searched in the
-    keys of the level below. One search per column keeps the temporaries
-    one column wide, and on np-paper's slices it ran faster than one search
-    over the whole matrix.
+    last vertex is w. The level below is scattered once into a dense int32
+    table that maps its keys, parent row * V + last vertex (V the vertex
+    count), to its rows and holds -1 where no face has the key. Its size,
+    key_space, is the row count of the level two below times V, and it
+    counts against DEFAULT_FACE_CAP like a level. Each column is then one
+    gather of the keys below[F, i] * V + w, which stay below key_space and
+    so fit the int32 facet rows they are computed from.
     """
-    out = np.empty((parents.size, below.shape[1] + 1), dtype=np.int64)
+    out = np.empty((parents.size, below.shape[1] + 1), dtype=np.int32)
     out[:, -1] = parents
     out[:, -2] = partners
+    if key_space > DEFAULT_FACE_CAP:
+        raise CapacityError(f"facet table of {key_space} entries exceeds cap {DEFAULT_FACE_CAP}")
+    table = np.full(key_space, -1, dtype=np.int32)
+    table[keys] = np.arange(keys.size, dtype=np.int32)
     for i, col in enumerate(below.T[:-1]):
-        want = col.take(parents) * v_count + last
-        out[:, i] = found = np.searchsorted(keys, want)
-        if not np.array_equal(keys.take(found, mode="clip"), want):
+        out[:, i] = found = table.take(col.take(parents) * v_count + last)
+        if found.size and found.min() < 0:
             raise RuntimeError("band is not closed downward")
     return out
 
@@ -288,12 +329,14 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
 
     Levels are expanded from the empty face up to dimension j_hi, so the
     vertices are the one-point extensions of the empty face; above the
-    first empty level nothing is expanded or stored. General
-    configurations test each residual for semigroup membership; the veronese
-    presets need only the coordinatewise bound test, which is exact there.
-    Then the facet rows of every level are derived from the parent and
-    partner rows that the expansion returned (`_facet_rows`). No cone test
-    runs here; callers certify coned zeros beforehand (`vertex_cone_mask`).
+    first empty level nothing is expanded or stored. The points and the
+    bound are packed into words once, and every level tests its candidates
+    on those words (`_expand_level`). General configurations test each
+    residual for semigroup membership; the veronese presets need only the
+    packed bound test, which is exact there. Then the facet rows of every
+    level are derived from the parent and partner rows that the expansion
+    returned (`_facet_rows`). No cone test runs here; callers certify coned
+    zeros beforehand (`vertex_cone_mask`).
 
     Args:
         config: the point configuration.
@@ -302,8 +345,9 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
         j_hi: highest dimension kept.
 
     Raises:
-        CapacityError: the face count of some dimension exceeds
-            DEFAULT_FACE_CAP, read at each call.
+        ValueError: a bound or point coordinate is 2**63 or more.
+        CapacityError: the face count of some dimension, or the entry count
+            of some facet table, exceeds DEFAULT_FACE_CAP, read at each call.
     """
     if j_lo < -1:
         raise ValueError("j_lo must be >= -1")
@@ -315,44 +359,51 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
     if any(x < 0 for x in bb):
         raise ValueError("bound vector must be nonnegative")
 
-    pts = np.asarray(config.points, dtype=np.int64).reshape(-1, config.ambient_dim)
-    barr = np.asarray(bb, dtype=np.int64)
+    # one field per coordinate, wide enough for every bound and point
+    # coordinate plus a clear top bit, as many fields per word as fit
+    width = max(max(bb), max(map(max, config.points))).bit_length() + 1
+    if width > 64:
+        raise ValueError("bound and point coordinates must be below 2**63")
+    per_word = 64 // width
+    guard = np.uint64(sum(1 << (i * width + width - 1) for i in range(per_word)))
+    k = config.ambient_dim
+    pts = _pack(np.asarray(config.points, dtype=np.int64).reshape(-1, k), width, per_word)
     in_semigroup = membership_tester(config)
-    member = None if config.kind == "veronese" else in_semigroup
+    admits = None
+    if config.kind != "veronese":
+        def admits(words: np.ndarray) -> np.ndarray:
+            resid = _unpack(words, k, width, per_word).tolist()
+            return np.array([in_semigroup(r) for r in resid], dtype=bool)
     # the empty face is present exactly when the bound lies in the semigroup;
     # without it no face is, so a bound outside gives the void complex
     empty_count = int(in_semigroup(bb))
     empty = np.zeros((empty_count, 0), dtype=np.int32)
-    empty_sum = np.zeros((empty_count, config.ambient_dim), dtype=np.int64)
-    singletons, _, _, _ = _expand_level(empty, None, empty_sum, pts, barr, member)
+    empty_slack = _pack(np.asarray([bb] * empty_count, dtype=np.int64).reshape(-1, k),
+                        width, per_word)
+    singletons, slack, _, _ = _expand_level(empty, None, empty_slack, pts, guard, admits)
     vertices = singletons[:, 0].astype(np.int64)
     v_count = vertices.size
-    local_points = pts[vertices]
-    # levels[t] holds the t-faces, and parents[t] and partners[t] the rows in
-    # level t-1 of each face minus its last and minus its second-last vertex
-    levels = [np.arange(v_count, dtype=np.int32).reshape(-1, 1)]
-    parents = [np.zeros(v_count, dtype=np.int64)]
-    partners = [None]
-    sums = local_points
-    while len(levels) <= j_hi and levels[-1].shape[0]:
-        faces, sums, par, partner = _expand_level(levels[-1], parents[-1], sums,
-                                                  local_points, barr, member)
-        levels.append(faces)
-        parents.append(par)
-        partners.append(partner)
-
+    local_points = pts[:, vertices]
     faces_by_dim = {-1: empty} if j_lo == -1 else {}
     facets_by_dim = {}
-    facets = np.zeros((v_count, 1), dtype=np.int64)  # each vertex drops to the empty face
-    for t in range(min(len(levels) - 1, j_hi) + 1):
-        if t:
-            keys = parents[t - 1] * v_count + levels[t - 1][:, -1]
-            facets = _facet_rows(facets, parents[t], partners[t], levels[t][:, -1],
-                                 keys, v_count)
+    # level t: its faces, their parent rows in level t-1 and their facet rows
+    faces = np.arange(v_count, dtype=np.int32).reshape(-1, 1)
+    parents = np.zeros(v_count, dtype=np.int64)
+    facets = np.zeros((v_count, 1), dtype=np.int32)  # each vertex drops to the empty face
+    grand_count = 1  # rows of level t-1: the empty face
+    for t in range(j_hi + 1):
         if t >= j_lo:
-            faces_by_dim[t] = levels[t]
+            faces_by_dim[t] = faces
         if t > j_lo:
             facets_by_dim[t] = facets
+        if t == j_hi or not faces.shape[0]:
+            break
+        keys = parents * v_count + faces[:, -1]
+        children, slack, parents, partners = _expand_level(faces, parents, slack,
+                                                           local_points, guard, admits)
+        facets = _facet_rows(facets, parents, partners, children[:, -1], keys,
+                             grand_count * v_count, v_count)
+        grand_count, faces = faces.shape[0], children
     return ComplexSlice(config=config, bound=bb, j_lo=j_lo, j_hi=j_hi,
                         vertices=vertices, faces_by_dim=faces_by_dim,
                         facets_by_dim=facets_by_dim)

@@ -288,7 +288,7 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
     while True:
         claimed = 0
         for t in sub:
-            live = alive[t - 1][sub[t]]
+            live = alive[t - 1].take(sub[t])
             cand = np.flatnonzero(alive[t] & (live.sum(axis=1) == 1))
             # cand ascends, so each partner's first index is its lowest claimant
             partner, first = np.unique(sub[t][cand, live[cand].argmax(axis=1)],
@@ -332,9 +332,9 @@ def _element_matching(slice_: ComplexSlice, j: int):
         for t, order, ptr, facets in passes:
             at = order[ptr[v]:ptr[v + 1]]
             rows = at // (t + 1)
-            keep = free[t][rows]
-            rows, below = rows[keep], facets[at[keep]]
-            keep = free[t - 1][below]
+            keep = free[t].take(rows)
+            rows, below = rows[keep], facets.take(at[keep])
+            keep = free[t - 1].take(below)
             rows, below = rows[keep], below[keep]
             free[t][rows] = False
             free[t - 1][below] = False

@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, UnsupportedConfigError
@@ -33,16 +34,29 @@ def compositions(total: int, parts: int) -> Iterator[Vector]:
     """Yield all compositions of `total` into `parts` nonnegative parts.
 
     Order is lexicographic descending: (total, 0, ..., 0) first. This is the
-    canonical vector order used throughout the package.
+    canonical vector order used throughout the package. Iterative, so any
+    number of parts works.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    if total < 0:
+        raise ValueError("total must be >= 0")
+    cur = [total] + [0] * (parts - 1)
+    # i is the rightmost nonzero part before the last, -1 when there is none
+    i = 0 if total and parts > 1 else -1
+    yield tuple(cur)
+    while i >= 0:
+        # the next composition moves one unit from part i to part i + 1 and
+        # gathers the last part's units there
+        last, cur[-1] = cur[-1], 0
+        cur[i] -= 1
+        cur[i + 1] = last + 1
+        yield tuple(cur)
+        if i < parts - 2:
+            i += 1
+        else:
+            while i >= 0 and not cur[i]:
+                i -= 1
 
 
 def composition_count(total: int, parts: int) -> int:
@@ -57,20 +71,40 @@ def partitions_into(total: int, max_parts: int, max_part: int | None = None) -> 
     """Yield partitions of `total` into at most `max_parts` parts.
 
     Each partition is padded with zeros to length `max_parts` (a canonical
-    non-increasing vector). Order is lexicographic descending.
+    non-increasing vector). Order is lexicographic descending. Iterative,
+    so any number of parts works.
     """
     if max_parts < 1:
         raise ValueError("max_parts must be >= 1")
+    if total < 0:
+        raise ValueError("total must be >= 0")
     cap = total if max_part is None else min(max_part, total)
-    if max_parts == 1:
-        if total <= cap:
-            yield (total,)
+    if total > cap * max_parts:
         return
-    # first part down from cap; remaining parts cannot exceed the first
-    lo = -(-total // max_parts)  # ceil: first part of a non-increasing vector
-    for head in range(cap, lo - 1, -1):
-        for tail in partitions_into(total - head, max_parts - 1, head):
-            yield (head,) + tail
+    cur = [0] * max_parts
+    _fill_greedily(cur, 0, total, cap)
+    while True:
+        yield tuple(cur)
+        # the rightmost part that can lose one unit to the parts after it,
+        # each of them at most its new value; they are then refilled greedily
+        rest = cur[-1]
+        i = max_parts - 2
+        while i >= 0 and (cur[i] - 1) * (max_parts - 1 - i) < rest + 1:
+            rest += cur[i]
+            i -= 1
+        if i < 0:
+            return
+        cur[i] -= 1
+        _fill_greedily(cur, i + 1, rest + 1, cur[i])
+
+
+def _fill_greedily(cur: list[int], start: int, total: int, cap: int) -> None:
+    """Fill cur[start:] with the lexicographically largest non-increasing
+    parts of at most cap that sum to total."""
+    for j in range(start, len(cur)):
+        cur[j] = part = min(cap, total)
+        total -= part
+        cap = part
 
 
 @dataclass(frozen=True)
@@ -100,7 +134,7 @@ class PointConfig:
         for a in self.points:
             if len(a) != k:
                 raise ValueError("all points must share one ambient dimension")
-            if any(x < 0 for x in a):
+            if min(a, default=0) < 0:
                 raise ValueError("points must have nonnegative coordinates")
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be distinct")
@@ -112,8 +146,11 @@ class PointConfig:
         if self.homogenizer is not None:
             if len(self.homogenizer) != k:
                 raise ValueError("homogenizer has wrong length")
+            # w.a = 1 in integers: scale w by the lcm of its denominators
+            scale = lcm(*(w.denominator for w in self.homogenizer))
+            weights = [int(w * scale) for w in self.homogenizer]
             for a in self.points:
-                if sum(w * x for w, x in zip(self.homogenizer, a)) != 1:
+                if sum(map(mul, weights, a)) != scale:
                     raise ValueError(f"homogenizer fails on point {a}")
 
     @property

@@ -18,16 +18,13 @@ memoisation across calls.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 from typing import Iterable
 
-from .errors import CapacityError, MismatchError
-from . import koszul
-from .koszul import monomial_basis, tor_dimension
+from .errors import MismatchError
+from .koszul import tor_dimension
 from .lattice import Vector, orbit_expansion, orbit_size_of, partitions_into
 
 
@@ -105,28 +102,6 @@ class SchurDecomposition:
     def to_json(self) -> list[dict]:
         ordered = sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
         return [{"partition": lam.to_json(), "mult": m} for lam, m in ordered]
-
-
-def weight_character(p: int, q: int, d: int, v_dim: int) -> WeightCharacter:
-    """Weight multiplicities of wedge^p Sym^d V (x) Sym^{qd} V. A support
-    of more than koszul.DEFAULT_BASIS_GUARD weights, counted with
-    multiplicity and read at each call, raises CapacityError."""
-    if p < 0 or q < 0 or d < 1 or v_dim < 1:
-        raise ValueError(f"need p, q >= 0, d >= 1, v_dim >= 1, got {(p, q, d, v_dim)}")
-    mon = monomial_basis(d, v_dim)
-    sym = monomial_basis(q * d, v_dim)
-    if comb(mon.size, p) * sym.size > koszul.DEFAULT_BASIS_GUARD:
-        raise CapacityError(
-            f"character support exceeds guard {koszul.DEFAULT_BASIS_GUARD}")
-    mults: Counter[Vector] = Counter()
-    for wedge in combinations(mon.exponents, p):
-        base = [0] * v_dim
-        for e in wedge:
-            for k in range(v_dim):
-                base[k] += e[k]
-        for s in sym.exponents:
-            mults[tuple(b + x for b, x in zip(base, s))] += 1
-    return WeightCharacter(v_dim=v_dim, mults=dict(mults))
 
 
 @lru_cache(maxsize=None)
@@ -223,14 +198,6 @@ def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
             else:
                 work.pop(mu, None)
     return SchurDecomposition(v_dim=char.v_dim, terms=terms)
-
-
-def reconstruct_character(decomp: SchurDecomposition) -> WeightCharacter:
-    mults: Counter[Vector] = Counter()
-    for lam, c in decomp.terms.items():
-        for w, k in schur_character(lam, decomp.v_dim).mults.items():
-            mults[w] += c * k
-    return WeightCharacter(v_dim=decomp.v_dim, mults=dict(mults))
 
 
 def tor_schur_decomposition(p: int, q: int, d: int, v_dim: int, *,

@@ -93,6 +93,36 @@ def test_betti_on_faces_wider_than_64_bit_keys(capsys):
     assert tor_dimension(15, 1, 1, 17, weight=(151, 121)).total_dim == 1
 
 
+@pytest.mark.parametrize("command", [
+    ("betti", "-n", "1", "-d", "2", "-j", "0", "-b"),
+    ("complex", "-n", "1", "-d", "2", "-j", "0,1", "-b"),
+])
+def test_bound_of_2_to_the_63_exits_2(capsys, command):
+    # a coordinate of 2**63 cannot be packed into a 64-bit word with its
+    # guard bit: refused with a message naming the limit, not a traceback
+    code, out, err = run(capsys, *command, f"{2**63},0")
+    assert (code, out) == (2, "")
+    assert err == "error: bound and point coordinates must be below 2**63\n"
+    # 2**63 - 1 still fits, as one 64-bit field per word
+    code, out, err = run(capsys, *command, f"{2**63 - 1},1")
+    assert (code, err) == (0, "")
+    assert out.endswith(": 0 (certified)\n" if command[0] == "betti" else "1: 0 1\n")
+
+
+def test_two_thousand_coordinates(capsys):
+    # 2,001 coordinates: the compositions and partitions behind these
+    # commands are enumerated without one recursion level per part
+    code, out, err = run(capsys, "points", "-n", "2000", "-d", "1")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 2001
+    assert rows[0] == " ".join(["1"] + ["0"] * 2000)
+    assert rows[-1] == " ".join(["0"] * 2000 + ["1"])
+    code, out, err = run(capsys, "check-np", "-n", "2000", "-d", "1", "-p", "1")
+    assert (code, err) == (0, "")
+    assert "holds up to the checked degree bound" in out
+
+
 def test_betti_rejects_a_negative_dimension(capsys):
     # -j -1 would need dimension -2, which no band has: refused while the
     # arguments are parsed, naming the accepted range

@@ -7,6 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzcheck import complexes
 from syzcheck.complexes import (
@@ -167,6 +169,95 @@ def test_veronese_rule_matches_residual_rule():
                         assert got == brute_force_faces(cfg, b, t), (n, d, b, t)
 
 
+def subsets_under(points, b, t):
+    # every (t+1)-subset of the points, in lexicographic order, whose
+    # coordinate sum stays at or below b
+    return [s for s in combinations(range(len(points)), t + 1)
+            if all(sum(points[i][k] for i in s) <= x for k, x in enumerate(b))]
+
+
+def global_faces(slc, t):
+    return [tuple(f) for f in slc.vertices[slc.faces(t)].tolist()]
+
+
+# small coordinates, any coordinate below 2**63, and the tops 2**m - 1 of
+# every field width m + 1 the packed words can have
+BOUND_COORDS = st.one_of(st.integers(0, 12), st.integers(0, 2**63 - 1),
+                         st.sampled_from([2**m - 1 for m in range(1, 64)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(1, 1), (1, 3), (1, 7), (2, 2), (2, 3), (3, 2), (4, 1)]),
+       st.data())
+def test_veronese_faces_match_subset_enumeration(nd, data):
+    n, d = nd
+    cfg = veronese_points(n, d)
+    b = tuple(data.draw(st.lists(BOUND_COORDS, min_size=n + 1, max_size=n + 1)))
+    top = len(cfg.points) - 1
+    slc = build_slice(cfg, b, -1, top)
+    for t in range(-1, top + 1):
+        assert global_faces(slc, t) == brute_force_faces(cfg, b, t), (b, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 6)] * k), max_size=4),
+    st.tuples(*[st.integers(0, 10)] * k))))
+def test_general_faces_match_subset_enumeration(drawn):
+    # with the unit vectors among the points the semigroup is all of N^k,
+    # so the faces are exactly the subsets whose sum stays below b, and the
+    # membership test sees every residual the packed bound test admits
+    extra, b = drawn
+    k = len(b)
+    points = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    points += [p for p in dict.fromkeys(extra) if p not in points]
+    slc = build_slice(general_config(points), b, -1, len(points) - 1)
+    for t in range(-1, len(points)):
+        assert global_faces(slc, t) == subsets_under(points, b, t), (points, b, t)
+
+
+def test_two_word_layout_with_a_field_at_its_top():
+    # v_2(P^12) has 13 coordinates. The bound's 63 = 2**6 - 1 makes 7-bit
+    # fields, 9 to a word, so coordinates 9..12 sit in a second word, and
+    # its 1 at coordinate 12 cuts x_12^2 and every pair of points with x_12
+    cfg = veronese_points(12, 2)
+    b = (63, 1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 1)
+    slc = build_slice(cfg, b, -1, 3)
+    below = [i for i, a in enumerate(cfg.points) if all(map(int.__le__, a, b))]
+    sub = [cfg.points[i] for i in below]
+    for t in range(-1, 4):
+        want = [tuple(below[i] for i in s) for s in subsets_under(sub, b, t)]
+        assert global_faces(slc, t) == want, t
+    assert slc.face_count(0) == 12 and slc.face_count(3) > 0
+
+
+def test_general_config_residuals_unpack_from_both_words():
+    # 10 coordinates up to 64 make 8-bit fields, 8 to a word. The points
+    # 2e_i, e_8 + e_9 and 3e_9 generate the r with r_0..r_7 even and, for
+    # some a <= min(r_8, r_9), r_8 - a even and r_9 - a != 1. So the
+    # membership test on the residual's second word (coordinates 8 and 9)
+    # removes subsets that fit under the bound, such as {2e_9}
+    k = 10
+    points = [tuple(2 * (i == j) for j in range(k)) for i in range(k)]
+    points += [(0,) * 8 + (1, 1), (0,) * 9 + (3,)]
+    b = (64, 2, 2, 2, 2, 2, 2, 2, 3, 4)
+
+    def in_semigroup(r):
+        if any(x < 0 or x % 2 for x in r[:8]):
+            return False
+        return any((r[8] - a) % 2 == 0 and r[9] - a != 1 for a in range(min(r[8:]) + 1))
+
+    slc = build_slice(general_config(points), b, -1, 3)
+    cut = 0
+    for t in range(-1, 4):
+        under = subsets_under(points, b, t)
+        want = [s for s in under
+                if in_semigroup([x - sum(points[i][j] for i in s) for j, x in enumerate(b)])]
+        cut += len(under) - len(want)
+        assert global_faces(slc, t) == want, t
+    assert slc.face_count(-1) == 1 and (9,) not in global_faces(slc, 0) and cut > 0
+
+
 def test_monotone_in_bound():
     # growing the bound by a semigroup element can only add faces
     cfg = veronese_points(2, 2)
@@ -192,6 +283,20 @@ def test_face_cap_guard(monkeypatch):
     monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10)
     with pytest.raises(CapacityError):
         build_slice(cfg, (6, 6, 6), -1, 4)
+
+
+def test_facet_table_counts_against_the_face_cap(monkeypatch):
+    # all 64 subsets of v_2(P^2)'s six points fit under (6, 6, 6), so no
+    # level holds more than 20 faces; the facet table of dimension 3 has
+    # one entry per edge and vertex, 15 * 6 = 90, and that of dimension 4
+    # 20 * 6 = 120
+    cfg = veronese_points(2, 2)
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 89)
+    with pytest.raises(CapacityError, match="facet table of 90 entries"):
+        build_slice(cfg, (6, 6, 6), -1, 4)
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 120)
+    slc = build_slice(cfg, (6, 6, 6), -1, 4)
+    assert [slc.face_count(t) for t in range(-1, 5)] == [1, 6, 15, 20, 15, 6]
 
 
 def test_face_cap_bounds_memory(monkeypatch):

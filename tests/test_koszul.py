@@ -24,12 +24,9 @@ from syzcheck.koszul import (
     wedge_tensor_basis,
 )
 from syzcheck.lattice import compositions, partitions_into, veronese_points
-from syzcheck.reptheory import (
-    WeightCharacter,
-    reconstruct_character,
-    tor_schur_decomposition,
-)
+from syzcheck.reptheory import WeightCharacter, tor_schur_decomposition
 from test_complexes import csr
+from test_reptheory import reconstruct_character
 
 
 def fraction_rank(matrix: "BoundaryMatrix") -> int:

@@ -1,12 +1,15 @@
 """Tests for Schur decomposition of weight characters.
 
 brute_kostka below fills tableaux cell by cell and is the independent
-oracle for the horizontal-strip recursion. Frozen Tor decompositions were
+oracle for the horizontal-strip recursion. weight_character and
+reconstruct_character are brute-force references for the characters that
+the peel takes apart and puts back together. Frozen Tor decompositions were
 cross-checked against the classical small resolutions (conic, twisted
 cubic, quadratic Veronese surface).
 """
 
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,12 +21,31 @@ from syzcheck.reptheory import (
     WeightCharacter,
     kostka,
     partition,
-    reconstruct_character,
     schur_character,
     schur_decompose,
     tor_schur_decomposition,
-    weight_character,
 )
+
+
+def weight_character(p: int, q: int, d: int, v_dim: int) -> WeightCharacter:
+    """Weights of wedge^p Sym^d V (x) Sym^{qd} V by brute force: one weight
+    per p-subset of degree-d monomials and degree-qd monomial."""
+    mults: Counter = Counter()
+    for wedge in combinations(compositions(d, v_dim), p):
+        base = [sum(e[k] for e in wedge) for k in range(v_dim)]
+        for s in compositions(q * d, v_dim):
+            mults[tuple(b + x for b, x in zip(base, s))] += 1
+    return WeightCharacter(v_dim=v_dim, mults=dict(mults))
+
+
+def reconstruct_character(decomp: SchurDecomposition) -> WeightCharacter:
+    """The weight character of a Schur decomposition: each term's Schur
+    character, times its multiplicity, summed weight by weight."""
+    mults: Counter = Counter()
+    for lam, c in decomp.terms.items():
+        for w, k in schur_character(lam, decomp.v_dim).mults.items():
+            mults[w] += c * k
+    return WeightCharacter(v_dim=decomp.v_dim, mults=dict(mults))
 
 
 def brute_kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
