@@ -16,7 +16,9 @@ callers certify most of them before any face is built
 
 The element matching walks the local vertices in index order and, at
 vertex v, pairs every unmatched face G containing v with G - v when that
-facet is unmatched too. A sequence of such element matchings is acyclic
+facet is unmatched too. It works on living cells only: vertex 0 pairs a
+prefix of the rows, and the later vertices walk only the entries whose
+face and facet were both still unmatched after it. A sequence of such element matchings is acyclic
 (Jonsson, Simplicial Complexes of Graphs, LNM 1928, 2008) with incidence
 coefficients +-1, so by algebraic Morse theory (Skoldberg, Trans. AMS
 2006) the band, a based chain complex whose middle homology is H~_j, has
@@ -30,7 +32,8 @@ living facet is g cancels against it. The entry [g, f] is +-1, and that
 pivot fills nothing in: g is the only living row of column f, so the
 Schur correction d[c, f] * d[g, f]^-1 * d[g, x] vanishes for every
 living row c other than g. The reduced differential is the plain submatrix
-on the survivors, and the band's homology is unchanged.
+on the survivors, and the band's homology is unchanged. Each round
+recounts the living facets of living faces only.
 
 Certification: a rank modulo p never exceeds the rational rank, so a Betti
 number that comes out zero modulo p is zero over Q; nonzero values are only
@@ -277,7 +280,9 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
     the dimensions t upward and, from the alive flags at that point, finds
     the living t-faces with exactly one living facet; each claims that
     facet, the lowest claimant winning, and both die. Rounds repeat until
-    one claims nothing.
+    one claims nothing. Each dimension keeps the ascending ids of its
+    living faces, shrunk at the start of each step, so a step gathers the
+    facet rows of living faces only.
 
     Returns (alive flags, facet-row matrices), each per dimension; the
     survivors carry the input's homology strictly inside the band.
@@ -285,15 +290,18 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
     bot, top = slice_.j_lo, slice_.j_hi
     alive = {t: np.ones(slice_.face_count(t), dtype=bool) for t in range(bot, top + 1)}
     sub = {t: slice_.subface_rows(t) for t in range(bot + 1, top + 1)}
+    living = {t: np.arange(slice_.face_count(t)) for t in sub}
     while True:
         claimed = 0
         for t in sub:
-            live = alive[t - 1].take(sub[t])
-            cand = np.flatnonzero(alive[t] & (live.sum(axis=1) == 1))
-            # cand ascends, so each partner's first index is its lowest claimant
-            partner, first = np.unique(sub[t][cand, live[cand].argmax(axis=1)],
+            ids = living[t] = living[t][alive[t].take(living[t])]
+            rows = sub[t].take(ids, axis=0)
+            live = alive[t - 1].take(rows)
+            one = np.flatnonzero(live.sum(axis=1) == 1)
+            # ids ascend, so each partner's first index is its lowest claimant
+            partner, first = np.unique(rows[one, live[one].argmax(axis=1)],
                                        return_index=True)
-            alive[t][cand[first]] = False
+            alive[t][ids[one[first]]] = False
             alive[t - 1][partner] = False
             claimed += partner.size
         if not claimed:
@@ -303,42 +311,52 @@ def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
 def _element_matching(slice_: ComplexSlice, j: int):
     """Pair the cells of dimensions j-1, j and j+1 by the element matchings
     of the module docstring, yielding (t, coface rows in dimension t, facet
-    rows in dimension t-1) for t = j+1 and t = j at each local vertex in
-    index order. The faces G containing a vertex v have distinct facets
-    G - v, all avoiding v, so the pairs of one vertex are disjoint and each
-    dimension is one array pass.
+    rows in dimension t-1) for t = j+1 and then t = j at each local vertex
+    in index order, where that vertex pairs anything. The faces G
+    containing a vertex v have distinct facets G - v, all avoiding v, so
+    the pairs of one vertex are disjoint and each dimension is one array
+    pass.
 
-    Each dimension's vertex labels are sorted once, in the narrowest dtype
-    that holds the vertex count (a stable sort of 16-bit labels is a radix
-    sort); only the order is kept, and an entry's face row is its position
-    in that order divided by the face width.
+    Rows are lexicographic, so the faces holding vertex 0 are a prefix of
+    each level, and they and their facets are all free: vertex 0 pairs
+    them by slicing. After it only the entries (G, i) whose face and facet
+    are both free are kept, since flags only fall; their labels are
+    stable-sorted in the narrowest unsigned dtype that holds the vertex
+    count (a radix sort), and each kept entry's row and facet are stored
+    once in that order.
     """
-    label = np.int16 if slice_.vertex_count < 2**15 - 1 else np.int32
+    count = slice_.vertex_count
+    label = np.uint8 if count <= 2**8 else np.uint16 if count <= 2**16 else np.uint32
     free = {t: np.ones(slice_.face_count(t), dtype=bool) for t in (j - 1, j, j + 1)}
-    passes = []
-    for t in (j + 1, j):
-        if not free[t].size:
-            continue
-        labels = slice_.faces(t).ravel().astype(label)
-        order = np.argsort(labels, kind="stable")
-        order = order.astype(np.int32 if order.size < 2**31 else np.int64)
-        ptr = np.searchsorted(labels[order],
-                              np.arange(slice_.vertex_count + 1, dtype=label))
-        del labels
-        passes.append((t, order, ptr, slice_.subface_rows(t).ravel()))
-    # the last pass is dimension j, and a vertex in no j-face lies in no
-    # (j+1)-face either, so it has nothing to match
-    for v in np.flatnonzero(np.diff(passes[-1][2])).tolist() if passes else ():
-        for t, order, ptr, facets in passes:
-            at = order[ptr[v]:ptr[v + 1]]
-            rows = at // (t + 1)
-            keep = free[t].take(rows)
-            rows, below = rows[keep], facets.take(at[keep])
-            keep = free[t - 1].take(below)
-            rows, below = rows[keep], below[keep]
-            free[t][rows] = False
+    levels = [t for t in (j + 1, j) if free[t].size]
+    for t in levels:
+        m = int(np.searchsorted(slice_.faces(t)[:, 0], 0, side="right"))
+        if m:
+            below = slice_.subface_rows(t)[:m, 0]
+            free[t][:m] = False
             free[t - 1][below] = False
-            yield t, rows, below
+            yield t, np.arange(m), below
+    passes = []
+    for t in levels:
+        facets = slice_.subface_rows(t).ravel()
+        at = np.flatnonzero(free[t].repeat(t + 1) & free[t - 1].take(facets))
+        labels = slice_.faces(t).ravel().take(at).astype(label)
+        at = at[np.argsort(labels, kind="stable")]
+        ends = np.bincount(labels, minlength=count).cumsum().tolist()
+        passes.append((t, at // (t + 1), facets.take(at), ends))
+    # every face holding vertex 0 is matched above, so no entry is left for it
+    for v in range(1, count):
+        for t, rows, facets, ends in passes:
+            lo, hi = ends[v - 1], ends[v]
+            if lo == hi:
+                continue
+            rows_v, below = rows[lo:hi], facets[lo:hi]
+            keep = free[t].take(rows_v) & free[t - 1].take(below)
+            if keep.any():
+                rows_v, below = rows_v[keep], below[keep]
+                free[t][rows_v] = False
+                free[t - 1][below] = False
+                yield t, rows_v, below
 
 
 def _matching_certifies_zero(slice_: ComplexSlice, j: int) -> bool:

@@ -231,8 +231,9 @@ def semigroup_contains(config: PointConfig, v: Sequence[int]) -> bool:
     nonnegative and coordinate sum divisible by d (every such vector splits
     greedily into degree-d pieces because the configuration contains all
     compositions). General configurations fall back to a depth-first search
-    over residual vectors with memoization; the search is bounded because
-    every nonzero point strictly decreases the residual's coordinate sum.
+    over residual vectors with memoization, on an explicit stack so that no
+    residual is too deep; the search is bounded because every nonzero point
+    strictly decreases the residual's coordinate sum.
     """
     vv = tuple(int(x) for x in v)
     if len(vv) != config.ambient_dim:
@@ -256,22 +257,36 @@ def membership_tester(config: PointConfig):
     points = [a for a in config.points if any(a)]
     memo: dict[Vector, bool] = {}
 
+    def residuals(v: Vector) -> Iterator[Vector]:
+        for a in points:
+            if all(x >= y for x, y in zip(v, a)):
+                yield tuple(x - y for x, y in zip(v, a))
+
+    def known(v: Vector) -> bool | None:
+        return True if not any(v) else memo.get(v)
+
     def member_dfs(v: Sequence[int]) -> bool:
         vv = tuple(v)
         if any(x < 0 for x in vv):
             return False
-        if not any(vv):
-            return True
-        hit = memo.get(vv)
+        hit = known(vv)
         if hit is not None:
             return hit
-        ok = False
-        for a in points:
-            if all(x >= y for x, y in zip(vv, a)):
-                if member_dfs(tuple(x - y for x, y in zip(vv, a))):
-                    ok = True
-                    break
-        memo[vv] = ok
+        # one frame per residual on the search path: the residual and the
+        # iterator over what is left of it after each point it dominates
+        stack = [(vv, residuals(vv))]
+        ok = False  # the answer of the frame popped last
+        while stack:
+            top, rest = stack[-1]
+            if not ok:
+                # the next residual below top not known to be a non-member
+                w = next((w for w in rest if known(w) is not False), None)
+                if w is not None and known(w) is None:
+                    stack.append((w, residuals(w)))
+                    continue
+                ok = w is not None
+            memo[top] = ok
+            stack.pop()
         return ok
 
     return member_dfs

@@ -11,6 +11,7 @@ from syzcheck.lattice import (
     compositions,
     enumerate_multidegrees,
     general_config,
+    membership_tester,
     multidegree,
     orbit_expansion,
     orbit_size_of,
@@ -116,6 +117,20 @@ def test_general_membership_matches_brute_force():
     gen = general_config(pts)
     for v in all_vectors_up_to(2, 9):
         assert semigroup_contains(gen, v) == brute_force_member(pts, v), v
+
+
+def test_general_membership_searches_deep_residuals():
+    # the search subtracts one point per step, so (5001,) is a path of
+    # about 2,500 residuals: deeper than Python's recursion limit
+    cfg = general_config([(2,), (3,)])
+    assert semigroup_contains(cfg, (5001,))
+    assert not semigroup_contains(cfg, (1,))
+    # one tester, its memo filled by the deep search, still agrees with
+    # brute force on every small vector
+    member = membership_tester(cfg)
+    assert member((5001,)) and not member((1,))
+    for k in range(-2, 60):
+        assert member((k,)) == (k >= 0 and brute_force_member([(2,), (3,)], (k,))), k
 
 
 def test_enumerate_line_cubic_degree_two():
