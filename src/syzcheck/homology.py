@@ -50,7 +50,6 @@ import numpy as np
 
 from .complexes import BoundaryMatrix, ComplexSlice, masked_boundary
 from .errors import CapacityError
-from .lattice import Multidegree
 
 # fixed default prime (30 bits) for reproducible runs
 DEFAULT_PRIME = 1_073_741_789
@@ -104,21 +103,18 @@ def check_prime(p: int) -> int:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Rank of one sparse matrix and how it was obtained."""
+    """Rank of one sparse matrix over F_p (rank_mod_p) or Q (rank_exact)."""
 
     rank: int
-    method: str  # "modular" or "exact_rational"
-    prime: int | None
-    certified_over_Q: bool
 
 
 @dataclass(frozen=True)
 class BettiNumber:
-    """One reduced homology rank of a divisor complex."""
+    """One reduced homology rank of a divisor complex; the caller holds the
+    slice's bound, its multidegree."""
 
     j: int
     value: int
-    multidegree: Multidegree
     certified: bool
 
 
@@ -222,7 +218,7 @@ def rank_mod_p(m: BoundaryMatrix, p: int) -> RankResult:
     reduce = p.__rmod__  # v -> v % p
     rows_d, col_rows = _sparse_rows(m, reduce)
     rank = _eliminate(rows_d, col_rows, lambda u: pow(u, -1, p), reduce)
-    return RankResult(rank=rank, method="modular", prime=p, certified_over_Q=False)
+    return RankResult(rank=rank)
 
 
 def _bareiss_rank(mat: list[list[int]]) -> int:
@@ -270,8 +266,7 @@ def rank_exact(m: BoundaryMatrix) -> RankResult:
                             f"exact-rank cap of {EXACT_CELL_CAP} cells")
     if rows_d:
         rank += _bareiss_rank(_dense_rows(rows_d, col_rows))
-    return RankResult(rank=rank, method="exact_rational", prime=None,
-                      certified_over_Q=True)
+    return RankResult(rank=rank)
 
 
 def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
@@ -398,13 +393,6 @@ def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, strategy: s
     return val
 
 
-def _grade_or_none(slice_: ComplexSlice) -> int | None:
-    try:
-        return slice_.config.degree_of(slice_.bound)
-    except ValueError:
-        return None
-
-
 def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first", *,
                   prime: int = DEFAULT_PRIME) -> BettiNumber:
     """Rank of the j-th reduced homology of the sliced complex.
@@ -415,18 +403,18 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
     gives 0 (over Z, so under either strategy); otherwise the residual
     boundaries of the cascade are ranked by `middle_homology`. certified
     is always true on return; an exact rank beyond its cell cap raises
-    instead.
+    instead, as a bad strategy or prime does before any certificate.
     """
     if strategy not in ("modular_first", "exact"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    check_prime(prime)
     if j - 1 < slice_.j_lo or j + 1 > slice_.j_hi:
         raise ValueError(f"betti at {j} needs dims [{j - 1}, {j + 1}] inside {slice_.dims}")
-    md = Multidegree(coords=slice_.bound, total_degree=_grade_or_none(slice_))
     # no j-face, no j-chain: a band far above the top face runs no cascade
     if slice_.face_count(j) == 0 or _matching_certifies_zero(slice_, j):
-        return BettiNumber(j=j, value=0, multidegree=md, certified=True)
+        return BettiNumber(j=j, value=0, certified=True)
     alive, sub = _reduce_band(slice_)
     value = middle_homology(masked_boundary(sub[j], alive[j - 1], alive[j]),
                             masked_boundary(sub[j + 1], alive[j], alive[j + 1]),
                             strategy, prime)
-    return BettiNumber(j=j, value=value, multidegree=md, certified=True)
+    return BettiNumber(j=j, value=value, certified=True)

@@ -41,8 +41,6 @@ class MonomialBasis:
     lexicographic descending order shared with the point configurations,
     and the position of each one in that order."""
 
-    degree: int
-    v_dim: int
     exponents: tuple[Vector, ...]
     index: dict[Vector, int]
 
@@ -58,8 +56,7 @@ def monomial_basis(degree: int, v_dim: int) -> MonomialBasis:
     if composition_count(degree, v_dim) > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"Sym^{degree} of C^{v_dim} exceeds guard {DEFAULT_BASIS_GUARD}")
     exponents = tuple(compositions(degree, v_dim))
-    return MonomialBasis(degree=degree, v_dim=v_dim, exponents=exponents,
-                         index={e: i for i, e in enumerate(exponents)})
+    return MonomialBasis(exponents=exponents, index={e: i for i, e in enumerate(exponents)})
 
 
 @lru_cache(maxsize=None)
@@ -102,14 +99,13 @@ def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
     else:
         if len(weight) != v_dim:
             raise ValueError("weight has wrong length")
+        # at most one element per wedge subset: the guard above bounds it
         combos, sums = _wedge_table(p, wedge_degree, v_dim)
         rem = np.asarray(weight, dtype=np.int64)[None, :] - sums
         for i in np.nonzero((rem >= 0).all(axis=1))[0]:
             s = sym.index.get(tuple(int(x) for x in rem[i]))
             if s is not None:
                 elements.append((combos[i], s))
-        if len(elements) > DEFAULT_BASIS_GUARD:
-            raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
     return elements
 
 

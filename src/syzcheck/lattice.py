@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from operator import mul
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, UnsupportedConfigError
@@ -67,7 +65,7 @@ def composition_count(total: int, parts: int) -> int:
     return comb(total + parts - 1, min(total, parts - 1, 64))
 
 
-def partitions_into(total: int, max_parts: int, max_part: int | None = None) -> Iterator[Vector]:
+def partitions_into(total: int, max_parts: int) -> Iterator[Vector]:
     """Yield partitions of `total` into at most `max_parts` parts.
 
     Each partition is padded with zeros to length `max_parts` (a canonical
@@ -78,11 +76,8 @@ def partitions_into(total: int, max_parts: int, max_part: int | None = None) -> 
         raise ValueError("max_parts must be >= 1")
     if total < 0:
         raise ValueError("total must be >= 0")
-    cap = total if max_part is None else min(max_part, total)
-    if total > cap * max_parts:
-        return
     cur = [0] * max_parts
-    _fill_greedily(cur, 0, total, cap)
+    _fill_greedily(cur, 0, total, total)
     while True:
         yield tuple(cur)
         # the rightmost part that can lose one unit to the parts after it,
@@ -115,15 +110,14 @@ class PointConfig:
         kind: "veronese" or "general".
         points: the configuration, distinct vectors with nonnegative entries.
         n, d: for kind "veronese", the ambient projective dimension and the
-            embedding degree; None for general configurations.
-        homogenizer: optional rational vector w with w.a = 1 for every point.
+            embedding degree; None for general configurations, which are
+            ungraded.
     """
 
     kind: str
     points: tuple[Vector, ...]
     n: int | None = None
     d: int | None = None
-    homogenizer: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("veronese", "general"):
@@ -143,49 +137,36 @@ class PointConfig:
                 raise ValueError("veronese configuration requires n and d")
             if k != self.n + 1 or len(self.points) != comb(self.n + self.d, self.n):
                 raise ValueError("inconsistent veronese data")
-        if self.homogenizer is not None:
-            if len(self.homogenizer) != k:
-                raise ValueError("homogenizer has wrong length")
-            # w.a = 1 in integers: scale w by the lcm of its denominators
-            scale = lcm(*(w.denominator for w in self.homogenizer))
-            weights = [int(w * scale) for w in self.homogenizer]
-            for a in self.points:
-                if sum(map(mul, weights, a)) != scale:
-                    raise ValueError(f"homogenizer fails on point {a}")
 
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0])
 
     def degree_of(self, v: Sequence[int]) -> int:
-        """Total degree of a semigroup element (its w-grading)."""
-        if self.kind == "veronese":
-            s = sum(v)
-            if s % self.d != 0:
-                raise ValueError(f"{tuple(v)} has coordinate sum not divisible by {self.d}")
-            return s // self.d
-        if self.homogenizer is None:
-            raise UnsupportedConfigError("general configuration without homogenizer is ungraded")
-        deg = sum(w * x for w, x in zip(self.homogenizer, v))
-        if deg.denominator != 1:
-            raise ValueError(f"{tuple(v)} is not homogeneous for this configuration")
-        return int(deg)
+        """Total degree of a semigroup element, its coordinate sum over d;
+        UnsupportedConfigError for a general configuration."""
+        if self.kind != "veronese":
+            raise UnsupportedConfigError("general configuration is ungraded")
+        s = sum(v)
+        if s % self.d != 0:
+            raise ValueError(f"{tuple(v)} has coordinate sum not divisible by {self.d}")
+        return s // self.d
 
 
 @dataclass(frozen=True)
 class Multidegree:
-    """A vector with its total degree (None when the grading does not apply)."""
+    """A vector with its total degree."""
 
     coords: Vector
-    total_degree: int | None
+    total_degree: int
 
 
 @dataclass(frozen=True)
 class OrbitRep:
-    """A coordinate-permutation orbit: canonical sorted form and orbit size."""
+    """A coordinate-permutation orbit, held as its canonical (non-increasing)
+    multidegree; orbit_size_of(canonical.coords) counts its members."""
 
     canonical: Multidegree
-    orbit_size: int
 
 
 @lru_cache(maxsize=16)
@@ -193,16 +174,15 @@ def veronese_points(n: int, d: int) -> PointConfig:
     """All exponent vectors of degree-d monomials in n+1 variables.
 
     Cached: every Betti job of a sweep asks for the same configuration, and
-    validating it costs Fraction arithmetic over every point. The frozen
-    PointConfig is safe to share.
+    validating it checks every point. The frozen PointConfig is safe to
+    share.
 
     Args:
         n: projective dimension, n >= 1.
         d: embedding degree, d >= 1.
 
     Returns:
-        PointConfig with C(n+d, n) points in lexicographic descending order
-        and homogenizer (1/d, ..., 1/d).
+        PointConfig with C(n+d, n) points in lexicographic descending order.
 
     Raises:
         CapacityError: when C(n+d, n) exceeds VERONESE_POINT_GUARD.
@@ -212,16 +192,13 @@ def veronese_points(n: int, d: int) -> PointConfig:
     if composition_count(d, n + 1) > VERONESE_POINT_GUARD:
         raise CapacityError(f"C({n + d}, {n}) points exceed guard {VERONESE_POINT_GUARD}")
     pts = tuple(compositions(d, n + 1))
-    w = tuple(Fraction(1, d) for _ in range(n + 1))
-    return PointConfig(kind="veronese", points=pts, n=n, d=d, homogenizer=w)
+    return PointConfig(kind="veronese", points=pts, n=n, d=d)
 
 
-def general_config(points: Sequence[Sequence[int]],
-                   homogenizer: Sequence[Fraction] | None = None) -> PointConfig:
-    """Wrap an explicit point list as a general configuration."""
+def general_config(points: Sequence[Sequence[int]]) -> PointConfig:
+    """Wrap an explicit point list as a general (ungraded) configuration."""
     pts = tuple(tuple(int(x) for x in a) for a in points)
-    w = tuple(homogenizer) if homogenizer is not None else None
-    return PointConfig(kind="general", points=pts, homogenizer=w)
+    return PointConfig(kind="general", points=pts)
 
 
 def semigroup_contains(config: PointConfig, v: Sequence[int]) -> bool:
@@ -342,8 +319,9 @@ def enumerate_multidegrees(config: PointConfig, total_degree: int,
 
     For a veronese configuration these elements are the vectors in N^{n+1}
     with coordinate sum total_degree * d; each orbit is returned as its
-    non-increasing representative with its orbit size, in lexicographic
-    descending order. `lattice.compositions` lists every element.
+    non-increasing representative, in lexicographic descending order;
+    `orbit_size_of` counts its members and `lattice.compositions` lists
+    every element.
     up_to_symmetry=False is refused: orbit representatives are the only
     mode, and the keyword is kept for callers that spell it out (the
     criterion-09 acceptance test does).
@@ -363,6 +341,5 @@ def enumerate_multidegrees(config: PointConfig, total_degree: int,
     total = total_degree * config.d
     if total > ENUMERATION_WEIGHT_GUARD:
         raise CapacityError(f"coordinate sum {total} exceeds guard {ENUMERATION_WEIGHT_GUARD}")
-    return [OrbitRep(canonical=Multidegree(coords=part, total_degree=total_degree),
-                     orbit_size=orbit_size_of(part))
+    return [OrbitRep(canonical=Multidegree(coords=part, total_degree=total_degree))
             for part in partitions_into(total, config.ambient_dim)]

@@ -380,7 +380,7 @@ def check_np(query: NpQuery) -> NpVerdict:
                 computed_rows.append((coords, q - 1, value))
                 if witness is None and value > 0:
                     md = Multidegree(coords=coords, total_degree=deg)
-                    bn = BettiNumber(j=q - 1, value=value, multidegree=md, certified=True)
+                    bn = BettiNumber(j=q - 1, value=value, certified=True)
                     witness = Witness(b=md, q=q, betti=bn)
             if witness is not None:
                 break

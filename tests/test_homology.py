@@ -19,7 +19,6 @@ from syzcheck.complexes import (
 from syzcheck.errors import CapacityError
 from syzcheck.homology import (
     BettiNumber,
-    RankResult,
     DEFAULT_PRIME,
     _element_matching,
     _matching_certifies_zero,
@@ -111,17 +110,6 @@ def test_rank_exact_examples():
     assert rank_exact(hollow_triangle_matrix()).rank == 2
     simplex_d2 = make_matrix(3, 1, [(0, 0, 1), (1, 0, -1), (2, 0, 1)])
     assert rank_exact(simplex_d2).rank == 1
-
-
-def test_rank_result_fields():
-    r = rank_mod_p(hollow_triangle_matrix(), DEFAULT_PRIME)
-    assert r.method == "modular"
-    assert r.prime == DEFAULT_PRIME
-    assert not r.certified_over_Q
-    e = rank_exact(hollow_triangle_matrix())
-    assert e.method == "exact_rational"
-    assert e.prime is None
-    assert e.certified_over_Q
 
 
 def test_rank_exact_capacity_guard(monkeypatch):
@@ -728,9 +716,22 @@ def test_betti_value_is_dataclass_with_multidegree():
     cfg = veronese_points(1, 3)
     bn = reduced_betti(build_slice(cfg, (3, 3), -1, 1), 0)
     assert isinstance(bn, BettiNumber)
-    assert bn.multidegree.coords == (3, 3)
-    assert bn.multidegree.total_degree == 2
     assert bn.certified
+
+
+def test_reduced_betti_checks_strategy_and_prime_before_any_certificate():
+    # the element matching decides (6,3,3) at j = 1 with no rank; (9,9,9)
+    # at j = 6 reaches the cascade and a modular rank
+    cfg = veronese_points(2, 3)
+    matched = build_slice(cfg, (6, 3, 3), -1, 2)
+    ranked = build_slice(cfg, (9, 9, 9), 5, 7)
+    assert _matching_certifies_zero(matched, 1)
+    assert not _matching_certifies_zero(ranked, 6)
+    for slc, j in [(matched, 1), (ranked, 6)]:
+        with pytest.raises(ValueError, match="unknown strategy"):
+            reduced_betti(slc, j, "bogus")
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            reduced_betti(slc, j, prime=4)
 
 
 def trial_division_is_prime(m):

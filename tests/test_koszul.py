@@ -206,6 +206,8 @@ def test_preconditions_rejected():
         koszul_map(1, 1, 1, 2, (3, 2))
     with pytest.raises(ValueError):
         koszul_map(1, 1, 1, 2, (5, -1))
+    with pytest.raises(ValueError):
+        tor_dimension(1, 1, 1, 2, strategy="bogus")
 
 
 def test_basis_guard_trips(monkeypatch):

@@ -1,7 +1,6 @@
 """Point configurations, membership, and multidegree enumeration."""
 
 import pytest
-from fractions import Fraction
 from math import comb
 
 from syzcheck.errors import CapacityError, UnsupportedConfigError
@@ -50,7 +49,6 @@ def all_vectors_up_to(k, total):
 def test_veronese_line_cubic_points():
     cfg = veronese_points(1, 3)
     assert cfg.points == ((3, 0), (2, 1), (1, 2), (0, 3))
-    assert cfg.homogenizer == (Fraction(1, 3), Fraction(1, 3))
 
 
 def test_veronese_plane_conic_points():
@@ -145,7 +143,7 @@ def test_enumerate_line_cubic_degree_two_symmetric():
     cfg = veronese_points(1, 3)
     reps = enumerate_multidegrees(cfg, 2)
     assert [r.canonical.coords for r in reps] == [(6, 0), (5, 1), (4, 2), (3, 3)]
-    assert [r.orbit_size for r in reps] == [2, 2, 2, 1]
+    assert [orbit_size_of(r.canonical.coords) for r in reps] == [2, 2, 2, 1]
     # the keyword is accepted for callers that spell it out, never switched off
     assert enumerate_multidegrees(cfg, 2, up_to_symmetry=True) == reps
     with pytest.raises(ValueError):
@@ -168,7 +166,7 @@ def test_orbit_expansion_recovers_full_enumeration():
         expanded = []
         for rep in enumerate_multidegrees(cfg, k):
             orbit = set(permutations(rep.canonical.coords))
-            assert len(orbit) == rep.orbit_size
+            assert len(orbit) == orbit_size_of(rep.canonical.coords)
             expanded.extend(orbit)
         assert sorted(expanded) == full
     for coords, size in [((0, 3), 2), ((0, 3, 3), 3), ((2, 2, 2), 1),
@@ -178,7 +176,7 @@ def test_orbit_expansion_recovers_full_enumeration():
 
 def test_canonical_rep_examples():
     # the symmetric enumeration holds each multidegree's orbit as its
-    # non-increasing sort, with the orbit size
+    # non-increasing sort, whose orbit_size_of is the orbit size
     for n, coords, canon, size in [(1, (0, 3), (3, 0), 2),
                                    (2, (0, 3, 3), (3, 3, 0), 3),
                                    (2, (2, 2, 2), (2, 2, 2), 1),
@@ -190,7 +188,7 @@ def test_canonical_rep_examples():
         rep = reps[tuple(sorted(b.coords, reverse=True))]
         assert rep.canonical.coords == canon
         assert rep.canonical.total_degree == b.total_degree
-        assert rep.orbit_size == size
+        assert orbit_size_of(rep.canonical.coords) == size
 
 
 def test_orbit_expansion_matches_distinct_permutations():
@@ -221,6 +219,8 @@ def test_enumerate_rejects_general_configs():
     gen = general_config([(1, 0), (0, 1)])
     with pytest.raises(UnsupportedConfigError):
         enumerate_multidegrees(gen, 2)
+    with pytest.raises(UnsupportedConfigError):
+        gen.degree_of((1, 1))
 
 
 def test_multidegree_factory_validates_membership():
@@ -263,11 +263,8 @@ def test_partitions_into_order_and_shape():
     for p in partitions_into(18, 5):
         assert list(p) == sorted(p, reverse=True)
         assert sum(p) == 18
-
-
-def test_general_config_homogenizer_validation():
-    pts = [(2, 0), (0, 2)]
-    good = general_config(pts, homogenizer=[Fraction(1, 2), Fraction(1, 2)])
-    assert good.degree_of((2, 2)) == 2
-    with pytest.raises(ValueError):
-        general_config(pts, homogenizer=[Fraction(1, 2), Fraction(1, 3)])
+    # total 0 and a single part included: the distinct sorted compositions
+    for total in range(13):
+        for parts in range(1, 6):
+            sorted_comps = {tuple(sorted(c, reverse=True)) for c in compositions(total, parts)}
+            assert list(partitions_into(total, parts)) == sorted(sorted_comps, reverse=True)
