@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every command writes exactly one deterministic document to stdout for a
-given flag set and prime: wall-clock numbers and canonicalization notices
-go to stderr so reruns are byte-identical. Exit codes: 0 success, 1 for a
+given flag set: wall-clock numbers and canonicalization notices go to
+stderr so reruns are byte-identical. Exit codes: 0 success, 1 for a
 mathematically negative verdict (a certified obstruction or a pipeline
 disagreement), 2 for usage, validation, and capacity errors.
 """
@@ -17,7 +17,7 @@ import time
 
 from .complexes import build_slice, slice_to_json, slice_to_text
 from .errors import CapacityError, MismatchError
-from .homology import DEFAULT_PRIME, check_prime, reduced_betti
+from .homology import reduced_betti
 from .koszul import tor_dimension
 from .lattice import multidegree, veronese_points
 from .npchecker import FAILS, NpQuery, check_np, cross_validate
@@ -60,17 +60,6 @@ def _store(args) -> str | None:
     return os.environ.get("SYZCHECK_STORE") or None
 
 
-def _strategy(args) -> str:
-    return "exact" if getattr(args, "exact", False) else "modular_first"
-
-
-def _prime(args) -> int:
-    prime = getattr(args, "prime", None)
-    if prime is None:
-        return DEFAULT_PRIME
-    return check_prime(prime)
-
-
 def _emit_json(doc) -> int:
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
@@ -109,7 +98,7 @@ def cmd_betti(args) -> int:
     coords = _canonicalize(_parse_b(args.b))
     b = multidegree(config, coords)  # membership-validating
     slc = build_slice(config, coords, -1, args.j + 1)
-    bn = reduced_betti(slc, args.j, _strategy(args), prime=_prime(args))
+    bn = reduced_betti(slc, args.j)
     if args.format == "json":
         return _emit_json({"b": list(coords), "degree": b.total_degree,
                            "j": bn.j, "value": bn.value,
@@ -125,8 +114,7 @@ def cmd_betti(args) -> int:
 
 def _build_query(args) -> NpQuery:
     return NpQuery(n=args.n, d=args.d, p=args.p, q_max=args.qmax,
-                   slack=args.slack, field_strategy=_strategy(args),
-                   prime=_prime(args), threads=_threads(args),
+                   slack=args.slack, threads=_threads(args),
                    store_path=_store(args))
 
 
@@ -152,8 +140,7 @@ def cmd_koszul(args) -> int:
     weight = None
     if args.b is not None:
         weight = _canonicalize(_parse_b(args.b))
-    slice_ = tor_dimension(args.p, args.q, args.n, args.d, weight=weight,
-                           strategy=_strategy(args), prime=_prime(args))
+    slice_ = tor_dimension(args.p, args.q, args.n, args.d, weight=weight)
     if args.format == "json":
         return _emit_json(slice_.to_json())
     if args.format == "csv":
@@ -168,8 +155,7 @@ def cmd_koszul(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    dec = tor_schur_decomposition(args.p, args.q, args.d, args.vdim,
-                                  strategy=_strategy(args))
+    dec = tor_schur_decomposition(args.p, args.q, args.d, args.vdim)
     if args.format == "json":
         return _emit_json(dec.to_json())
     if args.format == "csv":
@@ -186,7 +172,6 @@ def cmd_schur(args) -> int:
 
 def cmd_cross_validate(args) -> int:
     report = cross_validate(args.n, args.d, args.p, args.q,
-                            strategy=_strategy(args), prime=_prime(args),
                             store_path=_store(args))
     if args.format == "json":
         return _emit_json(report.to_json())
@@ -212,17 +197,10 @@ def cmd_bench(args) -> int:
     return 1 if verdict.status == FAILS else 0
 
 
-def _add_common(sub, *, prime=True, fmt=True, exact=True, threads=False,
-                store=False):
+def _add_common(sub, *, fmt=True, threads=False, store=False):
     if fmt:
         sub.add_argument("--format", choices=("json", "csv", "text"),
                          default="text")
-    if prime:
-        sub.add_argument("--prime", type=int, default=None,
-                         help="odd prime below 2^31 for the modular stage")
-    if exact:
-        sub.add_argument("--exact", action="store_true",
-                         help="skip the modular stage, rationally certify everything")
     if threads:
         sub.add_argument("--threads", type=int, default=None,
                          help="worker processes (env SYZCHECK_THREADS)")
@@ -262,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("points", help="list the monomial point configuration")
     sp.add_argument("-n", type=_positive, required=True)
     sp.add_argument("-d", type=_positive, required=True)
-    _add_common(sp, prime=False, exact=False)
+    _add_common(sp)
     sp.set_defaults(func=cmd_points)
 
     sp = subs.add_parser("complex", help="materialize a divisor complex band")
@@ -270,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=_positive, required=True)
     sp.add_argument("-b", required=True, help="bound vector, comma-separated")
     sp.add_argument("-j", required=True, help="dimension band 'lo,hi'")
-    _add_common(sp, prime=False, exact=False)
+    _add_common(sp)
     sp.set_defaults(func=cmd_complex)
 
     sp = subs.add_parser("betti", help="one reduced homology rank")
@@ -308,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=_positive, required=True)
     sp.add_argument("--vdim", type=_positive, required=True,
                     help="dimension of the underlying space (needs vdim >= p+1)")
-    _add_common(sp, prime=False)
+    _add_common(sp)
     sp.set_defaults(func=cmd_schur)
 
     sp = subs.add_parser("cross-validate",

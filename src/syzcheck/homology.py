@@ -22,9 +22,8 @@ face and facet were both still unmatched after it. A sequence of such element ma
 (Jonsson, Simplicial Complexes of Graphs, LNM 1928, 2008) with incidence
 coefficients +-1, so by algebraic Morse theory (Skoldberg, Trans. AMS
 2006) the band, a based chain complex whose middle homology is H~_j, has
-H~_j = 0 over Z when no j-cell stays critical. It serves both field
-strategies. Nonzero values, and with them witnesses, come only from the
-cascade and rank.
+H~_j = 0 over Z when no j-cell stays critical. Nonzero values, and with
+them witnesses, come only from the cascade and rank.
 
 The cascade (Kaczynski, Mrozek and Slusarek, Homology computation by
 reduction of chain complexes, 1998) has one rule: a face f whose only
@@ -36,9 +35,10 @@ on the survivors, and the band's homology is unchanged. Each round
 recounts the living facets of living faces only.
 
 Certification: a rank modulo p never exceeds the rational rank, so a Betti
-number that comes out zero modulo p is zero over Q; nonzero values are only
-reported certified after exact rational confirmation of both ranks. The
-Koszul pipeline certifies its homology through the same `middle_homology`.
+number that comes out zero modulo DEFAULT_PRIME is zero over Q; nonzero
+values are only reported certified after exact rational confirmation of
+both ranks. The Koszul pipeline certifies its homology through the same
+`middle_homology`, so the prime can change no answer, only the work done.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .complexes import BoundaryMatrix, ComplexSlice, masked_boundary
 from .errors import CapacityError
 
-# fixed default prime (30 bits) for reproducible runs
+# the prime of every modular rank (30 bits)
 DEFAULT_PRIME = 1_073_741_789
 # retired: no rank path depends on matrix size any more; kept because the
 # benchmark's tracer reads it to count "sparse" rank calls
@@ -366,48 +366,40 @@ def _matching_certifies_zero(slice_: ComplexSlice, j: int) -> bool:
     return False
 
 
-def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, strategy: str,
-                    prime: int, rankers=None) -> int:
+def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix,
+                    rankers=None) -> int:
     """dim ker(out_map) - rank(in_map), certified over Q.
 
-    The certification ladder of both pipelines: under modular_first both
-    ranks are taken modulo prime, which certifies a zero (a modular rank
-    never exceeds the rational one), and a nonzero value is re-ranked
-    exactly; the exact strategy ranks exactly from the start. A negative
-    value is a RuntimeError. rankers is the (modular, exact) pair of rank
-    functions to call, by default this module's rank_mod_p and rank_exact.
+    The certification ladder of both pipelines: both ranks are taken
+    modulo DEFAULT_PRIME, which certifies a zero (a modular rank never
+    exceeds the rational one), and a nonzero value is re-ranked exactly.
+    A negative value is a RuntimeError. rankers is the (modular, exact)
+    pair of rank functions to call, by default this module's rank_mod_p
+    and rank_exact.
     """
     modular, exact = rankers or (rank_mod_p, rank_exact)
 
     def value(rank) -> int:
         return out_map.cols - rank(out_map).rank - rank(in_map).rank
 
-    if strategy == "exact":
+    val = value(lambda m: modular(m, DEFAULT_PRIME))
+    if val > 0:
         val = value(exact)
-    else:
-        val = value(lambda m: modular(m, prime))
-        if val > 0:
-            val = value(exact)
     if val < 0:
         raise RuntimeError("negative homology rank")
     return val
 
 
-def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first", *,
-                  prime: int = DEFAULT_PRIME) -> BettiNumber:
+def reduced_betti(slice_: ComplexSlice, j: int) -> BettiNumber:
     """Rank of the j-th reduced homology of the sliced complex.
 
     value = (#j-faces) - rank(boundary_j) - rank(boundary_{j+1}); the slice
     band must contain [j-1, j+1]. Certificates in order: no j-face gives 0;
     an element matching of dims j-1 .. j+1 that leaves no critical j-cell
-    gives 0 (over Z, so under either strategy); otherwise the residual
-    boundaries of the cascade are ranked by `middle_homology`. certified
-    is always true on return; an exact rank beyond its cell cap raises
-    instead, as a bad strategy or prime does before any certificate.
+    gives 0 over Z; otherwise the residual boundaries of the cascade are
+    ranked by `middle_homology`. certified is always true on return; an
+    exact rank beyond its cell cap raises instead.
     """
-    if strategy not in ("modular_first", "exact"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    check_prime(prime)
     if j - 1 < slice_.j_lo or j + 1 > slice_.j_hi:
         raise ValueError(f"betti at {j} needs dims [{j - 1}, {j + 1}] inside {slice_.dims}")
     # no j-face, no j-chain: a band far above the top face runs no cascade
@@ -415,6 +407,5 @@ def reduced_betti(slice_: ComplexSlice, j: int, strategy: str = "modular_first",
         return BettiNumber(j=j, value=0, certified=True)
     alive, sub = _reduce_band(slice_)
     value = middle_homology(masked_boundary(sub[j], alive[j - 1], alive[j]),
-                            masked_boundary(sub[j + 1], alive[j], alive[j + 1]),
-                            strategy, prime)
+                            masked_boundary(sub[j + 1], alive[j], alive[j + 1]))
     return BettiNumber(j=j, value=value, certified=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexes import BoundaryMatrix, make_matrix
 from .errors import CapacityError
-from .homology import DEFAULT_PRIME, middle_homology, rank_exact, rank_mod_p
+from .homology import middle_homology, rank_exact, rank_mod_p
 from .lattice import Vector, composition_count, compositions, orbit_expansion, partitions_into
 
 # refuse bases beyond this many elements
@@ -136,6 +136,8 @@ def koszul_map(p: int, q: int, n: int, d: int,
     v_dim = n + 1
     if weight is not None:
         weight = tuple(int(x) for x in weight)
+        if len(weight) != v_dim:
+            raise ValueError("weight has wrong length")
         if any(x < 0 for x in weight):
             raise ValueError("weight must be nonnegative")
         if sum(weight) != (p + q) * d:
@@ -177,9 +179,7 @@ class TorSlice:
 
 
 def tor_dimension(p: int, q: int, n: int, d: int,
-                  weight: Vector | None = None, *,
-                  strategy: str = "modular_first",
-                  prime: int = DEFAULT_PRIME) -> TorSlice:
+                  weight: Vector | None = None) -> TorSlice:
     """Dimension of the graded Tor piece at (p, q), per weight or total.
 
     With a weight: the single weight-restricted complex. Without one: one
@@ -195,8 +195,6 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         raise ValueError("p >= 1 required; the p = 0 piece is the documented constant")
     if q < 1:
         raise ValueError("q >= 1 required for a two-sided homology computation")
-    if strategy not in ("modular_first", "exact"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     def value_at(b: Vector) -> int:
         down = koszul_map(p, q, n, d, b)
@@ -204,7 +202,7 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         if up.cols and up.rows != down.cols:
             raise RuntimeError("Koszul interface dimensions disagree")
         # this module's rank names, so the Koszul ranks can be wrapped apart
-        return middle_homology(down, up, strategy, prime, (rank_mod_p, rank_exact))
+        return middle_homology(down, up, (rank_mod_p, rank_exact))
 
     if weight is not None:
         weight = tuple(int(x) for x in weight)

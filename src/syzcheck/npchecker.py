@@ -40,7 +40,7 @@ import numpy as np
 
 from .complexes import build_slice, vertex_cone_mask
 from .errors import CapacityError, MismatchError
-from .homology import DEFAULT_PRIME, BettiNumber, check_prime, reduced_betti
+from .homology import DEFAULT_PRIME, BettiNumber, reduced_betti
 from .koszul import tor_dimension
 from .lattice import (
     Multidegree,
@@ -67,8 +67,6 @@ class NpQuery:
     p: int
     q_max: int | None = None
     slack: int | None = None
-    field_strategy: str = "modular_first"
-    prime: int = DEFAULT_PRIME
     threads: int = 1
     store_path: str | None = None
 
@@ -79,11 +77,8 @@ class NpQuery:
             raise ValueError("q_max must be >= 2")
         if self.slack is not None and self.slack < 0:
             raise ValueError("slack must be >= 0")
-        if self.field_strategy not in ("modular_first", "exact"):
-            raise ValueError(f"unknown field_strategy {self.field_strategy!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        check_prime(self.prime)
 
 
 @dataclass(frozen=True)
@@ -104,8 +99,9 @@ class NpVerdict:
 
     def to_json(self) -> dict:
         # no timings: serialized verdicts must be identical across reruns
-        # with the same flags and prime. effective_n and degree_bound_mode
-        # are constants, kept so that the document's bytes stay the same.
+        # with the same flags. effective_n, degree_bound_mode, field_strategy
+        # and prime are constants, kept so that the document's bytes stay
+        # the same.
         doc = {
             "status": self.status,
             "n": self.query.n,
@@ -114,8 +110,8 @@ class NpVerdict:
             "effective_n": self.query.n,
             "slack": _effective_slack(self.query),
             "degree_bound_mode": "per_q",
-            "field_strategy": self.query.field_strategy,
-            "prime": self.query.prime,
+            "field_strategy": "modular_first",
+            "prime": DEFAULT_PRIME,
             "checked_degrees": {str(q): list(ds) for q, ds in sorted(self.checked_degrees.items())},
             "jobs_total": self.jobs_total,
             "jobs_reused": self.jobs_reused,
@@ -155,11 +151,11 @@ def _effective_slack(query: NpQuery) -> int:
 def _query_hash(query: NpQuery) -> str:
     payload = {
         "n": query.n, "d": query.d, "p": query.p, "q_max": query.q_max,
-        "slack": query.slack, "field_strategy": query.field_strategy,
+        "slack": query.slack,
         # retired options, pinned so that store file names do not move
         "degree_bound_mode": "per_q", "explicit_degrees": [],
+        "field_strategy": "modular_first", "prime": DEFAULT_PRIME,
         "use_reduction": False, "use_symmetry": True,
-        "prime": query.prime,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -200,15 +196,21 @@ class ResultsStore:
             idx: dict[tuple[Vector, int], int] = {}
             path = self._betti_file(n, d)
             data = path.read_bytes() if path.exists() else b""
+            lines = data.split(b"\n")
             start = 0
-            for number, line in enumerate(data.splitlines(keepends=True), 1):
-                end = start + len(line)
+            for number, line in enumerate(lines, 1):
+                # a record is whole only with its newline: a write cut
+                # short just before it still parses as JSON
+                whole = number < len(lines)
+                end = start + len(line) + whole
                 if line.strip():
                     try:
                         rec = json.loads(line)
                     except ValueError:
                         if data[end:].strip():
                             raise ValueError(f"{path} line {number} is not JSON") from None
+                        whole = False
+                    if not whole:
                         # the last write was cut short: skip the fragment
                         # and cut it off, so the next record starts on a
                         # fresh line (unless another writer appended since)
@@ -216,7 +218,7 @@ class ResultsStore:
                             if fh.seek(0, os.SEEK_END) == len(data):
                                 fh.truncate(start)
                         break
-                    # a torn write is never whole JSON, so a bad record is fatal
+                    # a whole line is no torn write, so a bad record is fatal
                     if not _is_record(rec):
                         raise ValueError(f"{path} line {number} is not a store record")
                     if rec["certified"]:
@@ -269,8 +271,7 @@ class ResultsStore:
                                       "\n".join(lines) + "\n")
 
 
-def _betti_job(coords: Vector, config: PointConfig, q: int, strategy: str,
-               prime: int) -> int | CapacityError:
+def _betti_job(coords: Vector, config: PointConfig, q: int) -> int | CapacityError:
     """The reduced homology rank in dimension q - 1 of one orbit
     representative that the vertex test did not certify: build the banded
     slice and take homology through `reduced_betti`, where an element
@@ -294,7 +295,7 @@ def _betti_job(coords: Vector, config: PointConfig, q: int, strategy: str,
         # positional, and looked up at call time: the benchmark's tracer
         # wraps these two names in this module and reads their arguments
         slc = build_slice(config, coords, -1, q)
-        return reduced_betti(slc, q - 1, strategy, prime=prime).value
+        return reduced_betti(slc, q - 1).value
     except CapacityError as exc:
         return exc
 
@@ -305,8 +306,7 @@ def _job_cost(coords: Vector, q: int, config: PointConfig) -> int:
     return comb(vcount, min(q + 1, vcount))
 
 
-def _betti_block(config: PointConfig, reps: list[Vector], q: int, strategy: str,
-                 prime: int, threads: int,
+def _betti_block(config: PointConfig, reps: list[Vector], q: int, threads: int,
                  store: ResultsStore | None) -> tuple[list[int], int]:
     """Certified reduced homology ranks in dimension q - 1 of the orbit
     representatives reps, all of one lattice degree, in the order given,
@@ -329,7 +329,7 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int, strategy: str,
     todo = [coords for coords in reps if coords not in cached]
     pending = [coords for coords, cone in zip(todo, vertex_cone_mask(config, todo, q))
                if not cone]
-    job = partial(_betti_job, config=config, q=q, strategy=strategy, prime=prime)
+    job = partial(_betti_job, config=config, q=q)
     if threads <= 1 or len(pending) <= 1:
         computed = {coords: job(coords) for coords in pending}
     else:
@@ -372,8 +372,7 @@ def check_np(query: NpQuery) -> NpVerdict:
         checked[q] = degrees
         for deg in degrees:
             reps = [r.canonical.coords for r in enumerate_multidegrees(config, deg)]
-            values, reused = _betti_block(config, reps, q, query.field_strategy,
-                                          query.prime, query.threads, store)
+            values, reused = _betti_block(config, reps, q, query.threads, store)
             jobs_reused += reused
             jobs_total += len(reps) - reused
             for coords, value in zip(reps, values):
@@ -438,7 +437,6 @@ class CrossValidationReport:
 
 
 def cross_validate(n: int, d: int, p: int, q: int, *,
-                   strategy: str = "modular_first", prime: int = DEFAULT_PRIME,
                    store_path: str | None = None) -> CrossValidationReport:
     """Compare the two pipelines on every multidegree of lattice degree
     p + q: the graded Tor dimension from the explicit contraction complex
@@ -453,10 +451,9 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     store = ResultsStore(store_path) if store_path else None
     pairs: list[CrossPair] = []
     reps = [rep.canonical.coords for rep in enumerate_multidegrees(config, p + q)]
-    bettis, _ = _betti_block(config, reps, p, strategy, prime, threads=1, store=store)
+    bettis, _ = _betti_block(config, reps, p, threads=1, store=store)
     for coords, betti in zip(reps, bettis):
-        tor = tor_dimension(p, q, n, d, weight=coords, strategy=strategy,
-                            prime=prime).total_dim
+        tor = tor_dimension(p, q, n, d, weight=coords).total_dim
         if tor != betti:
             raise MismatchError(
                 f"pipelines disagree at b={coords}: tor={tor}, homology={betti}")

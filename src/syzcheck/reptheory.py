@@ -200,8 +200,7 @@ def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
     return SchurDecomposition(v_dim=char.v_dim, terms=terms)
 
 
-def tor_schur_decomposition(p: int, q: int, d: int, v_dim: int, *,
-                            strategy: str = "modular_first") -> SchurDecomposition:
+def tor_schur_decomposition(p: int, q: int, d: int, v_dim: int) -> SchurDecomposition:
     """Schur decomposition of one graded Tor piece.
 
     Requires v_dim >= p + 1 so that no row of the stable answer is cut off
@@ -209,6 +208,6 @@ def tor_schur_decomposition(p: int, q: int, d: int, v_dim: int, *,
     """
     if v_dim < p + 1:
         raise ValueError(f"need v_dim >= p + 1, got v_dim={v_dim}, p={p}")
-    tor = tor_dimension(p, q, v_dim - 1, d, strategy=strategy)
+    tor = tor_dimension(p, q, v_dim - 1, d)
     char = WeightCharacter(v_dim=v_dim, mults=dict(tor.weights))
     return schur_decompose(char)

@@ -165,25 +165,6 @@ def test_canonicalization_notice(capsys):
     assert json.loads(out)["b"] == [6, 3]
 
 
-def test_bad_prime_rejected(capsys):
-    code, _, err = run(capsys, "betti", "-n", "1", "-d", "2", "-b", "2,2",
-                       "-j", "0", "--prime", "10")
-    assert code == 2
-    assert "not prime" in err
-
-
-def test_wide_prime_rejected_before_trial_division(capsys, monkeypatch):
-    # a 48-bit prime: trial division alone would take seconds
-    def no_trial_division(m):
-        raise AssertionError("trial division ran")
-
-    monkeypatch.setattr("syzcheck.homology.is_prime", no_trial_division)
-    code, _, err = run(capsys, "betti", "-n", "2", "-d", "3", "-b", "9,9,9",
-                       "-j", "6", "--prime", "281474976710597")
-    assert code == 2
-    assert "31 bits" in err
-
-
 def test_complex_text_and_json(capsys):
     code, out, _ = run(capsys, "complex", "-n", "1", "-d", "2", "-b", "4,2",
                        "-j=-1,1")
@@ -235,6 +216,14 @@ def test_koszul_command(capsys):
     code, out, _ = run(capsys, "koszul", "-n", "1", "-d", "3", "-p", "1",
                        "-q", "1", "-b", "4,2", "--format", "json")
     assert json.loads(out)["total_dim"] == 1
+
+
+def test_koszul_short_weight_names_its_length(capsys):
+    # one coordinate on P^1: the length is wrong before the sum is
+    code, out, err = run(capsys, "koszul", "-n", "1", "-d", "2", "-p", "1",
+                         "-q", "1", "-b", "3")
+    assert (code, out) == (2, "")
+    assert "weight has wrong length" in err
 
 
 def test_schur_command(capsys):
@@ -348,9 +337,3 @@ def test_bench_timing_on_stderr_only(capsys):
     assert "bench:" in err1 and "jobs in" in err1
     assert "bench:" not in out1
 
-
-def test_exact_flag(capsys):
-    code, out, _ = run(capsys, "betti", "-n", "1", "-d", "2", "-b", "2,2",
-                       "-j", "0", "--exact", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["value"] == 1

@@ -1,7 +1,7 @@
 """stdout and exit code of representative commands against committed files.
 
-The CLI promises byte-identical stdout for a given flag set and prime, so
-each case below is pinned to a recorded run. To re-record after an intended
+The CLI promises byte-identical stdout for a given flag set, so each case
+below is pinned to a recorded run. To re-record after an intended
 output change, run `PYTHONPATH=src python tests/test_golden.py` and review
 the diff under tests/golden/.
 """

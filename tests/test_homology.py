@@ -269,17 +269,16 @@ def test_reduced_betti_band_requirement():
 
 
 def test_reduced_betti_strategies_and_cascade_agree():
-    # both strategies go through the same certificates (face count,
-    # matching, then cascade and rank); the naive oracle ranks the full
-    # boundaries over Q
+    # the certificates (face count, matching, then cascade and rank) and
+    # the cascade and rank alone, whose residuals are ranked both mod p and
+    # over Q, against the naive oracle on the full boundaries over Q
     cfg = veronese_points(2, 2)
     for m in enumerate_multidegrees(cfg, 3):
         slc = build_slice(cfg, m.canonical.coords, -1, 3)
         for j in range(0, 3):
             expected = naive_betti(slc, j)
-            for strategy in ("modular_first", "exact"):
-                got = reduced_betti(slc, j, strategy).value
-                assert got == expected, (m.canonical.coords, j, strategy)
+            assert reduced_betti(slc, j).value == expected, (m.canonical.coords, j)
+            assert cascade_betti(slc, j) == expected, (m.canonical.coords, j)
 
 
 def test_betti_matches_naive_rational_oracle():
@@ -440,16 +439,20 @@ def test_empty_level_short_circuits_the_cascade(monkeypatch):
     for j in range(2, 12):
         bn = reduced_betti(slc, j)
         assert (bn.value, bn.certified) == (0, True)
-    for strategy in ("modular_first", "exact"):
-        assert reduced_betti(slc, 11, strategy).value == 0
 
 
-def cascade_betti(slc, j, strategy="modular_first"):
-    # the cascade and rank alone, without the face-count and matching zeros
+def cascade_betti(slc, j):
+    # the cascade and rank alone, without the face-count and matching zeros;
+    # the residuals ranked mod p and over Q must give the same value
     alive, sub = _reduce_band(slc)
-    return middle_homology(masked_boundary(sub[j], alive[j - 1], alive[j]),
-                           masked_boundary(sub[j + 1], alive[j], alive[j + 1]),
-                           strategy, DEFAULT_PRIME)
+    out_map = masked_boundary(sub[j], alive[j - 1], alive[j])
+    in_map = masked_boundary(sub[j + 1], alive[j], alive[j + 1])
+    value = middle_homology(out_map, in_map)
+    modular = [rank_mod_p(m, DEFAULT_PRIME).rank for m in (out_map, in_map)]
+    exact = [rank_exact(m).rank for m in (out_map, in_map)]
+    assert modular == exact, (modular, exact)
+    assert value == out_map.cols - sum(exact)
+    return value
 
 
 def test_cascade_and_rank_match_brute_force_on_the_cone_grid():
@@ -461,9 +464,7 @@ def test_cascade_and_rank_match_brute_force_on_the_cone_grid():
         for q in range(1, 4):
             slc = build_slice(cfg, b, -1, q)
             for j in range(0, q):
-                for strategy in ("modular_first", "exact"):
-                    got = cascade_betti(slc, j, strategy)
-                    assert got == expected[j], (cfg.points, b, q, j, strategy)
+                assert cascade_betti(slc, j) == expected[j], (cfg.points, b, q, j)
 
 
 def window_slices(n, d, p, slack):
@@ -627,9 +628,8 @@ def test_matching_leaves_a_critical_cell_and_the_cascade_decides(monkeypatch):
     reduce_band = homology._reduce_band
     monkeypatch.setattr("syzcheck.homology._reduce_band",
                         lambda *args: rounds.append(1) or reduce_band(*args))
-    for strategy in ("modular_first", "exact"):
-        bn = reduced_betti(slc, 3, strategy)
-        assert (bn.value, bn.certified) == (0, True)
+    bn = reduced_betti(slc, 3)
+    assert (bn.value, bn.certified) == (0, True)
     assert rounds
     assert naive_betti(slc, 3) == 0
 
@@ -641,9 +641,8 @@ def test_matching_zero_runs_no_cascade(monkeypatch):
 
     slc = build_slice(veronese_points(2, 3), (9, 9, 3), -1, 5)
     monkeypatch.setattr("syzcheck.homology._reduce_band", no_cascade)
-    for strategy in ("modular_first", "exact"):
-        bn = reduced_betti(slc, 4, strategy)
-        assert (bn.value, bn.certified) == (0, True)
+    bn = reduced_betti(slc, 4)
+    assert (bn.value, bn.certified) == (0, True)
 
 
 def test_matching_on_more_vertices_than_16_bit_labels_hold():
@@ -719,19 +718,21 @@ def test_betti_value_is_dataclass_with_multidegree():
     assert bn.certified
 
 
-def test_reduced_betti_checks_strategy_and_prime_before_any_certificate():
+def test_reduced_betti_ranks_modulo_the_default_prime(monkeypatch):
     # the element matching decides (6,3,3) at j = 1 with no rank; (9,9,9)
-    # at j = 6 reaches the cascade and a modular rank
+    # at j = 6 reaches the cascade and modular ranks, all mod DEFAULT_PRIME
     cfg = veronese_points(2, 3)
     matched = build_slice(cfg, (6, 3, 3), -1, 2)
     ranked = build_slice(cfg, (9, 9, 9), 5, 7)
     assert _matching_certifies_zero(matched, 1)
     assert not _matching_certifies_zero(ranked, 6)
-    for slc, j in [(matched, 1), (ranked, 6)]:
-        with pytest.raises(ValueError, match="unknown strategy"):
-            reduced_betti(slc, j, "bogus")
-        with pytest.raises(ValueError, match="modulus 4 is not prime"):
-            reduced_betti(slc, j, prime=4)
+    primes = []
+    monkeypatch.setattr(homology, "rank_mod_p",
+                        lambda m, p: primes.append(p) or rank_mod_p(m, p))
+    assert reduced_betti(matched, 1).value == 0
+    assert primes == []
+    reduced_betti(ranked, 6)
+    assert primes and set(primes) == {DEFAULT_PRIME}
 
 
 def trial_division_is_prime(m):

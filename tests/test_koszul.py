@@ -15,7 +15,7 @@ import pytest
 from syzcheck import homology, koszul
 from syzcheck.complexes import build_slice
 from syzcheck.errors import CapacityError
-from syzcheck.homology import reduced_betti
+from syzcheck.homology import rank_exact, reduced_betti
 from syzcheck.koszul import (
     TorSlice,
     koszul_map,
@@ -206,8 +206,8 @@ def test_preconditions_rejected():
         koszul_map(1, 1, 1, 2, (3, 2))
     with pytest.raises(ValueError):
         koszul_map(1, 1, 1, 2, (5, -1))
-    with pytest.raises(ValueError):
-        tor_dimension(1, 1, 1, 2, strategy="bogus")
+    with pytest.raises(ValueError, match="wrong length"):
+        koszul_map(1, 1, 1, 2, (4,))
 
 
 def test_basis_guard_trips(monkeypatch):
@@ -217,11 +217,24 @@ def test_basis_guard_trips(monkeypatch):
         koszul_map(2, 2, 2, 3)
 
 
+def exact_weights(p, q, n, d):
+    # every weight's Tor dimension from the exact ranks of its two maps,
+    # with no modular stage
+    weights = {}
+    for b in compositions((p + q) * d, n + 1):
+        down, up = koszul_map(p, q, n, d, b), koszul_map(p + 1, q - 1, n, d, b)
+        val = down.cols - rank_exact(down).rank - rank_exact(up).rank
+        if val:
+            weights[b] = val
+    return weights
+
+
 def test_exact_strategy_agrees_with_modular_first():
+    # the certification ladder (mod p, then exact on nonzeros) against
+    # exact ranks on every weight
+    expected = exact_weights(1, 1, 1, 2)
     for b in compositions(4, 2):
-        mod = tor_dimension(1, 1, 1, 2, weight=b).total_dim
-        exact = tor_dimension(1, 1, 1, 2, weight=b, strategy="exact").total_dim
-        assert mod == exact
+        assert tor_dimension(1, 1, 1, 2, weight=b).total_dim == expected.get(b, 0), b
 
 
 def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
@@ -233,9 +246,9 @@ def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
 
     monkeypatch.setattr(homology, "_bareiss_rank", no_bareiss)
     for piece, total in (((1, 1, 1, 3), 3), ((2, 1, 2, 2), 8), ((1, 2, 2, 2), 0)):
-        exact = tor_dimension(*piece, strategy="exact")
-        assert exact.total_dim == total, piece
-        assert exact.weights == tor_dimension(*piece).weights, piece
+        weights = exact_weights(*piece)
+        assert sum(weights.values()) == total, piece
+        assert weights == tor_dimension(*piece).weights, piece
 
 
 def test_middle_basis_built_once_per_weight(monkeypatch):

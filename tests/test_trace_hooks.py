@@ -26,7 +26,9 @@ npchecker.check_np(npchecker.NpQuery(n=2, d=2, p=2))
 npchecker.cross_validate(1, 3, 1, 1)
 metrics = layer_metrics(tracer.spans)
 assert list(metrics) == list(LAYER_UNITS), sorted(set(LAYER_UNITS) ^ set(metrics))
-for name in ("homology.rank_mod_p_calls", "homology.rank_exact_calls", "koszul.maps"):
+# koszul.tor_dimension hands middle_homology the Koszul rank names
+for name in ("homology.rank_mod_p_calls", "homology.rank_exact_calls", "koszul.maps",
+             "koszul.rank_mod_p_s", "koszul.rank_exact_calls"):
     assert metrics[name]["value"] > 0, name
 # the homology side of cross_validate still reaches the wrapped names
 under = {s.name for s in tracer.spans
