@@ -4,7 +4,7 @@ Every command writes exactly one deterministic document to stdout for a
 given flag set: wall-clock numbers and canonicalization notices go to
 stderr so reruns are byte-identical. Exit codes: 0 success, 1 for a
 mathematically negative verdict (a certified obstruction or a pipeline
-disagreement), 2 for usage, validation, and capacity errors.
+disagreement), 2 for usage, validation, capacity and file errors.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,9 +89,10 @@ def is_prime(m: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def check_prime(p: int) -> int:
-    """p if it is an odd prime below 2**31, else ValueError. The range test
-    runs first, since is_prime is exact only below 4.76e9."""
+    """p if it is an odd prime below 2**31, else ValueError, which is not
+    cached. The range test runs first: is_prime is exact only below 4.76e9."""
     if p >= 2**31:
         raise ValueError("primes above 31 bits are out of range: the primality "
                          "test is exact only below 4.76e9")

@@ -175,15 +175,11 @@ class ResultsStore:
     """Append-only directory store. Homology values live in one JSON-lines
     file per configuration so distinct queries over the same points share
     work; verdicts are single JSON files keyed by the query content hash.
-    Only certified entries are ever reused."""
+    Only certified entries are ever reused; get and put take a whole block."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            raise ValueError(f"cannot make store directory {self.root}: "
-                             f"{exc.strerror}") from None
+        self.root.mkdir(parents=True, exist_ok=True)
         self._index: dict[tuple[int, int], dict[tuple[Vector, int], int]] = {}
 
     def _betti_file(self, n: int, d: int) -> Path:
@@ -227,19 +223,22 @@ class ResultsStore:
             self._index[key] = idx
         return self._index[key]
 
-    def get(self, n: int, d: int, coords: Vector, j: int) -> int | None:
-        return self._load(n, d).get((tuple(coords), j))
-
-    def put(self, n: int, d: int, coords: Vector, j: int, value: int) -> None:
-        """Record a certified value; a key already present is kept."""
+    def get(self, n: int, d: int, j: int, reps: list[Vector]) -> dict[Vector, int]:
         idx = self._load(n, d)
-        key = (tuple(coords), j)
-        if key in idx:
-            return
-        idx[key] = value
-        rec = {"b": list(coords), "j": j, "value": value, "certified": True}
-        with self._betti_file(n, d).open("a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        return {coords: idx[coords, j] for coords in reps if (coords, j) in idx}
+
+    def put(self, n: int, d: int, j: int, values: dict[Vector, int]) -> None:
+        """Append the values in dimension j of keys not yet stored, in one write."""
+        idx = self._load(n, d)
+        recs = []
+        for coords, value in values.items():
+            if (coords, j) not in idx:
+                idx[coords, j] = value
+                rec = {"b": list(coords), "j": j, "value": value, "certified": True}
+                recs.append(json.dumps(rec, sort_keys=True) + "\n")
+        if recs:
+            with self._betti_file(n, d).open("a") as fh:
+                fh.write("".join(recs))
 
     def _write_atomically(self, name: str, text: str) -> Path:
         """Write text to a temporary file in the store, then rename it over
@@ -312,20 +311,15 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int, threads: int,
     representatives reps, all of one lattice degree, in the order given,
     and how many of them came from the store.
 
-    A stored value is reused; a representative that the vertex test cones
-    is a zero before any face is built; every other one runs `_betti_job`,
-    inline or, with threads > 1, in a forked pool, largest expected
-    complex first. New values go to the store in the order of reps, up to
-    the first job that exceeded capacity, which raises naming its
-    multidegree.
+    Stored values come from one store lookup and are reused; a
+    representative that the vertex test cones is a zero before any face is
+    built; every other one runs `_betti_job`, inline or, with threads > 1,
+    in a forked pool, largest expected complex first. The new values go
+    to the store in one put, in the order of reps, up to the first job
+    that exceeded capacity, which then raises naming its multidegree.
     """
     n, d = config.n, config.d
-    cached: dict[Vector, int] = {}
-    if store:
-        for coords in reps:
-            hit = store.get(n, d, coords, q - 1)
-            if hit is not None:
-                cached[coords] = hit
+    cached = store.get(n, d, q - 1, reps) if store else {}
     todo = [coords for coords in reps if coords not in cached]
     pending = [coords for coords, cone in zip(todo, vertex_cone_mask(config, todo, q))
                if not cone]
@@ -337,20 +331,20 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int, threads: int,
         with multiprocessing.get_context("fork").Pool(min(threads, len(order))) as pool:
             computed = dict(zip(order, pool.map(job, order)))
 
-    values = []
-    for coords in reps:
-        if coords in cached:
-            values.append(cached[coords])
-            continue
+    new: dict[Vector, int] = {}
+    for coords in todo:
         value = computed.get(coords, 0)  # a vertex-coned zero
         if isinstance(value, CapacityError):
-            raise CapacityError(
-                f"job at b={coords} (q={q}, degree {sum(coords) // d}) exceeded "
-                f"capacity: {value}")
-        if store:
-            store.put(n, d, coords, q - 1, value)
-        values.append(value)
-    return values, len(cached)
+            break
+        new[coords] = value
+    if store:
+        store.put(n, d, q - 1, new)
+    if len(new) < len(todo):
+        coords = todo[len(new)]
+        raise CapacityError(f"job at b={coords} (q={q}, degree {sum(coords) // d}) "
+                            f"exceeded capacity: {computed[coords]}")
+    values = {**cached, **new}
+    return [values[coords] for coords in reps], len(cached)
 
 
 def check_np(query: NpQuery) -> NpVerdict:

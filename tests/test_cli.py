@@ -297,6 +297,17 @@ def test_store_that_cannot_be_a_directory_exits_2(capsys, tmp_path, monkeypatch,
     assert err.startswith("error: ") and str(blocker) in err
 
 
+def test_unreadable_values_file_exits_2(capsys, tmp_path):
+    # an OS error on the values file is a file error (exit 2) naming the
+    # path, never a traceback that exits 1 like a negative verdict
+    values = tmp_path / "betti-n1-d1.jsonl"
+    values.mkdir()
+    code, out, err = run(capsys, "check-np", "-n", "1", "-d", "1", "-p", "2",
+                         "--store", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(values) in err
+
+
 @pytest.mark.parametrize("command", [
     ["points", "-n", "20", "-d", "20"],
     ["check-np", "-n", "20", "-d", "20", "-p", "2"],

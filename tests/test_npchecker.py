@@ -229,16 +229,23 @@ def test_capacity_error_names_the_multidegree(monkeypatch):
         check_np(NpQuery(n=2, d=3, p=2))
 
 
-def test_capacity_error_names_the_same_job_inline_and_in_a_pool(monkeypatch):
+def test_capacity_error_names_the_same_job_inline_and_in_a_pool(tmp_path, monkeypatch):
     # at degree 4 the pool runs (4, 4, 4), the largest complex, first, but
     # the error names the first failing representative in enumeration
-    # order, (6, 5, 1). The forked workers inherit the patched cap.
+    # order, (6, 5, 1), and the store keeps exactly the 13 values ahead of
+    # it. The forked workers inherit the patched cap.
     monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10)
+    reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(2, 3), 4)]
+    assert reps.index((6, 5, 1)) == 13
     messages = []
     for threads in (1, 2):
+        store = tmp_path / str(threads)
         with pytest.raises(CapacityError) as info:
-            check_np(NpQuery(n=2, d=3, p=2, threads=threads))
+            check_np(NpQuery(n=2, d=3, p=2, threads=threads, store_path=str(store)))
         messages.append(str(info.value))
+        lines = (store / "betti-n2-d3.jsonl").read_text().splitlines()
+        assert [(tuple(rec["b"]), rec["j"]) for rec in map(json.loads, lines)] == \
+               [(coords, 1) for coords in reps[:13]]
     assert messages == 2 * ["job at b=(6, 5, 1) (q=2, degree 4) exceeded capacity: "
                             "face count exceeds cap 10 during expansion"]
 
@@ -282,6 +289,27 @@ def test_store_reuse(tmp_path):
     assert len(csvs) == 1
     header = csvs[0].read_text().splitlines()[0]
     assert header == "b,j,value,certified"
+
+
+def test_store_appends_once_per_block(tmp_path, monkeypatch):
+    # a block's new values go out in one append; a warm rerun appends none
+    betti_file = tmp_path / "betti-n2-d2.jsonl"
+    appends = []
+    real_open = Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        if self == betti_file and "a" in mode:
+            appends.append(mode)
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    cold = check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
+    blocks = len(cold.checked_degrees[2])
+    assert blocks == 3 < cold.jobs_total
+    assert len(appends) == blocks
+    appends.clear()
+    warm = check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
+    assert warm.jobs_reused == cold.jobs_total and appends == []
 
 
 def test_store_skips_torn_tail(tmp_path):
@@ -373,9 +401,9 @@ def test_store_only_reuses_certified(tmp_path):
     (tmp_path / "betti-n2-d2.jsonl").write_text(
         '{"b": [4, 2, 2], "certified": false, "j": 1, "value": 3}\n')
     store = ResultsStore(tmp_path)
-    assert store.get(2, 2, (4, 2, 2), 1) is None
+    assert store.get(2, 2, 1, [(4, 2, 2)]) == {}
     store2 = ResultsStore(tmp_path)
-    assert store2.get(2, 2, (4, 2, 2), 1) is None
+    assert store2.get(2, 2, 1, [(4, 2, 2)]) == {}
 
 
 def test_cross_validate_examples():

@@ -4,9 +4,11 @@
 `homology.DENSE_THRESHOLD` on every modular rank; a renamed or removed
 name would otherwise show only in a traced benchmark run. The wrappers
 replace names in `syzcheck.npchecker`, so its block runner must look
-`build_slice` and `reduced_betti` up at call time. This runs a
-small traced round in a fresh interpreter, with `perfbench/` on its path
-as the benchmark puts it, and reads `perfbench/` without changing it.
+`build_slice` and `reduced_betti` up at call time, and the store's `put`
+must take (n, d, ...) first, as the tracer sizes the file it appends to
+from them. This runs a small traced round in a fresh interpreter, with
+`perfbench/` on its path as the benchmark puts it, and reads `perfbench/`
+without changing it.
 """
 
 import os
@@ -23,12 +25,16 @@ from tracing import LAYER_UNITS, Tracer, layer_metrics
 tracer = Tracer()
 tracer.install()
 npchecker.check_np(npchecker.NpQuery(n=2, d=2, p=2))
+npchecker.check_np(npchecker.NpQuery(n=2, d=2, p=2, store_path="store"))
 npchecker.cross_validate(1, 3, 1, 1)
 metrics = layer_metrics(tracer.spans)
 assert list(metrics) == list(LAYER_UNITS), sorted(set(LAYER_UNITS) ^ set(metrics))
 # koszul.tor_dimension hands middle_homology the Koszul rank names
 for name in ("homology.rank_mod_p_calls", "homology.rank_exact_calls", "koszul.maps",
              "koszul.rank_mod_p_s", "koszul.rank_exact_calls"):
+    assert metrics[name]["value"] > 0, name
+# the store's get and put still take the arguments the tracer reads
+for name in ("npchecker.store_bytes", "npchecker.store_s"):
     assert metrics[name]["value"] > 0, name
 # the homology side of cross_validate still reaches the wrapped names
 under = {s.name for s in tracer.spans
