@@ -113,9 +113,8 @@ def cmd_betti(args) -> int:
 
 
 def _build_query(args) -> NpQuery:
-    return NpQuery(n=args.n, d=args.d, p=args.p, q_max=args.qmax,
-                   slack=args.slack, threads=_threads(args),
-                   store_path=_store(args))
+    return NpQuery(n=args.n, d=args.d, p=args.p, slack=args.slack,
+                   threads=_threads(args), store_path=_store(args))
 
 
 def cmd_check_np(args) -> int:
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=_positive, required=True)
     sp.add_argument("--slack", type=int, default=None,
                     help="extra degrees beyond q+2 to sweep (default: effective n)")
-    sp.add_argument("--qmax", type=int, default=None,
-                    help="cap on the homological index q (default: p)")
     _add_common(sp, threads=True, store=True)
     sp.set_defaults(func=cmd_check_np)
 
@@ -303,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=_positive, required=True)
     sp.add_argument("-p", type=_positive, required=True)
     sp.add_argument("--slack", type=int, default=None)
-    sp.add_argument("--qmax", type=int, default=None)
     _add_common(sp, fmt=False, threads=True, store=True)
     sp.set_defaults(func=cmd_bench)
 

@@ -8,11 +8,12 @@ cascade shrinks the chain complex with no arithmetic, then the residual
 boundary ranks are computed modulo a prime, with exact rational
 confirmation for any nonzero answer. Both ranks run one sparse elimination
 loop (`_eliminate`, structured Gaussian elimination after LaMacchia and
-Odlyzko, 1991): over F_p every entry is a pivot candidate; over Z only
-+-1 entries are, and fraction-free (Bareiss) elimination ranks whatever is
-left without a unit pivot. Coned slices take the same path:
-callers certify most of them before any face is built
-(`complexes.vertex_cone_mask`), and the later certificates take the rest.
+Odlyzko, 1991): over F_p every entry is a pivot candidate; the exact rank
+takes the +-1 entries first, over Z, and then ranks whatever is left
+without a unit pivot by rational elimination in the same sparse rows.
+Coned slices take the same path: callers certify most of them before any
+face is built (`complexes.vertex_cone_mask`), and the later certificates
+take the rest.
 
 The element matching walks the local vertices in index order and, at
 vertex v, pairs every unmatched face G containing v with G - v when that
@@ -58,8 +59,8 @@ DEFAULT_PRIME = 1_073_741_789
 # benchmark's tracer reads it to count "sparse" rank calls
 DENSE_THRESHOLD = 512
 # refuse exact rational elimination when the residual left by the unit
-# pivots has more cells (rows x cols) than this: Bareiss works on it as a
-# dense list of Python ints, the only dense allocation of either rank
+# pivots has more cells (rows x cols) than this: the rational pass can fill
+# the residual in, so its size bounds that pass's memory
 EXACT_CELL_CAP = 10**7
 
 
@@ -140,20 +141,6 @@ def _sparse_rows(bm: BoundaryMatrix, reduce) -> tuple[dict[int, dict[int, int]],
     return rows_d, col_rows
 
 
-def _dense_rows(rows_d: dict[int, dict[int, int]],
-                col_rows: dict[int, set[int]]) -> list[list[int]]:
-    """The living rows as dense lists over the living columns, both in
-    index order."""
-    col_pos = {c: i for i, c in enumerate(sorted(col_rows))}
-    dense = []
-    for r in sorted(rows_d):
-        row = [0] * len(col_pos)
-        for c, v in rows_d[r].items():
-            row[col_pos[c]] = v
-        dense.append(row)
-    return dense
-
-
 def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
                inverse, reduce) -> int:
     """Structured Gaussian elimination in place on the rows of _sparse_rows;
@@ -163,7 +150,8 @@ def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
     such row is parked until its entry count changes. Clearing entry a
     subtracts reduce(a * inverse(u)) times the pivot row, and reduce maps
     each new entry to the one kept. What is left, all of it in parked
-    columns, is the Schur complement of the pivots."""
+    columns, is the Schur complement of the pivots, in the same rows_d and
+    col_rows; rank_exact runs a second pass over Q on it."""
     # (entry count, column) for every count a column has had; an item whose
     # count is no longer the column's own is stale and skipped
     queue = [(len(held), c) for c, held in col_rows.items()]
@@ -223,51 +211,22 @@ def rank_mod_p(m: BoundaryMatrix, p: int) -> RankResult:
     return RankResult(rank=rank)
 
 
-def _bareiss_rank(mat: list[list[int]]) -> int:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        piv_at = None
-        for i in range(r, rows):
-            if mat[i][c]:
-                piv_at = i
-                break
-        if piv_at is None:
-            continue
-        if piv_at != r:
-            mat[r], mat[piv_at] = mat[piv_at], mat[r]
-        piv = mat[r][c]
-        top = mat[r]
-        for i in range(r + 1, rows):
-            cur = mat[i]
-            mic = cur[c]
-            # every row below is rescaled; the division by the previous
-            # pivot is exact (all intermediates are minors of the input)
-            for k in range(c + 1, cols):
-                cur[k] = (piv * cur[k] - mic * top[k]) // prev
-            cur[c] = 0
-        prev = piv
-        r += 1
-    return r
-
-
 def rank_exact(m: BoundaryMatrix) -> RankResult:
-    """Rank over Q on exact integers: _eliminate on +-1 pivots (a unit is
-    its own inverse, so every entry stays an integer), then fraction-free
-    (Bareiss) elimination of the unit-free residual as dense rows. The
-    rows x cols cap, EXACT_CELL_CAP read at each call, is tested on that
-    residual before it is made."""
+    """Rank over Q: _eliminate on +-1 pivots (a unit is its own inverse, so
+    every entry stays an integer), then _eliminate over Q on the unit-free
+    residual those pivots leave, in the same sparse rows. The rows x cols
+    cap, EXACT_CELL_CAP read at each call, is tested on that residual
+    before any rational work: it bounds the fill of the rational pass."""
     rows_d, col_rows = _sparse_rows(m, int)  # int keeps each sum as it is
     rank = _eliminate(rows_d, col_rows, {1: 1, -1: -1}.get, int)
     if len(rows_d) * len(col_rows) > EXACT_CELL_CAP:
         raise CapacityError(f"{len(rows_d)}x{len(col_rows)} residual exceeds the "
                             f"exact-rank cap of {EXACT_CELL_CAP} cells")
     if rows_d:
-        rank += _bareiss_rank(_dense_rows(rows_d, col_rows))
+        # imported here: fractions pulls in decimal, and no workload's
+        # divisor complex or Koszul map leaves a residual
+        from fractions import Fraction
+        rank += _eliminate(rows_d, col_rows, lambda u: 1 / Fraction(u), Fraction)
     return RankResult(rank=rank)
 
 

@@ -22,7 +22,8 @@ from .errors import CapacityError, UnsupportedConfigError
 
 Vector = tuple[int, ...]
 
-# enumerate_multidegrees refuses total weights above this (k*d guard)
+# enumerate_multidegrees, and check_np for its whole window, refuse
+# coordinate sums (total degree times d) above this
 ENUMERATION_WEIGHT_GUARD = 10**6
 # veronese_points refuses configurations of more points than this
 VERONESE_POINT_GUARD = 10**5
@@ -312,6 +313,13 @@ def orbit_expansion(coords: Sequence[int]) -> list[Vector]:
         out.append(tuple(cur))
 
 
+def check_weight(total: int) -> None:
+    """CapacityError when a coordinate sum exceeds ENUMERATION_WEIGHT_GUARD,
+    read at each call."""
+    if total > ENUMERATION_WEIGHT_GUARD:
+        raise CapacityError(f"coordinate sum {total} exceeds guard {ENUMERATION_WEIGHT_GUARD}")
+
+
 def enumerate_multidegrees(config: PointConfig, total_degree: int,
                            up_to_symmetry: bool = True) -> list[OrbitRep]:
     """One representative per coordinate-permutation orbit of the semigroup
@@ -339,7 +347,6 @@ def enumerate_multidegrees(config: PointConfig, total_degree: int,
     if total_degree < 0:
         raise ValueError("total_degree must be >= 0")
     total = total_degree * config.d
-    if total > ENUMERATION_WEIGHT_GUARD:
-        raise CapacityError(f"coordinate sum {total} exceeds guard {ENUMERATION_WEIGHT_GUARD}")
+    check_weight(total)
     return [OrbitRep(canonical=Multidegree(coords=part, total_degree=total_degree))
             for part in partitions_into(total, config.ambient_dim)]

@@ -46,6 +46,7 @@ from .lattice import (
     Multidegree,
     PointConfig,
     Vector,
+    check_weight,
     enumerate_multidegrees,
     orbit_expansion,
     veronese_points,
@@ -57,15 +58,13 @@ FAILS = "fails"
 
 @dataclass(frozen=True)
 class NpQuery:
-    """One verdict request. q_max and slack default to p and the ambient
-    dimension n. Each q in 2 .. min(p, q_max) is checked at the degrees
-    q + 2 .. q + 2 + slack, one job per coordinate-permutation orbit of
-    multidegrees."""
+    """One verdict request. slack defaults to the ambient dimension n. Each
+    q in 2 .. p is checked at the degrees q + 2 .. q + 2 + slack, one job
+    per coordinate-permutation orbit of multidegrees."""
 
     n: int
     d: int
     p: int
-    q_max: int | None = None
     slack: int | None = None
     threads: int = 1
     store_path: str | None = None
@@ -73,8 +72,6 @@ class NpQuery:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1 or self.p < 1:
             raise ValueError("n, d, p must be positive")
-        if self.q_max is not None and self.q_max < 2:
-            raise ValueError("q_max must be >= 2")
         if self.slack is not None and self.slack < 0:
             raise ValueError("slack must be >= 0")
         if self.threads < 1:
@@ -150,9 +147,9 @@ def _effective_slack(query: NpQuery) -> int:
 
 def _query_hash(query: NpQuery) -> str:
     payload = {
-        "n": query.n, "d": query.d, "p": query.p, "q_max": query.q_max,
-        "slack": query.slack,
+        "n": query.n, "d": query.d, "p": query.p, "slack": query.slack,
         # retired options, pinned so that store file names do not move
+        "q_max": None,
         "degree_bound_mode": "per_q", "explicit_degrees": [],
         "field_strategy": "modular_first", "prime": DEFAULT_PRIME,
         "use_reduction": False, "use_symmetry": True,
@@ -349,10 +346,14 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int, threads: int,
 
 def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
-    obstruction, or holds_up_to_bound with the exact ranges checked."""
+    obstruction, or holds_up_to_bound with the exact ranges checked. A
+    window whose top degree lattice.check_weight refuses raises its
+    CapacityError before any job runs."""
     config = veronese_points(query.n, query.d)
     slack = _effective_slack(query)
-    q_hi = min(query.p, query.q_max if query.q_max is not None else query.p)
+    if query.p >= 2:
+        # the window's top degree is enumerated last: refuse it before any job
+        check_weight((query.p + 2 + slack) * query.d)
     store = ResultsStore(query.store_path) if query.store_path else None
 
     checked: dict[int, tuple[int, ...]] = {}
@@ -361,7 +362,7 @@ def check_np(query: NpQuery) -> NpVerdict:
     jobs_reused = 0
     witness: Witness | None = None
 
-    for q in range(2, q_hi + 1):
+    for q in range(2, query.p + 1):
         degrees = tuple(range(q + 2, q + 3 + slack))
         checked[q] = degrees
         for deg in degrees:

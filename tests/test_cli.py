@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -184,15 +188,30 @@ def test_check_np_exit_codes(capsys):
     code, out, _ = run(capsys, "check-np", "-n", "2", "-d", "2", "-p", "2")
     assert code == 0
     assert "holds up to the checked degree bound" in out
-    code, out, _ = run(capsys, "check-np", "-n", "2", "-d", "3", "-p", "7",
-                       "--qmax", "6")
-    assert code == 0
     code, out, _ = run(capsys, "check-np", "-n", "3", "-d", "2", "-p", "6",
                        "--format", "json")
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "fails"
     assert doc["witness"]["b"] == [4, 4, 4, 4]
+    # no --qmax: -p alone sets the levels checked, which the headline names
+    with pytest.raises(SystemExit) as exc:
+        main(["check-np", "-n", "2", "-d", "3", "-p", "7", "--qmax", "6"])
+    assert exc.value.code == 2
+
+
+def test_check_np_refuses_an_unenumerable_window_at_once():
+    # the top degree's coordinate sum, (p + 2 + slack) * d, is over the
+    # weight guard: refused before the sweep walks every degree below it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for flags in (("-n", "1", "-d", "2", "-p", "2", "--slack", "10000000"),
+                  ("-n", "3", "-d", "3", "-p", "3", "--slack", "600000")):
+        proc = subprocess.run([sys.executable, "-c", "import sys; from syzcheck.cli "
+                               "import main; sys.exit(main(sys.argv[1:]))",
+                               "check-np", *flags],
+                              env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2, flags
+        assert proc.stderr.startswith("capacity error: coordinate sum"), proc.stderr
 
 
 def test_check_np_reruns_byte_identical(capsys):

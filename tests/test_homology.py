@@ -120,6 +120,21 @@ def test_rank_exact_capacity_guard(monkeypatch):
         rank_exact(wide)
 
 
+def rational_residuals(monkeypatch):
+    """Wrap homology._eliminate; the returned list receives a copy of the
+    rows of each pass over Q, that is of each unit-free residual ranked."""
+    seen = []
+    eliminate = homology._eliminate
+
+    def spy(rows_d, col_rows, inverse, reduce):
+        if reduce is Fraction:
+            seen.append({r: dict(row) for r, row in rows_d.items()})
+        return eliminate(rows_d, col_rows, inverse, reduce)
+
+    monkeypatch.setattr(homology, "_eliminate", spy)
+    return seen
+
+
 def test_rank_exact_cell_cap_bounds_memory(monkeypatch):
     # 16 million declared cells with one entry: the unit pivot decides it,
     # with no dense allocation
@@ -133,16 +148,29 @@ def test_rank_exact_cell_cap_bounds_memory(monkeypatch):
     assert peak < 2**20
 
     # a unit-free 4000 x 4000 residual (a row and a column of 2s) is refused
-    # before its dense rows are built
-    def unreachable(*args):
-        raise AssertionError("dense residual built past the cap")
-
-    monkeypatch.setattr(homology, "_dense_rows", unreachable)
-    monkeypatch.setattr(homology, "_bareiss_rank", unreachable)
+    # before the rational pass starts
+    seen = rational_residuals(monkeypatch)
     cross = make_matrix(4000, 4000, [(0, c, 2) for c in range(4000)]
                         + [(r, 0, 2) for r in range(1, 4000)])
     with pytest.raises(CapacityError):
         rank_exact(cross)
+    assert seen == []
+
+
+def test_rank_exact_sparse_residual_stays_sparse():
+    # a unit-free 300 x 300 diagonal of 2s is inside the cell cap; the
+    # rational pass ranks it in its sparse rows, while dense rows would
+    # hold 300 * 300 cells, 8 bytes each: 2400 bytes per entry
+    n = 300
+    assert n * n <= homology.EXACT_CELL_CAP
+    diagonal = make_matrix(n, n, [(i, i, 2) for i in range(n)])
+    tracemalloc.start()
+    try:
+        assert rank_exact(diagonal).rank == n
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1536 * n
 
 
 def test_rank_exact_unit_bidiagonal_beyond_the_cell_cap():
@@ -163,8 +191,9 @@ def random_integer_matrix(rng, rows, cols, entries, values):
 
 
 def test_rank_exact_matches_fraction_rank():
-    # unit pivots first, Bareiss on what is left, against naive rational
-    # elimination; non-unit entries make fill-in leave residuals
+    # unit pivots first, a rational pass on what is left, against naive
+    # dense rational elimination; non-unit entries make fill-in leave
+    # residuals
     rng = np.random.default_rng(20261018)
     for trial in range(60):
         rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
@@ -184,24 +213,17 @@ def test_rank_exact_sums_duplicate_triplets():
     assert rank_exact(cancel).rank == 0
 
 
-def test_rank_exact_residual_goes_to_bareiss(monkeypatch):
-    seen = []
-    bareiss = homology._bareiss_rank
-
-    def spy(mat):
-        seen.append([row[:] for row in mat])
-        return bareiss(mat)
-
-    monkeypatch.setattr(homology, "_bareiss_rank", spy)
-    # no unit anywhere: Bareiss gets the whole matrix
+def test_rank_exact_residual_goes_to_the_rational_pass(monkeypatch):
+    seen = rational_residuals(monkeypatch)
+    # no unit anywhere: the rational pass gets the whole matrix
     no_unit = make_matrix(2, 3, [(0, 0, 2), (0, 1, 4), (1, 1, -3), (1, 2, 6)])
     assert rank_exact(no_unit).rank == fraction_rank(no_unit) == 2
-    assert seen == [[[2, 4, 0], [0, -3, 6]]]
+    assert seen == [{0: {0: 2, 1: 4}, 1: {1: -3, 2: 6}}]
     # the unit pivot at (0, 0) fills (1, 1) with -1 - 1 = -2, no unit
     seen.clear()
     fill = make_matrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
     assert rank_exact(fill).rank == 2
-    assert seen == [[[-2]]]
+    assert seen == [{1: {1: -2}}]
     # unit pivots alone decide the hollow triangle
     seen.clear()
     assert rank_exact(hollow_triangle_matrix()).rank == 2

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from syzcheck import homology, koszul
+from syzcheck import koszul
 from syzcheck.complexes import build_slice
 from syzcheck.errors import CapacityError
 from syzcheck.homology import rank_exact, reduced_betti
@@ -26,6 +26,7 @@ from syzcheck.koszul import (
 from syzcheck.lattice import compositions, partitions_into, veronese_points
 from syzcheck.reptheory import WeightCharacter, tor_schur_decomposition
 from test_complexes import csr
+from test_homology import rational_residuals
 from test_reptheory import reconstruct_character
 
 
@@ -238,17 +239,14 @@ def test_exact_strategy_agrees_with_modular_first():
 
 
 def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
-    # every Koszul differential here is decided by unit pivots alone
-    def no_bareiss(mat):
-        if mat:
-            raise AssertionError(f"Bareiss on a {len(mat)}-row residual")
-        return 0
-
-    monkeypatch.setattr(homology, "_bareiss_rank", no_bareiss)
+    # every Koszul differential here is decided by unit pivots alone: the
+    # residual is empty and no pass over Q runs
+    seen = rational_residuals(monkeypatch)
     for piece, total in (((1, 1, 1, 3), 3), ((2, 1, 2, 2), 8), ((1, 2, 2, 2), 0)):
         weights = exact_weights(*piece)
         assert sum(weights.values()) == total, piece
         assert weights == tor_dimension(*piece).weights, piece
+    assert seen == []
 
 
 def test_middle_basis_built_once_per_weight(monkeypatch):

@@ -39,8 +39,6 @@ def test_query_validation():
     with pytest.raises(ValueError):
         NpQuery(n=0, d=2, p=2)
     with pytest.raises(ValueError):
-        NpQuery(n=2, d=2, p=2, q_max=1)
-    with pytest.raises(ValueError):
         NpQuery(n=2, d=2, p=2, slack=-1)
     with pytest.raises(ValueError):
         NpQuery(n=2, d=2, p=2, threads=0)
@@ -84,12 +82,6 @@ def test_cubic_plane_holds_at_six():
     verdict = check_np(NpQuery(n=2, d=3, p=6))
     assert verdict.status == HOLDS
     assert verdict.witness is None
-
-
-def test_qmax_caps_the_search():
-    verdict = check_np(NpQuery(n=2, d=3, p=7, q_max=6))
-    assert verdict.status == HOLDS
-    assert sorted(verdict.checked_degrees) == [2, 3, 4, 5, 6]
 
 
 def test_failure_monotonic_in_p_with_lifted_witness(verdict_326):
