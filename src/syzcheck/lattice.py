@@ -94,6 +94,23 @@ def partitions_into(total: int, max_parts: int) -> Iterator[Vector]:
         _fill_greedily(cur, i + 1, rest + 1, cur[i])
 
 
+def balanced_weight(total: int, parts: int) -> Vector:
+    """The partition of `total` into `parts` parts that differ by at most 1,
+    larger parts first: the last vector partitions_into(total, parts)
+    yields, and the one dominated by every other."""
+    base, extra = divmod(total, parts)
+    return (base + 1,) * extra + (base,) * (parts - extra)
+
+
+def orbit_count_floor(total: int, parts: int) -> int:
+    """A lower bound on how many vectors partitions_into(total, parts)
+    yields, cheap for any size. An orbit has at most k! members, so for any
+    k <= parts at least composition_count(total, k) // k! partitions have at
+    most k parts; k is capped at 64, where the count is exact and k! small."""
+    k = min(parts, 64)
+    return composition_count(total, k) // factorial(k)
+
+
 def _fill_greedily(cur: list[int], start: int, total: int, cap: int) -> None:
     """Fill cur[start:] with the lexicographically largest non-increasing
     parts of at most cap that sum to total."""

@@ -13,16 +13,24 @@ Work is organised as one job per coordinate-permutation orbit of bound
 vectors: permuting the coordinates of b permutes the points of the
 configuration, so the divisor complexes of an orbit are isomorphic. The
 jobs of one (q, degree) block, for check_np and for cross_validate alike,
-run through one block runner, `_betti_block`. Most jobs are zeros
-certified by a coning vertex, the one cone certificate: one array pass
-per block (`vertex_cone_mask`) reads it off the point coordinates, and
-those jobs never reach build_slice or the worker pool. Every other job
-(`_betti_job`) builds its slice and goes through `reduced_betti`:
-an element matching certifies nearly all of the remaining zeros, and the
-cascade and rank decide the rest, every nonzero included. A job may run
-in a worker pool, but the witness is always the first nonzero in the
-deterministic search order (q ascending, degree ascending, canonical
-representative order).
+run through one block runner, `_betti_block`, which certifies in this
+order. First the block's balanced weight, degree * d split into n + 1
+parts that differ by at most 1. Tor_q in that degree is a GL(V)-module,
+so beta_{q,b} = sum over lambda of c_lambda K_{lambda,b}, with c_lambda
+the multiplicity of the Schur module of shape lambda, and the Kostka
+number K_{lambda,b} is positive exactly when lambda dominates sort(b)
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I). Every
+partition with at most n + 1 parts dominates the balanced weight, so the
+block vanishes exactly when beta does there, and a zero there certifies
+every job of the block without building another face. In a nonzero
+block, jobs coned by a vertex are zeros read off the point coordinates by
+one array pass (`vertex_cone_mask`), and never reach build_slice or the
+worker pool. Every other job (`_betti_job`) builds its slice and goes
+through `reduced_betti`: an element matching certifies nearly all of the
+remaining zeros, and the cascade and rank decide the rest, every nonzero
+included. A job may run in a worker pool, but the witness is always the
+first nonzero in the deterministic search order (q ascending, degree
+ascending, canonical representative order).
 """
 
 from __future__ import annotations
@@ -46,14 +54,20 @@ from .lattice import (
     Multidegree,
     PointConfig,
     Vector,
+    balanced_weight,
     check_weight,
     enumerate_multidegrees,
+    orbit_count_floor,
     orbit_expansion,
     veronese_points,
 )
 
 HOLDS = "holds_up_to_bound"
 FAILS = "fails"
+
+# check_np refuses a window that certainly holds more orbit representatives
+# than this, summed over its blocks
+WINDOW_ORBIT_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -308,29 +322,39 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int, threads: int,
     representatives reps, all of one lattice degree, in the order given,
     and how many of them came from the store.
 
-    Stored values come from one store lookup and are reused; a
-    representative that the vertex test cones is a zero before any face is
-    built; every other one runs `_betti_job`, inline or, with threads > 1,
-    in a forked pool, largest expected complex first. The new values go
-    to the store in one put, in the order of reps, up to the first job
-    that exceeded capacity, which then raises naming its multidegree.
+    Stored values come from one store lookup and are reused. The block's
+    balanced weight decides first, since the block is zero exactly when it
+    is (see the module docstring). Its value comes from the store, from the
+    vertex test, or from one inline `_betti_job`; when it is 0, every
+    representative is a certified zero and no other job runs. Otherwise a representative that the vertex test cones
+    is a zero before any face is built, and every other one runs
+    `_betti_job`, inline or, with threads > 1, in a forked pool, largest
+    expected complex first; the balanced value is reused. The new values go
+    to the store in one put, in the order of reps, up to the first job that
+    exceeded capacity, which then raises naming its multidegree.
     """
     n, d = config.n, config.d
     cached = store.get(n, d, q - 1, reps) if store else {}
     todo = [coords for coords in reps if coords not in cached]
-    pending = [coords for coords, cone in zip(todo, vertex_cone_mask(config, todo, q))
-               if not cone]
+    zeros = {coords for coords, cone in zip(todo, vertex_cone_mask(config, todo, q)) if cone}
     job = partial(_betti_job, config=config, q=q)
+    computed: dict[Vector, int | CapacityError] = {}
+    if todo:
+        top = balanced_weight(sum(todo[0]), n + 1)
+        computed[top] = cached[top] if top in cached else 0 if top in zeros else job(top)
+        if computed[top] == 0:
+            zeros.update(todo)
+    pending = [coords for coords in todo if coords not in zeros and coords not in computed]
     if threads <= 1 or len(pending) <= 1:
-        computed = {coords: job(coords) for coords in pending}
+        computed.update({coords: job(coords) for coords in pending})
     else:
         order = sorted(pending, key=lambda coords: (-_job_cost(coords, q, config), coords))
         with multiprocessing.get_context("fork").Pool(min(threads, len(order))) as pool:
-            computed = dict(zip(order, pool.map(job, order)))
+            computed.update(zip(order, pool.map(job, order)))
 
     new: dict[Vector, int] = {}
     for coords in todo:
-        value = computed.get(coords, 0)  # a vertex-coned zero
+        value = computed.get(coords, 0)  # a certified zero
         if isinstance(value, CapacityError):
             break
         new[coords] = value
@@ -344,16 +368,34 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int, threads: int,
     return [values[coords] for coords in reps], len(cached)
 
 
+def _check_window(n: int, d: int, p: int, slack: int) -> None:
+    """CapacityError when the blocks of q = 2 .. p, degrees q + 2 .. q + 2 +
+    slack, certainly hold more orbit representatives than
+    WINDOW_ORBIT_GUARD, read at each call. Degrees are counted from the
+    top, where blocks are largest, and counting stops at the guard, so the
+    test is cheap however wide the window."""
+    count = 0
+    for deg in range(p + 2 + slack, 3, -1):
+        # the number of q whose degrees reach deg
+        blocks = min(p, deg - 2) - max(2, deg - 2 - slack) + 1
+        count += blocks * orbit_count_floor(deg * d, n + 1)
+        if count > WINDOW_ORBIT_GUARD:
+            raise CapacityError(f"window of q = 2 .. {p} up to degree {p + 2 + slack} holds "
+                                f"more than {WINDOW_ORBIT_GUARD} orbit representatives")
+
+
 def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
     obstruction, or holds_up_to_bound with the exact ranges checked. A
-    window whose top degree lattice.check_weight refuses raises its
-    CapacityError before any job runs."""
+    window whose top degree lattice.check_weight refuses, or that
+    `_check_window` finds too large, raises its CapacityError before any
+    job runs."""
     config = veronese_points(query.n, query.d)
     slack = _effective_slack(query)
     if query.p >= 2:
         # the window's top degree is enumerated last: refuse it before any job
         check_weight((query.p + 2 + slack) * query.d)
+        _check_window(query.n, query.d, query.p, slack)
     store = ResultsStore(query.store_path) if query.store_path else None
 
     checked: dict[int, tuple[int, ...]] = {}

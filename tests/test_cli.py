@@ -214,6 +214,24 @@ def test_check_np_refuses_an_unenumerable_window_at_once():
         assert proc.stderr.startswith("capacity error: coordinate sum"), proc.stderr
 
 
+def test_check_np_refuses_a_window_of_too_many_representatives_at_once():
+    # top sums under the weight guard, but about 500,000 representatives per
+    # degree, and tens of millions: refused within a second, before any job
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for flags in (("-n", "1", "-d", "1", "-p", "2", "--slack", "999990"),
+                  ("-n", "3", "-d", "3", "-p", "3", "--slack", "1000")):
+        proc = subprocess.run([sys.executable, "-c", "import sys, time; from syzcheck.cli "
+                               "import main; start = time.perf_counter(); "
+                               "code = main(sys.argv[1:]); "
+                               "print(time.perf_counter() - start); sys.exit(code)",
+                               "check-np", *flags],
+                              env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2, flags
+        assert proc.stderr.startswith("capacity error: window of q = 2"), proc.stderr
+        assert "orbit representatives" in proc.stderr
+        assert float(proc.stdout) < 1.0, flags
+
+
 def test_check_np_reruns_byte_identical(capsys):
     first = run(capsys, "check-np", "-n", "2", "-d", "2", "-p", "2",
                 "--format", "json")

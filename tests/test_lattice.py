@@ -6,12 +6,14 @@ from math import comb
 from syzcheck.errors import CapacityError, UnsupportedConfigError
 from syzcheck.lattice import (
     Multidegree,
+    balanced_weight,
     composition_count,
     compositions,
     enumerate_multidegrees,
     general_config,
     membership_tester,
     multidegree,
+    orbit_count_floor,
     orbit_expansion,
     orbit_size_of,
     partitions_into,
@@ -268,3 +270,15 @@ def test_partitions_into_order_and_shape():
         for parts in range(1, 6):
             sorted_comps = {tuple(sorted(c, reverse=True)) for c in compositions(total, parts)}
             assert list(partitions_into(total, parts)) == sorted(sorted_comps, reverse=True)
+
+
+def test_balanced_weight_is_the_last_partition_and_orbit_counts_are_floors():
+    assert balanced_weight(14, 4) == (4, 4, 3, 3)
+    assert balanced_weight(2, 5) == (1, 1, 0, 0, 0)
+    for parts in range(1, 6):
+        for total in range(13):
+            parts_list = list(partitions_into(total, parts))
+            assert parts_list[-1] == balanced_weight(total, parts)
+            assert orbit_count_floor(total, parts) <= len(parts_list)
+    # huge sizes cost nothing and stay far above any window guard
+    assert orbit_count_floor(10**6, 10**4) > 10**100

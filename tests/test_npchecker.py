@@ -10,7 +10,13 @@ from syzcheck.complexes import build_slice, vertex_cone_mask
 from syzcheck.errors import CapacityError, MismatchError
 from syzcheck.homology import reduced_betti
 from syzcheck.koszul import TorSlice
-from syzcheck.lattice import compositions, enumerate_multidegrees, veronese_points
+from syzcheck.reptheory import kostka
+from syzcheck.lattice import (
+    balanced_weight,
+    compositions,
+    enumerate_multidegrees,
+    veronese_points,
+)
 from syzcheck.npchecker import (
     FAILS,
     HOLDS,
@@ -149,30 +155,47 @@ def test_worker_pool_is_sized_by_block(monkeypatch):
 
     monkeypatch.setattr(npchecker.multiprocessing, "get_context",
                         lambda method: FakeContext())
-    # every job of (2,2,2) is vertex-coned and opens no pool; the degree-4
-    # and degree-5 blocks of (2,3,2) keep 6 and 3 jobs that are not
+    # every block of (2,3,2) has a zero balanced weight, so all its jobs
+    # are certified zeros and no pool opens
     check_np(NpQuery(n=2, d=3, p=2, threads=64))
-    assert sizes == [(6, 6), (3, 3)]
+    assert sizes == []
+    # the linear-strand blocks (q, degree) = (2, 3) and (3, 4) of v_3(P^2)
+    # are nonzero: 12 and 19 representatives, 5 and 11 of them vertex-coned,
+    # and the balanced weight already ranked inline, leave 6 and 7 jobs
+    cfg = veronese_points(2, 3)
+    for q, threads in [(2, 64), (3, 64), (2, 4)]:
+        reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, q + 1)]
+        values, _ = npchecker._betti_block(cfg, reps, q, threads, None)
+        assert values[-1] > 0
+    assert sizes == [(6, 6), (7, 7), (4, 6)]
 
 
-def test_vertex_cone_decides_most_jobs_before_any_face_is_built(monkeypatch):
+def test_vertex_cone_decides_most_jobs_before_any_face_is_built(tmp_path, monkeypatch):
     # over the default windows of (2,3,6) and (3,2,5) the vertex test fires
     # on 706 of the 707 and 790 of the 790 jobs that brute force finds
-    # coned, and on no other job; check_np builds a slice for the rest only
-    for n, d, p, jobs, coned, fired in [(2, 3, 6, 752, 707, 706),
-                                        (3, 2, 5, 819, 790, 790)]:
+    # coned, and on no other job. Every block is zero, so check_np builds
+    # one slice per block at most: its balanced weight's, when that is not
+    # vertex-coned, and none when it is stored.
+    for n, d, p, jobs, coned, fired, slices in [(2, 3, 6, 752, 707, 706, 13),
+                                                (3, 2, 5, 819, 790, 790, 12)]:
         cfg = veronese_points(n, d)
         seen = {"jobs": 0, "coned": 0, "fired": 0}
+        tops = []
         for q in range(2, p + 1):
             for deg in range(q + 2, q + 3 + n):
                 reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, deg)]
-                for b, fires in zip(reps, vertex_cone_mask(cfg, reps, q)):
+                mask = vertex_cone_mask(cfg, reps, q)
+                for b, fires in zip(reps, mask):
                     apex = set_apex(build_slice(cfg, b, -1, q), q)
                     assert apex is not None or not fires, (n, d, q, b)
                     seen["jobs"] += 1
                     seen["coned"] += apex is not None
                     seen["fired"] += bool(fires)
+                assert reps[-1] == balanced_weight(deg * d, n + 1)
+                if not mask[-1]:
+                    tops.append(reps[-1])
         assert seen == {"jobs": jobs, "coned": coned, "fired": fired}
+        assert len(tops) == slices
 
         built = []
 
@@ -181,11 +204,37 @@ def test_vertex_cone_decides_most_jobs_before_any_face_is_built(monkeypatch):
             return build_slice(config, coords, *args, **kwargs)
 
         monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
-        verdict = check_np(NpQuery(n=n, d=d, p=p))
+        store = str(tmp_path / f"{n}-{d}")
+        cold = check_np(NpQuery(n=n, d=d, p=p, store_path=store))
+        assert cold.status == HOLDS and cold.jobs_total == jobs
+        assert built == tops
+        built.clear()
+        warm = check_np(NpQuery(n=n, d=d, p=p, store_path=store))
         monkeypatch.undo()
-        assert verdict.status == HOLDS
-        assert verdict.jobs_total == jobs
-        assert len(built) == jobs - fired
+        assert warm.jobs_reused == jobs and built == []
+
+
+def test_balanced_weight_decides_its_block_by_brute_force():
+    # every representative of every block of a small grid, ranked by
+    # _betti_job: a block is zero exactly when its balanced weight is, and
+    # _betti_block returns the brute-force values. The balanced weight is
+    # the block's last representative, and every partition of its total
+    # with at most n+1 parts dominates it (a positive Kostka number).
+    blocks = nonzero = 0
+    for n, d, p in [(1, 2, 3), (1, 3, 4), (2, 2, 4), (2, 3, 5), (3, 2, 4), (1, 4, 5)]:
+        cfg = veronese_points(n, d)
+        for q in range(1, p + 1):
+            for deg in range(q + 1, q + 3 + n):
+                reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, deg)]
+                top = balanced_weight(deg * d, n + 1)
+                assert reps[-1] == top
+                brute = [npchecker._betti_job(b, cfg, q) for b in reps]
+                assert any(brute) == (brute[-1] > 0), (n, d, q, deg)
+                assert npchecker._betti_block(cfg, reps, q, 1, None) == (brute, 0)
+                assert all(kostka(lam, top) > 0 for lam in reps)
+                blocks += 1
+                nonzero += any(brute)
+    assert (blocks, nonzero) == (92, 18)
 
 
 def test_cross_validate_skips_vertex_coned_representatives(monkeypatch):
@@ -240,6 +289,25 @@ def test_capacity_error_names_the_same_job_inline_and_in_a_pool(tmp_path, monkey
                [(coords, 1) for coords in reps[:13]]
     assert messages == 2 * ["job at b=(6, 5, 1) (q=2, degree 4) exceeded capacity: "
                             "face count exceeds cap 10 during expansion"]
+
+
+def test_capacity_error_at_the_balanced_weight_runs_the_rest_of_the_block(tmp_path, monkeypatch):
+    # in the first block of (3,2,2), q = 2 at degree 4, only the balanced
+    # weight (2, 2, 2, 2) needs a facet table of more than 90 entries. Its
+    # error does not end the block early: the other 14 representatives are
+    # ranked and stored, and the error names the balanced weight, last in
+    # enumeration order.
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 90)
+    reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(3, 2), 4)]
+    assert reps.index((2, 2, 2, 2)) == 14
+    for threads in (1, 2):
+        store = tmp_path / str(threads)
+        with pytest.raises(CapacityError, match=r"^job at b=\(2, 2, 2, 2\) \(q=2, degree 4\) "
+                                                r"exceeded capacity: "):
+            check_np(NpQuery(n=3, d=2, p=2, threads=threads, store_path=str(store)))
+        lines = (store / "betti-n3-d2.jsonl").read_text().splitlines()
+        assert [(tuple(rec["b"]), rec["value"]) for rec in map(json.loads, lines)] == \
+               [(coords, 0) for coords in reps[:14]]
 
 
 def test_cross_validate_names_the_job_over_capacity(monkeypatch):
