@@ -42,18 +42,6 @@ def _canonicalize(coords: tuple[int, ...]) -> tuple[int, ...]:
     return canon
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("SYZCHECK_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SYZCHECK_THREADS must be an integer, got {env!r}")
-
-
 def _store(args) -> str | None:
     if getattr(args, "store", None) is not None:
         return args.store
@@ -114,7 +102,7 @@ def cmd_betti(args) -> int:
 
 def _build_query(args) -> NpQuery:
     return NpQuery(n=args.n, d=args.d, p=args.p, slack=args.slack,
-                   threads=_threads(args), store_path=_store(args))
+                   store_path=_store(args))
 
 
 def cmd_check_np(args) -> int:
@@ -196,13 +184,10 @@ def cmd_bench(args) -> int:
     return 1 if verdict.status == FAILS else 0
 
 
-def _add_common(sub, *, fmt=True, threads=False, store=False):
+def _add_common(sub, *, fmt=True, store=False):
     if fmt:
         sub.add_argument("--format", choices=("json", "csv", "text"),
                          default="text")
-    if threads:
-        sub.add_argument("--threads", type=int, default=None,
-                         help="worker processes (env SYZCHECK_THREADS)")
     if store:
         sub.add_argument("--store", default=None,
                          help="results directory (env SYZCHECK_STORE)")
@@ -265,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=_positive, required=True)
     sp.add_argument("--slack", type=int, default=None,
                     help="extra degrees beyond q+2 to sweep (default: effective n)")
-    _add_common(sp, threads=True, store=True)
+    _add_common(sp, store=True)
     sp.set_defaults(func=cmd_check_np)
 
     sp = subs.add_parser("koszul", help="graded Tor piece from the contraction complex")
@@ -300,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-d", type=_positive, required=True)
     sp.add_argument("-p", type=_positive, required=True)
     sp.add_argument("--slack", type=int, default=None)
-    _add_common(sp, fmt=False, threads=True, store=True)
+    _add_common(sp, fmt=False, store=True)
     sp.set_defaults(func=cmd_bench)
 
     return parser

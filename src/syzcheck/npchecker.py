@@ -24,27 +24,22 @@ partition with at most n + 1 parts dominates the balanced weight, so the
 block vanishes exactly when beta does there, and a zero there certifies
 every job of the block without building another face. In a nonzero
 block, jobs coned by a vertex are zeros read off the point coordinates by
-one array pass (`vertex_cone_mask`), and never reach build_slice or the
-worker pool. Every other job (`_betti_job`) builds its slice and goes
-through `reduced_betti`: an element matching certifies nearly all of the
+one array pass (`vertex_cone_mask`), and never reach build_slice. Every
+other job (`_betti_job`) builds its slice and goes through
+`reduced_betti`: an element matching certifies nearly all of the
 remaining zeros, and the cascade and rank decide the rest, every nonzero
-included. A job may run in a worker pool, but the witness is always the
-first nonzero in the deterministic search order (q ascending, degree
-ascending, canonical representative order).
+included. Every job runs inline, so the witness is the first nonzero in
+the deterministic search order (q ascending, degree ascending, canonical
+representative order).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import partial
-from math import comb
 from pathlib import Path
-
-import numpy as np
 
 from .complexes import build_slice, vertex_cone_mask
 from .errors import CapacityError, MismatchError
@@ -80,7 +75,6 @@ class NpQuery:
     d: int
     p: int
     slack: int | None = None
-    threads: int = 1
     store_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -88,8 +82,6 @@ class NpQuery:
             raise ValueError("n, d, p must be positive")
         if self.slack is not None and self.slack < 0:
             raise ValueError("slack must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -281,17 +273,14 @@ class ResultsStore:
                                       "\n".join(lines) + "\n")
 
 
-def _betti_job(coords: Vector, config: PointConfig, q: int) -> int | CapacityError:
+def _betti_job(coords: Vector, config: PointConfig, q: int) -> int:
     """The reduced homology rank in dimension q - 1 of one orbit
     representative that the vertex test did not certify: build the banded
     slice and take homology through `reduced_betti`, where an element
     matching of dims q-2 .. q certifies most zeros, and the cascade,
     modular rank and exact confirmation decide the rest. A cone that the
-    vertex test missed comes out 0 the same way. Every value is certified.
-
-    Runs in worker processes; a capacity problem comes back as the caught
-    CapacityError, so `_betti_block` can name the offending multidegree
-    instead of losing it in the pool.
+    vertex test missed comes out 0 the same way. Every value is certified;
+    a complex over capacity raises its CapacityError.
 
     The band runs from the empty face up to dimension q even though the
     rank formula only needs [q - 2, q]: level enumeration walks up from
@@ -301,69 +290,55 @@ def _betti_job(coords: Vector, config: PointConfig, q: int) -> int | CapacityErr
     which on the fat complexes near the degree bound turns minutes of
     sparse elimination into milliseconds.
     """
-    try:
-        # positional, and looked up at call time: the benchmark's tracer
-        # wraps these two names in this module and reads their arguments
-        slc = build_slice(config, coords, -1, q)
-        return reduced_betti(slc, q - 1).value
-    except CapacityError as exc:
-        return exc
+    # positional, and looked up at call time: the benchmark's tracer
+    # wraps these two names in this module and reads their arguments
+    slc = build_slice(config, coords, -1, q)
+    return reduced_betti(slc, q - 1).value
 
 
-def _job_cost(coords: Vector, q: int, config: PointConfig) -> int:
-    pts = np.asarray(config.points, dtype=np.int64)
-    vcount = int(((pts <= np.asarray(coords, dtype=np.int64)).all(axis=1)).sum())
-    return comb(vcount, min(q + 1, vcount))
-
-
-def _betti_block(config: PointConfig, reps: list[Vector], q: int, threads: int,
+def _betti_block(config: PointConfig, reps: list[Vector], q: int,
                  store: ResultsStore | None) -> tuple[list[int], int]:
     """Certified reduced homology ranks in dimension q - 1 of the orbit
     representatives reps, all of one lattice degree, in the order given,
     and how many of them came from the store.
 
-    Stored values come from one store lookup and are reused. The block's
-    balanced weight decides first, since the block is zero exactly when it
-    is (see the module docstring). Its value comes from the store, from the
-    vertex test, or from one inline `_betti_job`; when it is 0, every
-    representative is a certified zero and no other job runs. Otherwise a representative that the vertex test cones
-    is a zero before any face is built, and every other one runs
-    `_betti_job`, inline or, with threads > 1, in a forked pool, largest
-    expected complex first; the balanced value is reused. The new values go
-    to the store in one put, in the order of reps, up to the first job that
-    exceeded capacity, which then raises naming its multidegree.
+    The block's balanced weight decides first (see the module docstring):
+    its value comes from the store, its vertex test or one `_betti_job`,
+    and a 0 makes every representative a certified zero. Otherwise each
+    representative in the order of reps is read from the store, is a zero
+    when the vertex test cones it, or runs `_betti_job` once. The new
+    values go to the store in one put, up to the first job over capacity,
+    whose CapacityError then names its multidegree.
     """
     n, d = config.n, config.d
     cached = store.get(n, d, q - 1, reps) if store else {}
     todo = [coords for coords in reps if coords not in cached]
-    zeros = {coords for coords, cone in zip(todo, vertex_cone_mask(config, todo, q)) if cone}
-    job = partial(_betti_job, config=config, q=q)
-    computed: dict[Vector, int | CapacityError] = {}
-    if todo:
-        top = balanced_weight(sum(todo[0]), n + 1)
-        computed[top] = cached[top] if top in cached else 0 if top in zeros else job(top)
-        if computed[top] == 0:
-            zeros.update(todo)
-    pending = [coords for coords in todo if coords not in zeros and coords not in computed]
-    if threads <= 1 or len(pending) <= 1:
-        computed.update({coords: job(coords) for coords in pending})
-    else:
-        order = sorted(pending, key=lambda coords: (-_job_cost(coords, q, config), coords))
-        with multiprocessing.get_context("fork").Pool(min(threads, len(order))) as pool:
-            computed.update(zip(order, pool.map(job, order)))
-
     new: dict[Vector, int] = {}
-    for coords in todo:
-        value = computed.get(coords, 0)  # a certified zero
-        if isinstance(value, CapacityError):
-            break
-        new[coords] = value
-    if store:
-        store.put(n, d, q - 1, new)
-    if len(new) < len(todo):
+    try:
+        if todo:
+            top = balanced_weight(sum(todo[0]), n + 1)
+            try:
+                top_value = (cached[top] if top in cached
+                             else 0 if vertex_cone_mask(config, [top], q)[0]
+                             else _betti_job(top, config, q))
+            except CapacityError as exc:
+                top_value = exc  # raised in its place in the order of reps
+            if top_value == 0:
+                new = dict.fromkeys(todo, 0)
+            else:
+                for coords, cone in zip(todo, vertex_cone_mask(config, todo, q)):
+                    value = (top_value if coords == top
+                             else 0 if cone else _betti_job(coords, config, q))
+                    if isinstance(value, CapacityError):
+                        raise value
+                    new[coords] = value
+    except CapacityError as exc:
         coords = todo[len(new)]
         raise CapacityError(f"job at b={coords} (q={q}, degree {sum(coords) // d}) "
-                            f"exceeded capacity: {computed[coords]}")
+                            f"exceeded capacity: {exc}") from None
+    finally:
+        if store:
+            store.put(n, d, q - 1, new)
     values = {**cached, **new}
     return [values[coords] for coords in reps], len(cached)
 
@@ -409,7 +384,7 @@ def check_np(query: NpQuery) -> NpVerdict:
         checked[q] = degrees
         for deg in degrees:
             reps = [r.canonical.coords for r in enumerate_multidegrees(config, deg)]
-            values, reused = _betti_block(config, reps, q, query.threads, store)
+            values, reused = _betti_block(config, reps, q, store)
             jobs_reused += reused
             jobs_total += len(reps) - reused
             for coords, value in zip(reps, values):
@@ -488,7 +463,7 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     store = ResultsStore(store_path) if store_path else None
     pairs: list[CrossPair] = []
     reps = [rep.canonical.coords for rep in enumerate_multidegrees(config, p + q)]
-    bettis, _ = _betti_block(config, reps, p, threads=1, store=store)
+    bettis, _ = _betti_block(config, reps, p, store)
     for coords, betti in zip(reps, bettis):
         tor = tor_dimension(p, q, n, d, weight=coords).total_dim
         if tor != betti:

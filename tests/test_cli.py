@@ -198,6 +198,11 @@ def test_check_np_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-np", "-n", "2", "-d", "3", "-p", "7", "--qmax", "6"])
     assert exc.value.code == 2
+    # no --threads: every job runs inline
+    for command in ("check-np", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-n", "2", "-d", "2", "-p", "2", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 def test_check_np_refuses_an_unenumerable_window_at_once():
@@ -360,21 +365,6 @@ def test_too_many_points_or_monomials_exits_2_at_once(capsys, command):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("capacity error: ") and "exceed" in err
-
-
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("SYZCHECK_THREADS", "2")
-    code, out, _ = run(capsys, "check-np", "-n", "1", "-d", "2", "-p", "2",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["status"] == "holds_up_to_bound"
-
-
-def test_threads_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SYZCHECK_THREADS", "abc")
-    code, out, err = run(capsys, "check-np", "-n", "2", "-d", "2", "-p", "1")
-    assert code == 2 and out == ""
-    assert "SYZCHECK_THREADS must be an integer, got 'abc'" in err
 
 
 def test_bench_timing_on_stderr_only(capsys):

@@ -46,8 +46,6 @@ def test_query_validation():
         NpQuery(n=0, d=2, p=2)
     with pytest.raises(ValueError):
         NpQuery(n=2, d=2, p=2, slack=-1)
-    with pytest.raises(ValueError):
-        NpQuery(n=2, d=2, p=2, threads=0)
 
 
 def test_query_hash_is_pinned():
@@ -123,53 +121,6 @@ def test_every_composition_matches_its_orbit_representative():
     assert nonzero == [(9, 9, 9)]
 
 
-def test_worker_pool_matches_inline():
-    inline = check_np(NpQuery(n=2, d=2, p=2, threads=1))
-    pooled = check_np(NpQuery(n=2, d=2, p=2, threads=2))
-    assert inline.status == pooled.status
-    assert inline.checked_degrees == pooled.checked_degrees
-    assert inline.jobs_total == pooled.jobs_total
-
-
-def test_worker_pool_is_sized_by_block(monkeypatch):
-    # a fake fork context records each pool's size and maps inline, so no
-    # process starts
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes):
-            self.processes = processes
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            sizes.append((self.processes, len(items)))
-            return [fn(item) for item in items]
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(npchecker.multiprocessing, "get_context",
-                        lambda method: FakeContext())
-    # every block of (2,3,2) has a zero balanced weight, so all its jobs
-    # are certified zeros and no pool opens
-    check_np(NpQuery(n=2, d=3, p=2, threads=64))
-    assert sizes == []
-    # the linear-strand blocks (q, degree) = (2, 3) and (3, 4) of v_3(P^2)
-    # are nonzero: 12 and 19 representatives, 5 and 11 of them vertex-coned,
-    # and the balanced weight already ranked inline, leave 6 and 7 jobs
-    cfg = veronese_points(2, 3)
-    for q, threads in [(2, 64), (3, 64), (2, 4)]:
-        reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, q + 1)]
-        values, _ = npchecker._betti_block(cfg, reps, q, threads, None)
-        assert values[-1] > 0
-    assert sizes == [(6, 6), (7, 7), (4, 6)]
-
-
 def test_vertex_cone_decides_most_jobs_before_any_face_is_built(tmp_path, monkeypatch):
     # over the default windows of (2,3,6) and (3,2,5) the vertex test fires
     # on 706 of the 707 and 790 of the 790 jobs that brute force finds
@@ -230,7 +181,7 @@ def test_balanced_weight_decides_its_block_by_brute_force():
                 assert reps[-1] == top
                 brute = [npchecker._betti_job(b, cfg, q) for b in reps]
                 assert any(brute) == (brute[-1] > 0), (n, d, q, deg)
-                assert npchecker._betti_block(cfg, reps, q, 1, None) == (brute, 0)
+                assert npchecker._betti_block(cfg, reps, q, None) == (brute, 0)
                 assert all(kostka(lam, top) > 0 for lam in reps)
                 blocks += 1
                 nonzero += any(brute)
@@ -270,25 +221,33 @@ def test_capacity_error_names_the_multidegree(monkeypatch):
         check_np(NpQuery(n=2, d=3, p=2))
 
 
-def test_capacity_error_names_the_same_job_inline_and_in_a_pool(tmp_path, monkeypatch):
-    # at degree 4 the pool runs (4, 4, 4), the largest complex, first, but
-    # the error names the first failing representative in enumeration
-    # order, (6, 5, 1), and the store keeps exactly the 13 values ahead of
-    # it. The forked workers inherit the patched cap.
+def test_block_stops_at_its_first_capacity_failure(tmp_path, monkeypatch):
+    # at degree 4 the balanced weight (4, 4, 4) runs first; then the block
+    # builds, in enumeration order, the representatives that the vertex
+    # test leaves, up to the first that fails, (6, 5, 1). None after it is
+    # built, the error names it, and the store keeps exactly the 13 values
+    # ahead of it.
     monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10)
-    reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(2, 3), 4)]
+    cfg = veronese_points(2, 3)
+    reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, 4)]
     assert reps.index((6, 5, 1)) == 13
-    messages = []
-    for threads in (1, 2):
-        store = tmp_path / str(threads)
-        with pytest.raises(CapacityError) as info:
-            check_np(NpQuery(n=2, d=3, p=2, threads=threads, store_path=str(store)))
-        messages.append(str(info.value))
-        lines = (store / "betti-n2-d3.jsonl").read_text().splitlines()
-        assert [(tuple(rec["b"]), rec["j"]) for rec in map(json.loads, lines)] == \
-               [(coords, 1) for coords in reps[:13]]
-    assert messages == 2 * ["job at b=(6, 5, 1) (q=2, degree 4) exceeded capacity: "
-                            "face count exceeds cap 10 during expansion"]
+    built = []
+
+    def counting_build_slice(config, coords, *args, **kwargs):
+        built.append(coords)
+        return build_slice(config, coords, *args, **kwargs)
+
+    monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
+    with pytest.raises(CapacityError) as info:
+        check_np(NpQuery(n=2, d=3, p=2, store_path=str(tmp_path)))
+    assert str(info.value) == ("job at b=(6, 5, 1) (q=2, degree 4) exceeded capacity: "
+                               "face count exceeds cap 10 during expansion")
+    ahead = reps[:14]
+    assert built == [reps[-1]] + [b for b, cone in zip(ahead, vertex_cone_mask(cfg, ahead, 2))
+                                  if not cone]
+    lines = (tmp_path / "betti-n2-d3.jsonl").read_text().splitlines()
+    assert [(tuple(rec["b"]), rec["j"]) for rec in map(json.loads, lines)] == \
+           [(coords, 1) for coords in reps[:13]]
 
 
 def test_capacity_error_at_the_balanced_weight_runs_the_rest_of_the_block(tmp_path, monkeypatch):
@@ -300,14 +259,12 @@ def test_capacity_error_at_the_balanced_weight_runs_the_rest_of_the_block(tmp_pa
     monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 90)
     reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(3, 2), 4)]
     assert reps.index((2, 2, 2, 2)) == 14
-    for threads in (1, 2):
-        store = tmp_path / str(threads)
-        with pytest.raises(CapacityError, match=r"^job at b=\(2, 2, 2, 2\) \(q=2, degree 4\) "
-                                                r"exceeded capacity: "):
-            check_np(NpQuery(n=3, d=2, p=2, threads=threads, store_path=str(store)))
-        lines = (store / "betti-n3-d2.jsonl").read_text().splitlines()
-        assert [(tuple(rec["b"]), rec["value"]) for rec in map(json.loads, lines)] == \
-               [(coords, 0) for coords in reps[:14]]
+    with pytest.raises(CapacityError, match=r"^job at b=\(2, 2, 2, 2\) \(q=2, degree 4\) "
+                                            r"exceeded capacity: "):
+        check_np(NpQuery(n=3, d=2, p=2, store_path=str(tmp_path)))
+    lines = (tmp_path / "betti-n3-d2.jsonl").read_text().splitlines()
+    assert [(tuple(rec["b"]), rec["value"]) for rec in map(json.loads, lines)] == \
+           [(coords, 0) for coords in reps[:14]]
 
 
 def test_cross_validate_names_the_job_over_capacity(monkeypatch):
