@@ -11,6 +11,11 @@ and takes kernel dimension minus image rank in the middle, optionally
 restricted to one torus weight. Both pipelines must agree wherever both are
 defined; the checker module asserts exactly that.
 
+A basis element of wedge^p Sym^d V (x) Sym^s V is a pair (S, e): a p-subset
+S of the degree-d monomials and the exponent vector e of the symmetric
+factor. The maps preserve torus weights, so in the weight-b piece e is b
+minus the exponent sum of S; no symmetric power needs a position index.
+
 The complex is GL(V)-equivariant, so a weight and its coordinate
 permutations have the same Tor dimension. A full weight sweep therefore
 ranks one dominant weight per permutation orbit and spreads the value over
@@ -35,28 +40,15 @@ from .lattice import Vector, composition_count, compositions, orbit_expansion, p
 DEFAULT_BASIS_GUARD = 10**6
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialBasis:
-    """All exponent vectors of one symmetric power, in the canonical
-    lexicographic descending order shared with the point configurations,
-    and the position of each one in that order."""
-
-    exponents: tuple[Vector, ...]
-    index: dict[Vector, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.exponents)
-
-
 @lru_cache(maxsize=None)
-def monomial_basis(degree: int, v_dim: int) -> MonomialBasis:
+def monomial_basis(degree: int, v_dim: int) -> tuple[Vector, ...]:
+    """All exponent vectors of Sym^degree of C^v_dim, in the canonical
+    lexicographic descending order shared with the point configurations."""
     if degree < 0 or v_dim < 1:
         raise ValueError("need degree >= 0 and v_dim >= 1")
     if composition_count(degree, v_dim) > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"Sym^{degree} of C^{v_dim} exceeds guard {DEFAULT_BASIS_GUARD}")
-    exponents = tuple(compositions(degree, v_dim))
-    return MonomialBasis(exponents=exponents, index={e: i for i, e in enumerate(exponents)})
+    return tuple(compositions(degree, v_dim))
 
 
 @lru_cache(maxsize=None)
@@ -64,8 +56,8 @@ def _wedge_table(p: int, degree: int, v_dim: int):
     """All p-subsets of the degree-`degree` monomial basis together with the
     coordinate sums of their exponent vectors, for fast weight filtering."""
     mon = monomial_basis(degree, v_dim)
-    combos = list(combinations(range(mon.size), p))
-    exps = np.asarray(mon.exponents, dtype=np.int64).reshape(mon.size, v_dim)
+    combos = list(combinations(range(len(mon)), p))
+    exps = np.asarray(mon, dtype=np.int64).reshape(len(mon), v_dim)
     sums = np.zeros((len(combos), v_dim), dtype=np.int64)
     if p and combos:
         idx = np.asarray(combos, dtype=np.intp)
@@ -74,39 +66,38 @@ def _wedge_table(p: int, degree: int, v_dim: int):
 
 
 def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
-                       weight: Vector | None = None) -> list[tuple[tuple[int, ...], int]]:
+                       weight: Vector | None = None) -> list[tuple[tuple[int, ...], Vector]]:
     """Basis of wedge^p Sym^{wedge_degree} V (x) Sym^{sym_degree} V, or of
     its weight space when a weight is given.
 
-    Elements are (strictly increasing index tuple into the wedge_degree
-    monomial basis, index into the sym_degree basis), ordered wedge-major
-    and deterministic. A basis, or the wedge factor alone, of more than
-    DEFAULT_BASIS_GUARD elements (read at each call) raises CapacityError.
+    Elements are (S, e): S a strictly increasing index tuple into the
+    wedge_degree monomial basis, e the exponent vector of the symmetric
+    factor. Within a weight b, e is b minus the exponent sum of S, so a
+    weight whose coordinate sum is not p * wedge_degree + sym_degree has
+    no elements. Elements are ordered wedge-major, then by descending e.
+    A basis, or the wedge factor alone, of more than DEFAULT_BASIS_GUARD
+    elements (read at each call) raises CapacityError.
     """
     if p < 0:
         raise ValueError("exterior power must be nonnegative")
     mon = monomial_basis(wedge_degree, v_dim)
+    # built for a weight space too: its guard refuses a sweep over huge weights
     sym = monomial_basis(sym_degree, v_dim)
-    if comb(mon.size, p) > DEFAULT_BASIS_GUARD:
+    if comb(len(mon), p) > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
-    elements: list[tuple[tuple[int, ...], int]] = []
     if weight is None:
-        if comb(mon.size, p) * sym.size > DEFAULT_BASIS_GUARD:
+        if comb(len(mon), p) * len(sym) > DEFAULT_BASIS_GUARD:
             raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
-        for w in combinations(range(mon.size), p):
-            for s in range(sym.size):
-                elements.append((w, s))
-    else:
-        if len(weight) != v_dim:
-            raise ValueError("weight has wrong length")
-        # at most one element per wedge subset: the guard above bounds it
-        combos, sums = _wedge_table(p, wedge_degree, v_dim)
-        rem = np.asarray(weight, dtype=np.int64)[None, :] - sums
-        for i in np.nonzero((rem >= 0).all(axis=1))[0]:
-            s = sym.index.get(tuple(int(x) for x in rem[i]))
-            if s is not None:
-                elements.append((combos[i], s))
-    return elements
+        return [(w, e) for w in combinations(range(len(mon)), p) for e in sym]
+    if len(weight) != v_dim:
+        raise ValueError("weight has wrong length")
+    if sum(weight) != p * wedge_degree + sym_degree:
+        return []
+    # at most one element per wedge subset: the guard above bounds it
+    combos, sums = _wedge_table(p, wedge_degree, v_dim)
+    rem = np.asarray(weight, dtype=np.int64)[None, :] - sums
+    fit = np.nonzero((rem >= 0).all(axis=1))[0]
+    return [(combos[i], tuple(e)) for i, e in zip(fit.tolist(), rem[fit].tolist())]
 
 
 @lru_cache(maxsize=3)
@@ -145,16 +136,10 @@ def koszul_map(p: int, q: int, n: int, d: int,
     dom, _ = _indexed_basis(p, d, q * d, v_dim, weight, DEFAULT_BASIS_GUARD)
     cod, row_of = _indexed_basis(p - 1, d, (q + 1) * d, v_dim, weight, DEFAULT_BASIS_GUARD)
     mon = monomial_basis(d, v_dim)
-    sym_dom = monomial_basis(q * d, v_dim)
-    sym_cod = monomial_basis((q + 1) * d, v_dim)
     triplets: list[tuple[int, int, int]] = []
-    for col, (w, s) in enumerate(dom):
-        f = sym_dom.exponents[s]
+    for col, (w, f) in enumerate(dom):
         for i, mi in enumerate(w):
-            e = mon.exponents[mi]
-            prod = tuple(a + b for a, b in zip(f, e))
-            target = (w[:i] + w[i + 1:], sym_cod.index[prod])
-            row = row_of[target]
+            row = row_of[w[:i] + w[i + 1:], tuple(a + b for a, b in zip(f, mon[mi]))]
             triplets.append((row, col, 1 if i % 2 == 0 else -1))
     return make_matrix(len(cod), len(dom), triplets)
 

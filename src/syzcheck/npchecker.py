@@ -343,20 +343,21 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
     return [values[coords] for coords in reps], len(cached)
 
 
-def _check_window(n: int, d: int, p: int, slack: int) -> None:
-    """CapacityError when the blocks of q = 2 .. p, degrees q + 2 .. q + 2 +
-    slack, certainly hold more orbit representatives than
+def _check_window(n: int, d: int, window: dict[int, range]) -> None:
+    """CapacityError when the blocks of a window, the degrees window[q] of
+    each q, certainly hold more orbit representatives than
     WINDOW_ORBIT_GUARD, read at each call. Degrees are counted from the
     top, where blocks are largest, and counting stops at the guard, so the
     test is cheap however wide the window."""
+    top = max(ds.stop for ds in window.values()) - 1
     count = 0
-    for deg in range(p + 2 + slack, 3, -1):
-        # the number of q whose degrees reach deg
-        blocks = min(p, deg - 2) - max(2, deg - 2 - slack) + 1
+    for deg in range(top, min(ds.start for ds in window.values()) - 1, -1):
+        blocks = sum(deg in ds for ds in window.values())
         count += blocks * orbit_count_floor(deg * d, n + 1)
         if count > WINDOW_ORBIT_GUARD:
-            raise CapacityError(f"window of q = 2 .. {p} up to degree {p + 2 + slack} holds "
-                                f"more than {WINDOW_ORBIT_GUARD} orbit representatives")
+            raise CapacityError(f"window of q = {min(window)} .. {max(window)} up to degree "
+                                f"{top} holds more than {WINDOW_ORBIT_GUARD} orbit "
+                                f"representatives")
 
 
 def check_np(query: NpQuery) -> NpVerdict:
@@ -367,10 +368,11 @@ def check_np(query: NpQuery) -> NpVerdict:
     job runs."""
     config = veronese_points(query.n, query.d)
     slack = _effective_slack(query)
-    if query.p >= 2:
+    window = {q: range(q + 2, q + 3 + slack) for q in range(2, query.p + 1)}
+    if window:
         # the window's top degree is enumerated last: refuse it before any job
         check_weight((query.p + 2 + slack) * query.d)
-        _check_window(query.n, query.d, query.p, slack)
+        _check_window(query.n, query.d, window)
     store = ResultsStore(query.store_path) if query.store_path else None
 
     checked: dict[int, tuple[int, ...]] = {}
@@ -379,9 +381,8 @@ def check_np(query: NpQuery) -> NpVerdict:
     jobs_reused = 0
     witness: Witness | None = None
 
-    for q in range(2, query.p + 1):
-        degrees = tuple(range(q + 2, q + 3 + slack))
-        checked[q] = degrees
+    for q, degrees in window.items():
+        checked[q] = tuple(degrees)
         for deg in degrees:
             reps = [r.canonical.coords for r in enumerate_multidegrees(config, deg)]
             values, reused = _betti_block(config, reps, q, store)
@@ -456,10 +457,12 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     is computed per coordinate-permutation orbit and reported for every
     member of the orbit. The homology side is one `_betti_block`, the same
     path as a check_np block; any disagreement raises, naming the first
-    disagreeing multidegree."""
+    disagreeing multidegree. A block that `_check_window` finds too large
+    raises its CapacityError before any job runs."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
     config = veronese_points(n, d)
+    _check_window(n, d, {p: range(p + q, p + q + 1)})
     store = ResultsStore(store_path) if store_path else None
     pairs: list[CrossPair] = []
     reps = [rep.canonical.coords for rep in enumerate_multidegrees(config, p + q)]

@@ -219,22 +219,32 @@ def test_check_np_refuses_an_unenumerable_window_at_once():
         assert proc.stderr.startswith("capacity error: coordinate sum"), proc.stderr
 
 
+def assert_window_refused_within_a_second(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", "import sys, time; from syzcheck.cli "
+                           "import main; start = time.perf_counter(); "
+                           "code = main(sys.argv[1:]); "
+                           "print(time.perf_counter() - start); sys.exit(code)", *argv],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, argv
+    assert proc.stderr.startswith("capacity error: window of q = 2"), proc.stderr
+    assert "orbit representatives" in proc.stderr
+    assert float(proc.stdout) < 1.0, argv
+
+
 def test_check_np_refuses_a_window_of_too_many_representatives_at_once():
     # top sums under the weight guard, but about 500,000 representatives per
     # degree, and tens of millions: refused within a second, before any job
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     for flags in (("-n", "1", "-d", "1", "-p", "2", "--slack", "999990"),
                   ("-n", "3", "-d", "3", "-p", "3", "--slack", "1000")):
-        proc = subprocess.run([sys.executable, "-c", "import sys, time; from syzcheck.cli "
-                               "import main; start = time.perf_counter(); "
-                               "code = main(sys.argv[1:]); "
-                               "print(time.perf_counter() - start); sys.exit(code)",
-                               "check-np", *flags],
-                              env=env, capture_output=True, text=True, timeout=20)
-        assert proc.returncode == 2, flags
-        assert proc.stderr.startswith("capacity error: window of q = 2"), proc.stderr
-        assert "orbit representatives" in proc.stderr
-        assert float(proc.stdout) < 1.0, flags
+        assert_window_refused_within_a_second("check-np", *flags)
+
+
+def test_cross_validate_refuses_a_block_of_too_many_representatives_at_once():
+    # one block at degree 302 of v_3(P^3), about 5.2 million representatives:
+    # refused within a second, before any job
+    assert_window_refused_within_a_second("cross-validate", "-n", "3", "-d", "3",
+                                          "-p", "2", "-q", "300")
 
 
 def test_check_np_reruns_byte_identical(capsys):

@@ -53,11 +53,11 @@ def test_monomial_basis_counts_and_order():
     for v_dim in (1, 2, 3, 4):
         for deg in (0, 1, 2, 3):
             basis = monomial_basis(deg, v_dim)
-            assert basis.size == comb(v_dim + deg - 1, deg)
-            assert list(basis.exponents) == sorted(basis.exponents, reverse=True)
-            for i, e in enumerate(basis.exponents):
-                assert basis.index[e] == i
-    assert monomial_basis(2, 2).exponents == ((2, 0), (1, 1), (0, 2))
+            assert len(basis) == comb(v_dim + deg - 1, deg)
+            assert list(basis) == sorted(basis, reverse=True)
+            for i, e in enumerate(basis):
+                assert basis.index(e) == i
+    assert monomial_basis(2, 2) == ((2, 0), (1, 1), (0, 2))
 
 
 def test_wedge_tensor_basis_size():
@@ -67,6 +67,27 @@ def test_wedge_tensor_basis_size():
     empty_wedge = wedge_tensor_basis(0, 2, 4, 2)
     assert len(empty_wedge) == 5
     assert all(w == () for w, _ in empty_wedge)
+
+
+def test_weighted_bases_pair_each_subset_with_its_exponent():
+    # within weight b the symmetric factor of subset S is b - sum(S): the
+    # weight spaces split the full basis, and a weight of another
+    # coordinate sum has none
+    for p, wedge_degree, sym_degree, v_dim in ((0, 2, 3, 2), (1, 1, 2, 3), (2, 2, 2, 2),
+                                               (2, 1, 3, 3), (3, 2, 1, 3)):
+        mon = monomial_basis(wedge_degree, v_dim)
+        total = p * wedge_degree + sym_degree
+        seen = []
+        for b in compositions(total, v_dim):
+            part = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim, b)
+            for w, e in part:
+                assert tuple(map(sum, zip(e, *(mon[i] for i in w)))) == b
+            seen += part
+            assert wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim,
+                                      (b[0] + 1,) + b[1:]) == []
+        full = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim)
+        assert len(seen) == len(set(seen)) == len(full)
+        assert set(seen) == set(full)
 
 
 def test_linear_map_shape_and_entries():
