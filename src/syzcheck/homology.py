@@ -6,14 +6,14 @@ cells of dimensions j-1, j and j+1 (`_element_matching`) certifies a zero
 when it leaves no critical j-cell. Otherwise a unit-pivot cancellation
 cascade shrinks the chain complex with no arithmetic, then the residual
 boundary ranks are computed modulo a prime, with exact rational
-confirmation for any nonzero answer. Both ranks run one sparse elimination
-loop (`_eliminate`, structured Gaussian elimination after LaMacchia and
-Odlyzko, 1991): over F_p every entry is a pivot candidate; the exact rank
-takes the +-1 entries first, over Z, and then ranks whatever is left
-without a unit pivot by rational elimination in the same sparse rows.
-Coned slices take the same path: callers certify most of them before any
-face is built (`complexes.vertex_cone_mask`), and the later certificates
-take the rest.
+confirmation for any nonzero answer; the incoming boundary is ranked only
+on the rows the outgoing one leaves unpivoted (`middle_homology`). Both
+ranks run one sparse elimination loop (`_eliminate`, structured Gaussian
+elimination after LaMacchia and Odlyzko, 1991): over F_p every entry is a
+pivot candidate; the exact rank takes the +-1 entries first, over Z, and
+then ranks whatever is left without a unit pivot by rational elimination
+in the same sparse rows. Callers certify most coned slices before any
+face is built (`complexes.vertex_cone_mask`).
 
 The element matching walks the local vertices in index order and, at
 vertex v, pairs every unmatched face G containing v with G - v when that
@@ -106,9 +106,11 @@ def check_prime(p: int) -> int:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Rank of one sparse matrix over F_p (rank_mod_p) or Q (rank_exact)."""
+    """Rank of a sparse matrix over F_p (rank_mod_p) or Q (rank_exact) and
+    its pivot columns; on them and the pivot rows the matrix is nonsingular."""
 
     rank: int
+    pivot_cols: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -142,16 +144,16 @@ def _sparse_rows(bm: BoundaryMatrix, reduce) -> tuple[dict[int, dict[int, int]],
 
 
 def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
-               inverse, reduce) -> int:
+               inverse, reduce) -> list[int]:
     """Structured Gaussian elimination in place on the rows of _sparse_rows;
-    returns the number of pivots. Each step takes the living column with
-    the fewest entries and in it the shortest row whose entry u has an
-    inverse(u) other than None, ties on the lowest index; a column with no
-    such row is parked until its entry count changes. Clearing entry a
-    subtracts reduce(a * inverse(u)) times the pivot row, and reduce maps
-    each new entry to the one kept. What is left, all of it in parked
-    columns, is the Schur complement of the pivots, in the same rows_d and
-    col_rows; rank_exact runs a second pass over Q on it."""
+    returns the pivot columns in pivot order. Each step takes the living
+    column with the fewest entries and in it the shortest row (ties on the
+    lowest index) whose entry u has an inverse(u) other than None, tried in
+    that order; a column with no such row is parked until its entry count
+    changes. Clearing entry a subtracts reduce(a * inverse(u)) times the
+    pivot row, and reduce maps each new entry to the one kept. What is left,
+    all of it in parked columns, is the Schur complement of the pivots, in
+    the same rows_d and col_rows; rank_exact runs a second pass over Q on it."""
     # (entry count, column) for every count a column has had; an item whose
     # count is no longer the column's own is stale and skipped
     queue = [(len(held), c) for c, held in col_rows.items()]
@@ -163,17 +165,18 @@ def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
         else:
             del col_rows[k]
 
-    rank = 0
+    pivots = []
     while queue:
         n, c = heapq.heappop(queue)
         if len(col_rows.get(c, ())) != n:
             continue
-        holders = [r for r in col_rows[c] if inverse(rows_d[r][c]) is not None]
-        if not holders:
+        for r in sorted(col_rows[c], key=lambda rr: (len(rows_d[rr]), rr)):
+            if (inv := inverse(rows_d[r][c])) is not None:
+                break
+        else:
             continue
-        r = min(holders, key=lambda rr: (len(rows_d[rr]), rr))
         piv_row = rows_d.pop(r)
-        inv = inverse(piv_row.pop(c))
+        del piv_row[c]
         targets = col_rows.pop(c)
         targets.discard(r)
         for k in piv_row:
@@ -195,8 +198,8 @@ def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
                     recount(k)
             if not row2:
                 del rows_d[r2]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return pivots
 
 
 def rank_mod_p(m: BoundaryMatrix, p: int) -> RankResult:
@@ -207,8 +210,8 @@ def rank_mod_p(m: BoundaryMatrix, p: int) -> RankResult:
     check_prime(p)
     reduce = p.__rmod__  # v -> v % p
     rows_d, col_rows = _sparse_rows(m, reduce)
-    rank = _eliminate(rows_d, col_rows, lambda u: pow(u, -1, p), reduce)
-    return RankResult(rank=rank)
+    pivots = _eliminate(rows_d, col_rows, lambda u: pow(u, -1, p), reduce)
+    return RankResult(len(pivots), tuple(pivots))
 
 
 def rank_exact(m: BoundaryMatrix) -> RankResult:
@@ -218,7 +221,7 @@ def rank_exact(m: BoundaryMatrix) -> RankResult:
     cap, EXACT_CELL_CAP read at each call, is tested on that residual
     before any rational work: it bounds the fill of the rational pass."""
     rows_d, col_rows = _sparse_rows(m, int)  # int keeps each sum as it is
-    rank = _eliminate(rows_d, col_rows, {1: 1, -1: -1}.get, int)
+    pivots = _eliminate(rows_d, col_rows, {1: 1, -1: -1}.get, int)
     if len(rows_d) * len(col_rows) > EXACT_CELL_CAP:
         raise CapacityError(f"{len(rows_d)}x{len(col_rows)} residual exceeds the "
                             f"exact-rank cap of {EXACT_CELL_CAP} cells")
@@ -226,8 +229,8 @@ def rank_exact(m: BoundaryMatrix) -> RankResult:
         # imported here: fractions pulls in decimal, and no workload's
         # divisor complex or Koszul map leaves a residual
         from fractions import Fraction
-        rank += _eliminate(rows_d, col_rows, lambda u: 1 / Fraction(u), Fraction)
-    return RankResult(rank=rank)
+        pivots += _eliminate(rows_d, col_rows, lambda u: 1 / Fraction(u), Fraction)
+    return RankResult(len(pivots), tuple(pivots))
 
 
 def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],
@@ -337,11 +340,21 @@ def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix,
     A negative value is a RuntimeError. rankers is the (modular, exact)
     pair of rank functions to call, by default this module's rank_mod_p
     and rank_exact.
+
+    At each rung in_map U is ranked without its rows at the pivot columns
+    X of out_map D, pivot rows R: D U = 0 and D[R, X] is nonsingular, so
+    U[X, :] = -D[R, X]^-1 D[R, ~X] U[~X, :] and rank U = rank U[~X, :].
     """
     modular, exact = rankers or (rank_mod_p, rank_exact)
 
     def value(rank) -> int:
-        return out_map.cols - rank(out_map).rank - rank(in_map).rank
+        out = rank(out_map)
+        free = np.ones(in_map.rows, dtype=bool)
+        free[list(out.pivot_cols)] = False
+        keep = free[in_map.row_idx]
+        rest = BoundaryMatrix(in_map.rows, in_map.cols, in_map.row_idx[keep],
+                              in_map.col_idx[keep], in_map.values[keep])
+        return out_map.cols - out.rank - rank(rest).rank
 
     val = value(lambda m: modular(m, DEFAULT_PRIME))
     if val > 0:

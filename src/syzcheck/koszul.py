@@ -14,7 +14,8 @@ defined; the checker module asserts exactly that.
 A basis element of wedge^p Sym^d V (x) Sym^s V is a pair (S, e): a p-subset
 S of the degree-d monomials and the exponent vector e of the symmetric
 factor. The maps preserve torus weights, so in the weight-b piece e is b
-minus the exponent sum of S; no symmetric power needs a position index.
+minus the exponent sum of S, and S alone names the element. A weight with
+no middle element has no homology and builds neither map.
 
 The complex is GL(V)-equivariant, so a weight and its coordinate
 permutations have the same Tor dimension. A full weight sweep therefore
@@ -57,12 +58,8 @@ def _wedge_table(p: int, degree: int, v_dim: int):
     coordinate sums of their exponent vectors, for fast weight filtering."""
     mon = monomial_basis(degree, v_dim)
     combos = list(combinations(range(len(mon)), p))
-    exps = np.asarray(mon, dtype=np.int64).reshape(len(mon), v_dim)
-    sums = np.zeros((len(combos), v_dim), dtype=np.int64)
-    if p and combos:
-        idx = np.asarray(combos, dtype=np.intp)
-        sums = exps[idx].sum(axis=1)
-    return combos, sums
+    idx = np.asarray(combos, dtype=np.intp).reshape(len(combos), p)
+    return combos, np.asarray(mon, dtype=np.int64)[idx].sum(axis=1)
 
 
 def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
@@ -103,13 +100,31 @@ def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
 @lru_cache(maxsize=3)
 def _indexed_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
                    weight: Vector | None, guard: int):
-    """wedge_tensor_basis and the position of each element in it. The
-    three most recent are kept: the two maps around one weight's middle
-    term use three bases, the middle one twice. guard is the
-    DEFAULT_BASIS_GUARD in force, passed only to key the cache, so that a
-    basis cached under a higher guard never skips the check of a lower one."""
+    """wedge_tensor_basis and the position of each element in it, keyed in
+    a weight space by the wedge subset alone, which names the element there.
+    The three most recent are kept: the two maps around one weight's middle
+    term use three bases, the middle one twice. guard, the DEFAULT_BASIS_GUARD
+    in force, only keys the cache: a lower guard is never skipped."""
     basis = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim, weight)
-    return basis, {elem: i for i, elem in enumerate(basis)}
+    keys = basis if weight is None else [w for w, _ in basis]
+    return basis, {key: i for i, key in enumerate(keys)}
+
+
+def _checked_weight(p: int, q: int, n: int, d: int, weight: Vector | None) -> Vector | None:
+    """weight as ints, once (p, q, n, d) and its length, sign and sum fit
+    the map out of wedge^p (x) Sym^{qd}; else ValueError."""
+    if p < 1 or q < 0 or n < 1 or d < 1:
+        raise ValueError(f"need p >= 1, q >= 0, n >= 1, d >= 1, got {(p, q, n, d)}")
+    if weight is None:
+        return None
+    weight = tuple(int(x) for x in weight)
+    if len(weight) != n + 1:
+        raise ValueError("weight has wrong length")
+    if any(x < 0 for x in weight):
+        raise ValueError("weight must be nonnegative")
+    if sum(weight) != (p + q) * d:
+        raise ValueError(f"weight sum must be {(p + q) * d} for this map")
+    return weight
 
 
 def koszul_map(p: int, q: int, n: int, d: int,
@@ -122,25 +137,18 @@ def koszul_map(p: int, q: int, n: int, d: int,
     exponent vectors sum to it; the differential preserves weights, so the
     restriction is a subcomplex direct summand.
     """
-    if p < 1 or q < 0 or n < 1 or d < 1:
-        raise ValueError(f"need p >= 1, q >= 0, n >= 1, d >= 1, got {(p, q, n, d)}")
+    weight = _checked_weight(p, q, n, d, weight)
     v_dim = n + 1
-    if weight is not None:
-        weight = tuple(int(x) for x in weight)
-        if len(weight) != v_dim:
-            raise ValueError("weight has wrong length")
-        if any(x < 0 for x in weight):
-            raise ValueError("weight must be nonnegative")
-        if sum(weight) != (p + q) * d:
-            raise ValueError(f"weight sum must be {(p + q) * d} for this map")
     dom, _ = _indexed_basis(p, d, q * d, v_dim, weight, DEFAULT_BASIS_GUARD)
     cod, row_of = _indexed_basis(p - 1, d, (q + 1) * d, v_dim, weight, DEFAULT_BASIS_GUARD)
     mon = monomial_basis(d, v_dim)
     triplets: list[tuple[int, int, int]] = []
     for col, (w, f) in enumerate(dom):
         for i, mi in enumerate(w):
-            row = row_of[w[:i] + w[i + 1:], tuple(a + b for a, b in zip(f, mon[mi]))]
-            triplets.append((row, col, 1 if i % 2 == 0 else -1))
+            key = w[:i] + w[i + 1:]
+            if weight is None:
+                key = key, tuple(a + b for a, b in zip(f, mon[mi]))
+            triplets.append((row_of[key], col, 1 if i % 2 == 0 else -1))
     return make_matrix(len(cod), len(dom), triplets)
 
 
@@ -170,27 +178,26 @@ def tor_dimension(p: int, q: int, n: int, d: int,
     With a weight: the single weight-restricted complex. Without one: one
     dominant (non-increasing) weight of coordinate sum (p+q)*d is computed
     per coordinate-permutation orbit, and a nonzero value is recorded for
-    every member of the orbit. The complex is GL(V)-equivariant, so
-    permuted weights have equal Tor dimension; the tests check this against
-    every weight and against the unrestricted complex. Index p = 0 is
-    rejected; that piece is the trivial one-dimensional module in degree
-    zero by convention and involves no Koszul homology.
+    every member of the orbit, as the complex is GL(V)-equivariant. Index
+    p = 0 is rejected: that piece is the trivial module in degree zero by
+    convention and involves no Koszul homology.
     """
     if p < 1:
         raise ValueError("p >= 1 required; the p = 0 piece is the documented constant")
     if q < 1:
         raise ValueError("q >= 1 required for a two-sided homology computation")
 
+    weight = _checked_weight(p, q, n, d, weight)
+
     def value_at(b: Vector) -> int:
+        if not _indexed_basis(p, d, q * d, n + 1, b, DEFAULT_BASIS_GUARD)[0]:
+            return 0
         down = koszul_map(p, q, n, d, b)
-        up = koszul_map(p + 1, q - 1, n, d, b)
-        if up.cols and up.rows != down.cols:
-            raise RuntimeError("Koszul interface dimensions disagree")
+        up = koszul_map(p + 1, q - 1, n, d, b)  # its rows: the same middle basis
         # this module's rank names, so the Koszul ranks can be wrapped apart
         return middle_homology(down, up, (rank_mod_p, rank_exact))
 
     if weight is not None:
-        weight = tuple(int(x) for x in weight)
         val = value_at(weight)
         weights = {weight: val} if val else {}
         return TorSlice(p=p, q=q, total_dim=val, weights=weights)

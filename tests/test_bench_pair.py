@@ -49,7 +49,26 @@ def test_summary_and_report_count_a_lost_run():
             {"pair": 1, "side": "parent", "result": None}]
     summary = bench_pair.summarize(runs, METRICS)
     assert summary["pairs"] == 2 and summary["change_wins"]["wall_s"] == 1
+    assert summary["change_ratio"]["wall_s"] == 0.5
     lines = bench_pair.report("np-paper", summary, METRICS)
     assert len(lines) == len(METRICS)
     assert lines[0] == ("np-paper wall_s: parent 2 (2-2), change 1 s, change won 1/2 "
-                        "pairs; failed ops 0/1, runs 1/2 of 2 (parent/change)")
+                        "pairs, median change/parent 0.5; failed ops 0/1, runs 1/2 "
+                        "of 2 (parent/change)")
+
+
+def test_ratio_is_the_median_within_pairs():
+    # the change reads 10% below its parent in every pair while the host
+    # drifts 3x: the sides' medians are far apart, the within-pair ratio is not
+    runs = []
+    for i, scale in enumerate((1.0, 3.0, 1.5, 2.0)):
+        runs += [{"pair": i, "side": "parent", "result": result(scale)},
+                 {"pair": i, "side": "change", "result": result(0.9 * scale)}]
+    runs.append({"pair": 4, "side": "parent", "result": result(0.0)})
+    runs.append({"pair": 4, "side": "change", "result": result(1.0)})
+    summary = bench_pair.summarize(runs, METRICS)
+    assert abs(summary["change_ratio"]["wall_s"] - 0.9) < 1e-12
+    assert summary["change_wins"]["wall_s"] == 4
+    only_zero = bench_pair.summarize(runs[-2:], METRICS)
+    assert only_zero["change_ratio"]["wall_s"] is None
+    assert "median change/parent n/a;" in bench_pair.report("oracle", only_zero, METRICS)[0]

@@ -45,10 +45,13 @@ def fraction_rank(bm):
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = 1 / rows[rank][c]
         rows[rank] = [x * inv for x in rows[rank]]
+        # a zero of the pivot row changes nothing in the other rows
+        held = [(k, y) for k, y in enumerate(rows[rank]) if y]
         for i in range(bm.rows):
             if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+                f, row = rows[i][c], rows[i]
+                for k, y in held:
+                    row[k] -= f * y
         rank += 1
     return rank
 
@@ -487,6 +490,57 @@ def test_cascade_and_rank_match_brute_force_on_the_cone_grid():
             slc = build_slice(cfg, b, -1, q)
             for j in range(0, q):
                 assert cascade_betti(slc, j) == expected[j], (cfg.points, b, q, j)
+
+
+def rank_calls(monkeypatch):
+    """Wrap homology.rank_mod_p and rank_exact; the returned list receives
+    (matrix, result) for each call, in call order."""
+    calls = []
+    for name in ("rank_mod_p", "rank_exact"):
+        def spy(m, *args, real=getattr(homology, name)):
+            res = real(m, *args)
+            calls.append((m, res))
+            return res
+        monkeypatch.setattr(homology, name, spy)
+    return calls
+
+
+def check_middle_homology(out_map, in_map, calls) -> tuple[int, int]:
+    """middle_homology against Fraction ranks of the two full matrices.
+    Each rung ranks out_map, then in_map with the same shape but without
+    its entries in rows at out_map's pivot columns. Returns the value and
+    how many rungs dropped an entry that way."""
+    calls.clear()
+    value = middle_homology(out_map, in_map)
+    assert value == out_map.cols - fraction_rank(out_map) - fraction_rank(in_map)
+    assert len(calls) in (2, 4)
+    dropped = 0
+    for (out_m, out_r), (in_m, _) in zip(calls[::2], calls[1::2]):
+        assert out_m is out_map
+        assert (in_m.rows, in_m.cols) == (in_map.rows, in_map.cols)
+        held = np.isin(in_map.row_idx, out_r.pivot_cols)
+        kept = [e for e, h in zip(in_map.entries, held.tolist()) if not h]
+        assert sorted(in_m.entries) == sorted(kept)
+        dropped += bool(held.any())
+    return value, dropped
+
+
+def test_restricted_rank_matches_brute_force_on_the_cone_grid(monkeypatch):
+    # every band of the cone grid, on the full boundaries and on the
+    # cascade's residuals
+    calls = rank_calls(monkeypatch)
+    dropped = 0
+    for cfg, b in cone_grid():
+        for q in range(1, 4):
+            slc = build_slice(cfg, b, -1, q)
+            alive, sub = _reduce_band(slc)
+            for j in range(0, q):
+                for out_map, in_map in (
+                        (boundary_matrix(slc, j), boundary_matrix(slc, j + 1)),
+                        (masked_boundary(sub[j], alive[j - 1], alive[j]),
+                         masked_boundary(sub[j + 1], alive[j], alive[j + 1]))):
+                    dropped += check_middle_homology(out_map, in_map, calls)[1]
+    assert dropped > 0
 
 
 def window_slices(n, d, p, slack):

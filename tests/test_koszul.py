@@ -26,7 +26,7 @@ from syzcheck.koszul import (
 from syzcheck.lattice import compositions, partitions_into, veronese_points
 from syzcheck.reptheory import WeightCharacter, tor_schur_decomposition
 from test_complexes import csr
-from test_homology import rational_residuals
+from test_homology import check_middle_homology, rank_calls, rational_residuals
 from test_reptheory import reconstruct_character
 
 
@@ -128,6 +128,66 @@ def test_composite_of_consecutive_maps_is_zero():
                     if up is None:
                         continue
                     assert abs(down @ up).sum() == 0
+
+
+def weight_of(element, d, v_dim):
+    # the torus weight of a basis element (S, e), from its monomials
+    w, e = element
+    mon = monomial_basis(d, v_dim)
+    return tuple(map(sum, zip(e, *(mon[i] for i in w))))
+
+
+def test_weighted_maps_restrict_the_full_map():
+    # at every weight the weighted map is the full map on the elements of
+    # that weight, rows and columns in the full bases' order, and the two
+    # maps around each middle term compose to zero
+    for n, d, p, q in ((1, 1, 1, 1), (1, 2, 1, 2), (1, 3, 2, 1), (2, 1, 2, 1),
+                       (2, 2, 1, 1), (2, 2, 2, 2), (2, 2, 3, 1), (1, 2, 3, 2)):
+        v_dim = n + 1
+        full = csr(koszul_map(p, q, n, d)).toarray()
+        dom = [weight_of(x, d, v_dim) for x in wedge_tensor_basis(p, d, q * d, v_dim)]
+        cod = [weight_of(x, d, v_dim) for x in wedge_tensor_basis(p - 1, d, (q + 1) * d, v_dim)]
+        for b in compositions((p + q) * d, v_dim):
+            rows = [i for i, w in enumerate(cod) if w == b]
+            cols = [i for i, w in enumerate(dom) if w == b]
+            down = koszul_map(p, q, n, d, b)
+            assert (down.rows, down.cols) == (len(rows), len(cols)), (n, d, p, q, b)
+            assert (csr(down).toarray() == full[rows][:, cols]).all(), (n, d, p, q, b)
+            if q >= 1:
+                up = koszul_map(p + 1, q - 1, n, d, b)
+                assert up.rows == down.cols
+                assert abs(csr(down) @ csr(up)).sum() == 0, (n, d, p, q, b)
+
+
+def test_restricted_rank_matches_brute_force_on_koszul_weights(monkeypatch):
+    # every weight of the pieces with n <= 2, d <= 3, p <= 3, q <= 2: the
+    # restricted rank against Fraction ranks of both full maps, and
+    # tor_dimension, which skips an empty middle term, against both
+    calls = rank_calls(monkeypatch)
+    dropped = 0
+    for n in (1, 2):
+        for d in (1, 2, 3):
+            for p in (1, 2, 3):
+                for q in (1, 2):
+                    for b in compositions((p + q) * d, n + 1):
+                        down = koszul_map(p, q, n, d, b)
+                        up = koszul_map(p + 1, q - 1, n, d, b)
+                        value, drops = check_middle_homology(down, up, calls)
+                        assert tor_dimension(p, q, n, d, weight=b).total_dim == value
+                        dropped += drops
+    assert dropped > 0
+
+
+def test_weight_checks_run_before_the_empty_middle_term_is_skipped():
+    # (5, 0) and (5, -1, 0) have no middle element, but they are still refused
+    with pytest.raises(ValueError, match="weight sum must be 4"):
+        tor_dimension(1, 1, 1, 2, weight=(5, 0))
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        tor_dimension(1, 1, 2, 2, weight=(5, -1, 0))
+    with pytest.raises(ValueError, match="wrong length"):
+        tor_dimension(1, 1, 1, 2, weight=(4,))
+    with pytest.raises(ValueError, match="need p >= 1"):
+        tor_dimension(1, 1, 0, 2, weight=(9,))
 
 
 def test_tor_examples():
@@ -272,24 +332,30 @@ def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
 
 def test_middle_basis_built_once_per_weight(monkeypatch):
     # the two maps around one weight use three bases: the middle term is
-    # the domain of one and the codomain of the other
+    # the domain of one and the codomain of the other. The middle is built
+    # first, once per weight, and the outer two only where it is not empty
     builds = []
     build = koszul.wedge_tensor_basis
 
     def counting(*args):
-        builds.append(args[:3])
+        builds.append(args)
         return build(*args)
 
     monkeypatch.setattr(koszul, "wedge_tensor_basis", counting)
     koszul._indexed_basis.cache_clear()
     t = tor_dimension(2, 1, 2, 2)
-    weights = sum(1 for _ in partitions_into(6, 3))
-    assert len(builds) == 3 * weights
-    assert len(set(builds)) == 3
+    expected = []
+    for b in partitions_into(6, 3):
+        expected.append((2, 2, 2, 3, b))
+        # (6, 0, 0) is the one weight without a middle element
+        if b != (6, 0, 0):
+            expected += [(1, 2, 4, 3, b), (3, 2, 0, 3, b)]
+    assert builds == expected and len(builds) == 3 * 7 - 2
+    assert build(2, 2, 2, 3, (6, 0, 0)) == []
     koszul._indexed_basis.cache_clear()
     builds.clear()
     tor_dimension(2, 1, 2, 2, weight=(2, 2, 2))
-    assert sorted(builds) == [(1, 2, 4), (2, 2, 2), (3, 2, 0)]
+    assert sorted(args[:3] for args in builds) == [(1, 2, 4), (2, 2, 2), (3, 2, 0)]
     assert t.total_dim == 8
 
 

@@ -26,7 +26,9 @@ The output file, at the root of the change checkout, keeps every run's last
 stdout line (the benchmark's JSON result, or null with the return code when
 the run printed none) and, per workload and side, the median and quartiles
 of each end-to-end metric, plus the number of pairs in which the change read
-better, as BENCHMARK.json defines better. The same summary ends the stderr
+better, as BENCHMARK.json defines better, and the median over pairs of
+change/parent. That ratio is taken within a pair, so it cancels the drift of
+the host that both runs of one pair share. The same summary ends the stderr
 log, one line per workload and metric.
 """
 
@@ -90,7 +92,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per side: median and quartiles of each metric; change wins per metric."""
+    """Per side: median and quartiles of each metric. Per metric, over the
+    pairs with both results: the pairs the change won, and the median of
+    change/parent within a pair, which cancels drift of the host that both
+    runs of a pair share (pairs with a parent value of 0 are left out)."""
     out: dict = {}
     for side in SIDES:
         done = [r["result"] for r in runs if r["side"] == side and r["result"]]
@@ -108,25 +113,30 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                                 "q1": q1, "q3": q3, "unit": m["unit"]}
         out[side] = stats
     wins: dict[str, int] = {}
+    ratios: dict[str, float | None] = {}
     pairs = sorted({r["pair"] for r in runs})
     for m in metrics:
         sign = -1 if m["better"] == "lower" else 1
-        won = 0
+        won, within = 0, []
         for i in pairs:
             got = {r["side"]: r["result"] for r in runs if r["pair"] == i}
             if all(got.get(s) for s in SIDES):
-                delta = (got["change"]["metrics"][m["name"]]["value"]
-                         - got["parent"]["metrics"][m["name"]]["value"])
-                won += sign * delta > 0
+                par, chg = (got[s]["metrics"][m["name"]]["value"] for s in SIDES)
+                won += sign * (chg - par) > 0
+                if par:
+                    within.append(chg / par)
         wins[m["name"]] = won
+        ratios[m["name"]] = statistics.median(within) if within else None
     out["change_wins"] = wins
+    out["change_ratio"] = ratios
     out["pairs"] = len(pairs)
     return out
 
 
 def report(workload: str, summary: dict, metrics: list[dict]) -> list[str]:
     """One line per metric: parent median (quartiles), change median, pairs
-    the change won, and the failed operations and finished runs per side."""
+    the change won, the median change/parent ratio within a pair, and the
+    failed operations and finished runs per side."""
     par, chg = summary["parent"], summary["change"]
     tail = (f"failed ops {par['failed']}/{chg['failed']}, "
             f"runs {par['runs']}/{chg['runs']} of {summary['pairs']} (parent/change)")
@@ -137,10 +147,12 @@ def report(workload: str, summary: dict, metrics: list[dict]) -> list[str]:
             lines.append(f"{workload} {name}: no result on one side; {tail}")
             continue
         p, c = par[name], chg[name]
+        ratio = summary["change_ratio"][name]
         lines.append(f"{workload} {name}: parent {p['median']:.4g} "
                      f"({p['q1']:.4g}-{p['q3']:.4g}), change {c['median']:.4g} "
                      f"{m['unit']}, change won {summary['change_wins'][name]}"
-                     f"/{summary['pairs']} pairs; {tail}")
+                     f"/{summary['pairs']} pairs, median change/parent "
+                     f"{'n/a' if ratio is None else f'{ratio:.4g}'}; {tail}")
     return lines
 
 
