@@ -5,7 +5,7 @@ homology with no linear algebra. Otherwise an element matching of the
 cells of dimensions j-1, j and j+1 (`_element_matching`) certifies a zero
 when it leaves no critical j-cell. Otherwise a unit-pivot cancellation
 cascade shrinks the chain complex with no arithmetic, then the residual
-boundary ranks are computed modulo a prime, with exact rational
+boundary ranks are computed modulo DEFAULT_PRIME, with exact rational
 confirmation for any nonzero answer; the incoming boundary is ranked only
 on the rows the outgoing one leaves unpivoted (`middle_homology`). Both
 ranks run one sparse elimination loop (`_eliminate`, structured Gaussian
@@ -35,25 +35,23 @@ living row c other than g. The reduced differential is the plain submatrix
 on the survivors, and the band's homology is unchanged. Each round
 recounts the living facets of living faces only.
 
-Certification: a rank modulo p never exceeds the rational rank, so a Betti
-number that comes out zero modulo DEFAULT_PRIME is zero over Q; nonzero
-values are only reported certified after exact rational confirmation of
-both ranks. The Koszul pipeline certifies its homology through the same
-`middle_homology`, so the prime can change no answer, only the work done.
+Certification: DEFAULT_PRIME fixes the one modular field. A rank modulo
+it never exceeds the rational rank, so a zero modulo it is zero over Q,
+and a nonzero value stands only once both ranks are confirmed exactly, in
+the Koszul pipeline too, which runs the same `middle_homology`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .complexes import BoundaryMatrix, ComplexSlice, masked_boundary
 from .errors import CapacityError
 
-# the prime of every modular rank (30 bits)
+# the one prime of every modular rank (30 bits): rank_mod_p takes no other
 DEFAULT_PRIME = 1_073_741_789
 # retired: no rank path depends on matrix size any more; kept because the
 # benchmark's tracer reads it to count "sparse" rank calls
@@ -64,53 +62,16 @@ DENSE_THRESHOLD = 512
 EXACT_CELL_CAP = 10**7
 
 
-def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin with bases 2, 7 and 61, exact for every
-    m < 4,759,123,141 (Jaeschke 1993), which covers the primes below 2**31
-    that check_prime admits."""
-    if m < 2:
-        return False
-    for b in (2, 7, 61):
-        if m % b == 0:
-            return m == b
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in (2, 7, 61):
-        x = pow(b, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def check_prime(p: int) -> int:
-    """p if it is an odd prime below 2**31, else ValueError, which is not
-    cached. The range test runs first: is_prime is exact only below 4.76e9."""
-    if p >= 2**31:
-        raise ValueError("primes above 31 bits are out of range: the primality "
-                         "test is exact only below 4.76e9")
-    if p <= 2:
-        raise ValueError(f"modulus {p} must be an odd prime")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    return p
-
-
 @dataclass(frozen=True)
 class RankResult:
-    """Rank of a sparse matrix over F_p (rank_mod_p) or Q (rank_exact) and
-    its pivot columns; on them and the pivot rows the matrix is nonsingular."""
+    """The pivot columns of a sparse elimination over F_p (rank_mod_p) or Q
+    (rank_exact): the matrix is nonsingular on them and the pivot rows."""
 
-    rank: int
     pivot_cols: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
 
 
 @dataclass(frozen=True)
@@ -203,15 +164,16 @@ def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
 
 
 def rank_mod_p(m: BoundaryMatrix, p: int) -> RankResult:
-    """Rank of m over the field with p elements by _eliminate. Every nonzero
-    entry is invertible, so no column is parked and the pivots come in
-    Markowitz order: the sparsest column, then its shortest row, ties on
-    the lowest index."""
-    check_prime(p)
-    reduce = p.__rmod__  # v -> v % p
+    """Rank of m over F_p by _eliminate, for p = DEFAULT_PRIME only: any
+    other p is a ValueError before any work. Every nonzero entry is a unit,
+    so no column is parked and the pivots come in Markowitz order: the
+    sparsest column, then its shortest row, ties on the lowest index."""
+    if p != DEFAULT_PRIME:
+        raise ValueError(f"modulus {p} is not DEFAULT_PRIME = {DEFAULT_PRIME}")
+    reduce = DEFAULT_PRIME.__rmod__  # v -> v % p
     rows_d, col_rows = _sparse_rows(m, reduce)
-    pivots = _eliminate(rows_d, col_rows, lambda u: pow(u, -1, p), reduce)
-    return RankResult(len(pivots), tuple(pivots))
+    pivots = _eliminate(rows_d, col_rows, lambda u: pow(u, -1, DEFAULT_PRIME), reduce)
+    return RankResult(tuple(pivots))
 
 
 def rank_exact(m: BoundaryMatrix) -> RankResult:
@@ -230,7 +192,7 @@ def rank_exact(m: BoundaryMatrix) -> RankResult:
         # divisor complex or Koszul map leaves a residual
         from fractions import Fraction
         pivots += _eliminate(rows_d, col_rows, lambda u: 1 / Fraction(u), Fraction)
-    return RankResult(len(pivots), tuple(pivots))
+    return RankResult(tuple(pivots))
 
 
 def _reduce_band(slice_: ComplexSlice) -> tuple[dict[int, np.ndarray],

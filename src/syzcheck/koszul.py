@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -41,14 +41,20 @@ from .lattice import Vector, composition_count, compositions, orbit_expansion, p
 DEFAULT_BASIS_GUARD = 10**6
 
 
+def _sym_dimension(degree: int, v_dim: int) -> int:
+    """dim Sym^degree of C^v_dim, counted: above DEFAULT_BASIS_GUARD, CapacityError."""
+    if degree < 0 or v_dim < 1:
+        raise ValueError("need degree >= 0 and v_dim >= 1")
+    if (count := composition_count(degree, v_dim)) > DEFAULT_BASIS_GUARD:
+        raise CapacityError(f"Sym^{degree} of C^{v_dim} exceeds guard {DEFAULT_BASIS_GUARD}")
+    return count
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(degree: int, v_dim: int) -> tuple[Vector, ...]:
     """All exponent vectors of Sym^degree of C^v_dim, in the canonical
     lexicographic descending order shared with the point configurations."""
-    if degree < 0 or v_dim < 1:
-        raise ValueError("need degree >= 0 and v_dim >= 1")
-    if composition_count(degree, v_dim) > DEFAULT_BASIS_GUARD:
-        raise CapacityError(f"Sym^{degree} of C^{v_dim} exceeds guard {DEFAULT_BASIS_GUARD}")
+    _sym_dimension(degree, v_dim)
     return tuple(compositions(degree, v_dim))
 
 
@@ -78,14 +84,14 @@ def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
     if p < 0:
         raise ValueError("exterior power must be nonnegative")
     mon = monomial_basis(wedge_degree, v_dim)
-    # built for a weight space too: its guard refuses a sweep over huge weights
-    sym = monomial_basis(sym_degree, v_dim)
+    # counted for a weight space too: its guard refuses a sweep over huge weights
+    sym_dim = _sym_dimension(sym_degree, v_dim)
     if comb(len(mon), p) > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
     if weight is None:
-        if comb(len(mon), p) * len(sym) > DEFAULT_BASIS_GUARD:
+        if comb(len(mon), p) * sym_dim > DEFAULT_BASIS_GUARD:
             raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
-        return [(w, e) for w in combinations(range(len(mon)), p) for e in sym]
+        return list(product(combinations(range(len(mon)), p), monomial_basis(sym_degree, v_dim)))
     if len(weight) != v_dim:
         raise ValueError("weight has wrong length")
     if sum(weight) != p * wedge_degree + sym_degree:
@@ -178,12 +184,9 @@ def tor_dimension(p: int, q: int, n: int, d: int,
     With a weight: the single weight-restricted complex. Without one: one
     dominant (non-increasing) weight of coordinate sum (p+q)*d is computed
     per coordinate-permutation orbit, and a nonzero value is recorded for
-    every member of the orbit, as the complex is GL(V)-equivariant. Index
-    p = 0 is rejected: that piece is the trivial module in degree zero by
-    convention and involves no Koszul homology.
+    every member of the orbit, as the complex is GL(V)-equivariant. p = 0,
+    by convention the trivial module in degree zero, is rejected.
     """
-    if p < 1:
-        raise ValueError("p >= 1 required; the p = 0 piece is the documented constant")
     if q < 1:
         raise ValueError("q >= 1 required for a two-sided homology computation")
 

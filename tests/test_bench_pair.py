@@ -1,4 +1,5 @@
-"""tools/bench_pair.py keeps every pair when a benchmark run crashes."""
+"""tools/bench_pair.py keeps every pair when a benchmark run crashes, and
+judges each metric against its bound."""
 
 import importlib.util
 import json
@@ -72,3 +73,45 @@ def test_ratio_is_the_median_within_pairs():
     only_zero = bench_pair.summarize(runs[-2:], METRICS)
     assert only_zero["change_ratio"]["wall_s"] is None
     assert "median change/parent n/a;" in bench_pair.report("oracle", only_zero, METRICS)[0]
+
+
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def test_verdict_compares_the_median_change_with_the_bound():
+    parent = [1.0, 1.0, 1.0, 1.0]
+    assert bench_pair.verdict(parent, [1.2] * 4, WALL) == "within bound"
+    assert bench_pair.verdict(parent, [0.8] * 4, WALL) == "within bound"
+    assert bench_pair.verdict(parent, [1.3, 1.3, 1.3, 0.5], WALL) == "worse"
+    assert bench_pair.verdict(parent, [0.7] * 4, WALL) == "better"
+    # higher is better: the same readings swap sides
+    higher = dict(WALL, better="higher")
+    assert bench_pair.verdict(parent, [1.3] * 4, higher) == "better"
+    assert bench_pair.verdict(parent, [0.7] * 4, higher) == "worse"
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_beyond_the_bound():
+    # quartiles 0.925 and 1.45 around a median of 1: a spread of 0.525
+    parent = [0.9, 1.0, 1.0, 1.6]
+    assert bench_pair.verdict(parent, [1.0] * 4, WALL) == "unresolved"
+    assert bench_pair.verdict(parent, [2.0] * 4, WALL) == "unresolved"
+    assert bench_pair.verdict(parent, [0.5, 0.5, 0.5, 0.95], WALL) == "unresolved"
+    # unless every change run beats every parent run
+    assert bench_pair.verdict(parent, [0.85] * 4, WALL) == "within bound"
+    assert bench_pair.verdict(parent, [0.5] * 4, WALL) == "better"
+    # no run on one side, or no parent median to scale the change by
+    assert bench_pair.verdict([], [0.5], WALL) == "unresolved"
+    assert bench_pair.verdict([0.0, 0.0], [1.0], WALL) == "unresolved"
+
+
+def test_summary_holds_a_verdict_per_metric():
+    runs = []
+    for i in range(4):
+        runs += [{"pair": i, "side": "parent", "result": result(1.0)},
+                 {"pair": i, "side": "change", "result": result(1.01)}]
+    summary = bench_pair.summarize(runs, METRICS)
+    # wall_s and setup_s take a 1% change within their 25% bound;
+    # peak_rss_mb, bound 5%, does too
+    assert summary["verdict"] == {m["name"]: "within bound" for m in METRICS}
+    lost = bench_pair.summarize(runs[::2], METRICS)  # no change run at all
+    assert set(lost["verdict"].values()) == {"unresolved"}

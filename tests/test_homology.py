@@ -23,7 +23,6 @@ from syzcheck.homology import (
     _element_matching,
     _matching_certifies_zero,
     _reduce_band,
-    is_prime,
     middle_homology,
     rank_exact,
     rank_mod_p,
@@ -87,26 +86,45 @@ def hollow_triangle_matrix():
 
 
 def test_rank_mod_p_examples():
-    assert rank_mod_p(hollow_triangle_matrix(), 10007).rank == 2
-    assert rank_mod_p(make_matrix(3, 3, []), 10007).rank == 0
+    assert rank_mod_p(hollow_triangle_matrix(), DEFAULT_PRIME).rank == 2
+    assert rank_mod_p(make_matrix(3, 3, []), DEFAULT_PRIME).rank == 0
     aug = make_matrix(1, 4, [(0, c, 1) for c in range(4)])
-    assert rank_mod_p(aug, 10007).rank == 1
+    assert rank_mod_p(aug, DEFAULT_PRIME).rank == 1
 
 
 def test_rank_mod_p_rejects_bad_modulus():
+    # DEFAULT_PRIME is the only field: other primes are refused too
     bm = hollow_triangle_matrix()
-    for bad in (1, 2, 4, 9, 1000):
-        with pytest.raises(ValueError):
+    for bad in (1, 2, 4, 7, 9, 1000, 10007, DEFAULT_PRIME - 2):
+        with pytest.raises(ValueError, match="DEFAULT_PRIME"):
             rank_mod_p(bm, bad)
 
 
 def test_rank_mod_p_rejects_wide_prime_before_trial_division(monkeypatch):
-    def no_trial_division(m):
-        raise AssertionError("trial division ran")
+    # refused before the matrix is read: no row is built, no pivot taken
+    def no_work(*args):
+        raise AssertionError("rank_mod_p worked on a refused modulus")
 
-    monkeypatch.setattr("syzcheck.homology.is_prime", no_trial_division)
-    with pytest.raises(ValueError, match="31 bits"):
+    monkeypatch.setattr(homology, "_sparse_rows", no_work)
+    monkeypatch.setattr(homology, "_eliminate", no_work)
+    with pytest.raises(ValueError, match="DEFAULT_PRIME"):
         rank_mod_p(hollow_triangle_matrix(), 2**61 - 1)
+
+
+def prime_by_trial_division(m):
+    if m < 2:
+        return False
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_default_prime_is_a_30_bit_prime():
+    assert prime_by_trial_division(DEFAULT_PRIME)
+    assert DEFAULT_PRIME.bit_length() == 30
 
 
 def test_rank_exact_examples():
@@ -234,13 +252,8 @@ def test_rank_exact_residual_goes_to_the_rational_pass(monkeypatch):
 
 
 def test_random_sparse_ranks_agree_across_primes():
-    # exact rank against three random 30-bit primes, seeded
+    # the rank modulo DEFAULT_PRIME against the exact rank, seeded
     rng = np.random.default_rng(20240817)
-    primes = []
-    while len(primes) < 3:
-        cand = int(rng.integers(2**29, 2**30))
-        if is_prime(cand):
-            primes.append(cand)
     for trial in range(6):
         triplets = []
         seen = set()
@@ -252,9 +265,7 @@ def test_random_sparse_ranks_agree_across_primes():
             seen.add((r, c))
             triplets.append((r, c, 1 if rng.integers(0, 2) else -1))
         bm = make_matrix(50, 50, triplets)
-        exact = rank_exact(bm).rank
-        for p in primes:
-            assert rank_mod_p(bm, p).rank == exact
+        assert rank_mod_p(bm, DEFAULT_PRIME).rank == rank_exact(bm).rank, trial
 
 
 def test_rank_mod_p_matches_naive_elimination():
@@ -262,15 +273,15 @@ def test_rank_mod_p_matches_naive_elimination():
     # +-1, cancelling duplicates vanish, and the last row and column stay
     # empty
     rng = np.random.default_rng(20261019)
-    for p in (7, DEFAULT_PRIME):
-        values = (1, -1, 2, -3, p, -2 * p, p + 1, 1 - p)
-        for trial in range(40):
-            rows, cols = (int(x) for x in rng.integers(1, 16, size=2))
-            entries = int(rng.integers(0, rows * cols + 4))
-            bm = random_integer_matrix(rng, rows, cols, entries, values)
-            cancel = [(r, c, s * v) for r, c, v in bm.entries[:3] for s in (1, -1)]
-            bm = make_matrix(rows + 1, cols + 1, bm.entries + cancel)
-            assert rank_mod_p(bm, p).rank == naive_rank_mod_p(bm, p), (p, trial)
+    p = DEFAULT_PRIME
+    values = (1, -1, 2, -3, p, -2 * p, p + 1, 1 - p)
+    for trial in range(80):
+        rows, cols = (int(x) for x in rng.integers(1, 16, size=2))
+        entries = int(rng.integers(0, rows * cols + 4))
+        bm = random_integer_matrix(rng, rows, cols, entries, values)
+        cancel = [(r, c, s * v) for r, c, v in bm.entries[:3] for s in (1, -1)]
+        bm = make_matrix(rows + 1, cols + 1, bm.entries + cancel)
+        assert rank_mod_p(bm, p).rank == naive_rank_mod_p(bm, p), trial
 
 
 def test_reduced_betti_examples():
@@ -362,8 +373,7 @@ def test_modular_rank_never_exceeds_exact():
             seen.add((r, c))
             triplets.append((r, c, int(rng.integers(-3, 4)) or 1))
         bm = make_matrix(25, 25, triplets)
-        for p in (3, 5, 10007, DEFAULT_PRIME):
-            assert rank_mod_p(bm, p).rank <= rank_exact(bm).rank
+        assert rank_mod_p(bm, DEFAULT_PRIME).rank <= rank_exact(bm).rank
 
 
 def test_cone_certificate_short_circuits():
@@ -811,28 +821,17 @@ def test_reduced_betti_ranks_modulo_the_default_prime(monkeypatch):
     assert primes and set(primes) == {DEFAULT_PRIME}
 
 
-def trial_division_is_prime(m):
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
 
-
-def test_is_prime_matches_trial_division():
-    assert all(is_prime(m) == trial_division_is_prime(m) for m in range(200_000))
-    rng = np.random.default_rng(31)
-    for m in rng.integers(2**29, 2**31, size=2000).tolist():
-        assert is_prime(m) == trial_division_is_prime(m), m
-    # strong pseudoprimes to some of the bases, and Carmichael numbers
-    for m in (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 41041, 825265):
-        assert not is_prime(m), m
-
-
-def test_is_prime_small_values():
-    assert [x for x in range(2, 30) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert is_prime(DEFAULT_PRIME)
-    assert not is_prime(2**30)
+def test_ladder_re_ranks_a_modular_nonzero_exactly(monkeypatch):
+    # a 1x1 map whose one entry is DEFAULT_PRIME: zero modulo the prime,
+    # nonzero over Q. The modular rung alone reads 1, the exact rung 0.
+    out_map = make_matrix(1, 1, [(0, 0, DEFAULT_PRIME)])
+    in_map = make_matrix(1, 0, [])
+    modular = [rank_mod_p(m, DEFAULT_PRIME).rank for m in (out_map, in_map)]
+    assert out_map.cols - sum(modular) == 1
+    calls = rank_calls(monkeypatch)
+    assert middle_homology(out_map, in_map) == 0
+    # two rungs, each ranking out_map and then in_map; out_map's rank 1 on
+    # the second rung can only be the exact one
+    assert [m is out_map for m, _ in calls] == [True, False, True, False]
+    assert [res.rank for _, res in calls] == [0, 0, 1, 0]

@@ -299,6 +299,27 @@ def test_basis_guard_trips(monkeypatch):
         koszul_map(2, 2, 2, 3)
 
 
+def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypatch):
+    # a weight space holds at most one element per wedge subset, so its
+    # Sym^999998 factor is only counted against the guard, never listed
+    built = []
+
+    def spy(degree, v_dim, real=koszul.monomial_basis):
+        built.append(degree)
+        return real(degree, v_dim)
+
+    monkeypatch.setattr(koszul, "monomial_basis", spy)
+    basis = wedge_tensor_basis(1, 1, 999998, 2, (500000, 499999))
+    assert basis == [((0,), (499999, 499999)), ((1,), (500000, 499998))]
+    assert set(built) == {1}  # the wedge factor's degree only
+    # the same guard and degree checks as the full basis
+    with pytest.raises(CapacityError, match=r"Sym\^1000000 of C\^2 exceeds guard"):
+        wedge_tensor_basis(1, 1, 10**6, 2, (500001, 500000))
+    with pytest.raises(ValueError, match="need degree >= 0"):
+        wedge_tensor_basis(1, 1, -1, 2, (0, 0))
+    assert set(built) == {1}
+
+
 def exact_weights(p, q, n, d):
     # every weight's Tor dimension from the exact ranks of its two maps,
     # with no modular stage

@@ -19,7 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ROUND = """
-from syzcheck import npchecker
+from syzcheck import npchecker, reptheory
 from tracing import LAYER_UNITS, Tracer, layer_metrics
 
 tracer = Tracer()
@@ -27,6 +27,7 @@ tracer.install()
 npchecker.check_np(npchecker.NpQuery(n=2, d=2, p=2))
 npchecker.check_np(npchecker.NpQuery(n=2, d=2, p=2, store_path="store"))
 npchecker.cross_validate(1, 3, 1, 1)
+reptheory.tor_schur_decomposition(1, 1, 2, 2)
 metrics = layer_metrics(tracer.spans)
 assert list(metrics) == list(LAYER_UNITS), sorted(set(LAYER_UNITS) ^ set(metrics))
 # koszul.tor_dimension hands middle_homology the Koszul rank names
@@ -36,6 +37,8 @@ for name in ("homology.rank_mod_p_calls", "homology.rank_exact_calls", "koszul.m
 # the store's get and put still take the arguments the tracer reads
 for name in ("npchecker.store_bytes", "npchecker.store_s"):
     assert metrics[name]["value"] > 0, name
+# the Schur peel is still reached under the names the tracer wraps
+assert metrics["reptheory.decompose_s"]["value"] > 0
 # the homology side of cross_validate still reaches the wrapped names
 under = {s.name for s in tracer.spans
          if s.parent is not None and s.parent.name == "npchecker.cross_validate"}

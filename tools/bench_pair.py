@@ -28,8 +28,10 @@ the run printed none) and, per workload and side, the median and quartiles
 of each end-to-end metric, plus the number of pairs in which the change read
 better, as BENCHMARK.json defines better, and the median over pairs of
 change/parent. That ratio is taken within a pair, so it cancels the drift of
-the host that both runs of one pair share. The same summary ends the stderr
-log, one line per workload and metric.
+the host that both runs of one pair share. Each metric also gets a verdict
+(see `verdict`): better, within bound, worse or unresolved. The same summary
+ends the stderr log: per workload, one line per metric, then one verdict
+line per metric.
 """
 
 from __future__ import annotations
@@ -91,24 +93,55 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "result": result if isinstance(result, dict) else None}
 
 
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    return (tuple(statistics.quantiles(values, n=4)) if len(values) > 1
+            else (values[0],) * 3)
+
+
+def verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """One metric's verdict from its runs on each side. The change of the
+    median, relative to the parent's median and signed so that positive is
+    worse, is compared with the metric's bound in BENCHMARK.json: worse
+    beyond +bound, better beyond -bound, else within bound. When the
+    parent's own spread, its interquartile range over its median, exceeds
+    the bound, the runs cannot tell a change of that size apart, so the
+    verdict is unresolved, unless every change run reads better than every
+    parent run. No run on a side, or a parent median of 0, is unresolved."""
+    if not parent or not change:
+        return "unresolved"
+    sign = 1 if metric["better"] == "lower" else -1
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    q1, _, q3 = _quartiles(parent)
+    median = statistics.median(parent)
+    if not median or ((q3 - q1) / abs(median) > metric["bound"] and not all_better):
+        return "unresolved"
+    worse = sign * (statistics.median(change) - median) / abs(median)
+    if worse > metric["bound"]:
+        return "worse"
+    return "better" if worse < -metric["bound"] else "within bound"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per side: median and quartiles of each metric. Per metric, over the
     pairs with both results: the pairs the change won, and the median of
     change/parent within a pair, which cancels drift of the host that both
-    runs of a pair share (pairs with a parent value of 0 are left out)."""
+    runs of a pair share (pairs with a parent value of 0 are left out); and
+    over all runs, its `verdict`."""
     out: dict = {}
+    values_of: dict[str, dict[str, list[float]]] = {}
     for side in SIDES:
         done = [r["result"] for r in runs if r["side"] == side and r["result"]]
         stats = {"runs": len(done),
                  "attempted": sum(r["attempted"] for r in done),
                  "failed": sum(r["failed"] for r in done),
                  "correct": all(r["correct"] for r in done)}
+        values_of[side] = {}
         for m in metrics:
-            values = [r["metrics"][m["name"]]["value"] for r in done]
+            values = values_of[side][m["name"]] = [r["metrics"][m["name"]]["value"]
+                                                   for r in done]
             if not values:
                 continue
-            q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                         else (values[0],) * 3)
+            q1, _, q3 = _quartiles(values)
             stats[m["name"]] = {"median": statistics.median(values),
                                 "q1": q1, "q3": q3, "unit": m["unit"]}
         out[side] = stats
@@ -129,6 +162,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         ratios[m["name"]] = statistics.median(within) if within else None
     out["change_wins"] = wins
     out["change_ratio"] = ratios
+    out["verdict"] = {m["name"]: verdict(values_of["parent"][m["name"]],
+                                         values_of["change"][m["name"]], m)
+                      for m in metrics}
     out["pairs"] = len(pairs)
     return out
 
@@ -208,6 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     for workload, entry in doc["workloads"].items():
         for line in report(workload, entry["summary"], bench["end_to_end"]):
             print(line, file=sys.stderr)
+        for name, said in entry["summary"]["verdict"].items():
+            print(f"{workload} {name}: {said}", file=sys.stderr)
     print(out.name)
     return 0
 
