@@ -38,6 +38,34 @@ CASES = {
                                 "-q", "1", "--format", "json"],
     "schur-p2-q1-d2-vdim3-csv": ["schur", "-p", "2", "-q", "1", "-d", "2",
                                  "--vdim", "3", "--format", "csv"],
+    "points-n2-d2-text": ["points", "-n", "2", "-d", "2"],
+    "points-n1-d2-json": ["points", "-n", "1", "-d", "2", "--format", "json"],
+    # no header row
+    "points-n2-d2-csv": ["points", "-n", "2", "-d", "2", "--format", "csv"],
+    "complex-n2-d2-b222-json": ["complex", "-n", "2", "-d", "2", "-b", "2,2,2",
+                                "-j=-1,2", "--format", "json"],
+    # a bound no point fits under: the text form is one empty line
+    "complex-n1-d2-b30-text": ["complex", "-n", "1", "-d", "2", "-b", "3,0",
+                               "-j=-1,1"],
+    "betti-n2-d3-b999-j6-csv": ["betti", "-n", "2", "-d", "3", "-b", "9,9,9",
+                                "-j", "6", "--format", "csv"],
+    "check-np-n2-d3-p7-text": ["check-np", "-n", "2", "-d", "3", "-p", "7"],
+    # a verdict that holds: the witness columns stay empty
+    "check-np-n2-d2-p2-csv": ["check-np", "-n", "2", "-d", "2", "-p", "2",
+                              "--format", "csv"],
+    "koszul-n2-d2-p2-q1-text": ["koszul", "-n", "2", "-d", "2", "-p", "2", "-q", "1"],
+    "koszul-n2-d2-p2-q1-b222-text": ["koszul", "-n", "2", "-d", "2", "-p", "2",
+                                     "-q", "1", "-b", "2,2,2"],
+    "schur-p2-q1-d3-vdim4-text": ["schur", "-p", "2", "-q", "1", "-d", "3",
+                                  "--vdim", "4"],
+    "schur-p3-q1-d1-vdim4-text": ["schur", "-p", "3", "-q", "1", "-d", "1",
+                                  "--vdim", "4"],
+    "cross-validate-n1-d3-p1-q1-csv": ["cross-validate", "-n", "1", "-d", "3",
+                                       "-p", "1", "-q", "1", "--format", "csv"],
+    "cross-validate-n1-d3-p1-q1-text": ["cross-validate", "-n", "1", "-d", "3",
+                                        "-p", "1", "-q", "1"],
+    # the wall time goes to stderr, so stdout is pinned
+    "bench-n2-d2-p2": ["bench", "-n", "2", "-d", "2", "-p", "2"],
 }
 
 
