@@ -265,12 +265,15 @@ class ResultsStore:
 
     def write_betti_csv(self, query_hash: str,
                         rows: list[tuple[Vector, int, int]]) -> Path:
-        lines = ["b,j,value,certified"]
-        for coords, j, value in rows:
-            b = " ".join(str(x) for x in coords)
-            lines.append(f"{b},{j},{value},true")
         return self._write_atomically(f"betti-{query_hash}.csv",
-                                      "\n".join(lines) + "\n")
+                                      "\n".join(betti_csv_lines(rows)) + "\n")
+
+
+def betti_csv_lines(rows: list[tuple[Vector, int, int]]) -> list[str]:
+    """The Betti CSV of the store and of `betti --format csv`: a header,
+    then one row per (b, j, value), b space-joined. Every value is certified."""
+    return ["b,j,value,certified"] + [
+        f"{' '.join(str(x) for x in coords)},{j},{value},true" for coords, j, value in rows]
 
 
 def _betti_job(coords: Vector, config: PointConfig, q: int) -> int:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from syzcheck.cli import main
+from syzcheck.cli import build_parser, main
 from syzcheck.koszul import tor_dimension
 
 
@@ -18,6 +19,47 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+FORMAT = ("--format", False, "text", ("json", "csv", "text"))
+STORE = ("--store", False, None, None)
+SLACK = ("--slack", False, None, None)
+
+
+def required(*options):
+    return [(option, True, None, None) for option in options]
+
+
+# every subcommand in registration order, with each option in the order
+# of its usage line: (option, required, default, choices)
+FLAGS = {
+    "points": required("-n", "-d") + [FORMAT],
+    "complex": required("-n", "-d", "-b", "-j") + [FORMAT],
+    "betti": required("-n", "-d", "-b", "-j") + [FORMAT],
+    "check-np": required("-n", "-d", "-p") + [SLACK, FORMAT, STORE],
+    "koszul": required("-n", "-d", "-p", "-q") + [("-b", False, None, None), FORMAT],
+    "schur": required("-p", "-q", "-d", "--vdim") + [FORMAT],
+    "cross-validate": required("-n", "-d", "-p", "-q") + [FORMAT, STORE],
+    "bench": required("-n", "-d", "-p") + [SLACK, STORE],
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    subs, = (a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(FLAGS)
+    for name, sub in subs.choices.items():
+        flags = [(" ".join(a.option_strings), a.required, a.default, a.choices)
+                 for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert flags == FLAGS[name], name
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_every_subcommand_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: syzcheck {command} [-h]")
 
 
 def test_points_rows(capsys):

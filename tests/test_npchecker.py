@@ -1,6 +1,7 @@
 """Tests for the verdict orchestrator and the two-pipeline cross-check."""
 
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,32 @@ def test_balanced_weight_decides_its_block_by_brute_force():
                 blocks += 1
                 nonzero += any(brute)
     assert (blocks, nonzero) == (92, 18)
+
+
+def test_no_block_is_nonzero_beyond_the_regularity():
+    # Tor_q(R) lives in degrees q+1 .. q+reg, reg = n+1-ceil((n+1)/d) for
+    # the Cohen-Macaulay Veronese ring, and vanishes past the projective
+    # dimension pd = C(n+d, n)-n-1. Every block two degrees past q+reg and
+    # one level past pd is ranked; degree q+reg is reached for every (n, d).
+    blocks = 0
+    reached = set()
+    for n, d in [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (3, 2)]:
+        reg = n + 1 - -(-(n + 1) // d)
+        pd = comb(n + d, n) - n - 1
+        cfg = veronese_points(n, d)
+        for q in range(1, pd + 2):
+            for deg in range(q + 1, q + reg + 3):
+                reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, deg)]
+                values, _ = npchecker._betti_block(cfg, reps, q, None)
+                blocks += 1
+                if any(values):
+                    assert deg <= q + reg and q <= pd, (n, d, q, deg)
+                    if deg == q + reg:
+                        reached.add((n, d, q))
+    assert blocks == 114
+    assert {(n, d) for n, d, _ in reached} == {(1, 2), (1, 3), (1, 4), (1, 5),
+                                                (2, 2), (2, 3), (3, 2)}
+    assert {(2, 3, 7), (3, 2, 6)} <= reached
 
 
 def test_cross_validate_skips_vertex_coned_representatives(monkeypatch):
