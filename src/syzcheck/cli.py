@@ -59,12 +59,17 @@ def _spaced(coords) -> str:
 def _emit(fmt: str, doc, csv_lines, text_lines) -> None:
     """Print the JSON document, or the CSV lines, or the text lines, as fmt
     names. Each form is a zero-argument callable, so only the chosen one is
-    rendered: the text of a big slice is costly."""
-    if fmt == "json":
-        print(json.dumps(doc(), sort_keys=True, indent=2))
-    else:
-        for line in (csv_lines if fmt == "csv" else text_lines)():
-            print(line)
+    rendered: the text of a big slice is costly. A reader that closes the
+    pipe early ends the output, not the command: stdout goes to os.devnull."""
+    try:
+        if fmt == "json":
+            print(json.dumps(doc(), sort_keys=True, indent=2))
+        else:
+            for line in (csv_lines if fmt == "csv" else text_lines)():
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_points(args) -> int:

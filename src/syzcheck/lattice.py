@@ -191,9 +191,9 @@ class OrbitRep:
 def veronese_points(n: int, d: int) -> PointConfig:
     """All exponent vectors of degree-d monomials in n+1 variables.
 
-    Cached: every Betti job of a sweep asks for the same configuration, and
-    validating it checks every point. The frozen PointConfig is safe to
-    share.
+    Cached for a process that runs several commands over one (n, d); each
+    command calls this once and hands the config to its jobs. Validating
+    checks every point; the frozen PointConfig is safe to share.
 
     Args:
         n: projective dimension, n >= 1.

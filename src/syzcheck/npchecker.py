@@ -22,7 +22,8 @@ number K_{lambda,b} is positive exactly when lambda dominates sort(b)
 (Macdonald, Symmetric Functions and Hall Polynomials, ch. I). Every
 partition with at most n + 1 parts dominates the balanced weight, so the
 block vanishes exactly when beta does there, and a zero there certifies
-every job of the block without building another face. In a nonzero
+every job of the block without building another face; a balanced weight
+over capacity ends its block before any other job runs. In a nonzero
 block, jobs coned by a vertex are zeros read off the point coordinates by
 one array pass (`vertex_cone_mask`), and never reach build_slice. Every
 other job (`_betti_job`) builds its slice and goes through
@@ -310,35 +311,31 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
     and a 0 makes every representative a certified zero. Otherwise each
     representative in the order of reps is read from the store, is a zero
     when the vertex test cones it, or runs `_betti_job` once. The new
-    values go to the store in one put, up to the first job over capacity,
-    whose CapacityError then names its multidegree.
+    values go to the store in one put. A job over capacity, the balanced
+    weight's too, ends the block at once, naming its multidegree.
     """
     n, d = config.n, config.d
     cached = store.get(n, d, q - 1, reps) if store else {}
     todo = [coords for coords in reps if coords not in cached]
     new: dict[Vector, int] = {}
+
+    def job(coords: Vector, coned: bool) -> int:
+        try:
+            return 0 if coned else _betti_job(coords, config, q)
+        except CapacityError as exc:
+            raise CapacityError(f"job at b={coords} (q={q}, degree {sum(coords) // d}) "
+                                f"exceeded capacity: {exc}") from None
+
     try:
         if todo:
             top = balanced_weight(sum(todo[0]), n + 1)
-            try:
-                top_value = (cached[top] if top in cached
-                             else 0 if vertex_cone_mask(config, [top], q)[0]
-                             else _betti_job(top, config, q))
-            except CapacityError as exc:
-                top_value = exc  # raised in its place in the order of reps
+            top_value = (cached[top] if top in cached
+                         else job(top, vertex_cone_mask(config, [top], q)[0]))
             if top_value == 0:
                 new = dict.fromkeys(todo, 0)
             else:
-                for coords, cone in zip(todo, vertex_cone_mask(config, todo, q)):
-                    value = (top_value if coords == top
-                             else 0 if cone else _betti_job(coords, config, q))
-                    if isinstance(value, CapacityError):
-                        raise value
-                    new[coords] = value
-    except CapacityError as exc:
-        coords = todo[len(new)]
-        raise CapacityError(f"job at b={coords} (q={q}, degree {sum(coords) // d}) "
-                            f"exceeded capacity: {exc}") from None
+                for coords, coned in zip(todo, vertex_cone_mask(config, todo, q)):
+                    new[coords] = top_value if coords == top else job(coords, coned)
     finally:
         if store:
             store.put(n, d, q - 1, new)
@@ -347,12 +344,16 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
 
 
 def _check_window(n: int, d: int, window: dict[int, range]) -> None:
-    """CapacityError when the blocks of a window, the degrees window[q] of
-    each q, certainly hold more orbit representatives than
+    """CapacityError, before any job runs, when lattice.check_weight refuses
+    the top degree of a nonempty window (the degrees window[q] of each q),
+    or when its blocks certainly hold more orbit representatives than
     WINDOW_ORBIT_GUARD, read at each call. Degrees are counted from the
     top, where blocks are largest, and counting stops at the guard, so the
     test is cheap however wide the window."""
+    if not window:
+        return
     top = max(ds.stop for ds in window.values()) - 1
+    check_weight(top * d)
     count = 0
     for deg in range(top, min(ds.start for ds in window.values()) - 1, -1):
         blocks = sum(deg in ds for ds in window.values())
@@ -366,16 +367,12 @@ def _check_window(n: int, d: int, window: dict[int, range]) -> None:
 def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
     obstruction, or holds_up_to_bound with the exact ranges checked. A
-    window whose top degree lattice.check_weight refuses, or that
-    `_check_window` finds too large, raises its CapacityError before any
-    job runs."""
+    window that `_check_window` refuses raises its CapacityError before any
+    job runs; so does a block whose balanced weight is over capacity."""
     config = veronese_points(query.n, query.d)
     slack = _effective_slack(query)
     window = {q: range(q + 2, q + 3 + slack) for q in range(2, query.p + 1)}
-    if window:
-        # the window's top degree is enumerated last: refuse it before any job
-        check_weight((query.p + 2 + slack) * query.d)
-        _check_window(query.n, query.d, window)
+    _check_window(query.n, query.d, window)
     store = ResultsStore(query.store_path) if query.store_path else None
 
     checked: dict[int, tuple[int, ...]] = {}
@@ -384,21 +381,18 @@ def check_np(query: NpQuery) -> NpVerdict:
     jobs_reused = 0
     witness: Witness | None = None
 
-    for q, degrees in window.items():
-        checked[q] = tuple(degrees)
-        for deg in degrees:
-            reps = [r.canonical.coords for r in enumerate_multidegrees(config, deg)]
-            values, reused = _betti_block(config, reps, q, store)
-            jobs_reused += reused
-            jobs_total += len(reps) - reused
-            for coords, value in zip(reps, values):
-                computed_rows.append((coords, q - 1, value))
-                if witness is None and value > 0:
-                    md = Multidegree(coords=coords, total_degree=deg)
-                    bn = BettiNumber(j=q - 1, value=value, certified=True)
-                    witness = Witness(b=md, q=q, betti=bn)
-            if witness is not None:
-                break
+    for q, deg in [(q, deg) for q, degrees in window.items() for deg in degrees]:
+        checked.setdefault(q, tuple(window[q]))
+        reps = [r.canonical.coords for r in enumerate_multidegrees(config, deg)]
+        values, reused = _betti_block(config, reps, q, store)
+        jobs_reused += reused
+        jobs_total += len(reps) - reused
+        for coords, value in zip(reps, values):
+            computed_rows.append((coords, q - 1, value))
+            if witness is None and value > 0:
+                md = Multidegree(coords=coords, total_degree=deg)
+                bn = BettiNumber(j=q - 1, value=value, certified=True)
+                witness = Witness(b=md, q=q, betti=bn)
         if witness is not None:
             break
 

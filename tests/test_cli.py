@@ -289,6 +289,21 @@ def test_cross_validate_refuses_a_block_of_too_many_representatives_at_once():
                                           "-p", "2", "-q", "300")
 
 
+def test_a_reader_that_closes_the_pipe_early_leaves_the_exit_code():
+    # 269,031 bytes of JSON, more than a pipe holds: the reader takes 100
+    # bytes and closes the pipe, and the command still exits 0, silently
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", "import sys; from syzcheck.cli "
+                             "import main; sys.exit(main(sys.argv[1:]))",
+                             "points", "-n", "3", "-d", "30", "--format", "json"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.wait(timeout=20) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_check_np_reruns_byte_identical(capsys):
     first = run(capsys, "check-np", "-n", "2", "-d", "2", "-p", "2",
                 "--format", "json")

@@ -249,15 +249,47 @@ def test_capacity_error_names_the_multidegree(monkeypatch):
 
 
 def test_block_stops_at_its_first_capacity_failure(tmp_path, monkeypatch):
-    # at degree 4 the balanced weight (4, 4, 4) runs first; then the block
-    # builds, in enumeration order, the representatives that the vertex
-    # test leaves, up to the first that fails, (6, 5, 1). None after it is
-    # built, the error names it, and the store keeps exactly the 13 values
-    # ahead of it.
-    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10)
+    # the linear-strand block of (2,3) at q = 3, degree 4 is nonzero at its
+    # balanced weight (4, 4, 4), so after it the block runs the jobs that the
+    # vertex test leaves, in enumeration order. A job spy fails at
+    # (6, 5, 1): no job after it runs, the error names it, and the store
+    # keeps exactly the 13 values ahead of it.
     cfg = veronese_points(2, 3)
     reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, 4)]
     assert reps.index((6, 5, 1)) == 13
+    expected, _ = npchecker._betti_block(cfg, reps, 3, None)
+    assert expected[reps.index((4, 4, 4))] > 0
+    real_job = npchecker._betti_job
+    calls = []
+
+    def failing_job(coords, config, q):
+        calls.append(coords)
+        if coords == (6, 5, 1):
+            raise CapacityError("face count exceeds cap 10 during expansion")
+        return real_job(coords, config, q)
+
+    monkeypatch.setattr(npchecker, "_betti_job", failing_job)
+    with pytest.raises(CapacityError) as info:
+        npchecker._betti_block(cfg, reps, 3, ResultsStore(tmp_path))
+    assert str(info.value) == ("job at b=(6, 5, 1) (q=3, degree 4) exceeded capacity: "
+                               "face count exceeds cap 10 during expansion")
+    ahead = reps[:14]
+    assert calls == [(4, 4, 4)] + [b for b, cone in zip(ahead, vertex_cone_mask(cfg, ahead, 3))
+                                   if not cone]
+    lines = (tmp_path / "betti-n2-d3.jsonl").read_text().splitlines()
+    assert [(tuple(rec["b"]), rec["j"], rec["value"]) for rec in map(json.loads, lines)] == \
+           [(coords, 2, value) for coords, value in zip(reps[:13], expected)]
+
+
+def test_capacity_error_at_the_balanced_weight_ends_its_block(tmp_path, monkeypatch):
+    # in the first block of (3,2,2), q = 2 at degree 4, only the balanced
+    # weight (2, 2, 2, 2), last in enumeration order, needs a facet table of
+    # more than 90 entries. It runs first, so its error ends the block at
+    # once: no other representative is built, and the store holds nothing
+    # of the block.
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 90)
+    reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(3, 2), 4)]
+    assert reps.index((2, 2, 2, 2)) == 14
     built = []
 
     def counting_build_slice(config, coords, *args, **kwargs):
@@ -265,33 +297,11 @@ def test_block_stops_at_its_first_capacity_failure(tmp_path, monkeypatch):
         return build_slice(config, coords, *args, **kwargs)
 
     monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
-    with pytest.raises(CapacityError) as info:
-        check_np(NpQuery(n=2, d=3, p=2, store_path=str(tmp_path)))
-    assert str(info.value) == ("job at b=(6, 5, 1) (q=2, degree 4) exceeded capacity: "
-                               "face count exceeds cap 10 during expansion")
-    ahead = reps[:14]
-    assert built == [reps[-1]] + [b for b, cone in zip(ahead, vertex_cone_mask(cfg, ahead, 2))
-                                  if not cone]
-    lines = (tmp_path / "betti-n2-d3.jsonl").read_text().splitlines()
-    assert [(tuple(rec["b"]), rec["j"]) for rec in map(json.loads, lines)] == \
-           [(coords, 1) for coords in reps[:13]]
-
-
-def test_capacity_error_at_the_balanced_weight_runs_the_rest_of_the_block(tmp_path, monkeypatch):
-    # in the first block of (3,2,2), q = 2 at degree 4, only the balanced
-    # weight (2, 2, 2, 2) needs a facet table of more than 90 entries. Its
-    # error does not end the block early: the other 14 representatives are
-    # ranked and stored, and the error names the balanced weight, last in
-    # enumeration order.
-    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 90)
-    reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(3, 2), 4)]
-    assert reps.index((2, 2, 2, 2)) == 14
     with pytest.raises(CapacityError, match=r"^job at b=\(2, 2, 2, 2\) \(q=2, degree 4\) "
                                             r"exceeded capacity: "):
         check_np(NpQuery(n=3, d=2, p=2, store_path=str(tmp_path)))
-    lines = (tmp_path / "betti-n3-d2.jsonl").read_text().splitlines()
-    assert [(tuple(rec["b"]), rec["value"]) for rec in map(json.loads, lines)] == \
-           [(coords, 0) for coords in reps[:14]]
+    assert built == [(2, 2, 2, 2)]
+    assert ResultsStore(tmp_path).get(3, 2, 1, reps) == {}
 
 
 def test_cross_validate_names_the_job_over_capacity(monkeypatch):
@@ -299,6 +309,14 @@ def test_cross_validate_names_the_job_over_capacity(monkeypatch):
     with pytest.raises(CapacityError,
                        match=r"^job at b=\(.*\) \(q=2, degree 4\) exceeded capacity: "):
         cross_validate(2, 2, 2, 2)
+
+
+def test_cross_validate_refuses_an_unenumerable_block_before_the_store(tmp_path):
+    # degree 10**6 + 1 of v_1(P^1) is over the weight guard: the window
+    # guard refuses it before the store makes its directory
+    with pytest.raises(CapacityError, match=r"^coordinate sum 1000001 exceeds guard"):
+        cross_validate(1, 1, 1, 10**6, store_path=str(tmp_path / "s"))
+    assert not (tmp_path / "s").exists()
 
 
 def test_verdict_json_shape(verdict_237):
