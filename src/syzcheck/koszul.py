@@ -192,24 +192,18 @@ def tor_dimension(p: int, q: int, n: int, d: int,
 
     weight = _checked_weight(p, q, n, d, weight)
 
-    def value_at(b: Vector) -> int:
+    total = 0
+    weights: dict[Vector, int] = {}
+    # a given weight is a sweep of one
+    for b in [weight] if weight is not None else partitions_into((p + q) * d, n + 1):
         if not _indexed_basis(p, d, q * d, n + 1, b, DEFAULT_BASIS_GUARD)[0]:
-            return 0
+            continue
         down = koszul_map(p, q, n, d, b)
         up = koszul_map(p + 1, q - 1, n, d, b)  # its rows: the same middle basis
         # this module's rank names, so the Koszul ranks can be wrapped apart
-        return middle_homology(down, up, (rank_mod_p, rank_exact))
-
-    if weight is not None:
-        val = value_at(weight)
-        weights = {weight: val} if val else {}
-        return TorSlice(p=p, q=q, total_dim=val, weights=weights)
-    total = 0
-    weights: dict[Vector, int] = {}
-    for b in partitions_into((p + q) * d, n + 1):
-        val = value_at(b)
+        val = middle_homology(down, up, (rank_mod_p, rank_exact))
         if val:
-            orbit = orbit_expansion(b)
+            orbit = [b] if weight is not None else orbit_expansion(b)
             weights.update(dict.fromkeys(orbit, val))
             total += val * len(orbit)
     return TorSlice(p=p, q=q, total_dim=total, weights=weights)

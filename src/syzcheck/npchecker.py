@@ -190,40 +190,31 @@ class ResultsStore:
         return self.root / f"betti-n{n}-d{d}.jsonl"
 
     def _load(self, n: int, d: int) -> dict[tuple[Vector, int], int]:
-        """The certified values of the file of (n, d), read once."""
+        """The certified values of the file of (n, d), read once. A record is
+        whole only with its newline, so only the bytes after the last newline
+        can be a torn write: they are skipped and cut off, so that the next
+        record starts on a fresh line, unless another writer appended since.
+        Every line before them is whole; one that is not a store record raises."""
         key = (n, d)
         if key not in self._index:
             idx: dict[tuple[Vector, int], int] = {}
             path = self._betti_file(n, d)
             data = path.read_bytes() if path.exists() else b""
-            lines = data.split(b"\n")
-            start = 0
-            for number, line in enumerate(lines, 1):
-                # a record is whole only with its newline: a write cut
-                # short just before it still parses as JSON
-                whole = number < len(lines)
-                end = start + len(line) + whole
+            whole = data[:data.rfind(b"\n") + 1]
+            for number, line in enumerate(whole.split(b"\n"), 1):
                 if line.strip():
                     try:
                         rec = json.loads(line)
                     except ValueError:
-                        if data[end:].strip():
-                            raise ValueError(f"{path} line {number} is not JSON") from None
-                        whole = False
-                    if not whole:
-                        # the last write was cut short: skip the fragment
-                        # and cut it off, so the next record starts on a
-                        # fresh line (unless another writer appended since)
-                        with path.open("r+b") as fh:
-                            if fh.seek(0, os.SEEK_END) == len(data):
-                                fh.truncate(start)
-                        break
-                    # a whole line is no torn write, so a bad record is fatal
+                        raise ValueError(f"{path} line {number} is not JSON") from None
                     if not _is_record(rec):
                         raise ValueError(f"{path} line {number} is not a store record")
                     if rec["certified"]:
                         idx[(tuple(rec["b"]), rec["j"])] = rec["value"]
-                start = end
+            if data[len(whole):].strip():
+                with path.open("r+b") as fh:
+                    if fh.seek(0, os.SEEK_END) == len(data):
+                        fh.truncate(len(whole))
             self._index[key] = idx
         return self._index[key]
 

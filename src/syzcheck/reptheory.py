@@ -19,7 +19,7 @@ memoisation across calls.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -73,10 +73,6 @@ class WeightCharacter:
                 clean[tuple(int(x) for x in w)] = int(m)
         self.mults = clean
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.mults.values())
-
     def is_symmetric(self) -> bool:
         """Each permutation orbit is present whole, with one multiplicity."""
         orbits: defaultdict[Vector, list[Vector]] = defaultdict(list)
@@ -94,10 +90,7 @@ class WeightCharacter:
 @dataclass(eq=True)
 class SchurDecomposition:
     v_dim: int
-    terms: dict[Partition, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.terms = {lam: int(m) for lam, m in self.terms.items() if m}
+    terms: dict[Partition, int]
 
     def to_json(self) -> list[dict]:
         ordered = sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)

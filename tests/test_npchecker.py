@@ -11,11 +11,12 @@ from syzcheck.complexes import build_slice, vertex_cone_mask
 from syzcheck.errors import CapacityError, MismatchError
 from syzcheck.homology import reduced_betti
 from syzcheck.koszul import TorSlice
-from syzcheck.reptheory import kostka
+from syzcheck.reptheory import WeightCharacter, kostka, schur_decompose
 from syzcheck.lattice import (
     balanced_weight,
     compositions,
     enumerate_multidegrees,
+    orbit_expansion,
     veronese_points,
 )
 from syzcheck.npchecker import (
@@ -187,6 +188,55 @@ def test_balanced_weight_decides_its_block_by_brute_force():
                 blocks += 1
                 nonzero += any(brute)
     assert (blocks, nonzero) == (92, 18)
+
+
+def brute_block(n: int, d: int, q: int, deg: int) -> tuple[list, list[int]]:
+    """The orbit representatives of one block and their _betti_job values."""
+    cfg = veronese_points(n, d)
+    reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, deg)]
+    return reps, [npchecker._betti_job(b, cfg, q) for b in reps]
+
+
+def test_block_vanishing_does_not_depend_on_n_from_q():
+    # the Young diagrams of Tor_q have at most q+1 rows and do not depend
+    # on V, so a block vanishes at every n >= q exactly when it does at
+    # n' = q. Every representative is ranked by _betti_job, which assumes
+    # nothing about the block; (d, q) = (3, 3) is left out for time.
+    compared = nonzero = 0
+    for d in (1, 2, 3):
+        for q in (1, 2, 3):
+            if (d, q) == (3, 3):
+                continue
+            for deg in range(q + 1, q + 5):
+                _, stable = brute_block(q, d, q, deg)
+                for n in (q + 1, q + 2):
+                    _, values = brute_block(n, d, q, deg)
+                    assert any(values) == any(stable), (n, d, q, deg)
+                    compared += 1
+                    nonzero += any(values)
+    assert (compared, nonzero) == (64, 10)
+
+
+def test_schur_lift_from_n_equal_q_gives_every_value_at_larger_n():
+    # beta_{q,b} = sum over lambda of c_lambda K_{lambda,b} at every n >= q,
+    # with c_lambda peeled from the block at n' = q, whose representatives
+    # are exactly its dominant weights
+    nonzero = 0
+    terms = {}
+    for d in (1, 2, 3):
+        for q in (2, 3):
+            for deg in (q + 1, q + 2):
+                reps, values = brute_block(q, d, q, deg)
+                mults = {m: v for b, v in zip(reps, values) for m in orbit_expansion(b)}
+                lift = schur_decompose(WeightCharacter(q + 1, mults)).terms
+                terms[d, q, deg] = len(lift)
+                nonzero += bool(lift)
+                for n in (q + 1, q + 2):
+                    reps, values = brute_block(n, d, q, deg)
+                    lifted = [sum(c * kostka(lam, b) for lam, c in lift.items()) for b in reps]
+                    assert lifted == values, (n, d, q, deg)
+    assert len(terms) == 12 and nonzero == 4
+    assert terms[3, 3, 4] == 14
 
 
 def test_no_block_is_nonzero_beyond_the_regularity():
@@ -421,6 +471,22 @@ def test_store_rejects_unparseable_line_before_the_tail(tmp_path):
     betti_file.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
+
+
+def test_store_rejects_unparseable_last_line_with_its_newline(tmp_path):
+    # put writes each record with its newline, so a torn write leaves its
+    # fragment after the last newline; a whole last line that does not
+    # parse was damaged otherwise, and is neither skipped nor cut
+    check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
+    betti_file = tmp_path / "betti-n2-d2.jsonl"
+    lines = betti_file.read_text().splitlines()
+    assert len(lines) == 43
+    lines[-1] = lines[-1][:-3]
+    betti_file.write_text("\n".join(lines) + "\n")
+    damaged = betti_file.read_bytes()
+    with pytest.raises(ValueError, match="line 43 is not JSON"):
+        check_np(NpQuery(n=2, d=2, p=2, store_path=str(tmp_path)))
+    assert betti_file.read_bytes() == damaged
 
 
 def test_store_writes_are_atomic(tmp_path, monkeypatch):
