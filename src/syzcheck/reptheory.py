@@ -4,28 +4,28 @@ The Tor slices computed by the Koszul module are GL-representations, so
 their weight multiplicities are permutation-symmetric and decompose
 uniquely into Schur characters. The decomposition here is the classical
 greedy one: peel off the lexicographically largest surviving weight, whose
-multiplicity is the coefficient of that Schur term, subtract, repeat. Once
-the input is checked to be symmetric, every step keeps it symmetric, so the
-peel reads and updates only the dominant (non-increasing) weights: one per
-permutation orbit, where a Schur character has the Kostka number K_{lambda mu}.
-Any negative intermediate multiplicity means the input was not a genuine
-character and is reported as a hard error, never clamped.
+multiplicity is the coefficient of that Schur term, subtract, repeat. The
+symmetry check rebuilds each orbit from its dominant member, and every step
+keeps the input symmetric, so the peel reads and updates only the dominant
+(non-increasing) weights: one per orbit, where a Schur character has the
+Kostka number K_{lambda mu}. A negative multiplicity at any step means the
+input was not a genuine character: a hard error, never clamped.
 
-Kostka numbers (weight multiplicities of a single Schur character) are
-computed by peeling the largest tableau entry as a horizontal strip, with
-memoisation across calls.
+Kostka numbers (weight multiplicities of one Schur character) peel the
+largest tableau entry as a horizontal strip. A shape's strips are one
+product of its row ranges, memoised apart from the Kostka recursion.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 from .errors import MismatchError
 from .koszul import tor_dimension
-from .lattice import Vector, orbit_expansion, orbit_size_of, partitions_into
+from .lattice import Vector, orbit_expansion, partitions_into
 
 
 @dataclass(frozen=True, order=True)
@@ -57,6 +57,10 @@ def partition(parts: Iterable[int]) -> Partition:
     return Partition(tuple(int(x) for x in parts if int(x) != 0))
 
 
+def _is_dominant(w: Vector) -> bool:
+    return all(a >= b for a, b in zip(w, w[1:]))
+
+
 @dataclass(eq=True)
 class WeightCharacter:
     """Finite weight multiset on Z^{v_dim}, stored as nonzero multiplicities."""
@@ -74,17 +78,12 @@ class WeightCharacter:
         self.mults = clean
 
     def is_symmetric(self) -> bool:
-        """Each permutation orbit is present whole, with one multiplicity."""
-        orbits: defaultdict[Vector, list[Vector]] = defaultdict(list)
-        for w in self.mults:
-            orbits[tuple(sorted(w, reverse=True))].append(w)
-        for key, members in orbits.items():
-            # distinct permutations of key: the whole orbit iff as many
-            if len(members) != orbit_size_of(key):
-                return False
-            if len({self.mults[w] for w in members}) != 1:
-                return False
-        return True
+        """Each permutation orbit is present whole, with one multiplicity:
+        spreading each dominant weight's multiplicity over its orbit
+        (orbit_expansion) gives back exactly this character."""
+        whole = {v: m for w, m in self.mults.items() if _is_dominant(w)
+                 for v in orbit_expansion(w)}
+        return whole == self.mults
 
 
 @dataclass(eq=True)
@@ -99,27 +98,13 @@ class SchurDecomposition:
 
 @lru_cache(maxsize=None)
 def _strip_predecessors(lam: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions obtained from lam by removing a horizontal strip of
-    the given size: at most one cell per column, so row i may not drop
-    below row i+1 of the original shape."""
-    n = len(lam)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, acc: list[int]) -> None:
-        if remaining < 0:
-            return
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(x for x in acc if x))
-            return
-        low = lam[i + 1] if i + 1 < n else 0
-        for v in range(low, lam[i] + 1):
-            acc.append(v)
-            rec(i + 1, remaining - (lam[i] - v), acc)
-            acc.pop()
-
-    rec(0, size, [])
-    return tuple(out)
+    """Partitions left by removing a horizontal strip of `size` cells from
+    lam. At most one cell per column, so row i keeps lam[i+1] to lam[i]
+    cells (0 to lam[i] for the last row): one product of those ranges.
+    Memoised apart from _kostka_sorted, which reuses each strip."""
+    ranges = [range(low, top + 1) for top, low in zip(lam, lam[1:] + (0,))]
+    return tuple(tuple(x for x in rows if x)
+                 for rows in product(*ranges) if sum(lam) - sum(rows) == size)
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +133,8 @@ def kostka(shape: Partition | Iterable[int], content: Iterable[int]) -> int:
 def _dominant_kostka(lam: Partition, v_dim: int) -> dict[Vector, int]:
     """The Kostka row of lam at its dominant weights: K_{lam mu} for each
     partition mu of |lam| into v_dim parts (zeros kept), nonzero only."""
-    return {mu: k for mu in partitions_into(lam.size, v_dim) if (k := kostka(lam, mu))}
+    return {mu: k for mu in partitions_into(lam.size, v_dim)
+            if (k := _kostka_sorted(lam.parts, tuple(c for c in mu if c)))}
 
 
 def schur_character(shape: Partition | Iterable[int], v_dim: int) -> WeightCharacter:
@@ -169,8 +155,7 @@ def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
     the dominant weights are tracked: each stands for its whole orbit."""
     if not char.is_symmetric():
         raise ValueError("character is not symmetric under coordinate permutations")
-    work = {w: m for w, m in char.mults.items()
-            if all(a >= b for a, b in zip(w, w[1:]))}
+    work = {w: m for w, m in char.mults.items() if _is_dominant(w)}
     terms: dict[Partition, int] = {}
     while work:
         # the lex-max dominant weight is the lex-max weight of the remainder

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 import pytest
 
 from syzcheck.errors import MismatchError
-from syzcheck.lattice import compositions, partitions_into
+from syzcheck.lattice import compositions, orbit_size_of, partitions_into
 from syzcheck.reptheory import (
     Partition,
     SchurDecomposition,
@@ -109,6 +109,26 @@ def test_kostka_against_brute_force():
             for mu in partitions_into(n, 4):
                 content = tuple(x for x in mu if x)
                 assert kostka(shape, mu) == brute_kostka(shape, content), (shape, mu)
+
+
+def test_kostka_rows_add_up_to_the_hook_content_dimension():
+    # dim S_lam(C^7) = prod over cells (i, j) of (7 + j - i) / hook(i, j);
+    # summing K_{lam mu} over the orbits of the dominant weights mu gives
+    # the same number, checking every strip past the brute-force range
+    v_dim, shapes = 7, 0
+    for n in range(13):
+        for lam in partitions_into(n, v_dim):
+            shape = tuple(x for x in lam if x)
+            cols = [sum(1 for r in shape if r > j) for j in range(shape[0] if shape else 0)]
+            num = den = 1
+            for i, row in enumerate(shape):
+                for j in range(row):
+                    num *= v_dim + j - i
+                    den *= (row - j) + (cols[j] - i) - 1
+            dim = sum(kostka(shape, mu) * orbit_size_of(mu) for mu in partitions_into(n, v_dim))
+            assert dim * den == num, shape
+            shapes += 1
+    assert shapes == 246
 
 
 def test_weight_character_examples():
