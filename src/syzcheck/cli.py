@@ -30,12 +30,9 @@ from .reptheory import tor_schur_decomposition
 
 def _parse_b(text: str) -> tuple[int, ...]:
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"multidegree {text!r} is not comma-separated integers")
-    if not coords:
-        raise ValueError("empty multidegree")
-    return coords
 
 
 def _canonicalize(coords: tuple[int, ...]) -> tuple[int, ...]:

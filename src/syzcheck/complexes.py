@@ -88,10 +88,6 @@ class ComplexSlice:
     facets_by_dim: dict[int, np.ndarray]
 
     @property
-    def dims(self) -> tuple[int, int]:
-        return (self.j_lo, self.j_hi)
-
-    @property
     def vertex_count(self) -> int:
         return int(self.vertices.size)
 
@@ -421,9 +417,6 @@ def masked_boundary(sub: np.ndarray, alive_rows: np.ndarray,
     face_ids = np.flatnonzero(alive_cols)
     n_cols = int(face_ids.size)
     w = sub.shape[1]
-    if n_cols == 0 or w == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return BoundaryMatrix(rows=n_rows, cols=n_cols, row_idx=z, col_idx=z, values=z)
     row_map = np.full(alive_rows.size, -1, dtype=np.int64)
     row_map[np.flatnonzero(alive_rows)] = np.arange(n_rows, dtype=np.int64)
     rows = sub[face_ids].ravel()
@@ -443,7 +436,8 @@ def boundary_matrix(slice_: ComplexSlice, j: int) -> BoundaryMatrix:
     empty face with coefficient +1 (reduced convention).
     """
     if j < slice_.j_lo + 1 or j > slice_.j_hi:
-        raise ValueError(f"boundary at {j} needs dims {j - 1} and {j} inside {slice_.dims}")
+        raise ValueError(f"boundary at {j} needs dims {j - 1} and {j} "
+                         f"inside {(slice_.j_lo, slice_.j_hi)}")
     return masked_boundary(slice_.subface_rows(j),
                            np.ones(slice_.face_count(j - 1), dtype=bool),
                            np.ones(slice_.face_count(j), dtype=bool))

@@ -337,7 +337,8 @@ def reduced_betti(slice_: ComplexSlice, j: int) -> BettiNumber:
     exact rank beyond its cell cap raises instead.
     """
     if j - 1 < slice_.j_lo or j + 1 > slice_.j_hi:
-        raise ValueError(f"betti at {j} needs dims [{j - 1}, {j + 1}] inside {slice_.dims}")
+        raise ValueError(f"betti at {j} needs dims [{j - 1}, {j + 1}] "
+                         f"inside {(slice_.j_lo, slice_.j_hi)}")
     # no j-face, no j-chain: a band far above the top face runs no cascade
     if slice_.face_count(j) == 0 or _matching_certifies_zero(slice_, j):
         return BettiNumber(j=j, value=0, certified=True)

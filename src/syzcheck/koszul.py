@@ -192,7 +192,6 @@ def tor_dimension(p: int, q: int, n: int, d: int,
 
     weight = _checked_weight(p, q, n, d, weight)
 
-    total = 0
     weights: dict[Vector, int] = {}
     # a given weight is a sweep of one
     for b in [weight] if weight is not None else partitions_into((p + q) * d, n + 1):
@@ -203,7 +202,5 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         # this module's rank names, so the Koszul ranks can be wrapped apart
         val = middle_homology(down, up, (rank_mod_p, rank_exact))
         if val:
-            orbit = [b] if weight is not None else orbit_expansion(b)
-            weights.update(dict.fromkeys(orbit, val))
-            total += val * len(orbit)
-    return TorSlice(p=p, q=q, total_dim=total, weights=weights)
+            weights.update(dict.fromkeys([b] if weight is not None else orbit_expansion(b), val))
+    return TorSlice(p=p, q=q, total_dim=sum(weights.values()), weights=weights)

@@ -125,21 +125,17 @@ class PointConfig:
     """A finite point configuration in N^k.
 
     Fields:
-        kind: "veronese" or "general".
         points: the configuration, distinct vectors with nonnegative entries.
-        n, d: for kind "veronese", the ambient projective dimension and the
-            embedding degree; None for general configurations, which are
-            ungraded.
+        n, d: the ambient projective dimension and the embedding degree of
+            a veronese configuration, set together; None for a general one,
+            which is ungraded. `kind` is "veronese" exactly when d is set.
     """
 
-    kind: str
     points: tuple[Vector, ...]
     n: int | None = None
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("veronese", "general"):
-            raise ValueError(f"unknown configuration kind {self.kind!r}")
         if not self.points:
             raise ValueError("configuration needs at least one point")
         k = len(self.points[0])
@@ -150,11 +146,15 @@ class PointConfig:
                 raise ValueError("points must have nonnegative coordinates")
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be distinct")
-        if self.kind == "veronese":
-            if self.n is None or self.d is None:
-                raise ValueError("veronese configuration requires n and d")
-            if k != self.n + 1 or len(self.points) != comb(self.n + self.d, self.n):
-                raise ValueError("inconsistent veronese data")
+        if (self.n is None) != (self.d is None):
+            raise ValueError("veronese configuration requires n and d")
+        if self.d is not None and (k != self.n + 1
+                                   or len(self.points) != comb(self.n + self.d, self.n)):
+            raise ValueError("inconsistent veronese data")
+
+    @property
+    def kind(self) -> str:
+        return "general" if self.d is None else "veronese"
 
     @property
     def ambient_dim(self) -> int:
@@ -210,13 +210,13 @@ def veronese_points(n: int, d: int) -> PointConfig:
     if composition_count(d, n + 1) > VERONESE_POINT_GUARD:
         raise CapacityError(f"C({n + d}, {n}) points exceed guard {VERONESE_POINT_GUARD}")
     pts = tuple(compositions(d, n + 1))
-    return PointConfig(kind="veronese", points=pts, n=n, d=d)
+    return PointConfig(points=pts, n=n, d=d)
 
 
 def general_config(points: Sequence[Sequence[int]]) -> PointConfig:
     """Wrap an explicit point list as a general (ungraded) configuration."""
     pts = tuple(tuple(int(x) for x in a) for a in points)
-    return PointConfig(kind="general", points=pts)
+    return PointConfig(points=pts)
 
 
 def semigroup_contains(config: PointConfig, v: Sequence[int]) -> bool:

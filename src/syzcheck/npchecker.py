@@ -166,13 +166,10 @@ def _query_hash(query: NpQuery) -> str:
 
 
 def _is_record(rec) -> bool:
-    """Whether a parsed store line has the fields and types that put writes."""
-    def is_int(x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool)
-
-    return (isinstance(rec, dict) and isinstance(rec.get("b"), list)
-            and all(map(is_int, rec["b"])) and is_int(rec.get("j"))
-            and is_int(rec.get("value")) and isinstance(rec.get("certified"), bool))
+    """Whether a parsed store line has the fields that put writes, in JSON's exact types."""
+    return (type(rec) is dict and type(rec.get("b")) is list
+            and all(type(x) is int for x in rec["b"]) and type(rec.get("j")) is int
+            and type(rec.get("value")) is int and type(rec.get("certified")) is bool)
 
 
 class ResultsStore:
@@ -298,12 +295,12 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
     and how many of them came from the store.
 
     The block's balanced weight decides first (see the module docstring):
-    its value comes from the store, its vertex test or one `_betti_job`,
-    and a 0 makes every representative a certified zero. Otherwise each
-    representative in the order of reps is read from the store, is a zero
-    when the vertex test cones it, or runs `_betti_job` once. The new
-    values go to the store in one put. A job over capacity, the balanced
-    weight's too, ends the block at once, naming its multidegree.
+    its value comes from its vertex test or one `_betti_job`, as a store holds a
+    prefix of each block, never its last representative alone; a 0 makes every
+    representative a certified zero. Otherwise each representative, in order, is
+    read from the store, is a zero when the vertex test cones it, or runs
+    `_betti_job` once, and the new values go to the store in one put. A job over
+    capacity, the balanced weight's too, ends the block, naming its multidegree.
     """
     n, d = config.n, config.d
     cached = store.get(n, d, q - 1, reps) if store else {}
@@ -320,8 +317,7 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
     try:
         if todo:
             top = balanced_weight(sum(todo[0]), n + 1)
-            top_value = (cached[top] if top in cached
-                         else job(top, vertex_cone_mask(config, [top], q)[0]))
+            top_value = job(top, vertex_cone_mask(config, [top], q)[0])
             if top_value == 0:
                 new = dict.fromkeys(todo, 0)
             else:
@@ -418,7 +414,7 @@ class CrossValidationReport:
 
     @property
     def matches(self) -> int:
-        return sum(1 for pr in self.pairs if pr.tor == pr.betti and pr.tor > 0)
+        return len(self.matched_pairs())
 
     @property
     def mismatches(self) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from syzcheck.cli import build_parser, main
-from syzcheck.koszul import tor_dimension
+from syzcheck.koszul import TorSlice, tor_dimension
 
 
 def run(capsys, *argv):
@@ -199,8 +199,17 @@ def test_betti_membership_error(capsys):
 
 
 def test_betti_bad_multidegree_syntax(capsys):
-    code, _, err = run(capsys, "betti", "-n", "1", "-d", "3", "-b", "3,x", "-j", "0")
-    assert code == 2
+    # "" splits to [""], so an empty multidegree fails as a bad integer
+    for b in ("3,x", ""):
+        code, _, err = run(capsys, "betti", "-n", "1", "-d", "3", "-b", b, "-j", "0")
+        assert code == 2
+        assert f"multidegree {b!r} is not comma-separated integers" in err
+
+
+def test_complex_bad_band_syntax(capsys):
+    code, out, err = run(capsys, "complex", "-n", "1", "-d", "2", "-b", "2,2", "-j", "5")
+    assert (code, out) == (2, "")
+    assert "-j expects 'lo,hi', got '5'" in err
 
 
 def test_canonicalization_notice(capsys):
@@ -361,6 +370,18 @@ def test_cross_validate_command(capsys):
     assert "2 2,1,1" in lines
 
 
+def test_cross_validate_disagreement_exits_1(capsys, monkeypatch):
+    # a pipeline disagreement is a negative verdict: exit 1, as README says
+    def disagreeing(p, q, n, d, weight=None):
+        real = tor_dimension(p, q, n, d, weight=weight)
+        return TorSlice(p=p, q=q, total_dim=real.total_dim + 1, weights={})
+
+    monkeypatch.setattr("syzcheck.npchecker.tor_dimension", disagreeing)
+    code, out, err = run(capsys, "cross-validate", "-n", "1", "-d", "2", "-p", "1", "-q", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("mismatch: pipelines disagree at b=")
+
+
 def test_store_env_and_flag(capsys, tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     flag_dir = tmp_path / "from-flag"
@@ -375,7 +396,13 @@ def test_store_env_and_flag(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("record", ['{"b": [4, 0], "j": 0}', "[1,2]",
-                                    '{"b": [4, 0], "j": 0, "value": "1", "certified": true}'])
+                                    '{"b": [4, 0], "j": 0, "value": "1", "certified": true}',
+                                    # JSON's own types: true is no integer, 1 no boolean
+                                    '{"b": [4, 0], "j": 0, "value": true, "certified": true}',
+                                    '{"b": [4, 0], "j": false, "value": 0, "certified": true}',
+                                    '{"b": [4, true], "j": 0, "value": 0, "certified": true}',
+                                    '{"b": [4, 0], "j": 0, "value": 1.0, "certified": true}',
+                                    '{"b": [4, 0], "j": 0, "value": 0, "certified": 1}'])
 def test_malformed_store_record_exits_2(capsys, tmp_path, record):
     # whole JSON that is not a record is no torn tail: exit 2 naming the
     # file and line, never a traceback or exit 1 (a negative verdict)

@@ -119,8 +119,21 @@ def test_boundary_out_of_band_rejected():
     slc = build_slice(cfg, (3, 3), 0, 1)
     with pytest.raises(ValueError):
         boundary_matrix(slc, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"boundary at 2 needs dims 1 and 2 inside \(0, 1\)$"):
         boundary_matrix(slc, 2)
+    with pytest.raises(ValueError, match="boundary at dimension 0 needs dims -1 and 0"):
+        slc.subface_rows(slc.j_lo)
+
+
+@pytest.mark.parametrize("bound, j_lo, j_hi, message", [
+    ((3, 3), -2, 1, "j_lo must be >= -1"),
+    ((3, 3), 1, 0, "j_hi must be >= j_lo"),
+    ((3, 3, 0), -1, 1, "bound vector has wrong length"),
+    ((6, -3), -1, 1, "bound vector must be nonnegative"),
+])
+def test_build_slice_rejects_bad_input(bound, j_lo, j_hi, message):
+    with pytest.raises(ValueError, match=message):
+        build_slice(veronese_points(1, 3), bound, j_lo, j_hi)
 
 
 def csr(m: BoundaryMatrix) -> sp.csr_matrix:

@@ -300,8 +300,16 @@ def test_reduced_betti_band_requirement():
     slc = build_slice(cfg, (3, 3), 0, 1)
     with pytest.raises(ValueError):
         reduced_betti(slc, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"betti at 1 needs dims \[0, 2\] inside \(0, 1\)$"):
         reduced_betti(slc, 1)
+
+
+def test_masked_boundary_without_living_columns_is_empty():
+    sub = np.array([[0, 1], [1, 2]], dtype=np.int32)
+    bm = masked_boundary(sub, np.ones(3, dtype=bool), np.zeros(2, dtype=bool))
+    assert (bm.rows, bm.cols) == (3, 0)
+    for arr in (bm.row_idx, bm.col_idx, bm.values):
+        assert arr.dtype == np.int64 and arr.size == 0
 
 
 def test_reduced_betti_strategies_and_cascade_agree():

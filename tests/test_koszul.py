@@ -290,6 +290,10 @@ def test_preconditions_rejected():
         koszul_map(1, 1, 1, 2, (5, -1))
     with pytest.raises(ValueError, match="wrong length"):
         koszul_map(1, 1, 1, 2, (4,))
+    with pytest.raises(ValueError, match="exterior power must be nonnegative"):
+        wedge_tensor_basis(-1, 1, 1, 2)
+    with pytest.raises(ValueError, match="weight has wrong length"):
+        wedge_tensor_basis(1, 1, 1, 2, (1, 1, 0))
 
 
 def test_basis_guard_trips(monkeypatch):
@@ -297,6 +301,13 @@ def test_basis_guard_trips(monkeypatch):
     monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 100)
     with pytest.raises(CapacityError):
         koszul_map(2, 2, 2, 3)
+
+
+def test_wedge_guard_trips_in_a_weight_space(monkeypatch):
+    # 15 two-subsets of the 6 quadrics: over the guard before any weight work
+    monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 10)
+    with pytest.raises(CapacityError, match="wedge basis exceeds guard 10"):
+        wedge_tensor_basis(2, 2, 0, 3, (2, 2, 0))
 
 
 def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypatch):

@@ -6,6 +6,7 @@ from math import comb
 from syzcheck.errors import CapacityError, UnsupportedConfigError
 from syzcheck.lattice import (
     Multidegree,
+    PointConfig,
     balanced_weight,
     composition_count,
     compositions,
@@ -75,6 +76,34 @@ def test_veronese_rejects_degenerate_parameters():
         veronese_points(0, 3)
     with pytest.raises(ValueError):
         veronese_points(2, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(compositions(3, 0)), "parts must be >= 1"),
+    (lambda: list(compositions(-1, 2)), "total must be >= 0"),
+    (lambda: list(partitions_into(3, 0)), "max_parts must be >= 1"),
+    (lambda: list(partitions_into(-1, 2)), "total must be >= 0"),
+    (lambda: general_config([]), "needs at least one point"),
+    (lambda: general_config([(1,), (1, 2)]), "share one ambient dimension"),
+    (lambda: general_config([(-1,)]), "nonnegative coordinates"),
+    (lambda: general_config([(1,), (1,)]), "points must be distinct"),
+    (lambda: PointConfig(points=((1, 0), (0, 1)), n=1), "requires n and d"),
+    (lambda: PointConfig(points=((1, 0), (0, 1)), n=1, d=2), "inconsistent veronese data"),
+    (lambda: veronese_points(2, 2).degree_of((1, 0, 0)),
+     r"\(1, 0, 0\) has coordinate sum not divisible by 2"),
+    (lambda: semigroup_contains(veronese_points(2, 2), (1, 1)), "vector has wrong length"),
+    (lambda: enumerate_multidegrees(veronese_points(2, 2), -1), "total_degree must be >= 0"),
+])
+def test_lattice_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_point_config_kind_follows_d():
+    # kind is derived, not stored: n and d come together or not at all
+    assert veronese_points(2, 2).kind == "veronese"
+    assert general_config([(1, 0), (0, 1)]).kind == "general"
+    assert PointConfig(points=((1, 0), (0, 1)), n=1, d=1) == veronese_points(1, 1)
 
 
 def test_veronese_points_is_cached():

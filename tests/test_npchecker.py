@@ -292,6 +292,21 @@ def test_store_files_match_recording(tmp_path):
         assert (tmp_path / name).read_bytes() == (STORE_GOLDEN / name).read_bytes(), name
 
 
+def test_store_holds_a_prefix_of_each_block():
+    # each (q, degree) block's records are its first k representatives in
+    # enumeration order, so the balanced weight, last, is stored only with
+    # the whole block and _betti_block never looks it up
+    cfg = veronese_points(2, 3)
+    blocks: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for line in (STORE_GOLDEN / "betti-n2-d3.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        blocks.setdefault((rec["j"], sum(rec["b"]) // 3), []).append(tuple(rec["b"]))
+    assert len(blocks) == 16
+    for (j, degree), stored in blocks.items():
+        reps = [r.canonical.coords for r in enumerate_multidegrees(cfg, degree)]
+        assert stored == reps[:len(stored)], (j, degree)
+
+
 def test_capacity_error_names_the_multidegree(monkeypatch):
     monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 2)
     with pytest.raises(CapacityError, match=r"b=\("):
@@ -329,6 +344,16 @@ def test_block_stops_at_its_first_capacity_failure(tmp_path, monkeypatch):
     lines = (tmp_path / "betti-n2-d3.jsonl").read_text().splitlines()
     assert [(tuple(rec["b"]), rec["j"], rec["value"]) for rec in map(json.loads, lines)] == \
            [(coords, 2, value) for coords, value in zip(reps[:13], expected)]
+    # the stored prefix holds no balanced weight, the block's last
+    # representative; a rerun with the real job completes the block
+    assert reps[-1] == (4, 4, 4)
+    assert [4, 4, 4] not in [json.loads(line)["b"] for line in lines]
+    monkeypatch.setattr(npchecker, "_betti_job", real_job)
+    assert npchecker._betti_block(cfg, reps, 3, ResultsStore(tmp_path)) == (expected, 13)
+    lines = (tmp_path / "betti-n2-d3.jsonl").read_text().splitlines()
+    assert [(tuple(rec["b"]), rec["j"], rec["value"]) for rec in map(json.loads, lines)] == \
+           [(coords, 2, value) for coords, value in zip(reps, expected)]
+    assert len(lines) == 19
 
 
 def test_capacity_error_at_the_balanced_weight_ends_its_block(tmp_path, monkeypatch):
@@ -547,6 +572,11 @@ def test_cross_validate_examples():
     assert r3.matches == 0 and r3.mismatches == 0
     assert all(pr.tor == 0 and pr.betti == 0 for pr in r3.pairs)
     assert r3.compared == 28
+
+
+def test_cross_validate_rejects_p_below_one():
+    with pytest.raises(ValueError, match="need p >= 1 and q >= 1"):
+        cross_validate(1, 2, 0, 1)
 
 
 def test_cross_validate_report_json():

@@ -142,6 +142,8 @@ def test_weight_character_examples():
     assert wc.is_symmetric()
     with pytest.raises(ValueError):
         weight_character(-1, 0, 2, 2)
+    with pytest.raises(ValueError, match="weight length does not match v_dim"):
+        WeightCharacter(2, {(1,): 1})
 
 
 def test_schur_character_one_row_is_symmetric_power():
@@ -184,6 +186,8 @@ def test_schur_decompose_rejects_non_character():
     # Schur characters, must fail loudly rather than clamp
     with pytest.raises(MismatchError):
         schur_decompose(WeightCharacter(2, {(2, 0): 1, (0, 2): 1}))
+    with pytest.raises(MismatchError, match=r"negative multiplicity -1 at weight \(1,\)"):
+        schur_decompose(WeightCharacter(1, {(1,): -1}))
 
 
 def test_decomposition_reconstructs_character():
