@@ -178,13 +178,10 @@ class Multidegree:
     coords: Vector
     total_degree: int
 
-
-@dataclass(frozen=True)
-class OrbitRep:
-    """A coordinate-permutation orbit, held as its canonical (non-increasing)
-    multidegree; orbit_size_of(canonical.coords) counts its members."""
-
-    canonical: Multidegree
+    @property
+    def canonical(self) -> Multidegree:
+        """The non-increasing member of this multidegree's coordinate-permutation orbit."""
+        return Multidegree(tuple(sorted(self.coords, reverse=True)), self.total_degree)
 
 
 @lru_cache(maxsize=16)
@@ -338,15 +335,15 @@ def check_weight(total: int) -> None:
 
 
 def enumerate_multidegrees(config: PointConfig, total_degree: int,
-                           up_to_symmetry: bool = True) -> list[OrbitRep]:
-    """One representative per coordinate-permutation orbit of the semigroup
-    elements of the given total degree.
+                           up_to_symmetry: bool = True) -> list[Multidegree]:
+    """One canonical Multidegree per coordinate-permutation orbit of the
+    semigroup elements of the given total degree.
 
     For a veronese configuration these elements are the vectors in N^{n+1}
     with coordinate sum total_degree * d; each orbit is returned as its
-    non-increasing representative, in lexicographic descending order;
-    `orbit_size_of` counts its members and `lattice.compositions` lists
-    every element.
+    non-increasing member m, which is its own m.canonical, in lexicographic
+    descending order; orbit_size_of(m.coords) counts the orbit's members and
+    `lattice.compositions` lists every element.
     up_to_symmetry=False is refused: orbit representatives are the only
     mode, and the keyword is kept for callers that spell it out (the
     criterion-09 acceptance test does).
@@ -365,5 +362,5 @@ def enumerate_multidegrees(config: PointConfig, total_degree: int,
         raise ValueError("total_degree must be >= 0")
     total = total_degree * config.d
     check_weight(total)
-    return [OrbitRep(canonical=Multidegree(coords=part, total_degree=total_degree))
+    return [Multidegree(coords=part, total_degree=total_degree)
             for part in partitions_into(total, config.ambient_dim)]

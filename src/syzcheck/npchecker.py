@@ -370,16 +370,15 @@ def check_np(query: NpQuery) -> NpVerdict:
 
     for q, deg in [(q, deg) for q, degrees in window.items() for deg in degrees]:
         checked.setdefault(q, tuple(window[q]))
-        reps = [r.canonical.coords for r in enumerate_multidegrees(config, deg)]
-        values, reused = _betti_block(config, reps, q, store)
+        block = enumerate_multidegrees(config, deg)
+        values, reused = _betti_block(config, [m.coords for m in block], q, store)
         jobs_reused += reused
-        jobs_total += len(reps) - reused
-        for coords, value in zip(reps, values):
-            computed_rows.append((coords, q - 1, value))
+        jobs_total += len(block) - reused
+        for m, value in zip(block, values):
+            computed_rows.append((m.coords, q - 1, value))
             if witness is None and value > 0:
-                md = Multidegree(coords=coords, total_degree=deg)
                 bn = BettiNumber(j=q - 1, value=value, certified=True)
-                witness = Witness(b=md, q=q, betti=bn)
+                witness = Witness(b=m, q=q, betti=bn)
         if witness is not None:
             break
 
@@ -449,7 +448,7 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     _check_window(n, d, {p: range(p + q, p + q + 1)})
     store = ResultsStore(store_path) if store_path else None
     pairs: list[CrossPair] = []
-    reps = [rep.canonical.coords for rep in enumerate_multidegrees(config, p + q)]
+    reps = [m.coords for m in enumerate_multidegrees(config, p + q)]
     bettis, _ = _betti_block(config, reps, p, store)
     for coords, betti in zip(reps, bettis):
         tor = tor_dimension(p, q, n, d, weight=coords).total_dim

@@ -175,6 +175,8 @@ def test_enumerate_line_cubic_degree_two_symmetric():
     reps = enumerate_multidegrees(cfg, 2)
     assert [r.canonical.coords for r in reps] == [(6, 0), (5, 1), (4, 2), (3, 3)]
     assert [orbit_size_of(r.canonical.coords) for r in reps] == [2, 2, 2, 1]
+    # each representative is the canonical Multidegree of its orbit
+    assert all(type(r) is Multidegree and r == r.canonical for r in reps)
     # the keyword is accepted for callers that spell it out, never switched off
     assert enumerate_multidegrees(cfg, 2, up_to_symmetry=True) == reps
     with pytest.raises(ValueError):
@@ -220,6 +222,8 @@ def test_canonical_rep_examples():
         assert rep.canonical.coords == canon
         assert rep.canonical.total_degree == b.total_degree
         assert orbit_size_of(rep.canonical.coords) == size
+        # the property also sorts a multidegree that is not canonical
+        assert multidegree(cfg, coords).canonical == Multidegree(canon, b.total_degree)
 
 
 def test_orbit_expansion_matches_distinct_permutations():

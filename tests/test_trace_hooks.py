@@ -39,6 +39,8 @@ for name in ("npchecker.store_bytes", "npchecker.store_s"):
     assert metrics[name]["value"] > 0, name
 # the Schur peel is still reached under the names the tracer wraps
 assert metrics["reptheory.decompose_s"]["value"] > 0
+# check_np and cross_validate still enumerate through the wrapped name
+assert metrics["lattice.enumerate_s"]["value"] > 0
 # the homology side of cross_validate still reaches the wrapped names
 under = {s.name for s in tracer.spans
          if s.parent is not None and s.parent.name == "npchecker.cross_validate"}
