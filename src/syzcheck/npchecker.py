@@ -14,7 +14,14 @@ vectors: permuting the coordinates of b permutes the points of the
 configuration, so the divisor complexes of an orbit are isomorphic. The
 jobs of one (q, degree) block, for check_np and for cross_validate alike,
 run through one block runner, `_betti_block`, which certifies in this
-order. First the block's balanced weight, degree * d split into n + 1
+order. For check_np, first the regularity: the Veronese ring is
+Cohen-Macaulay with a-invariant -ceil((n + 1) / d) (Goto-Watanabe, On
+graded rings I, 1978), so its Castelnuovo-Mumford regularity is
+reg(n, d) = n + 1 - ceil((n + 1) / d) (Bruns-Herzog, Cohen-Macaulay
+Rings), Tor_q lives in degrees q + 1 .. q + reg, and a block of higher
+degree is a certified zero with no job and no vertex test. cross_validate
+computes every block, so that it stays a comparison of two pipelines.
+Then the block's balanced weight, degree * d split into n + 1
 parts that differ by at most 1. Tor_q in that degree is a GL(V)-module,
 so beta_{q,b} = sum over lambda of c_lambda K_{lambda,b}, with c_lambda
 the multiplicity of the Schur module of shape lambda, and the Kostka
@@ -39,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +72,13 @@ FAILS = "fails"
 # check_np refuses a window that certainly holds more orbit representatives
 # than this, summed over its blocks
 WINDOW_ORBIT_GUARD = 10**6
+
+
+def regularity(n: int, d: int) -> int:
+    """The Castelnuovo-Mumford regularity n + 1 - ceil((n + 1) / d) of the
+    coordinate ring of the degree-d Veronese embedding of P^n: Tor_q lives
+    in degrees q + 1 .. q + regularity(n, d) (see the module docstring)."""
+    return n + 1 - -(-(n + 1) // d)
 
 
 @dataclass(frozen=True)
@@ -172,11 +187,45 @@ def _is_record(rec) -> bool:
             and type(rec.get("value")) is int and type(rec.get("certified")) is bool)
 
 
+# a comma after a closing brace inside one line: the line may hold two
+# records, which one parse of all lines as a JSON array would not notice
+_COMMA_AFTER_OBJECT = re.compile(rb"}\s*,")
+
+
+def _parse_records(path: Path, whole: bytes) -> list[dict]:
+    """The records of the whole lines of a store file, blank lines skipped,
+    parsed as one JSON array. When that array is not one store record per
+    line, the lines are parsed one by one to name the first that is not
+    JSON or not a store record."""
+    lines = whole.split(b"\n")
+    kept = [line for line in lines if line.strip()]
+    if not _COMMA_AFTER_OBJECT.search(whole):
+        try:
+            recs = json.loads(b"[" + b",".join(kept) + b"]")
+        except ValueError:
+            recs = None
+        if recs is not None and len(recs) == len(kept) and all(map(_is_record, recs)):
+            return recs
+    recs = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                raise ValueError(f"{path} line {number} is not JSON") from None
+            if not _is_record(rec):
+                raise ValueError(f"{path} line {number} is not a store record")
+            recs.append(rec)
+    return recs
+
+
 class ResultsStore:
     """Append-only directory store. Homology values live in one JSON-lines
     file per configuration so distinct queries over the same points share
     work; verdicts are single JSON files keyed by the query content hash.
-    Only certified entries are ever reused; get and put take a whole block."""
+    Only certified entries are ever reused; get and put take a whole block.
+    Each values file is parsed in one pass, all its whole lines as one JSON
+    array, the first time a query touches it."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -194,20 +243,11 @@ class ResultsStore:
         Every line before them is whole; one that is not a store record raises."""
         key = (n, d)
         if key not in self._index:
-            idx: dict[tuple[Vector, int], int] = {}
             path = self._betti_file(n, d)
             data = path.read_bytes() if path.exists() else b""
             whole = data[:data.rfind(b"\n") + 1]
-            for number, line in enumerate(whole.split(b"\n"), 1):
-                if line.strip():
-                    try:
-                        rec = json.loads(line)
-                    except ValueError:
-                        raise ValueError(f"{path} line {number} is not JSON") from None
-                    if not _is_record(rec):
-                        raise ValueError(f"{path} line {number} is not a store record")
-                    if rec["certified"]:
-                        idx[(tuple(rec["b"]), rec["j"])] = rec["value"]
+            idx = {(tuple(rec["b"]), rec["j"]): rec["value"]
+                   for rec in _parse_records(path, whole) if rec["certified"]}
             if data[len(whole):].strip():
                 with path.open("r+b") as fh:
                     if fh.seek(0, os.SEEK_END) == len(data):
@@ -220,14 +260,16 @@ class ResultsStore:
         return {coords: idx[coords, j] for coords in reps if (coords, j) in idx}
 
     def put(self, n: int, d: int, j: int, values: dict[Vector, int]) -> None:
-        """Append the values in dimension j of keys not yet stored, in one write."""
+        """Append the values in dimension j of keys not yet stored, in one
+        write. Each record line has the bytes of json.dumps(record,
+        sort_keys=True), formatted here without building the record."""
         idx = self._load(n, d)
         recs = []
         for coords, value in values.items():
             if (coords, j) not in idx:
                 idx[coords, j] = value
-                rec = {"b": list(coords), "j": j, "value": value, "certified": True}
-                recs.append(json.dumps(rec, sort_keys=True) + "\n")
+                recs.append(f'{{"b": [{", ".join(map(str, coords))}], "certified": true, '
+                            f'"j": {j}, "value": {value}}}\n')
         if recs:
             with self._betti_file(n, d).open("a") as fh:
                 fh.write("".join(recs))
@@ -262,7 +304,7 @@ def betti_csv_lines(rows: list[tuple[Vector, int, int]]) -> list[str]:
     """The Betti CSV of the store and of `betti --format csv`: a header,
     then one row per (b, j, value), b space-joined. Every value is certified."""
     return ["b,j,value,certified"] + [
-        f"{' '.join(str(x) for x in coords)},{j},{value},true" for coords, j, value in rows]
+        f"{' '.join(map(str, coords))},{j},{value},true" for coords, j, value in rows]
 
 
 def _betti_job(coords: Vector, config: PointConfig, q: int) -> int:
@@ -289,12 +331,19 @@ def _betti_job(coords: Vector, config: PointConfig, q: int) -> int:
 
 
 def _betti_block(config: PointConfig, reps: list[Vector], q: int,
-                 store: ResultsStore | None) -> tuple[list[int], int]:
+                 store: ResultsStore | None, *,
+                 reg: int | None = None) -> tuple[list[int], int]:
     """Certified reduced homology ranks in dimension q - 1 of the orbit
     representatives reps, all of one lattice degree, in the order given,
     and how many of them came from the store.
 
-    The block's balanced weight decides first (see the module docstring):
+    Given reg, the regularity of the configuration, a block of degree above
+    q + reg is zero at every representative without any job or vertex test:
+    the Veronese ring is Cohen-Macaulay with a-invariant -ceil((n + 1) / d)
+    (Goto-Watanabe, On graded rings I), so Tor_q lives in degrees up to
+    q + reg (Bruns-Herzog, Cohen-Macaulay Rings). Those zeros go to the
+    store like computed ones. Otherwise the block's balanced weight decides
+    first (see the module docstring):
     its value comes from its vertex test or one `_betti_job`, as a store holds a
     prefix of each block, never its last representative alone; a 0 makes every
     representative a certified zero. Otherwise each representative, in order, is
@@ -315,7 +364,9 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
                                 f"exceeded capacity: {exc}") from None
 
     try:
-        if todo:
+        if todo and reg is not None and sum(todo[0]) // d > q + reg:
+            new = dict.fromkeys(todo, 0)
+        elif todo:
             top = balanced_weight(sum(todo[0]), n + 1)
             top_value = job(top, vertex_cone_mask(config, [top], q)[0])
             if top_value == 0:
@@ -353,13 +404,15 @@ def _check_window(n: int, d: int, window: dict[int, range]) -> None:
 
 def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
-    obstruction, or holds_up_to_bound with the exact ranges checked. A
+    obstruction, or holds_up_to_bound with the exact ranges checked. Blocks
+    above q + regularity(n, d) are certified zeros that run no job. A
     window that `_check_window` refuses raises its CapacityError before any
     job runs; so does a block whose balanced weight is over capacity."""
     config = veronese_points(query.n, query.d)
     slack = _effective_slack(query)
     window = {q: range(q + 2, q + 3 + slack) for q in range(2, query.p + 1)}
     _check_window(query.n, query.d, window)
+    reg = regularity(query.n, query.d)
     store = ResultsStore(query.store_path) if query.store_path else None
 
     checked: dict[int, tuple[int, ...]] = {}
@@ -371,7 +424,7 @@ def check_np(query: NpQuery) -> NpVerdict:
     for q, deg in [(q, deg) for q, degrees in window.items() for deg in degrees]:
         checked.setdefault(q, tuple(window[q]))
         block = enumerate_multidegrees(config, deg)
-        values, reused = _betti_block(config, [m.coords for m in block], q, store)
+        values, reused = _betti_block(config, [m.coords for m in block], q, store, reg=reg)
         jobs_reused += reused
         jobs_total += len(block) - reused
         for m, value in zip(block, values):

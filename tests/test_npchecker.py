@@ -1,10 +1,13 @@
 """Tests for the verdict orchestrator and the two-pipeline cross-check."""
 
 import json
+import tempfile
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syzcheck import complexes, npchecker
 from syzcheck.complexes import build_slice, vertex_cone_mask
@@ -127,11 +130,13 @@ def test_vertex_cone_decides_most_jobs_before_any_face_is_built(tmp_path, monkey
     # over the default windows of (2,3,6) and (3,2,5) the vertex test fires
     # on 706 of the 707 and 790 of the 790 jobs that brute force finds
     # coned, and on no other job. Every block is zero, so check_np builds
-    # one slice per block at most: its balanced weight's, when that is not
-    # vertex-coned, and none when it is stored.
-    for n, d, p, jobs, coned, fired, slices in [(2, 3, 6, 752, 707, 706, 13),
-                                                (3, 2, 5, 819, 790, 790, 12)]:
+    # one slice per block at most, and none above q + regularity(n, d):
+    # its balanced weight's, when the block is at or below the regularity
+    # and that weight is not vertex-coned, and none when it is stored.
+    for n, d, p, jobs, coned, fired, slices in [(2, 3, 6, 752, 707, 706, 5),
+                                                (3, 2, 5, 819, 790, 790, 4)]:
         cfg = veronese_points(n, d)
+        reg = npchecker.regularity(n, d)
         seen = {"jobs": 0, "coned": 0, "fired": 0}
         tops = []
         for q in range(2, p + 1):
@@ -145,22 +150,23 @@ def test_vertex_cone_decides_most_jobs_before_any_face_is_built(tmp_path, monkey
                     seen["coned"] += apex is not None
                     seen["fired"] += bool(fires)
                 assert reps[-1] == balanced_weight(deg * d, n + 1)
-                if not mask[-1]:
-                    tops.append(reps[-1])
+                if deg <= q + reg and not mask[-1]:
+                    tops.append((q, deg, reps[-1]))
         assert seen == {"jobs": jobs, "coned": coned, "fired": fired}
         assert len(tops) == slices
 
         built = []
 
-        def counting_build_slice(config, coords, *args, **kwargs):
-            built.append(coords)
-            return build_slice(config, coords, *args, **kwargs)
+        def counting_build_slice(config, coords, j_lo, j_hi, *args, **kwargs):
+            built.append((j_hi, sum(coords) // config.d, coords))
+            return build_slice(config, coords, j_lo, j_hi, *args, **kwargs)
 
         monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
         store = str(tmp_path / f"{n}-{d}")
         cold = check_np(NpQuery(n=n, d=d, p=p, store_path=store))
         assert cold.status == HOLDS and cold.jobs_total == jobs
         assert built == tops
+        assert all(deg <= q + reg for q, deg, _ in built)
         built.clear()
         warm = check_np(NpQuery(n=n, d=d, p=p, store_path=store))
         monkeypatch.undo()
@@ -243,11 +249,15 @@ def test_no_block_is_nonzero_beyond_the_regularity():
     # Tor_q(R) lives in degrees q+1 .. q+reg, reg = n+1-ceil((n+1)/d) for
     # the Cohen-Macaulay Veronese ring, and vanishes past the projective
     # dimension pd = C(n+d, n)-n-1. Every block two degrees past q+reg and
-    # one level past pd is ranked; degree q+reg is reached for every (n, d).
+    # one level past pd is ranked, with no regularity given to
+    # _betti_block; degree q+reg is reached for every (n, d) with d > 1.
+    # At d = 1, where reg = pd = 0, every block is zero.
     blocks = 0
     reached = set()
-    for n, d in [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (3, 2)]:
+    for n, d in [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3),
+                 (3, 2)]:
         reg = n + 1 - -(-(n + 1) // d)
+        assert npchecker.regularity(n, d) == reg, (n, d)
         pd = comb(n + d, n) - n - 1
         cfg = veronese_points(n, d)
         for q in range(1, pd + 2):
@@ -259,10 +269,11 @@ def test_no_block_is_nonzero_beyond_the_regularity():
                     assert deg <= q + reg and q <= pd, (n, d, q, deg)
                     if deg == q + reg:
                         reached.add((n, d, q))
-    assert blocks == 114
+    assert blocks == 120
     assert {(n, d) for n, d, _ in reached} == {(1, 2), (1, 3), (1, 4), (1, 5),
                                                 (2, 2), (2, 3), (3, 2)}
     assert {(2, 3, 7), (3, 2, 6)} <= reached
+    assert [npchecker.regularity(n, d) for n, d in [(2, 3), (3, 2), (4, 3)]] == [2, 2, 3]
 
 
 def test_cross_validate_skips_vertex_coned_representatives(monkeypatch):
@@ -557,6 +568,52 @@ def test_store_only_reuses_certified(tmp_path):
     assert store.get(2, 2, 1, [(4, 2, 2)]) == {}
     store2 = ResultsStore(tmp_path)
     assert store2.get(2, 2, 1, [(4, 2, 2)]) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=40), st.integers(0, 30),
+       st.integers(0, 10**6))
+@example([], 0, 0)
+@example([12, 0, 345], 1, 10)
+def test_put_writes_the_bytes_of_json_dumps(b, j, value):
+    # put formats each record line itself: the bytes must stay those of
+    # json.dumps with sorted keys, which earlier stores were written with
+    with tempfile.TemporaryDirectory() as root:
+        ResultsStore(root).put(2, 3, j, {tuple(b): value})
+        line = (Path(root) / "betti-n2-d3.jsonl").read_text()
+        rec = {"b": b, "j": j, "value": value, "certified": True}
+        assert line == json.dumps(rec, sort_keys=True) + "\n"
+        assert ResultsStore(root).get(2, 3, j, [tuple(b)]) == {tuple(b): value}
+
+
+def test_store_reads_a_record_in_another_key_order_and_spacing(tmp_path):
+    (tmp_path / "betti-n2-d2.jsonl").write_text(
+        '{"value":3,"j":1,  "certified" :true,"b":[ 4,2 ,2]}\n'
+        '{"certified": true, "value": 0, "b": [3, 3, 2], "j": 1}\n')
+    store = ResultsStore(tmp_path)
+    assert store.get(2, 2, 1, [(4, 2, 2), (3, 3, 2), (4, 4, 0)]) == {(4, 2, 2): 3,
+                                                                     (3, 3, 2): 0}
+
+
+@pytest.mark.parametrize("line, fault", [
+    ('{"b": [4, 0], "j": 0}', "is not a store record"),
+    ("[1, 2]", "is not a store record"),
+    ('{"b": [4, 0], "j": 0, "value": 0', "is not JSON"),
+    # two records on one line are two elements of the one-pass array
+    ('{"b": [4, 0], "j": 0, "value": 0, "certified": true}, '
+     '{"b": [3, 1], "j": 0, "value": 0, "certified": true}', "is not JSON"),
+    # and here the next line ends the second, so the array holds one
+    # record per line: still no line may hold two
+    ('{"b": [4, 0], "j": 0, "value": 0, "certified": true}, '
+     '{"b": [3, 1], "j": 0, "value": 0, "certified": true, "x": [{}\n{}]}', "is not JSON"),
+])
+def test_store_names_a_bad_line_after_a_blank_one(tmp_path, line, fault):
+    # blank lines are skipped but counted: the bad line is named by its own
+    # number in the file, and no value of the file is used
+    good = '{"b": [2, 2], "certified": true, "j": 0, "value": 0}'
+    (tmp_path / "betti-n1-d2.jsonl").write_text(f"{good}\n\n{line}\n{good}\n")
+    with pytest.raises(ValueError, match=rf"betti-n1-d2.jsonl line 3 {fault}$"):
+        ResultsStore(tmp_path).get(1, 2, 0, [(2, 2)])
 
 
 def test_cross_validate_examples():
