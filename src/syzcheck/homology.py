@@ -4,16 +4,16 @@ Pipeline, certificates in order: a dimension j with no face has zero
 homology with no linear algebra. Otherwise an element matching of the
 cells of dimensions j-1, j and j+1 (`_element_matching`) certifies a zero
 when it leaves no critical j-cell. Otherwise a unit-pivot cancellation
-cascade shrinks the chain complex with no arithmetic, then the residual
-boundary ranks are computed modulo DEFAULT_PRIME, with exact rational
-confirmation for any nonzero answer; the incoming boundary is ranked only
-on the rows the outgoing one leaves unpivoted (`middle_homology`). Both
-ranks run one sparse elimination loop (`_eliminate`, structured Gaussian
-elimination after LaMacchia and Odlyzko, 1991): over F_p every entry is a
-pivot candidate; the exact rank takes the +-1 entries first, over Z, and
+cascade shrinks the chain complex with no arithmetic, then each residual
+boundary is ranked once, exactly (`rank_exact`); the incoming boundary is
+ranked only on the rows the outgoing one leaves unpivoted
+(`middle_homology`). Every rank runs one sparse elimination loop
+(`_eliminate`, structured Gaussian elimination after LaMacchia and
+Odlyzko, 1991): the exact rank takes the +-1 entries first, over Z, and
 then ranks whatever is left without a unit pivot by rational elimination
-in the same sparse rows. Callers certify most coned slices before any
-face is built (`complexes.vertex_cone_mask`).
+in the same sparse rows; over F_p (`rank_mod_p`, which no certificate
+calls) every entry is a pivot candidate. Callers certify most coned
+slices before any face is built (`complexes.vertex_cone_mask`).
 
 The element matching walks the local vertices in index order and, at
 vertex v, pairs every unmatched face G containing v with G - v when that
@@ -35,10 +35,11 @@ living row c other than g. The reduced differential is the plain submatrix
 on the survivors, and the band's homology is unchanged. Each round
 recounts the living facets of living faces only.
 
-Certification: DEFAULT_PRIME fixes the one modular field. A rank modulo
-it never exceeds the rational rank, so a zero modulo it is zero over Q,
-and a nonzero value stands only once both ranks are confirmed exactly, in
-the Koszul pipeline too, which runs the same `middle_homology`.
+Certification: every value the matching does not decide comes from
+exact ranks over Q, zeros and nonzeros alike, in the Koszul pipeline too,
+which runs the same `middle_homology`. No rank is taken modulo
+DEFAULT_PRIME first: the maps of both pipelines are settled almost wholly
+by unit pivots, so a modular rank costs about what the exact one does.
 """
 
 from __future__ import annotations
@@ -87,20 +88,32 @@ class BettiNumber:
 def _sparse_rows(bm: BoundaryMatrix, reduce) -> tuple[dict[int, dict[int, int]],
                                                      dict[int, set[int]]]:
     """The rows of bm as {col: value} dicts and the set of rows holding each
-    column. Duplicate triplets are summed, as a dense += would, then reduce
-    maps each sum to the entry kept; entries it maps to zero are dropped."""
-    sums: dict[int, dict[int, int]] = {}
-    for r, c, v in zip(bm.row_idx.tolist(), bm.col_idx.tolist(), bm.values.tolist()):
-        row = sums.setdefault(r, {})
-        row[c] = row.get(c, 0) + v
+    column. Duplicate triplets are summed, as a dense += would, then one
+    pass over the rows maps each sum to the entry reduce keeps, drops the
+    entries it maps to zero and indexes the columns of the rest."""
     rows_d: dict[int, dict[int, int]] = {}
+    for r, c, v in zip(bm.row_idx.tolist(), bm.col_idx.tolist(), bm.values.tolist()):
+        if (row := rows_d.get(r)) is None:
+            rows_d[r] = {c: v}
+        else:
+            row[c] = row.get(c, 0) + v
     col_rows: dict[int, set[int]] = {}
-    for r, row in sums.items():
-        kept = {c: rv for c, v in row.items() if (rv := reduce(v))}
-        if kept:
-            rows_d[r] = kept
-            for c in kept:
-                col_rows.setdefault(c, set()).add(r)
+    zeros = []
+    for r, row in rows_d.items():
+        for c, v in row.items():
+            if rv := reduce(v):
+                row[c] = rv
+                if (held := col_rows.get(c)) is None:
+                    col_rows[c] = {r}
+                else:
+                    held.add(r)
+            else:
+                zeros.append((r, c))
+    for r, c in zeros:
+        row = rows_d[r]
+        del row[c]
+        if not row:
+            del rows_d[r]
     return rows_d, col_rows
 
 
@@ -119,30 +132,36 @@ def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
     # count is no longer the column's own is stale and skipped
     queue = [(len(held), c) for c, held in col_rows.items()]
     heapq.heapify(queue)
-
-    def recount(k: int) -> None:
-        if col_rows[k]:
-            heapq.heappush(queue, (len(col_rows[k]), k))
-        else:
-            del col_rows[k]
-
+    push, pop = heapq.heappush, heapq.heappop
     pivots = []
     while queue:
-        n, c = heapq.heappop(queue)
-        if len(col_rows.get(c, ())) != n:
+        n, c = pop(queue)
+        held = col_rows.get(c)
+        if held is None or len(held) != n:
             continue
-        for r in sorted(col_rows[c], key=lambda rr: (len(rows_d[rr]), rr)):
-            if (inv := inverse(rows_d[r][c])) is not None:
-                break
+        if n == 1:
+            (r,) = held
+            if (inv := inverse(rows_d[r][c])) is None:
+                continue
         else:
-            continue
+            for r in sorted(held, key=lambda rr: (len(rows_d[rr]), rr)):
+                if (inv := inverse(rows_d[r][c])) is not None:
+                    break
+            else:
+                continue
         piv_row = rows_d.pop(r)
         del piv_row[c]
         targets = col_rows.pop(c)
         targets.discard(r)
+        # each column whose entry count changes is pushed with its new count,
+        # or dropped once it holds no row
         for k in piv_row:
-            col_rows[k].discard(r)
-            recount(k)
+            held = col_rows[k]
+            held.discard(r)
+            if held:
+                push(queue, (len(held), k))
+            else:
+                del col_rows[k]
         for r2 in targets:
             row2 = rows_d[r2]
             f = reduce(row2.pop(c) * inv)
@@ -150,13 +169,20 @@ def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
                 nv = reduce(row2.get(k, 0) - f * v)
                 if nv:
                     if k not in row2:
-                        col_rows.setdefault(k, set()).add(r2)
-                        recount(k)
+                        if (held := col_rows.get(k)) is None:
+                            held = col_rows[k] = {r2}
+                        else:
+                            held.add(r2)
+                        push(queue, (len(held), k))
                     row2[k] = nv
                 elif k in row2:
                     del row2[k]
-                    col_rows[k].discard(r2)
-                    recount(k)
+                    held = col_rows[k]
+                    held.discard(r2)
+                    if held:
+                        push(queue, (len(held), k))
+                    else:
+                        del col_rows[k]
             if not row2:
                 del rows_d[r2]
         pivots.append(c)
@@ -292,35 +318,26 @@ def _matching_certifies_zero(slice_: ComplexSlice, j: int) -> bool:
     return False
 
 
-def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix,
-                    rankers=None) -> int:
-    """dim ker(out_map) - rank(in_map), certified over Q.
+def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, rank=None) -> int:
+    """dim ker(out_map) - rank(in_map), exact over Q.
 
-    The certification ladder of both pipelines: both ranks are taken
-    modulo DEFAULT_PRIME, which certifies a zero (a modular rank never
-    exceeds the rational one), and a nonzero value is re-ranked exactly.
-    A negative value is a RuntimeError. rankers is the (modular, exact)
-    pair of rank functions to call, by default this module's rank_mod_p
-    and rank_exact.
+    The rank certificate of both pipelines: each map is ranked once,
+    exactly, so a zero is as exact as a nonzero. rank is the rank function
+    to call, by default this module's rank_exact, looked up at each call.
+    A negative value is a RuntimeError.
 
-    At each rung in_map U is ranked without its rows at the pivot columns
-    X of out_map D, pivot rows R: D U = 0 and D[R, X] is nonsingular, so
+    in_map U is ranked without its rows at the pivot columns X of out_map
+    D, pivot rows R: D U = 0 and D[R, X] is nonsingular, so
     U[X, :] = -D[R, X]^-1 D[R, ~X] U[~X, :] and rank U = rank U[~X, :].
     """
-    modular, exact = rankers or (rank_mod_p, rank_exact)
-
-    def value(rank) -> int:
-        out = rank(out_map)
-        free = np.ones(in_map.rows, dtype=bool)
-        free[list(out.pivot_cols)] = False
-        keep = free[in_map.row_idx]
-        rest = BoundaryMatrix(in_map.rows, in_map.cols, in_map.row_idx[keep],
-                              in_map.col_idx[keep], in_map.values[keep])
-        return out_map.cols - out.rank - rank(rest).rank
-
-    val = value(lambda m: modular(m, DEFAULT_PRIME))
-    if val > 0:
-        val = value(exact)
+    rank = rank or rank_exact
+    out = rank(out_map)
+    free = np.ones(in_map.rows, dtype=bool)
+    free[list(out.pivot_cols)] = False
+    keep = free[in_map.row_idx]
+    rest = BoundaryMatrix(in_map.rows, in_map.cols, in_map.row_idx[keep],
+                          in_map.col_idx[keep], in_map.values[keep])
+    val = out_map.cols - out.rank - rank(rest).rank
     if val < 0:
         raise RuntimeError("negative homology rank")
     return val

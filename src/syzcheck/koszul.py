@@ -34,7 +34,8 @@ import numpy as np
 
 from .complexes import BoundaryMatrix, make_matrix
 from .errors import CapacityError
-from .homology import middle_homology, rank_exact, rank_mod_p
+# rank_mod_p is unused here: the benchmark's tracer wraps it under this name
+from .homology import middle_homology, rank_exact, rank_mod_p  # noqa: F401
 from .lattice import Vector, composition_count, compositions, orbit_expansion, partitions_into
 
 # refuse bases beyond this many elements
@@ -59,13 +60,77 @@ def monomial_basis(degree: int, v_dim: int) -> tuple[Vector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(p: int, degree: int, v_dim: int):
-    """All p-subsets of the degree-`degree` monomial basis together with the
-    coordinate sums of their exponent vectors, for fast weight filtering."""
+def _wedge_table(p: int, degree: int, v_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """All p-subsets of the degree-`degree` monomial basis, as the rows of
+    an index array in lexicographic order, together with the coordinate
+    sums of their exponent vectors, one row per coordinate: a weight test
+    then compares whole rows."""
     mon = monomial_basis(degree, v_dim)
     combos = list(combinations(range(len(mon)), p))
     idx = np.asarray(combos, dtype=np.intp).reshape(len(combos), p)
-    return combos, np.asarray(mon, dtype=np.int64)[idx].sum(axis=1)
+    return idx, np.ascontiguousarray(np.asarray(mon, dtype=np.int64)[idx].sum(axis=1).T)
+
+
+@lru_cache(maxsize=None)
+def _facet_terms(m: int, p: int) -> np.ndarray:
+    """A (p, p, m) table that ranks the facets of p-subsets of range(m):
+    the facet without factor i of c_0 < ... < c_{p-1} is row
+    comb(m, p - 1) - 1 - sum_j table[j, i, c_j] of _wedge_table for p - 1.
+    That is the lexicographic rank comb(m, k) - 1 - sum_t comb(m-1-e_t, k-t)
+    of a k-subset e_0 < ... < e_{k-1}, here with k = p - 1 and e_t = c_j
+    for t = j - (j > i). Only the entries a subset can reach are set. Each
+    is a term of a sum below comb(m, k), so every rank fits in 64 bits,
+    which base-m codes of the subsets near the top of a wedge do not."""
+    k = p - 1
+    table = np.zeros((p, p, m), dtype=np.int64)
+    for i in range(p):
+        for j in range(p):
+            if j != i:
+                t = j - (j > i)
+                for c in range(t, m - k + t + 1):
+                    table[j, i, c] = comb(m - 1 - c, k - t)
+    return table
+
+
+def _checked_sizes(p: int, wedge_degree: int, sym_degree: int, v_dim: int) -> tuple[int, int]:
+    """The monomial count of the wedge factor and dim Sym^sym_degree, once
+    both and the wedge basis pass DEFAULT_BASIS_GUARD (read at each call);
+    else CapacityError, or ValueError for p < 0."""
+    if p < 0:
+        raise ValueError("exterior power must be nonnegative")
+    m = len(monomial_basis(wedge_degree, v_dim))
+    # counted for a weight space too: its guard refuses a sweep over huge weights
+    sym_dim = _sym_dimension(sym_degree, v_dim)
+    if comb(m, p) > DEFAULT_BASIS_GUARD:
+        raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
+    return m, sym_dim
+
+
+def _weight_fit(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
+                weight: Vector) -> np.ndarray:
+    """The weight-b space of wedge^p Sym^{wedge_degree} V (x)
+    Sym^{sym_degree} V after the guards of `_checked_sizes`: the ascending
+    rows of _wedge_table whose subset S fits under b, each the element
+    (S, b - sum(S)). A weight of another coordinate sum has none and builds
+    no table."""
+    _checked_sizes(p, wedge_degree, sym_degree, v_dim)
+    if len(weight) != v_dim:
+        raise ValueError("weight has wrong length")
+    if sum(weight) != p * wedge_degree + sym_degree:
+        return np.empty(0, dtype=np.intp)
+    sums = _wedge_table(p, wedge_degree, v_dim)[1]
+    under = sums <= np.asarray(weight, dtype=np.int64)[:, None]
+    return np.flatnonzero(np.logical_and.reduce(under))
+
+
+@lru_cache(maxsize=3)
+def _cached_fit(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
+                weight: Vector, guard: int) -> np.ndarray:
+    """_weight_fit, for the three most recent weight spaces: the two maps
+    around one weight's middle term use three, the middle one twice.
+    guard, the DEFAULT_BASIS_GUARD in force, only keys the cache: a lower
+    guard is never skipped."""
+    return _weight_fit(p, wedge_degree, sym_degree, v_dim, weight)
 
 
 def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
@@ -81,39 +146,18 @@ def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
     A basis, or the wedge factor alone, of more than DEFAULT_BASIS_GUARD
     elements (read at each call) raises CapacityError.
     """
-    if p < 0:
-        raise ValueError("exterior power must be nonnegative")
-    mon = monomial_basis(wedge_degree, v_dim)
-    # counted for a weight space too: its guard refuses a sweep over huge weights
-    sym_dim = _sym_dimension(sym_degree, v_dim)
-    if comb(len(mon), p) > DEFAULT_BASIS_GUARD:
-        raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
-    if weight is None:
-        if comb(len(mon), p) * sym_dim > DEFAULT_BASIS_GUARD:
-            raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
-        return list(product(combinations(range(len(mon)), p), monomial_basis(sym_degree, v_dim)))
-    if len(weight) != v_dim:
-        raise ValueError("weight has wrong length")
-    if sum(weight) != p * wedge_degree + sym_degree:
-        return []
-    # at most one element per wedge subset: the guard above bounds it
-    combos, sums = _wedge_table(p, wedge_degree, v_dim)
-    rem = np.asarray(weight, dtype=np.int64)[None, :] - sums
-    fit = np.nonzero((rem >= 0).all(axis=1))[0]
-    return [(combos[i], tuple(e)) for i, e in zip(fit.tolist(), rem[fit].tolist())]
-
-
-@lru_cache(maxsize=3)
-def _indexed_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
-                   weight: Vector | None, guard: int):
-    """wedge_tensor_basis and the position of each element in it, keyed in
-    a weight space by the wedge subset alone, which names the element there.
-    The three most recent are kept: the two maps around one weight's middle
-    term use three bases, the middle one twice. guard, the DEFAULT_BASIS_GUARD
-    in force, only keys the cache: a lower guard is never skipped."""
-    basis = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim, weight)
-    keys = basis if weight is None else [w for w, _ in basis]
-    return basis, {key: i for i, key in enumerate(keys)}
+    if weight is not None:
+        # at most one element per wedge subset: the wedge guard bounds it
+        fit = _weight_fit(p, wedge_degree, sym_degree, v_dim, weight)
+        if not fit.size:
+            return []
+        idx, sums = _wedge_table(p, wedge_degree, v_dim)
+        rem = np.asarray(weight, dtype=np.int64)[:, None] - sums[:, fit]
+        return list(zip(map(tuple, idx[fit].tolist()), map(tuple, rem.T.tolist())))
+    m, sym_dim = _checked_sizes(p, wedge_degree, sym_degree, v_dim)
+    if comb(m, p) * sym_dim > DEFAULT_BASIS_GUARD:
+        raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
+    return list(product(combinations(range(m), p), monomial_basis(sym_degree, v_dim)))
 
 
 def _checked_weight(p: int, q: int, n: int, d: int, weight: Vector | None) -> Vector | None:
@@ -141,21 +185,38 @@ def koszul_map(p: int, q: int, n: int, d: int,
 
     When a weight is given both bases are restricted to elements whose
     exponent vectors sum to it; the differential preserves weights, so the
-    restriction is a subcomplex direct summand.
+    restriction is a subcomplex direct summand. There a subset names its
+    element, and every facet of a fitting subset fits too, so the row of
+    the facet without factor i is its lexicographic rank (`_facet_terms`)
+    looked up among the codomain's fitting rows, which ascend. The whole
+    map keeps one loop step per entry: it is the reference the weighted
+    maps are tested against.
     """
     weight = _checked_weight(p, q, n, d, weight)
     v_dim = n + 1
-    dom, _ = _indexed_basis(p, d, q * d, v_dim, weight, DEFAULT_BASIS_GUARD)
-    cod, row_of = _indexed_basis(p - 1, d, (q + 1) * d, v_dim, weight, DEFAULT_BASIS_GUARD)
-    mon = monomial_basis(d, v_dim)
-    triplets: list[tuple[int, int, int]] = []
-    for col, (w, f) in enumerate(dom):
-        for i, mi in enumerate(w):
-            key = w[:i] + w[i + 1:]
-            if weight is None:
-                key = key, tuple(a + b for a, b in zip(f, mon[mi]))
-            triplets.append((row_of[key], col, 1 if i % 2 == 0 else -1))
-    return make_matrix(len(cod), len(dom), triplets)
+    if weight is None:
+        dom = wedge_tensor_basis(p, d, q * d, v_dim)
+        cod = wedge_tensor_basis(p - 1, d, (q + 1) * d, v_dim)
+        row_of = {key: i for i, key in enumerate(cod)}
+        mon = monomial_basis(d, v_dim)
+        triplets: list[tuple[int, int, int]] = []
+        for col, (w, f) in enumerate(dom):
+            for i, mi in enumerate(w):
+                key = w[:i] + w[i + 1:], tuple(a + b for a, b in zip(f, mon[mi]))
+                triplets.append((row_of[key], col, 1 if i % 2 == 0 else -1))
+        return make_matrix(len(cod), len(dom), triplets)
+    dom = _cached_fit(p, d, q * d, v_dim, weight, DEFAULT_BASIS_GUARD)
+    cod = _cached_fit(p - 1, d, (q + 1) * d, v_dim, weight, DEFAULT_BASIS_GUARD)
+    subsets = _wedge_table(p, d, v_dim)[0][dom]
+    m = len(monomial_basis(d, v_dim))
+    # ranks[:, i]: the row in _wedge_table of each subset without factor i
+    ranks = comb(m, p - 1) - 1 - _facet_terms(m, p)[np.arange(p), :, subsets].sum(axis=1)
+    values = np.ones((len(dom), p), dtype=np.int64)
+    values[:, 1::2] = -1
+    return BoundaryMatrix(rows=len(cod), cols=len(dom),
+                          row_idx=np.searchsorted(cod, ranks.ravel()).astype(np.int64),
+                          col_idx=np.arange(len(dom), dtype=np.int64).repeat(p),
+                          values=values.ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +256,13 @@ def tor_dimension(p: int, q: int, n: int, d: int,
     weights: dict[Vector, int] = {}
     # a given weight is a sweep of one
     for b in [weight] if weight is not None else partitions_into((p + q) * d, n + 1):
-        if not _indexed_basis(p, d, q * d, n + 1, b, DEFAULT_BASIS_GUARD)[0]:
+        if not _cached_fit(p, d, q * d, n + 1, b, DEFAULT_BASIS_GUARD).size:
             continue
         down = koszul_map(p, q, n, d, b)
         up = koszul_map(p + 1, q - 1, n, d, b)  # its rows: the same middle basis
-        # this module's rank names, so the Koszul ranks can be wrapped apart
-        val = middle_homology(down, up, (rank_mod_p, rank_exact))
+        # one exact rank per map, under this module's name for rank_exact,
+        # so the Koszul ranks can be wrapped apart from the divisor side's
+        val = middle_homology(down, up, rank_exact)
         if val:
             weights.update(dict.fromkeys([b] if weight is not None else orbit_expansion(b), val))
     return TorSlice(p=p, q=q, total_dim=sum(weights.values()), weights=weights)

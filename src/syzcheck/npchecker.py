@@ -170,7 +170,8 @@ def _effective_slack(query: NpQuery) -> int:
 def _query_hash(query: NpQuery) -> str:
     payload = {
         "n": query.n, "d": query.d, "p": query.p, "slack": query.slack,
-        # retired options, pinned so that store file names do not move
+        # retired options, pinned so that store file names do not move;
+        # "modular_first" too, though every rank is now exact
         "q_max": None,
         "degree_bound_mode": "per_q", "explicit_degrees": [],
         "field_strategy": "modular_first", "prime": DEFAULT_PRIME,
@@ -311,8 +312,8 @@ def _betti_job(coords: Vector, config: PointConfig, q: int) -> int:
     """The reduced homology rank in dimension q - 1 of one orbit
     representative that the vertex test did not certify: build the banded
     slice and take homology through `reduced_betti`, where an element
-    matching of dims q-2 .. q certifies most zeros, and the cascade,
-    modular rank and exact confirmation decide the rest. A cone that the
+    matching of dims q-2 .. q certifies most zeros, and the cascade and
+    one exact rank per residual boundary decide the rest. A cone that the
     vertex test missed comes out 0 the same way. Every value is certified;
     a complex over capacity raises its CapacityError.
 

@@ -525,22 +525,20 @@ def rank_calls(monkeypatch):
 
 def check_middle_homology(out_map, in_map, calls) -> tuple[int, int]:
     """middle_homology against Fraction ranks of the two full matrices.
-    Each rung ranks out_map, then in_map with the same shape but without
-    its entries in rows at out_map's pivot columns. Returns the value and
-    how many rungs dropped an entry that way."""
+    It ranks out_map once, then in_map once, with the same shape but
+    without its entries in rows at out_map's pivot columns. Returns the
+    value and whether an entry was dropped that way."""
     calls.clear()
     value = middle_homology(out_map, in_map)
     assert value == out_map.cols - fraction_rank(out_map) - fraction_rank(in_map)
-    assert len(calls) in (2, 4)
-    dropped = 0
-    for (out_m, out_r), (in_m, _) in zip(calls[::2], calls[1::2]):
-        assert out_m is out_map
-        assert (in_m.rows, in_m.cols) == (in_map.rows, in_map.cols)
-        held = np.isin(in_map.row_idx, out_r.pivot_cols)
-        kept = [e for e, h in zip(in_map.entries, held.tolist()) if not h]
-        assert sorted(in_m.entries) == sorted(kept)
-        dropped += bool(held.any())
-    return value, dropped
+    assert len(calls) == 2
+    (out_m, out_r), (in_m, _) = calls
+    assert out_m is out_map
+    assert (in_m.rows, in_m.cols) == (in_map.rows, in_map.cols)
+    held = np.isin(in_map.row_idx, out_r.pivot_cols)
+    kept = [e for e, h in zip(in_map.entries, held.tolist()) if not h]
+    assert sorted(in_m.entries) == sorted(kept)
+    return value, int(held.any())
 
 
 def test_restricted_rank_matches_brute_force_on_the_cone_grid(monkeypatch):
@@ -812,34 +810,40 @@ def test_betti_value_is_dataclass_with_multidegree():
     assert bn.certified
 
 
-def test_reduced_betti_ranks_modulo_the_default_prime(monkeypatch):
+def test_reduced_betti_ranks_a_slice_exactly(monkeypatch):
     # the element matching decides (6,3,3) at j = 1 with no rank; (9,9,9)
-    # at j = 6 reaches the cascade and modular ranks, all mod DEFAULT_PRIME
+    # at j = 6 reaches the cascade and ranks each residual once, exactly,
+    # with no rank modulo a prime
     cfg = veronese_points(2, 3)
     matched = build_slice(cfg, (6, 3, 3), -1, 2)
     ranked = build_slice(cfg, (9, 9, 9), 5, 7)
     assert _matching_certifies_zero(matched, 1)
     assert not _matching_certifies_zero(ranked, 6)
-    primes = []
-    monkeypatch.setattr(homology, "rank_mod_p",
-                        lambda m, p: primes.append(p) or rank_mod_p(m, p))
+    exact = []
+
+    def no_modular(*args):
+        raise AssertionError("a certificate ranked modulo a prime")
+
+    monkeypatch.setattr(homology, "rank_exact", lambda m: exact.append(m) or rank_exact(m))
+    monkeypatch.setattr(homology, "rank_mod_p", no_modular)
     assert reduced_betti(matched, 1).value == 0
-    assert primes == []
+    assert exact == []
     reduced_betti(ranked, 6)
-    assert primes and set(primes) == {DEFAULT_PRIME}
+    assert len(exact) == 2
 
 
-
-def test_ladder_re_ranks_a_modular_nonzero_exactly(monkeypatch):
-    # a 1x1 map whose one entry is DEFAULT_PRIME: zero modulo the prime,
-    # nonzero over Q. The modular rung alone reads 1, the exact rung 0.
-    out_map = make_matrix(1, 1, [(0, 0, DEFAULT_PRIME)])
-    in_map = make_matrix(1, 0, [])
-    modular = [rank_mod_p(m, DEFAULT_PRIME).rank for m in (out_map, in_map)]
-    assert out_map.cols - sum(modular) == 1
+def test_middle_homology_ranks_each_map_once_exactly(monkeypatch):
+    # entries DEFAULT_PRIME: zero modulo the prime, nonzero over Q. Ranks
+    # modulo the prime would read a homology of 1 for the 1x1 map and 2 for
+    # the 1x2 one; one exact rank of each map reads 0 and 1
     calls = rank_calls(monkeypatch)
-    assert middle_homology(out_map, in_map) == 0
-    # two rungs, each ranking out_map and then in_map; out_map's rank 1 on
-    # the second rung can only be the exact one
-    assert [m is out_map for m, _ in calls] == [True, False, True, False]
-    assert [res.rank for _, res in calls] == [0, 0, 1, 0]
+    for cols, value in ((1, 0), (2, 1)):
+        out_map = make_matrix(1, cols, [(0, c, DEFAULT_PRIME) for c in range(cols)])
+        in_map = make_matrix(cols, 0, [])
+        modular = [rank_mod_p(m, DEFAULT_PRIME).rank for m in (out_map, in_map)]
+        assert out_map.cols - sum(modular) == cols
+        calls.clear()
+        assert middle_homology(out_map, in_map) == value
+        # out_map, then in_map, each once; out_map's rank 1 is the exact one
+        assert [m is out_map for m, _ in calls] == [True, False]
+        assert [res.rank for _, res in calls] == [1, 0]

@@ -140,9 +140,13 @@ def weight_of(element, d, v_dim):
 def test_weighted_maps_restrict_the_full_map():
     # at every weight the weighted map is the full map on the elements of
     # that weight, rows and columns in the full bases' order, and the two
-    # maps around each middle term compose to zero
+    # maps around each middle term compose to zero. p = 1 maps onto the
+    # single empty subset, weights with no middle element give empty maps,
+    # and (3, 2, 3, 1) is the largest case, 1575 x 1200 in full
+    empty = 0
     for n, d, p, q in ((1, 1, 1, 1), (1, 2, 1, 2), (1, 3, 2, 1), (2, 1, 2, 1),
-                       (2, 2, 1, 1), (2, 2, 2, 2), (2, 2, 3, 1), (1, 2, 3, 2)):
+                       (2, 2, 1, 1), (2, 2, 2, 2), (2, 2, 3, 1), (1, 2, 3, 2),
+                       (3, 1, 1, 2), (3, 2, 3, 1)):
         v_dim = n + 1
         full = csr(koszul_map(p, q, n, d)).toarray()
         dom = [weight_of(x, d, v_dim) for x in wedge_tensor_basis(p, d, q * d, v_dim)]
@@ -153,10 +157,24 @@ def test_weighted_maps_restrict_the_full_map():
             down = koszul_map(p, q, n, d, b)
             assert (down.rows, down.cols) == (len(rows), len(cols)), (n, d, p, q, b)
             assert (csr(down).toarray() == full[rows][:, cols]).all(), (n, d, p, q, b)
+            assert p > 1 or down.rows == 1
+            empty += not down.cols
             if q >= 1:
                 up = koszul_map(p + 1, q - 1, n, d, b)
                 assert up.rows == down.cols
                 assert abs(csr(down) @ csr(up)).sum() == 0, (n, d, p, q, b)
+    assert empty > 0
+    # near the top of the wedge, where base-20 codes of 18-subsets of the 20
+    # cubics in four variables would overflow 64 bits, against the map built
+    # entry by entry on the weighted bases, in which a subset names its element
+    p, q, n, d, b = 19, 1, 3, 3, (15, 15, 15, 15)
+    dom = wedge_tensor_basis(p, d, q * d, n + 1, b)
+    row_of = {w: i for i, (w, _) in enumerate(wedge_tensor_basis(p - 1, d, (q + 1) * d, n + 1, b))}
+    expected = [(row_of[w[:i] + w[i + 1:]], col, (-1) ** i)
+                for col, (w, _) in enumerate(dom) for i in range(p)]
+    down = koszul_map(p, q, n, d, b)
+    assert (down.rows, down.cols) == (len(row_of), len(dom)) == (190, 20)
+    assert down.entries == expected
 
 
 def test_restricted_rank_matches_brute_force_on_koszul_weights(monkeypatch):
@@ -304,10 +322,16 @@ def test_basis_guard_trips(monkeypatch):
 
 
 def test_wedge_guard_trips_in_a_weight_space(monkeypatch):
-    # 15 two-subsets of the 6 quadrics: over the guard before any weight work
+    # 15 two-subsets of the 6 quadrics: over the guard before any weight
+    # work, and with the same text from a weighted map over that wedge,
+    # though the map was built under the default guard first
+    koszul_map(2, 1, 2, 2, (2, 2, 2))
     monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 10)
-    with pytest.raises(CapacityError, match="wedge basis exceeds guard 10"):
+    with pytest.raises(CapacityError, match="wedge basis exceeds guard 10") as basis:
         wedge_tensor_basis(2, 2, 0, 3, (2, 2, 0))
+    with pytest.raises(CapacityError) as weighted:
+        koszul_map(2, 1, 2, 2, (2, 2, 2))
+    assert str(weighted.value) == str(basis.value)
 
 
 def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypatch):
@@ -344,8 +368,8 @@ def exact_weights(p, q, n, d):
 
 
 def test_exact_strategy_agrees_with_modular_first():
-    # the certification ladder (mod p, then exact on nonzeros) against
-    # exact ranks on every weight
+    # tor_dimension, which ranks each map once on the rows the other leaves
+    # unpivoted, against exact ranks of both whole maps on every weight
     expected = exact_weights(1, 1, 1, 2)
     for b in compositions(4, 2):
         assert tor_dimension(1, 1, 1, 2, weight=b).total_dim == expected.get(b, 0), b
@@ -363,18 +387,19 @@ def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
 
 
 def test_middle_basis_built_once_per_weight(monkeypatch):
-    # the two maps around one weight use three bases: the middle term is
-    # the domain of one and the codomain of the other. The middle is built
-    # first, once per weight, and the outer two only where it is not empty
+    # the two maps around one weight use three weight spaces: the middle
+    # term is the domain of one and the codomain of the other. The middle
+    # fit is computed first, once per weight, and the outer two only where
+    # it is not empty
     builds = []
-    build = koszul.wedge_tensor_basis
+    fit = koszul._weight_fit
 
     def counting(*args):
         builds.append(args)
-        return build(*args)
+        return fit(*args)
 
-    monkeypatch.setattr(koszul, "wedge_tensor_basis", counting)
-    koszul._indexed_basis.cache_clear()
+    monkeypatch.setattr(koszul, "_weight_fit", counting)
+    koszul._cached_fit.cache_clear()
     t = tor_dimension(2, 1, 2, 2)
     expected = []
     for b in partitions_into(6, 3):
@@ -383,8 +408,8 @@ def test_middle_basis_built_once_per_weight(monkeypatch):
         if b != (6, 0, 0):
             expected += [(1, 2, 4, 3, b), (3, 2, 0, 3, b)]
     assert builds == expected and len(builds) == 3 * 7 - 2
-    assert build(2, 2, 2, 3, (6, 0, 0)) == []
-    koszul._indexed_basis.cache_clear()
+    assert fit(2, 2, 2, 3, (6, 0, 0)).size == 0
+    koszul._cached_fit.cache_clear()
     builds.clear()
     tor_dimension(2, 1, 2, 2, weight=(2, 2, 2))
     assert sorted(args[:3] for args in builds) == [(1, 2, 4), (2, 2, 2), (3, 2, 0)]

@@ -30,10 +30,12 @@ npchecker.cross_validate(1, 3, 1, 1)
 reptheory.tor_schur_decomposition(1, 1, 2, 2)
 metrics = layer_metrics(tracer.spans)
 assert list(metrics) == list(LAYER_UNITS), sorted(set(LAYER_UNITS) ^ set(metrics))
-# koszul.tor_dimension hands middle_homology the Koszul rank names
-for name in ("homology.rank_mod_p_calls", "homology.rank_exact_calls", "koszul.maps",
-             "koszul.rank_mod_p_s", "koszul.rank_exact_calls"):
+# koszul.tor_dimension hands middle_homology the Koszul rank name
+for name in ("homology.rank_exact_calls", "koszul.maps", "koszul.rank_exact_calls"):
     assert metrics[name]["value"] > 0, name
+# every rank is exact: no certificate ranks modulo a prime
+for name in ("homology.rank_mod_p_calls", "koszul.rank_mod_p_s"):
+    assert metrics[name]["value"] == 0, name
 # the store's get and put still take the arguments the tracer reads
 for name in ("npchecker.store_bytes", "npchecker.store_s"):
     assert metrics[name]["value"] > 0, name
