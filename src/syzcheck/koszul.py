@@ -65,31 +65,36 @@ def _wedge_table(p: int, degree: int, v_dim: int) -> tuple[np.ndarray, np.ndarra
     an index array in lexicographic order, together with the coordinate
     sums of their exponent vectors, one row per coordinate: a weight test
     then compares whole rows."""
-    mon = monomial_basis(degree, v_dim)
-    combos = list(combinations(range(len(mon)), p))
+    mon = np.asarray(monomial_basis(degree, v_dim), dtype=np.int64).T
+    combos = list(combinations(range(mon.shape[1]), p))
     idx = np.asarray(combos, dtype=np.intp).reshape(len(combos), p)
-    return idx, np.ascontiguousarray(np.asarray(mon, dtype=np.int64)[idx].sum(axis=1).T)
+    # one factor at a time: gathering all p at once holds p times the sums
+    sums = np.zeros((v_dim, len(combos)), dtype=np.int64)
+    for j in range(p):
+        sums += mon[:, idx[:, j]]
+    return idx, sums
 
 
 @lru_cache(maxsize=None)
 def _facet_terms(m: int, p: int) -> np.ndarray:
-    """A (p, p, m) table that ranks the facets of p-subsets of range(m):
-    the facet without factor i of c_0 < ... < c_{p-1} is row
-    comb(m, p - 1) - 1 - sum_j table[j, i, c_j] of _wedge_table for p - 1.
-    That is the lexicographic rank comb(m, k) - 1 - sum_t comb(m-1-e_t, k-t)
-    of a k-subset e_0 < ... < e_{k-1}, here with k = p - 1 and e_t = c_j
-    for t = j - (j > i). Only the entries a subset can reach are set. Each
-    is a term of a sum below comb(m, k), so every rank fits in 64 bits,
-    which base-m codes of the subsets near the top of a wedge do not."""
+    """Two (p, m) tables, moved and step, that rank the facets of p-subsets
+    of range(m). A k-subset e_0 < ... < e_{k-1} is row comb(m, k) - 1 -
+    sum_t lex[t, e_t] of _wedge_table, the lexicographic order of
+    itertools.combinations, with lex[t, e] = comb(m - 1 - e, k - t) where a
+    subset can hold e at position t (t <= e <= m - k + t) and 0 elsewhere.
+    Each entry is a term of a sum below comb(m, k), so every rank fits in
+    64 bits, which base-m codes of the subsets near the top of a wedge do
+    not. A facet of a p-subset (k = p - 1) holds factor j at position j - 1
+    or j, so moved[j] = lex[j - 1] (0 for j = 0) and step[j] = lex[j] -
+    moved[j], with lex[p - 1] = 0."""
     k = p - 1
-    table = np.zeros((p, p, m), dtype=np.int64)
-    for i in range(p):
-        for j in range(p):
-            if j != i:
-                t = j - (j > i)
-                for c in range(t, m - k + t + 1):
-                    table[j, i, c] = comb(m - 1 - c, k - t)
-    return table
+    lex = np.zeros((p, m), dtype=np.int64)
+    for t in range(k):
+        for e in range(t, m - k + t + 1):
+            lex[t, e] = comb(m - 1 - e, k - t)
+    moved = np.zeros((p, m), dtype=np.int64)
+    moved[1:] = lex[:-1]
+    return np.stack([moved, lex - moved])
 
 
 def _checked_sizes(p: int, wedge_degree: int, sym_degree: int, v_dim: int) -> tuple[int, int]:
@@ -209,8 +214,11 @@ def koszul_map(p: int, q: int, n: int, d: int,
     cod = _cached_fit(p - 1, d, (q + 1) * d, v_dim, weight, DEFAULT_BASIS_GUARD)
     subsets = _wedge_table(p, d, v_dim)[0][dom]
     m = len(monomial_basis(d, v_dim))
-    # ranks[:, i]: the row in _wedge_table of each subset without factor i
-    ranks = comb(m, p - 1) - 1 - _facet_terms(m, p)[np.arange(p), :, subsets].sum(axis=1)
+    # the facet without factor i holds each factor j < i at position j and
+    # each j > i at j - 1: its terms are all moved ones but i's, plus the
+    # steps of the factors before i
+    moved, step = _facet_terms(m, p)[:, np.arange(p), subsets]
+    ranks = (comb(m, p - 1) - 1 - moved.sum(axis=1))[:, None] + moved + step - step.cumsum(axis=1)
     values = np.ones((len(dom), p), dtype=np.int64)
     values[:, 1::2] = -1
     return BoundaryMatrix(rows=len(cod), cols=len(dom),
