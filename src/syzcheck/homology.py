@@ -129,12 +129,13 @@ def _eliminate(rows_d: dict[int, dict[int, int]], col_rows: dict[int, set[int]],
     all of it in parked columns, is the Schur complement of the pivots, in
     the same rows_d and col_rows; rank_exact runs a second pass over Q on it."""
     # (entry count, column) for every count a column has had; an item whose
-    # count is no longer the column's own is stale and skipped
+    # count is no longer the column's own is stale and skipped, and once no
+    # column is left every item is
     queue = [(len(held), c) for c, held in col_rows.items()]
     heapq.heapify(queue)
     push, pop = heapq.heappush, heapq.heappop
     pivots = []
-    while queue:
+    while queue and col_rows:
         n, c = pop(queue)
         held = col_rows.get(c)
         if held is None or len(held) != n:
