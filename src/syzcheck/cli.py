@@ -35,12 +35,10 @@ def _parse_b(text: str) -> tuple[int, ...]:
         raise ValueError(f"multidegree {text!r} is not comma-separated integers")
 
 
-def _canonicalize(coords: tuple[int, ...]) -> tuple[int, ...]:
+def _canonicalize(coords: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
     canon = tuple(sorted(coords, reverse=True))
-    if canon != coords:
-        print(f"note: multidegree {coords} canonicalized to {canon}",
-              file=sys.stderr)
-    return canon
+    note = f"note: multidegree {coords} canonicalized to {canon}\n"
+    return canon, note if canon != coords else ""
 
 
 def _store(args) -> str | None:
@@ -53,11 +51,13 @@ def _spaced(coords) -> str:
     return " ".join(str(x) for x in coords)
 
 
-def _emit(fmt: str, doc, csv_lines, text_lines) -> None:
-    """Print the JSON document, or the CSV lines, or the text lines, as fmt
-    names. Each form is a zero-argument callable, so only the chosen one is
-    rendered: the text of a big slice is costly. A reader that closes the
-    pipe early ends the output, not the command: stdout goes to os.devnull."""
+def _emit(fmt: str, doc, csv_lines, text_lines, note: str = "") -> None:
+    """Write the note, if any, to stderr, then print the JSON document, or the
+    CSV lines, or the text lines, as fmt names: a command that rejects its input
+    fails before this and writes no note. Each form is a zero-argument callable,
+    so only the chosen one is rendered: the text of a big slice is costly. A reader
+    that closes the pipe early ends the output, not the command: stdout goes to os.devnull."""
+    sys.stderr.write(note)
     try:
         if fmt == "json":
             print(json.dumps(doc(), sort_keys=True, indent=2))
@@ -83,19 +83,19 @@ def cmd_complex(args) -> int:
     if args.format == "csv":
         raise ValueError("complex has no csv form; use text or json")
     config = veronese_points(args.n, args.d)
-    coords = _canonicalize(_parse_b(args.b))
+    coords, note = _canonicalize(_parse_b(args.b))
     try:
         lo, hi = (int(x) for x in args.j.split(","))
     except ValueError:
         raise ValueError(f"-j expects 'lo,hi', got {args.j!r}")
     slc = build_slice(config, coords, lo, hi)
-    _emit(args.format, lambda: slice_to_json(slc), None, lambda: [slice_to_text(slc)])
+    _emit(args.format, lambda: slice_to_json(slc), None, lambda: [slice_to_text(slc)], note)
     return 0
 
 
 def cmd_betti(args) -> int:
     config = veronese_points(args.n, args.d)
-    coords = _canonicalize(_parse_b(args.b))
+    coords, note = _canonicalize(_parse_b(args.b))
     b = multidegree(config, coords)  # membership-validating
     slc = build_slice(config, coords, -1, args.j + 1)
     bn = reduced_betti(slc, args.j)
@@ -104,7 +104,7 @@ def cmd_betti(args) -> int:
                    "value": bn.value, "certified": bn.certified},
           lambda: betti_csv_lines([(coords, bn.j, bn.value)]),
           lambda: [f"reduced homology rank at b={coords}, dimension {bn.j}: "
-                   f"{bn.value} (certified)"])
+                   f"{bn.value} (certified)"], note)
     return 0
 
 
@@ -127,15 +127,15 @@ def cmd_check_np(args) -> int:
 
 
 def cmd_koszul(args) -> int:
-    weight = None
+    weight, note = None, ""
     if args.b is not None:
-        weight = _canonicalize(_parse_b(args.b))
+        weight, note = _canonicalize(_parse_b(args.b))
     slice_ = tor_dimension(args.p, args.q, args.n, args.d, weight=weight)
     rows = sorted(slice_.weights.items(), reverse=True)
     _emit(args.format, slice_.to_json,
           lambda: ["b,mult"] + [f"{_spaced(b)},{m}" for b, m in rows],
           lambda: [f"graded piece (p={args.p}, q={args.q}): total_dim {slice_.total_dim}"]
-                  + [f"  weight {b}: {m}" for b, m in rows])
+                  + [f"  weight {b}: {m}" for b, m in rows], note)
     return 0
 
 

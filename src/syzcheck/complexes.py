@@ -205,10 +205,7 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
         n_pairs = np.bincount(parent_rows).cumsum().take(parent_rows) - first
         partner_vertex = cur[:, -1]
     pair_cum = np.cumsum(n_pairs)
-    par_blocks = [np.zeros(0, dtype=np.int64)]
-    partner_blocks = [np.zeros(0, dtype=np.int64)]
-    vert_blocks = [np.zeros(0, dtype=cur.dtype)]
-    slack_blocks = [np.zeros((slack.shape[0], 0), dtype=np.uint64)]
+    runs = []  # (parents, partners, slack words) of each run's children
     total = lo = 0
     while lo < n:
         done = int(pair_cum[lo - 1]) if lo else 0
@@ -219,28 +216,25 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
         # partner row: first[r] plus the pair's offset within parent r's run
         partner = np.arange(done, pair_cum[hi - 1]) + np.repeat(
             first[lo:hi] - pair_cum[lo:hi] + counts, counts)
-        verts = partner_vertex.take(partner)
-        words = (slack.take(par, axis=1) | guard) - points.take(verts, axis=1)
+        words = ((slack.take(par, axis=1) | guard)
+                 - points.take(partner_vertex.take(partner), axis=1))
         fit = np.flatnonzero(reduce(np.bitwise_and, words) & guard == guard)
         if admits is not None:
             fit = fit[admits(words.take(fit, axis=1) ^ guard)]
-        par, partner, verts = par.take(fit), partner.take(fit), verts.take(fit)
-        words = words.take(fit, axis=1) ^ guard
-        total += int(par.size)
+        total += int(fit.size)
         if total > DEFAULT_FACE_CAP:
             raise CapacityError(
                 f"face count exceeds cap {DEFAULT_FACE_CAP} during expansion")
-        par_blocks.append(par)
-        partner_blocks.append(partner)
-        vert_blocks.append(verts)
-        slack_blocks.append(words)
+        runs.append((par.take(fit), partner.take(fit), words.take(fit, axis=1) ^ guard))
         lo = hi
-    parents = np.concatenate(par_blocks)
+    # with no parent (n = 0) rows and slack are the empty results
+    parents, partners, words = zip(*runs) if runs else ([rows], [rows], [slack])
+    parents, partners = np.concatenate(parents), np.concatenate(partners)
     children = np.empty((parents.size, k + 1), dtype=cur.dtype)
     children[:, :k] = cur.take(parents, axis=0)
-    children[:, k] = np.concatenate(vert_blocks)
-    return (children, np.concatenate(slack_blocks, axis=1), parents,
-            np.concatenate(partner_blocks))
+    children[:, k] = partner_vertex.take(partners)
+    # the slack words last: held with the children's temporaries, they raise the peak
+    return children, np.concatenate(words, axis=1), parents, partners
 
 
 def _facet_rows(below: np.ndarray, parents: np.ndarray, partners: np.ndarray,

@@ -14,8 +14,11 @@ defined; the checker module asserts exactly that.
 A basis element of wedge^p Sym^d V (x) Sym^s V is a pair (S, e): a p-subset
 S of the degree-d monomials and the exponent vector e of the symmetric
 factor. The maps preserve torus weights, so in the weight-b piece e is b
-minus the exponent sum of S, and S alone names the element. A weight with
-no middle element has no homology and builds neither map.
+minus the exponent sum of S, and S alone names the element: a weight space
+is the set of p-subsets that fit under b, and `_weight_space` alone derives
+it. The capacity guards depend on (p, q, n, d), not on b, and are read
+before any weight space is built. A weight with no middle element has no
+homology and builds neither map.
 
 The complex is GL(V)-equivariant, so a weight and its coordinate
 permutations have the same Tor dimension. A full weight sweep therefore
@@ -99,66 +102,39 @@ def _facet_terms(m: int, p: int) -> np.ndarray:
 
 def _checked_sizes(p: int, wedge_degree: int, sym_degree: int, v_dim: int) -> tuple[int, int]:
     """The monomial count of the wedge factor and dim Sym^sym_degree, once
-    both and the wedge basis pass DEFAULT_BASIS_GUARD (read at each call);
-    else CapacityError, or ValueError for p < 0."""
+    both and the wedge basis pass DEFAULT_BASIS_GUARD (read at each call, and
+    for weight spaces too); else CapacityError, or ValueError for p < 0."""
     if p < 0:
         raise ValueError("exterior power must be nonnegative")
     m = len(monomial_basis(wedge_degree, v_dim))
-    # counted for a weight space too: its guard refuses a sweep over huge weights
     sym_dim = _sym_dimension(sym_degree, v_dim)
     if comb(m, p) > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
     return m, sym_dim
 
 
-def _weight_fit(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
-                weight: Vector) -> np.ndarray:
-    """The weight-b space of wedge^p Sym^{wedge_degree} V (x)
-    Sym^{sym_degree} V after the guards of `_checked_sizes`: the ascending
-    rows of _wedge_table whose subset S fits under b, each the element
-    (S, b - sum(S)). A weight of another coordinate sum has none and builds
-    no table."""
-    _checked_sizes(p, wedge_degree, sym_degree, v_dim)
-    if len(weight) != v_dim:
-        raise ValueError("weight has wrong length")
-    if sum(weight) != p * wedge_degree + sym_degree:
-        return np.empty(0, dtype=np.intp)
-    sums = _wedge_table(p, wedge_degree, v_dim)[1]
-    under = sums <= np.asarray(weight, dtype=np.int64)[:, None]
+@lru_cache(maxsize=3)
+def _weight_space(p: int, degree: int, weight: Vector) -> np.ndarray:
+    """The weight-b space of wedge^p Sym^degree V (x) Sym^s V, s = sum(b) -
+    p * degree: the ascending rows of _wedge_table whose subset S fits
+    under b, each the element (S, b - sum(S)). Cached for the three most
+    recent spaces: the two maps around one weight's middle term use three,
+    the middle one twice. Callers check the weight and the guards first."""
+    under = _wedge_table(p, degree, len(weight))[1] <= np.asarray(weight, dtype=np.int64)[:, None]
     return np.flatnonzero(np.logical_and.reduce(under))
 
 
-@lru_cache(maxsize=3)
-def _cached_fit(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
-                weight: Vector, guard: int) -> np.ndarray:
-    """_weight_fit, for the three most recent weight spaces: the two maps
-    around one weight's middle term use three, the middle one twice.
-    guard, the DEFAULT_BASIS_GUARD in force, only keys the cache: a lower
-    guard is never skipped."""
-    return _weight_fit(p, wedge_degree, sym_degree, v_dim, weight)
-
-
-def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int, v_dim: int,
-                       weight: Vector | None = None) -> list[tuple[tuple[int, ...], Vector]]:
-    """Basis of wedge^p Sym^{wedge_degree} V (x) Sym^{sym_degree} V, or of
-    its weight space when a weight is given.
+def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int,
+                       v_dim: int) -> list[tuple[tuple[int, ...], Vector]]:
+    """Basis of wedge^p Sym^{wedge_degree} V (x) Sym^{sym_degree} V.
 
     Elements are (S, e): S a strictly increasing index tuple into the
     wedge_degree monomial basis, e the exponent vector of the symmetric
-    factor. Within a weight b, e is b minus the exponent sum of S, so a
-    weight whose coordinate sum is not p * wedge_degree + sym_degree has
-    no elements. Elements are ordered wedge-major, then by descending e.
-    A basis, or the wedge factor alone, of more than DEFAULT_BASIS_GUARD
-    elements (read at each call) raises CapacityError.
+    factor. Elements are ordered wedge-major, then by descending e. A
+    basis, or the wedge factor alone, of more than DEFAULT_BASIS_GUARD
+    elements (read at each call) raises CapacityError. Weight spaces are
+    not listed: a weighted map reads its subsets from _weight_space.
     """
-    if weight is not None:
-        # at most one element per wedge subset: the wedge guard bounds it
-        fit = _weight_fit(p, wedge_degree, sym_degree, v_dim, weight)
-        if not fit.size:
-            return []
-        idx, sums = _wedge_table(p, wedge_degree, v_dim)
-        rem = np.asarray(weight, dtype=np.int64)[:, None] - sums[:, fit]
-        return list(zip(map(tuple, idx[fit].tolist()), map(tuple, rem.T.tolist())))
     m, sym_dim = _checked_sizes(p, wedge_degree, sym_degree, v_dim)
     if comb(m, p) * sym_dim > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
@@ -188,14 +164,14 @@ def koszul_map(p: int, q: int, n: int, d: int,
     wedge^{p-1} (x) Sym^{(q+1)d}, multiplying the dropped wedge factor into
     the symmetric part with alternating signs.
 
-    When a weight is given both bases are restricted to elements whose
-    exponent vectors sum to it; the differential preserves weights, so the
-    restriction is a subcomplex direct summand. There a subset names its
-    element, and every facet of a fitting subset fits too, so the row of
-    the facet without factor i is its lexicographic rank (`_facet_terms`)
-    looked up among the codomain's fitting rows, which ascend. The whole
-    map keeps one loop step per entry: it is the reference the weighted
-    maps are tested against.
+    When a weight is given, domain and codomain are its weight spaces
+    (`_weight_space`), after the same guards as the whole bases; the
+    differential preserves weights, so the restriction is a subcomplex
+    direct summand. There a subset names its element, and every facet of
+    a fitting subset fits too, so the row of the facet without factor i is
+    its lexicographic rank (`_facet_terms`) looked up among the codomain's
+    fitting rows, which ascend. The whole map keeps one loop step per
+    entry: it is the reference the weighted maps are tested against.
     """
     weight = _checked_weight(p, q, n, d, weight)
     v_dim = n + 1
@@ -210,10 +186,10 @@ def koszul_map(p: int, q: int, n: int, d: int,
                 key = w[:i] + w[i + 1:], tuple(a + b for a, b in zip(f, mon[mi]))
                 triplets.append((row_of[key], col, 1 if i % 2 == 0 else -1))
         return make_matrix(len(cod), len(dom), triplets)
-    dom = _cached_fit(p, d, q * d, v_dim, weight, DEFAULT_BASIS_GUARD)
-    cod = _cached_fit(p - 1, d, (q + 1) * d, v_dim, weight, DEFAULT_BASIS_GUARD)
+    m = _checked_sizes(p, d, q * d, v_dim)[0]
+    _checked_sizes(p - 1, d, (q + 1) * d, v_dim)
+    dom, cod = _weight_space(p, d, weight), _weight_space(p - 1, d, weight)
     subsets = _wedge_table(p, d, v_dim)[0][dom]
-    m = len(monomial_basis(d, v_dim))
     # the facet without factor i holds each factor j < i at position j and
     # each j > i at j - 1: its terms are all moved ones but i's, plus the
     # steps of the factors before i
@@ -260,11 +236,11 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         raise ValueError("q >= 1 required for a two-sided homology computation")
 
     weight = _checked_weight(p, q, n, d, weight)
-
+    _checked_sizes(p, d, q * d, n + 1)  # the middle term's guards, for every weight
     weights: dict[Vector, int] = {}
     # a given weight is a sweep of one
     for b in [weight] if weight is not None else partitions_into((p + q) * d, n + 1):
-        if not _cached_fit(p, d, q * d, n + 1, b, DEFAULT_BASIS_GUARD).size:
+        if not _weight_space(p, d, b).size:
             continue
         down = koszul_map(p, q, n, d, b)
         up = koszul_map(p + 1, q - 1, n, d, b)  # its rows: the same middle basis

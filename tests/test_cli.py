@@ -220,6 +220,11 @@ def test_canonicalization_notice(capsys):
     assert json.loads(out)["b"] == [6, 3]
 
 
+def test_no_canonicalization_notice_for_a_rejected_multidegree(capsys):
+    code, out, err = run(capsys, "betti", "-n", "2", "-d", "2", "-b", "1,2", "-j", "0")
+    assert (code, out, err) == (2, "", "error: vector has wrong length\n")
+
+
 def test_complex_text_and_json(capsys):
     code, out, _ = run(capsys, "complex", "-n", "1", "-d", "2", "-b", "4,2",
                        "-j=-1,1")

@@ -7,9 +7,11 @@ of that rank routine lives here for spot re-checks.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
+import numpy as np
 import pytest
 
 from syzcheck import koszul
@@ -70,21 +72,18 @@ def test_wedge_tensor_basis_size():
 
 
 def test_weighted_bases_pair_each_subset_with_its_exponent():
-    # within weight b the symmetric factor of subset S is b - sum(S): the
-    # weight spaces split the full basis, and a weight of another
-    # coordinate sum has none
+    # within weight b the symmetric factor of subset S is b - sum(S), which
+    # is nonnegative exactly on the rows of _weight_space: the weight spaces
+    # split the full basis
     for p, wedge_degree, sym_degree, v_dim in ((0, 2, 3, 2), (1, 1, 2, 3), (2, 2, 2, 2),
                                                (2, 1, 3, 3), (3, 2, 1, 3)):
-        mon = monomial_basis(wedge_degree, v_dim)
-        total = p * wedge_degree + sym_degree
+        idx, sums = koszul._wedge_table(p, wedge_degree, v_dim)
         seen = []
-        for b in compositions(total, v_dim):
-            part = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim, b)
-            for w, e in part:
-                assert tuple(map(sum, zip(e, *(mon[i] for i in w)))) == b
-            seen += part
-            assert wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim,
-                                      (b[0] + 1,) + b[1:]) == []
+        for b in compositions(p * wedge_degree + sym_degree, v_dim):
+            rows = koszul._weight_space(p, wedge_degree, b)
+            rem = np.asarray(b)[:, None] - sums[:, rows]
+            assert (rem >= 0).all()
+            seen += zip(map(tuple, idx[rows].tolist()), map(tuple, rem.T.tolist()))
         full = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim)
         assert len(seen) == len(set(seen)) == len(full)
         assert set(seen) == set(full)
@@ -166,12 +165,17 @@ def test_weighted_maps_restrict_the_full_map():
     assert empty > 0
     # near the top of the wedge, where base-20 codes of 18-subsets of the 20
     # cubics in four variables would overflow 64 bits, against the map built
-    # entry by entry on the weighted bases, in which a subset names its element
+    # entry by entry on the weight spaces, in which a subset names its element
     p, q, n, d, b = 19, 1, 3, 3, (15, 15, 15, 15)
-    dom = wedge_tensor_basis(p, d, q * d, n + 1, b)
-    row_of = {w: i for i, (w, _) in enumerate(wedge_tensor_basis(p - 1, d, (q + 1) * d, n + 1, b))}
+
+    def space(k):
+        rows = koszul._weight_space(k, d, b)
+        return [tuple(s) for s in koszul._wedge_table(k, d, n + 1)[0][rows]]
+
+    dom = space(p)
+    row_of = {w: i for i, w in enumerate(space(p - 1))}
     expected = [(row_of[w[:i] + w[i + 1:]], col, (-1) ** i)
-                for col, (w, _) in enumerate(dom) for i in range(p)]
+                for col, w in enumerate(dom) for i in range(p)]
     down = koszul_map(p, q, n, d, b)
     assert (down.rows, down.cols) == (len(row_of), len(dom)) == (190, 20)
     assert down.entries == expected
@@ -310,8 +314,6 @@ def test_preconditions_rejected():
         koszul_map(1, 1, 1, 2, (4,))
     with pytest.raises(ValueError, match="exterior power must be nonnegative"):
         wedge_tensor_basis(-1, 1, 1, 2)
-    with pytest.raises(ValueError, match="weight has wrong length"):
-        wedge_tensor_basis(1, 1, 1, 2, (1, 1, 0))
 
 
 def test_basis_guard_trips(monkeypatch):
@@ -322,21 +324,22 @@ def test_basis_guard_trips(monkeypatch):
 
 
 def test_wedge_guard_trips_in_a_weight_space(monkeypatch):
-    # 15 two-subsets of the 6 quadrics: over the guard before any weight
-    # work, and with the same text from a weighted map over that wedge,
-    # though the map was built under the default guard first
+    # 15 two-subsets of the 6 quadrics: over the guard, with the same text
+    # from a weighted map over that wedge as from the whole basis, though
+    # the map's weight spaces were cached under the default guard first
     koszul_map(2, 1, 2, 2, (2, 2, 2))
     monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 10)
     with pytest.raises(CapacityError, match="wedge basis exceeds guard 10") as basis:
-        wedge_tensor_basis(2, 2, 0, 3, (2, 2, 0))
+        wedge_tensor_basis(2, 2, 0, 3)
     with pytest.raises(CapacityError) as weighted:
         koszul_map(2, 1, 2, 2, (2, 2, 2))
     assert str(weighted.value) == str(basis.value)
 
 
 def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypatch):
-    # a weight space holds at most one element per wedge subset, so its
-    # Sym^999998 factor is only counted against the guard, never listed
+    # a weight space holds at most one element per wedge subset, so the
+    # Sym^999998 and Sym^999999 factors of a weighted map are only counted
+    # against the guard, never listed
     built = []
 
     def spy(degree, v_dim, real=koszul.monomial_basis):
@@ -344,14 +347,15 @@ def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypa
         return real(degree, v_dim)
 
     monkeypatch.setattr(koszul, "monomial_basis", spy)
-    basis = wedge_tensor_basis(1, 1, 999998, 2, (500000, 499999))
-    assert basis == [((0,), (499999, 499999)), ((1,), (500000, 499998))]
+    down = koszul_map(1, 999998, 1, 1, (500000, 499999))
+    assert (down.rows, down.cols) == (1, 2)
+    assert down.entries == [(0, 0, 1), (0, 1, 1)]
     assert set(built) == {1}  # the wedge factor's degree only
-    # the same guard and degree checks as the full basis
+    # the same guard as the full basis, and its degree check
     with pytest.raises(CapacityError, match=r"Sym\^1000000 of C\^2 exceeds guard"):
-        wedge_tensor_basis(1, 1, 10**6, 2, (500001, 500000))
+        koszul_map(1, 999999, 1, 1, (500000, 500000))
     with pytest.raises(ValueError, match="need degree >= 0"):
-        wedge_tensor_basis(1, 1, -1, 2, (0, 0))
+        wedge_tensor_basis(1, 1, -1, 2)
     assert set(built) == {1}
 
 
@@ -389,30 +393,30 @@ def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
 def test_middle_basis_built_once_per_weight(monkeypatch):
     # the two maps around one weight use three weight spaces: the middle
     # term is the domain of one and the codomain of the other. The middle
-    # fit is computed first, once per weight, and the outer two only where
-    # it is not empty
+    # space is computed first, once per weight, and the outer two only where
+    # it is not empty. A fresh cache of the same size counts computations
     builds = []
-    fit = koszul._weight_fit
+    space = koszul._weight_space.__wrapped__
 
+    @lru_cache(maxsize=3)
     def counting(*args):
         builds.append(args)
-        return fit(*args)
+        return space(*args)
 
-    monkeypatch.setattr(koszul, "_weight_fit", counting)
-    koszul._cached_fit.cache_clear()
+    monkeypatch.setattr(koszul, "_weight_space", counting)
     t = tor_dimension(2, 1, 2, 2)
     expected = []
     for b in partitions_into(6, 3):
-        expected.append((2, 2, 2, 3, b))
+        expected.append((2, 2, b))
         # (6, 0, 0) is the one weight without a middle element
         if b != (6, 0, 0):
-            expected += [(1, 2, 4, 3, b), (3, 2, 0, 3, b)]
+            expected += [(1, 2, b), (3, 2, b)]
     assert builds == expected and len(builds) == 3 * 7 - 2
-    assert fit(2, 2, 2, 3, (6, 0, 0)).size == 0
-    koszul._cached_fit.cache_clear()
+    assert space(2, 2, (6, 0, 0)).size == 0
+    counting.cache_clear()
     builds.clear()
     tor_dimension(2, 1, 2, 2, weight=(2, 2, 2))
-    assert sorted(args[:3] for args in builds) == [(1, 2, 4), (2, 2, 2), (3, 2, 0)]
+    assert sorted(args[:2] for args in builds) == [(1, 2), (2, 2), (3, 2)]
     assert t.total_dim == 8
 
 

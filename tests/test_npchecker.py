@@ -13,7 +13,7 @@ from syzcheck import complexes, npchecker
 from syzcheck.complexes import build_slice, vertex_cone_mask
 from syzcheck.errors import CapacityError, MismatchError
 from syzcheck.homology import reduced_betti
-from syzcheck.koszul import TorSlice
+from syzcheck.koszul import TorSlice, tor_dimension
 from syzcheck.reptheory import WeightCharacter, kostka, schur_decompose
 from syzcheck.lattice import (
     balanced_weight,
@@ -194,6 +194,41 @@ def test_balanced_weight_decides_its_block_by_brute_force():
                 blocks += 1
                 nonzero += any(brute)
     assert (blocks, nonzero) == (92, 18)
+
+
+@st.composite
+def route_cases(draw):
+    """(n, d, q, deg, b) with n <= 4, d <= 3, q <= 3, deg from the linear
+    strand's q + 1 to one past q + regularity(n, d), and b an orbit
+    representative of degree deg."""
+    n, d, q = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    deg = draw(st.integers(q + 1, q + npchecker.regularity(n, d) + 1))
+    reps = enumerate_multidegrees(veronese_points(n, d), deg)
+    # balanced weights first: the nonzero values lie near them
+    return n, d, q, deg, draw(st.sampled_from(reps[::-1])).coords
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(route_cases())
+@example((1, 2, 1, 2, (2, 2)))  # the conic's quadric
+@example((4, 3, 3, 7, (5, 4, 4, 4, 4)))  # the grid's largest Koszul piece
+def test_every_route_gives_the_same_betti_number(case):
+    # the divisor complex's _betti_job against the Koszul complex's two
+    # weighted maps; where the vertex cone fires both are 0, and on small
+    # slices the alternating face count over the full band is the reduced
+    # Euler characteristic
+    n, d, q, deg, b = case
+    cfg = veronese_points(n, d)
+    value = npchecker._betti_job(b, cfg, q)
+    assert value == tor_dimension(q, deg - q, n, d, weight=b).total_dim, case
+    if vertex_cone_mask(cfg, [b], q)[0]:
+        assert value == 0, case
+    top = sum(all(x <= y for x, y in zip(pt, b)) for pt in cfg.points)
+    if 0 < top <= 10:
+        slc = build_slice(cfg, b, -1, top)
+        face_alt = sum((-1) ** j * slc.face_count(j) for j in range(top + 1))
+        betti_alt = sum((-1) ** j * reduced_betti(slc, j).value for j in range(top - 1))
+        assert face_alt == betti_alt + 1, case
 
 
 def brute_block(n: int, d: int, q: int, deg: int) -> tuple[list, list[int]]:
