@@ -16,9 +16,10 @@ S of the degree-d monomials and the exponent vector e of the symmetric
 factor. The maps preserve torus weights, so in the weight-b piece e is b
 minus the exponent sum of S, and S alone names the element: a weight space
 is the set of p-subsets that fit under b, and `_weight_space` alone derives
-it. The capacity guards depend on (p, q, n, d), not on b, and are read
-before any weight space is built. A weight with no middle element has no
-homology and builds neither map.
+it. `_wedge_table` owns the order of the subsets: it lists, sums and ranks
+them, so an element is named by the rank of its subset. The capacity guards
+depend on (p, q, n, d), not on b, and are read before any weight space is
+built. A weight with no middle element has no homology and builds neither map.
 
 The complex is GL(V)-equivariant, so a weight and its coordinate
 permutations have the same Tor dimension. A full weight sweep therefore
@@ -39,7 +40,8 @@ from .complexes import BoundaryMatrix, make_matrix
 from .errors import CapacityError
 # rank_mod_p is unused here: the benchmark's tracer wraps it under this name
 from .homology import middle_homology, rank_exact, rank_mod_p  # noqa: F401
-from .lattice import Vector, composition_count, compositions, orbit_expansion, partitions_into
+from .lattice import (Vector, check_cells, composition_count, compositions, orbit_expansion,
+                      partitions_into)
 
 # refuse bases beyond this many elements
 DEFAULT_BASIS_GUARD = 10**6
@@ -57,59 +59,48 @@ def _sym_dimension(degree: int, v_dim: int) -> int:
 @lru_cache(maxsize=None)
 def monomial_basis(degree: int, v_dim: int) -> tuple[Vector, ...]:
     """All exponent vectors of Sym^degree of C^v_dim, in the canonical
-    lexicographic descending order shared with the point configurations."""
-    _sym_dimension(degree, v_dim)
+    lexicographic descending order shared with the point configurations.
+    Refused like a Sym factor, or as a table by lattice.check_cells."""
+    check_cells("monomial", _sym_dimension(degree, v_dim), v_dim)
     return tuple(compositions(degree, v_dim))
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(p: int, degree: int, v_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """All p-subsets of the degree-`degree` monomial basis, as the rows of
-    an index array in lexicographic order, together with the coordinate
-    sums of their exponent vectors, one row per coordinate: a weight test
-    then compares whole rows."""
+def _wedge_table(p: int, degree: int, v_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p-subsets of the m degree-`degree` monomials in the one order that
+    names them, that of itertools.combinations: the rows of an index array;
+    the coordinate sums of their exponent vectors, one row per coordinate,
+    so that a weight test compares whole rows; and a (p + 1, m) rank table,
+    lex[t, e] = comb(m - 1 - e, p - t) where position t can hold e, else 0
+    (row p is 0), that ranks subset e_0 < ... < e_{p-1} as row comb(m, p) -
+    1 - sum_t lex[t, e_t]. Each term is below comb(m, p), so every rank fits
+    in 64 bits, which base-m codes of the subsets of big wedges do not."""
     mon = np.asarray(monomial_basis(degree, v_dim), dtype=np.int64).T
-    combos = list(combinations(range(mon.shape[1]), p))
+    m = mon.shape[1]
+    combos = list(combinations(range(m), p))
     idx = np.asarray(combos, dtype=np.intp).reshape(len(combos), p)
     # one factor at a time: gathering all p at once holds p times the sums
     sums = np.zeros((v_dim, len(combos)), dtype=np.int64)
     for j in range(p):
         sums += mon[:, idx[:, j]]
-    return idx, sums
-
-
-@lru_cache(maxsize=None)
-def _facet_terms(m: int, p: int) -> np.ndarray:
-    """Two (p, m) tables, moved and step, that rank the facets of p-subsets
-    of range(m). A k-subset e_0 < ... < e_{k-1} is row comb(m, k) - 1 -
-    sum_t lex[t, e_t] of _wedge_table, the lexicographic order of
-    itertools.combinations, with lex[t, e] = comb(m - 1 - e, k - t) where a
-    subset can hold e at position t (t <= e <= m - k + t) and 0 elsewhere.
-    Each entry is a term of a sum below comb(m, k), so every rank fits in
-    64 bits, which base-m codes of the subsets near the top of a wedge do
-    not. A facet of a p-subset (k = p - 1) holds factor j at position j - 1
-    or j, so moved[j] = lex[j - 1] (0 for j = 0) and step[j] = lex[j] -
-    moved[j], with lex[p - 1] = 0."""
-    k = p - 1
-    lex = np.zeros((p, m), dtype=np.int64)
-    for t in range(k):
-        for e in range(t, m - k + t + 1):
-            lex[t, e] = comb(m - 1 - e, k - t)
-    moved = np.zeros((p, m), dtype=np.int64)
-    moved[1:] = lex[:-1]
-    return np.stack([moved, lex - moved])
+    lex = np.zeros((p + 1, m), dtype=np.int64)
+    for t in range(p):  # comb is 0 past the last e that position t can hold
+        lex[t, t:] = [comb(m - 1 - e, p - t) for e in range(t, m)]
+    return idx, sums, lex
 
 
 def _checked_sizes(p: int, wedge_degree: int, sym_degree: int, v_dim: int) -> tuple[int, int]:
     """The monomial count of the wedge factor and dim Sym^sym_degree, once
-    both and the wedge basis pass DEFAULT_BASIS_GUARD (read at each call, and
-    for weight spaces too); else CapacityError, or ValueError for p < 0."""
+    both and the wedge basis pass DEFAULT_BASIS_GUARD, then the wedge sums
+    check_cells (each read at each call, and for weight spaces too); else
+    CapacityError, or ValueError for p < 0."""
     if p < 0:
         raise ValueError("exterior power must be nonnegative")
     m = len(monomial_basis(wedge_degree, v_dim))
     sym_dim = _sym_dimension(sym_degree, v_dim)
     if comb(m, p) > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
+    check_cells("wedge", comb(m, p), v_dim)
     return m, sym_dim
 
 
@@ -169,9 +160,10 @@ def koszul_map(p: int, q: int, n: int, d: int,
     differential preserves weights, so the restriction is a subcomplex
     direct summand. There a subset names its element, and every facet of
     a fitting subset fits too, so the row of the facet without factor i is
-    its lexicographic rank (`_facet_terms`) looked up among the codomain's
-    fitting rows, which ascend. The whole map keeps one loop step per
-    entry: it is the reference the weighted maps are tested against.
+    its lexicographic rank, summed from the codomain's `_wedge_table` rank
+    table, looked up among the codomain's fitting rows, which ascend. The
+    whole map keeps one loop step per entry: it is the reference the
+    weighted maps are tested against.
     """
     weight = _checked_weight(p, q, n, d, weight)
     v_dim = n + 1
@@ -190,11 +182,13 @@ def koszul_map(p: int, q: int, n: int, d: int,
     _checked_sizes(p - 1, d, (q + 1) * d, v_dim)
     dom, cod = _weight_space(p, d, weight), _weight_space(p - 1, d, weight)
     subsets = _wedge_table(p, d, v_dim)[0][dom]
-    # the facet without factor i holds each factor j < i at position j and
-    # each j > i at j - 1: its terms are all moved ones but i's, plus the
-    # steps of the factors before i
-    moved, step = _facet_terms(m, p)[:, np.arange(p), subsets]
-    ranks = (comb(m, p - 1) - 1 - moved.sum(axis=1))[:, None] + moved + step - step.cumsum(axis=1)
+    # the facet without factor i holds each j < i at its own position j and
+    # each j > i one to the left, at j - 1 (row -1 is the zero row): a running
+    # sum of the own terms before i and a suffix sum of the left terms after i
+    lex = _wedge_table(p - 1, d, v_dim)[2]
+    own, left = lex[np.arange(p), subsets], lex[np.arange(p) - 1, subsets]
+    ranks = ((comb(m, p - 1) - 1 - left.sum(axis=1))[:, None] + own - own.cumsum(axis=1)
+             + left.cumsum(axis=1))
     values = np.ones((len(dom), p), dtype=np.int64)
     values[:, 1::2] = -1
     return BoundaryMatrix(rows=len(cod), cols=len(dom),

@@ -27,6 +27,9 @@ Vector = tuple[int, ...]
 ENUMERATION_WEIGHT_GUARD = 10**6
 # veronese_points refuses configurations of more points than this
 VERONESE_POINT_GUARD = 10**5
+# veronese_points, koszul.monomial_basis and the Koszul wedge tables refuse
+# tables of more entries, rows times coordinates, than this
+TABLE_CELL_GUARD = 5 * 10**7
 
 
 def compositions(total: int, parts: int) -> Iterator[Vector]:
@@ -200,12 +203,14 @@ def veronese_points(n: int, d: int) -> PointConfig:
         PointConfig with C(n+d, n) points in lexicographic descending order.
 
     Raises:
-        CapacityError: when C(n+d, n) exceeds VERONESE_POINT_GUARD.
+        CapacityError: when C(n+d, n) exceeds VERONESE_POINT_GUARD, or
+            C(n+d, n) * (n+1) coordinates exceed TABLE_CELL_GUARD.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if composition_count(d, n + 1) > VERONESE_POINT_GUARD:
+    if (count := composition_count(d, n + 1)) > VERONESE_POINT_GUARD:
         raise CapacityError(f"C({n + d}, {n}) points exceed guard {VERONESE_POINT_GUARD}")
+    check_cells("point", count, n + 1)
     pts = tuple(compositions(d, n + 1))
     return PointConfig(points=pts, n=n, d=d)
 
@@ -332,6 +337,15 @@ def check_weight(total: int) -> None:
     read at each call."""
     if total > ENUMERATION_WEIGHT_GUARD:
         raise CapacityError(f"coordinate sum {total} exceeds guard {ENUMERATION_WEIGHT_GUARD}")
+
+
+def check_cells(kind: str, rows: int, coords: int) -> None:
+    """CapacityError, before a table of rows vectors of coords coordinates
+    each is built, when it holds more than TABLE_CELL_GUARD entries, read at
+    each call."""
+    if rows * coords > TABLE_CELL_GUARD:
+        raise CapacityError(f"{kind} table of {rows} rows x {coords} coordinates "
+                            f"exceeds guard {TABLE_CELL_GUARD}")
 
 
 def enumerate_multidegrees(config: PointConfig, total_degree: int,

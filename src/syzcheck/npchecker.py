@@ -407,12 +407,13 @@ def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
     obstruction, or holds_up_to_bound with the exact ranges checked. Blocks
     above q + regularity(n, d) are certified zeros that run no job. A
-    window that `_check_window` refuses raises its CapacityError before any
-    job runs; so does a block whose balanced weight is over capacity."""
-    config = veronese_points(query.n, query.d)
+    window that `_check_window` refuses raises its CapacityError before the
+    points are listed or any job runs; so does a block whose balanced
+    weight is over capacity."""
     slack = _effective_slack(query)
     window = {q: range(q + 2, q + 3 + slack) for q in range(2, query.p + 1)}
     _check_window(query.n, query.d, window)
+    config = veronese_points(query.n, query.d)
     reg = regularity(query.n, query.d)
     store = ResultsStore(query.store_path) if query.store_path else None
 
@@ -495,11 +496,13 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     member of the orbit. The homology side is one `_betti_block`, the same
     path as a check_np block; any disagreement raises, naming the first
     disagreeing multidegree. A block that `_check_window` finds too large
-    raises its CapacityError before any job runs."""
+    raises its CapacityError before the points are listed or any job runs."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
-    config = veronese_points(n, d)
+    if n < 1 or d < 1:  # veronese_points' check, run ahead of the window guard
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     _check_window(n, d, {p: range(p + q, p + q + 1)})
+    config = veronese_points(n, d)
     store = ResultsStore(store_path) if store_path else None
     pairs: list[CrossPair] = []
     reps = [m.coords for m in enumerate_multidegrees(config, p + q)]

@@ -292,7 +292,8 @@ def test_check_np_refuses_a_window_of_too_many_representatives_at_once():
     # top sums under the weight guard, but about 500,000 representatives per
     # degree, and tens of millions: refused within a second, before any job
     for flags in (("-n", "1", "-d", "1", "-p", "2", "--slack", "999990"),
-                  ("-n", "3", "-d", "3", "-p", "3", "--slack", "1000")):
+                  ("-n", "3", "-d", "3", "-p", "3", "--slack", "1000"),
+                  ("-n", "10000", "-d", "1", "-p", "2")):
         assert_window_refused_within_a_second("check-np", *flags)
 
 
@@ -458,12 +459,37 @@ def test_unreadable_values_file_exits_2(capsys, tmp_path):
 ])
 def test_too_many_points_or_monomials_exits_2_at_once(capsys, command):
     # C(40, 20), about 1.4e11 points or monomials, is counted before any is
-    # enumerated: a capacity error, where these commands used to hang
+    # enumerated: a capacity error, where these commands used to hang.
+    # check-np's window guard needs only n and d, and speaks first
     start = time.perf_counter()
     code, out, err = run(capsys, *command)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert err.startswith("capacity error: ") and "exceed" in err
+    refusal = "orbit representatives" if command[0] == "check-np" else "exceed"
+    assert err.startswith("capacity error: ") and refusal in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check-np", "-n", "30000", "-d", "1", "-p", "2"],
+    ["koszul", "-n", "30000", "-d", "1", "-p", "1", "-q", "1"],
+    ["schur", "-p", "1", "-q", "1", "-d", "1", "--vdim", "30001"],
+    ["koszul", "-n", "900", "-d", "1", "-p", "1", "-q", "1"],
+])
+def test_tables_of_too_many_entries_exit_2_at_once(command):
+    # few enough points, monomials and wedge rows, but each holds one entry
+    # per coordinate: 30001 x 30001 monomials, 405,450 two-subsets of 901
+    # monomials times 901 sums. Under a 4 GiB address space, a table built
+    # before its guard runs is a MemoryError (exit 1), not a hog of the host
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", "import resource, sys, time; "
+                           "resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
+                           "from syzcheck.cli import main; start = time.perf_counter(); "
+                           "code = main(sys.argv[1:]); "
+                           "print(time.perf_counter() - start); sys.exit(code)", *command],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, (command, proc.stderr)
+    assert proc.stderr.startswith("capacity error: "), proc.stderr
+    assert float(proc.stdout) < 1.0, command
 
 
 def test_bench_timing_on_stderr_only(capsys):

@@ -8,13 +8,13 @@ of that rank routine lives here for spot re-checks.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 import pytest
 
-from syzcheck import koszul
+from syzcheck import koszul, lattice
 from syzcheck.complexes import build_slice
 from syzcheck.errors import CapacityError
 from syzcheck.homology import rank_exact, reduced_betti
@@ -77,7 +77,7 @@ def test_weighted_bases_pair_each_subset_with_its_exponent():
     # split the full basis
     for p, wedge_degree, sym_degree, v_dim in ((0, 2, 3, 2), (1, 1, 2, 3), (2, 2, 2, 2),
                                                (2, 1, 3, 3), (3, 2, 1, 3)):
-        idx, sums = koszul._wedge_table(p, wedge_degree, v_dim)
+        idx, sums, _ = koszul._wedge_table(p, wedge_degree, v_dim)
         seen = []
         for b in compositions(p * wedge_degree + sym_degree, v_dim):
             rows = koszul._weight_space(p, wedge_degree, b)
@@ -87,6 +87,19 @@ def test_weighted_bases_pair_each_subset_with_its_exponent():
         full = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim)
         assert len(seen) == len(set(seen)) == len(full)
         assert set(seen) == set(full)
+
+
+def test_wedge_table_ranks_each_subset_to_its_row():
+    # subset e_0 < ... < e_{p-1} is row comb(m, p) - 1 - sum_t lex[t, e_t],
+    # from the empty wedge (p = 0) to the top one (p = m)
+    for p, degree, v_dim in ((0, 1, 3), (1, 2, 2), (2, 2, 3), (3, 1, 3), (3, 2, 3),
+                             (4, 1, 5), (6, 2, 3)):
+        idx, _, lex = koszul._wedge_table(p, degree, v_dim)
+        m = len(monomial_basis(degree, v_dim))
+        assert idx.tolist() == [list(c) for c in combinations(range(m), p)]
+        assert lex.shape == (p + 1, m) and not lex[p].any()
+        ranks = comb(m, p) - 1 - lex[np.arange(p), idx].sum(axis=1)
+        assert ranks.tolist() == list(range(len(idx))), (p, degree, v_dim)
 
 
 def test_linear_map_shape_and_entries():
@@ -334,6 +347,46 @@ def test_wedge_guard_trips_in_a_weight_space(monkeypatch):
     with pytest.raises(CapacityError) as weighted:
         koszul_map(2, 1, 2, 2, (2, 2, 2))
     assert str(weighted.value) == str(basis.value)
+
+
+def test_a_lowered_cell_guard_refuses_each_table_before_it_is_built(monkeypatch):
+    # the 6 points of v_2(P^2) and the 6 quadrics in 3 variables are tables
+    # of 18 entries, the sums of the 15 two-subsets of the quadrics one of 45
+    built = []
+
+    def spying(name, real):
+        def spy(*args):
+            built.append(name)
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(lattice, "compositions", spying("points", lattice.compositions))
+    monkeypatch.setattr(koszul, "compositions", spying("monomials", koszul.compositions))
+    monkeypatch.setattr(koszul, "_wedge_table", spying("wedge", koszul._wedge_table))
+    veronese_points.cache_clear()
+    monomial_basis.cache_clear()
+    monkeypatch.setattr(lattice, "TABLE_CELL_GUARD", 17)
+    with pytest.raises(CapacityError, match="^point table of 6 rows x 3 coordinates "
+                                            "exceeds guard 17$"):
+        veronese_points(2, 2)
+    with pytest.raises(CapacityError, match="^monomial table of 6 rows x 3 coordinates "
+                                            "exceeds guard 17$"):
+        monomial_basis(2, 3)
+    assert built == []
+    monkeypatch.setattr(lattice, "TABLE_CELL_GUARD", 18)
+    assert len(veronese_points(2, 2).points) == len(monomial_basis(2, 3)) == 6
+    built.clear()
+    # the Sym^4 factor of 15 x 3 entries is only counted, never built
+    assert koszul_map(1, 1, 2, 2, (2, 1, 1)).cols == 4
+    assert "monomials" not in built
+    built.clear()
+    with pytest.raises(CapacityError, match="^wedge table of 15 rows x 3 coordinates "
+                                            "exceeds guard 18$"):
+        koszul_map(2, 1, 2, 2, (2, 2, 2))
+    assert built == []
+    monkeypatch.setattr(lattice, "TABLE_CELL_GUARD", 45)
+    assert koszul_map(2, 1, 2, 2, (2, 2, 2)).cols == 9
+    assert "wedge" in built
 
 
 def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypatch):

@@ -214,13 +214,16 @@ def route_cases(draw):
 @example((4, 3, 3, 7, (5, 4, 4, 4, 4)))  # the grid's largest Koszul piece
 def test_every_route_gives_the_same_betti_number(case):
     # the divisor complex's _betti_job against the Koszul complex's two
-    # weighted maps; where the vertex cone fires both are 0, and on small
-    # slices the alternating face count over the full band is the reduced
-    # Euler characteristic
+    # weighted maps and the block runner, whose regularity zero, balanced
+    # weight and vertex cone all meet it; where the vertex cone fires both
+    # are 0, and on small slices the alternating face count over the full
+    # band is the reduced Euler characteristic
     n, d, q, deg, b = case
     cfg = veronese_points(n, d)
     value = npchecker._betti_job(b, cfg, q)
     assert value == tor_dimension(q, deg - q, n, d, weight=b).total_dim, case
+    reg = npchecker.regularity(n, d)
+    assert npchecker._betti_block(cfg, [b], q, None, reg=reg) == ([value], 0), case
     if vertex_cone_mask(cfg, [b], q)[0]:
         assert value == 0, case
     top = sum(all(x <= y for x, y in zip(pt, b)) for pt in cfg.points)
@@ -669,6 +672,10 @@ def test_cross_validate_examples():
 def test_cross_validate_rejects_p_below_one():
     with pytest.raises(ValueError, match="need p >= 1 and q >= 1"):
         cross_validate(1, 2, 0, 1)
+    # and n or d below one, with veronese_points' text, before the window guard
+    for n, d in ((-1, 2), (0, 2), (2, 0), (2, -1)):
+        with pytest.raises(ValueError, match=f"^need n >= 1 and d >= 1, got n={n}, d={d}$"):
+            cross_validate(n, d, 1, 1)
 
 
 def test_cross_validate_report_json():
