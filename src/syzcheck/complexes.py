@@ -4,10 +4,11 @@ For a configuration A and a bound vector b, a set F of points is a face when
 the residual b - sum(F) lies in the semigroup of A, so a bound outside the
 semigroup gives the void complex, without even the empty face.
 
-One level expansion enumerates every configuration, growing faces from the
-empty face one vertex at a time. Its candidates join two faces that differ
-only in their last vertex (Agrawal-Srikant prefix join), as whole arrays.
-Each face carries its slack b - sum(F) packed into uint64 words: every
+The vertices are the points w with b - w in the semigroup, picked in one
+array test on the residuals b - w. Larger faces grow from them a vertex at
+a time, for every configuration, by joining two faces that differ only in
+their last vertex (Agrawal-Srikant prefix join), as whole arrays. Each
+face carries its slack b - sum(F) packed into uint64 words: every
 coordinate gets a field of W bits, W one more than the bit length of the
 largest bound or point coordinate, so its top (guard) bit starts clear,
 and a word holds 64 // W fields. With G the mask of the guard bits, a
@@ -171,15 +172,14 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
                   admits) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
-    A child is parent F plus a vertex w after F's last vertex a (any w for
-    the empty face, k = 0) whose sum stays admissible: under the bound and,
-    when `admits` is given, with a residual in the semigroup. As faces are
-    closed under subsets, w must end a later row F - a + w of F's prefix
-    block, the rows sharing F's own parent row (`parent_rows`, unused for
-    the empty face). Candidate pairs (parent, later row of its block) run
-    parent-major, so children come out lexicographic; they are tested in
-    runs of about EXPANSION_CHUNK pairs, and the child count is checked
-    against DEFAULT_FACE_CAP after each run.
+    A child is parent F (k >= 1, N >= 1) plus a vertex w after F's last
+    vertex a whose sum stays admissible: under the bound and, when `admits`
+    is given, with a residual in the semigroup. As faces are closed under
+    subsets, w must end a later row F - a + w of F's prefix block, the rows
+    sharing F's own parent row (`parent_rows`). Candidate pairs (parent,
+    later row of its block) run parent-major, so children come out
+    lexicographic; they are tested in runs of about EXPANSION_CHUNK pairs,
+    and the child count is checked against DEFAULT_FACE_CAP after each run.
 
     `slack` holds each parent's b - sum(F) and `points` each vertex, packed
     by `_pack` into words whose fields keep their top bit clear; `guard`
@@ -190,20 +190,15 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
     Clearing them again leaves the child's slack, b - sum(F) - w. `admits`
     maps such (words, M) slacks to M booleans.
 
-    Returns the children, their slack words, their parent rows and their
-    partner rows (for the empty face, the partners' point indices).
+    Returns the children, their slack words, parent rows and partner rows.
     """
     n, k = cur.shape
     rows = np.arange(n, dtype=np.int64)
-    if k == 0:  # the empty face (n is 0 or 1) pairs with every point
-        first, n_pairs = np.zeros(n, dtype=np.int64), np.full(n, points.shape[1])
-        partner_vertex = np.arange(points.shape[1], dtype=cur.dtype)
-    else:
-        # parent rows ascend, so a block ends after every row whose parent
-        # is at most its own
-        first = rows + 1
-        n_pairs = np.bincount(parent_rows).cumsum().take(parent_rows) - first
-        partner_vertex = cur[:, -1]
+    # parent rows ascend, so a block ends after every row whose parent is at
+    # most its own
+    first = rows + 1
+    n_pairs = np.bincount(parent_rows).cumsum().take(parent_rows) - first
+    partner_vertex = cur[:, -1]
     pair_cum = np.cumsum(n_pairs)
     runs = []  # (parents, partners, slack words) of each run's children
     total = lo = 0
@@ -227,8 +222,7 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
                 f"face count exceeds cap {DEFAULT_FACE_CAP} during expansion")
         runs.append((par.take(fit), partner.take(fit), words.take(fit, axis=1) ^ guard))
         lo = hi
-    # with no parent (n = 0) rows and slack are the empty results
-    parents, partners, words = zip(*runs) if runs else ([rows], [rows], [slack])
+    parents, partners, words = zip(*runs)
     parents, partners = np.concatenate(parents), np.concatenate(partners)
     children = np.empty((parents.size, k + 1), dtype=cur.dtype)
     children[:, :k] = cur.take(parents, axis=0)
@@ -317,16 +311,15 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
                 j_hi: int) -> ComplexSlice:
     """Materialize the faces of the divisor complex with dims in [j_lo, j_hi].
 
-    Levels are expanded from the empty face up to dimension j_hi, so the
-    vertices are the one-point extensions of the empty face; above the
-    first empty level nothing is expanded or stored. The points and the
-    bound are packed into words once, and every level tests its candidates
-    on those words (`_expand_level`). General configurations test each
-    residual for semigroup membership; the veronese presets need only the
-    packed bound test, which is exact there. Then the facet rows of every
-    level are derived from the parent and partner rows that the expansion
-    returned (`_facet_rows`). No cone test runs here; callers certify coned
-    zeros beforehand (`vertex_cone_mask`).
+    The vertices are the points w with b - w in the semigroup, found in one
+    array test on the residuals b - w, which packed into words are their
+    slack. Levels are expanded from them up to dimension j_hi
+    (`_expand_level`); above the first empty level nothing is expanded or
+    stored. General configurations test each residual for semigroup
+    membership; the veronese presets need only the bound test, exact there.
+    The facet rows of every level come from the parent and partner rows
+    that the expansion returned (`_facet_rows`). No cone test runs here;
+    callers certify coned zeros beforehand (`vertex_cone_mask`).
 
     Args:
         config: the point configuration.
@@ -357,7 +350,6 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
     per_word = 64 // width
     guard = np.uint64(sum(1 << (i * width + width - 1) for i in range(per_word)))
     k = config.ambient_dim
-    pts = _pack(np.asarray(config.points, dtype=np.int64).reshape(-1, k), width, per_word)
     in_semigroup = membership_tester(config)
     admits = None
     if config.kind != "veronese":
@@ -367,14 +359,18 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
     # the empty face is present exactly when the bound lies in the semigroup;
     # without it no face is, so a bound outside gives the void complex
     empty_count = int(in_semigroup(bb))
-    empty = np.zeros((empty_count, 0), dtype=np.int32)
-    empty_slack = _pack(np.asarray([bb] * empty_count, dtype=np.int64).reshape(-1, k),
-                        width, per_word)
-    singletons, slack, _, _ = _expand_level(empty, None, empty_slack, pts, guard, admits)
-    vertices = singletons[:, 0].astype(np.int64)
+    pts = np.asarray(config.points, dtype=np.int64).reshape(-1, k)
+    resid = np.asarray(bb, dtype=np.int64) - pts
+    vertices = np.flatnonzero((resid >= 0).all(axis=1) & bool(empty_count))
+    slack = _pack(resid.take(vertices, axis=0), width, per_word)
+    if admits is not None:
+        keep = admits(slack)
+        vertices, slack = vertices[keep], slack[:, keep]
     v_count = vertices.size
-    local_points = pts[:, vertices]
-    faces_by_dim = {-1: empty} if j_lo == -1 else {}
+    if v_count > DEFAULT_FACE_CAP:
+        raise CapacityError(f"face count exceeds cap {DEFAULT_FACE_CAP} during expansion")
+    local_points = _pack(pts.take(vertices, axis=0), width, per_word)
+    faces_by_dim = {-1: np.zeros((empty_count, 0), dtype=np.int32)} if j_lo == -1 else {}
     facets_by_dim = {}
     # level t: its faces, their parent rows in level t-1 and their facet rows
     faces = np.arange(v_count, dtype=np.int32).reshape(-1, 1)

@@ -296,6 +296,10 @@ def test_face_cap_guard(monkeypatch):
     monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10)
     with pytest.raises(CapacityError):
         build_slice(cfg, (6, 6, 6), -1, 4)
+    # the six vertices count against the cap even with no level expanded
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 5)
+    with pytest.raises(CapacityError, match="face count exceeds cap 5 during expansion"):
+        build_slice(cfg, (6, 6, 6), -1, 0)
 
 
 def test_facet_table_counts_against_the_face_cap(monkeypatch):
@@ -333,13 +337,15 @@ def test_band_above_the_top_face_stays_cheap(monkeypatch):
     # (2,2) over the conic has 3 vertices and one edge. Every level above
     # dimension 1 is empty, so a band up to dimension 3000 must expand
     # only the nonempty levels and store nothing above the first empty one.
+    # The vertices are picked directly, so every expanded level has at
+    # least one row and one column.
     from syzcheck.homology import reduced_betti
 
     calls = []
     expand = complexes._expand_level
 
     def counted(*args):
-        calls.append(args[0].shape[0])
+        calls.append(args[0].shape)
         return expand(*args)
 
     monkeypatch.setattr(complexes, "_expand_level", counted)
@@ -348,9 +354,14 @@ def test_band_above_the_top_face_stays_cheap(monkeypatch):
     assert sorted(slc.faces_by_dim) == [-1] + sorted(slc.facets_by_dim) == [-1, 0, 1, 2]
     assert slc.faces(3000).shape == (0, 3001)
     assert slc.subface_rows(3000).shape == (0, 3001)
-    assert calls == [1, 3, 1]  # parents of the vertices, the edge, level 2
+    assert calls == [(3, 1), (1, 2)]  # (rows, width): the vertices, the edge
     assert reduced_betti(slc, 0).value == 1
     assert reduced_betti(slc, 2999).value == 0
+    # (3, 2) lies outside the semigroup: the void complex expands nothing
+    calls.clear()
+    void = build_slice(veronese_points(1, 2), (3, 2), -1, 3000)
+    assert calls == []
+    assert void.face_count(-1) == 0 and void.vertex_count == 0
 
 
 def test_band_above_the_top_face_costs_no_memory():
