@@ -292,7 +292,7 @@ def vertex_cone_mask(config: PointConfig, bounds, k: int) -> np.ndarray:
         raise UnsupportedConfigError("the vertex cone test needs a veronese configuration")
     if k < 1:
         raise ValueError("k must be >= 1")
-    pts = np.asarray(config.points, dtype=np.int64)
+    pts = config.array
     m = pts.shape[0]
     b = np.asarray(bounds, dtype=np.int64).reshape(-1, pts.shape[1])[:, None, :]
     below = (pts <= b).all(axis=2)
@@ -359,7 +359,7 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
     # the empty face is present exactly when the bound lies in the semigroup;
     # without it no face is, so a bound outside gives the void complex
     empty_count = int(in_semigroup(bb))
-    pts = np.asarray(config.points, dtype=np.int64).reshape(-1, k)
+    pts = config.array
     resid = np.asarray(bb, dtype=np.int64) - pts
     vertices = np.flatnonzero((resid >= 0).all(axis=1) & bool(empty_count))
     slack = _pack(resid.take(vertices, axis=0), width, per_word)

@@ -15,11 +15,17 @@ in the same sparse rows; over F_p (`rank_mod_p`, which no certificate
 calls) every entry is a pivot candidate. Callers certify most coned
 slices before any face is built (`complexes.vertex_cone_mask`).
 
-The element matching walks the local vertices in index order and, at
-vertex v, pairs every unmatched face G containing v with G - v when that
-facet is unmatched too. It works on living cells only: vertex 0 pairs a
-prefix of the rows, and the later vertices walk only the entries whose
-face and facet were both still unmatched after it. A sequence of such element matchings is acyclic
+The element matching walks the local vertices by ascending largest
+coordinate of their points, ties by index, and, at vertex v, pairs every
+unmatched face G containing v with G - v when that facet is unmatched
+too. A point with a small largest exponent fits under more slacks, so it
+lies in more faces, and starting there leaves fewer critical cells than
+index order, which starts at x0^d whenever it is a vertex: its largest
+exponent is d, so it tends to lie in the fewest faces. It works on
+living cells only: the first vertex pairs the rows that one array test
+finds holding it, and the later vertices walk only the entries whose
+face and facet were both still unmatched after it. A sequence of
+element matchings, in any vertex order, is acyclic
 (Jonsson, Simplicial Complexes of Graphs, LNM 1928, 2008) with incidence
 coefficients +-1, so by algebraic Morse theory (Skoldberg, Trans. AMS
 2006) the band, a based chain complex whose middle homology is H~_j, has
@@ -260,50 +266,59 @@ def _element_matching(slice_: ComplexSlice, j: int):
     """Pair the cells of dimensions j-1, j and j+1 by the element matchings
     of the module docstring, yielding (t, coface rows in dimension t, facet
     rows in dimension t-1) for t = j+1 and then t = j at each local vertex
-    in index order, where that vertex pairs anything. The faces G
-    containing a vertex v have distinct facets G - v, all avoiding v, so
+    in walk order, where that vertex pairs anything. The walk takes the
+    vertices by ascending largest coordinate of their points, ties by
+    index: a point with a small largest exponent fits under more slacks,
+    so it lies in more faces and its matching pairs more of them. The faces
+    G containing a vertex v have distinct facets G - v, all avoiding v, so
     the pairs of one vertex are disjoint and each dimension is one array
     pass.
 
-    Rows are lexicographic, so the faces holding vertex 0 are a prefix of
-    each level, and they and their facets are all free: vertex 0 pairs
-    them by slicing. After it only the entries (G, i) whose face and facet
-    are both free are kept, since flags only fall; their labels are
-    stable-sorted in the narrowest unsigned dtype that holds the vertex
-    count (a radix sort), and each kept entry's row and facet are stored
-    once in that order.
+    The first vertex finds every cell free, so it pairs the rows of the
+    face matrix that hold it, found by one array test. After it only the
+    entries (G, i) whose face and facet are both free are kept, since flags
+    only fall; the walk positions of their labels are stable-sorted in the
+    narrowest unsigned dtype that holds the vertex count (a radix sort),
+    and each kept entry's row and facet are stored once in that order.
     """
     count = slice_.vertex_count
     label = np.uint8 if count <= 2**8 else np.uint16 if count <= 2**16 else np.uint32
     free = {t: np.ones(slice_.face_count(t), dtype=bool) for t in (j - 1, j, j + 1)}
     levels = [t for t in (j + 1, j) if free[t].size]
+    # config.array is built once per configuration; Python's sort is
+    # stable, so ties keep index order
+    largest = slice_.config.array.take(slice_.vertices, axis=0).max(axis=1).tolist()
+    walk = sorted(range(count), key=largest.__getitem__)
+    position = np.empty(count, dtype=label)
+    position[walk] = np.arange(count)
     for t in levels:
-        m = int(np.searchsorted(slice_.faces(t)[:, 0], 0, side="right"))
-        if m:
-            below = slice_.subface_rows(t)[:m, 0]
-            free[t][:m] = False
+        rows, at = np.nonzero(slice_.faces(t) == walk[0])
+        if rows.size:
+            below = slice_.subface_rows(t)[rows, at]
+            free[t][rows] = False
             free[t - 1][below] = False
-            yield t, np.arange(m), below
+            yield t, rows, below
     passes = []
     for t in levels:
         facets = slice_.subface_rows(t).ravel()
         at = np.flatnonzero(free[t].repeat(t + 1) & free[t - 1].take(facets))
-        labels = slice_.faces(t).ravel().take(at).astype(label)
+        labels = position.take(slice_.faces(t).ravel().take(at))
         at = at[np.argsort(labels, kind="stable")]
         ends = np.bincount(labels, minlength=count).cumsum().tolist()
-        passes.append((t, at // (t + 1), facets.take(at), ends))
-    # every face holding vertex 0 is matched above, so no entry is left for it
+        passes.append((t, at // (t + 1), facets.take(at), ends, free[t], free[t - 1]))
+    # every face holding the first vertex is matched above, so no entry is
+    # left at position 0
     for v in range(1, count):
-        for t, rows, facets, ends in passes:
+        for t, rows, facets, ends, up, down in passes:
             lo, hi = ends[v - 1], ends[v]
             if lo == hi:
                 continue
             rows_v, below = rows[lo:hi], facets[lo:hi]
-            keep = free[t].take(rows_v) & free[t - 1].take(below)
-            if keep.any():
-                rows_v, below = rows_v[keep], below[keep]
-                free[t][rows_v] = False
-                free[t - 1][below] = False
+            (keep,) = (up.take(rows_v) & down.take(below)).nonzero()
+            if keep.size:
+                rows_v, below = rows_v.take(keep), below.take(keep)
+                up[rows_v] = False
+                down[below] = False
                 yield t, rows_v, below
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, UnsupportedConfigError
 
@@ -162,6 +164,15 @@ class PointConfig:
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0])
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The points as a read-only (m, k) int64 array, built at the first
+        read and kept: slice builds, vertex tests and matchings share it.
+        OverflowError for a coordinate of 2**63 or more."""
+        arr = np.array(self.points, dtype=np.int64).reshape(-1, self.ambient_dim)
+        arr.flags.writeable = False
+        return arr
 
     def degree_of(self, v: Sequence[int]) -> int:
         """Total degree of a semigroup element, its coordinate sum over d;

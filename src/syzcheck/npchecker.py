@@ -21,12 +21,21 @@ reg(n, d) = n + 1 - ceil((n + 1) / d) (Bruns-Herzog, Cohen-Macaulay
 Rings), Tor_q lives in degrees q + 1 .. q + reg, and a block of higher
 degree is a certified zero with no job and no vertex test. cross_validate
 computes every block, so that it stays a comparison of two pipelines.
-Then the block's balanced weight, degree * d split into n + 1
-parts that differ by at most 1. Tor_q in that degree is a GL(V)-module,
-so beta_{q,b} = sum over lambda of c_lambda K_{lambda,b}, with c_lambda
-the multiplicity of the Schur module of shape lambda, and the Kostka
-number K_{lambda,b} is positive exactly when lambda dominates sort(b)
-(Macdonald, Symmetric Functions and Hall Polynomials, ch. I). Every
+For check_np with n > q, next the stable step: Tor_q in one lattice
+degree is a GL(V)-module whose Young diagrams have at most q + 1 rows and
+do not depend on V (the row bound of "A result on resolutions of Veronese
+embeddings", arXiv math/0309102; see PAPER.md), so a block is zero at n
+exactly when it is zero at n' = q. The block is then decided at n': zero
+with no job above q + reg(q, d), otherwise by its balanced weight in
+q + 1 parts over veronese_points(q, d), vertex test first, then one job;
+a nonzero there sends the block straight to the loop over its
+representatives at n, below. The n' value is not stored: the store stays
+keyed by n. For the other blocks, the block's balanced weight, degree * d
+split into n + 1 parts that differ by at most 1. Tor_q in that degree is
+a GL(V)-module, so beta_{q,b} = sum over lambda of c_lambda K_{lambda,b},
+with c_lambda the multiplicity of the Schur module of shape lambda, and
+the Kostka number K_{lambda,b} is positive exactly when lambda dominates
+sort(b) (Macdonald, Symmetric Functions and Hall Polynomials, ch. I). Every
 partition with at most n + 1 parts dominates the balanced weight, so the
 block vanishes exactly when beta does there, and a zero there certifies
 every job of the block without building another face; a balanced weight
@@ -310,12 +319,13 @@ def betti_csv_lines(rows: list[tuple[Vector, int, int]]) -> list[str]:
 
 def _betti_job(coords: Vector, config: PointConfig, q: int) -> int:
     """The reduced homology rank in dimension q - 1 of one orbit
-    representative that the vertex test did not certify: build the banded
-    slice and take homology through `reduced_betti`, where an element
-    matching of dims q-2 .. q certifies most zeros, and the cascade and
-    one exact rank per residual boundary decide the rest. A cone that the
-    vertex test missed comes out 0 the same way. Every value is certified;
-    a complex over capacity raises its CapacityError.
+    representative, or of a block's balanced weight at n' = q, that the
+    vertex test did not certify: build the banded slice and take homology
+    through `reduced_betti`, where an element matching of dims q-2 .. q
+    certifies most zeros, and the cascade and one exact rank per residual
+    boundary decide the rest. A cone that the vertex test missed comes out
+    0 the same way. Every value is certified; a complex over capacity
+    raises its CapacityError.
 
     The band runs from the empty face up to dimension q even though the
     rank formula only needs [q - 2, q]: level enumeration walks up from
@@ -343,8 +353,14 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
     the Veronese ring is Cohen-Macaulay with a-invariant -ceil((n + 1) / d)
     (Goto-Watanabe, On graded rings I), so Tor_q lives in degrees up to
     q + reg (Bruns-Herzog, Cohen-Macaulay Rings). Those zeros go to the
-    store like computed ones. Otherwise the block's balanced weight decides
-    first (see the module docstring):
+    store like computed ones. Given reg and n > q, the block is decided at
+    n' = q instead (the stable step of the module docstring): reg becomes
+    regularity(q, d), and the balanced weight of veronese_points(q, d)
+    decides first, by its vertex test or one `_betti_job`: a 0 makes every
+    representative a certified zero, stored at n like any other, while the
+    n' value itself is not stored; a nonzero goes straight to the loop over
+    the representatives below. Otherwise the block's balanced weight at n
+    decides first (see the module docstring):
     its value comes from its vertex test or one `_betti_job`, as a store holds a
     prefix of each block, never its last representative alone; a 0 makes every
     representative a certified zero. Otherwise each representative, in order, is
@@ -357,19 +373,24 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
     todo = [coords for coords in reps if coords not in cached]
     new: dict[Vector, int] = {}
 
-    def job(coords: Vector, coned: bool) -> int:
+    def job(coords: Vector, coned: bool, cfg: PointConfig = config) -> int:
         try:
-            return 0 if coned else _betti_job(coords, config, q)
+            return 0 if coned else _betti_job(coords, cfg, q)
         except CapacityError as exc:
             raise CapacityError(f"job at b={coords} (q={q}, degree {sum(coords) // d}) "
                                 f"exceeded capacity: {exc}") from None
 
+    decide_at = config
+    if reg is not None and n > q:
+        # Tor_q is zero at n exactly when it is zero at n' = q
+        decide_at, reg = veronese_points(q, d), regularity(q, d)
     try:
         if todo and reg is not None and sum(todo[0]) // d > q + reg:
             new = dict.fromkeys(todo, 0)
         elif todo:
-            top = balanced_weight(sum(todo[0]), n + 1)
-            top_value = job(top, vertex_cone_mask(config, [top], q)[0])
+            # a representative only when decide_at is config
+            top = balanced_weight(sum(todo[0]), decide_at.n + 1)
+            top_value = job(top, vertex_cone_mask(decide_at, [top], q)[0], decide_at)
             if top_value == 0:
                 new = dict.fromkeys(todo, 0)
             else:
@@ -406,7 +427,8 @@ def _check_window(n: int, d: int, window: dict[int, range]) -> None:
 def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
     obstruction, or holds_up_to_bound with the exact ranges checked. Blocks
-    above q + regularity(n, d) are certified zeros that run no job. A
+    above q + regularity(n, d) are certified zeros that run no job, and a
+    block with n > q is decided at n' = q unless it is nonzero there. A
     window that `_check_window` refuses raises its CapacityError before the
     points are listed or any job runs; so does a block whose balanced
     weight is over capacity."""

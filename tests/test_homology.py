@@ -592,7 +592,7 @@ def test_matching_never_certifies_a_nonzero():
             assert not (fired and value), (window, b, j)
             fires["window", fired, value > 0] += 1
     assert fires == {("grid", True, False): 258, ("grid", False, True): 33,
-                     ("window", True, False): 72, ("window", False, False): 3,
+                     ("window", True, False): 74, ("window", False, False): 1,
                      ("window", False, True): 2}
 
 
@@ -654,10 +654,10 @@ def test_element_matching_is_acyclic():
 
 def reference_matching(slc, j):
     # the element matching exactly as the module docstring defines it, on
-    # frozensets: at each vertex in index order, for t = j+1 then t = j,
-    # every unmatched t-face G holding v, in row order, pairs with G - v
-    # when that facet is unmatched too. Returns the nonempty
-    # (t, rows, facet rows) steps
+    # frozensets: at each vertex, by ascending largest coordinate of its
+    # point and then by index, for t = j+1 then t = j, every unmatched
+    # t-face G holding v, in row order, pairs with G - v when that facet is
+    # unmatched too. Returns the nonempty (t, rows, facet rows) steps
     faces = {t: [frozenset(r) for r in slc.faces(t).tolist()] for t in (j - 1, j, j + 1)}
     row_of = {t: {f: i for i, f in enumerate(fs)} for t, fs in faces.items()}
     holding = {t: {} for t in (j, j + 1)}
@@ -667,7 +667,8 @@ def reference_matching(slc, j):
                 holding[t].setdefault(v, []).append(g)
     matched = set()
     steps = []
-    for v in range(slc.vertex_count):
+    points = [slc.config.points[v] for v in slc.vertices.tolist()]
+    for v in sorted(range(slc.vertex_count), key=lambda v: (max(points[v]), v)):
         for t in (j + 1, j):
             rows, below = [], []
             for g in holding[t].get(v, ()):
@@ -709,21 +710,21 @@ def test_element_matching_matches_the_reference():
 
 
 def test_matching_leaves_a_critical_cell_and_the_cascade_decides(monkeypatch):
-    # v_2(P^3) at (3,3,3,3), q = 4, is a zero job of the (3,2,6,3) window
-    # where the matching leaves one critical 3-cell: reduced_betti falls
+    # v_3(P^2) at (7,7,7), q = 5, is a zero job of the (2,3,7,2) window
+    # where the matching leaves one critical 4-cell: reduced_betti falls
     # through to the cascade and rank, which give the certified 0
-    slc = build_slice(veronese_points(3, 2), (3, 3, 3, 3), -1, 4)
-    matched = sum(rows.size for _, rows, _ in _element_matching(slc, 3))
-    assert slc.face_count(3) - matched == 1
-    assert not _matching_certifies_zero(slc, 3)
+    slc = build_slice(veronese_points(2, 3), (7, 7, 7), -1, 5)
+    matched = sum(rows.size for _, rows, _ in _element_matching(slc, 4))
+    assert slc.face_count(4) - matched == 1
+    assert not _matching_certifies_zero(slc, 4)
     rounds = []
     reduce_band = homology._reduce_band
     monkeypatch.setattr("syzcheck.homology._reduce_band",
                         lambda *args: rounds.append(1) or reduce_band(*args))
-    bn = reduced_betti(slc, 3)
+    bn = reduced_betti(slc, 4)
     assert (bn.value, bn.certified) == (0, True)
     assert rounds
-    assert naive_betti(slc, 3) == 0
+    assert naive_betti(slc, 4) == 0
 
 
 def test_matching_zero_runs_no_cascade(monkeypatch):
@@ -742,9 +743,11 @@ def test_matching_on_more_vertices_than_16_bit_labels_hold():
     # 1-b-a-c-1, hollow (H~_1 = 1) or split into two triangles by the edge
     # 1-a (H~_1 = 0). Wrapped to k bits, a would read as 1, and matching
     # both at once would pair edges 1b and ab with the one vertex b and
-    # certify the hollow square. (Vertex 0 is paired by row slicing, not by
-    # label, so the square avoids it.)
+    # certify the hollow square. Vertex i is the point (i,), so the walk
+    # takes the vertices in index order. (The first vertex, 0, is paired by
+    # an array test, not by label, so the square avoids it.)
     for v in (2**8 + 4, 2**16 + 4):
+        config = general_config([(i,) for i in range(v)])
         a, b, c = v - 3, v - 2, v - 1
         for filled in (True, False):
             edges = [[1, b], [1, c], [a, b], [a, c]]
@@ -758,7 +761,7 @@ def test_matching_on_more_vertices_than_16_bit_labels_hold():
                 faces[2] = np.array([[1, a, b], [1, a, c]], dtype=np.int32)
                 facets[2] = np.array([[3, 1, 0], [4, 2, 0]], dtype=np.int64)
             faces[1] = np.array(edges, dtype=np.int32)
-            slc = ComplexSlice(config=general_config([(1,)]), bound=(1,), j_lo=-1,
+            slc = ComplexSlice(config=config, bound=(v,), j_lo=-1,
                                j_hi=2, vertices=np.arange(v), faces_by_dim=faces,
                                facets_by_dim=facets)
             assert _matching_certifies_zero(slc, 1) == filled, (v, filled)
@@ -786,9 +789,8 @@ def scan_band(slc):
 
 
 def test_reduce_band_matches_face_by_face_scan():
-    # the cone grid, band -1..3, and the slice that the matching hands to
-    # the cascade in test_matching_leaves_a_critical_cell_and_the_cascade_decides,
-    # band -1..4, which the cascade clears over several rounds
+    # the cone grid, band -1..3, and v_2(P^3) at (3,3,3,3), band -1..4,
+    # which the cascade clears over several rounds
     slices = [build_slice(cfg, b, -1, 3) for cfg, b in cone_grid()]
     slices.append(build_slice(veronese_points(3, 2), (3, 3, 3, 3), -1, 4))
     cancelled = 0

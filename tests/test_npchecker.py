@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -130,13 +131,13 @@ def test_vertex_cone_decides_most_jobs_before_any_face_is_built(tmp_path, monkey
     # over the default windows of (2,3,6) and (3,2,5) the vertex test fires
     # on 706 of the 707 and 790 of the 790 jobs that brute force finds
     # coned, and on no other job. Every block is zero, so check_np builds
-    # one slice per block at most, and none above q + regularity(n, d):
-    # its balanced weight's, when the block is at or below the regularity
-    # and that weight is not vertex-coned, and none when it is stored.
+    # one slice per block at most, at n' = min(n, q) and none above
+    # q + regularity(n', d): the balanced weight's at n', when the block is
+    # at or below that regularity and the weight is not vertex-coned there,
+    # and none when the block is stored.
     for n, d, p, jobs, coned, fired, slices in [(2, 3, 6, 752, 707, 706, 5),
-                                                (3, 2, 5, 819, 790, 790, 4)]:
+                                                (3, 2, 5, 819, 790, 790, 3)]:
         cfg = veronese_points(n, d)
-        reg = npchecker.regularity(n, d)
         seen = {"jobs": 0, "coned": 0, "fired": 0}
         tops = []
         for q in range(2, p + 1):
@@ -150,8 +151,11 @@ def test_vertex_cone_decides_most_jobs_before_any_face_is_built(tmp_path, monkey
                     seen["coned"] += apex is not None
                     seen["fired"] += bool(fires)
                 assert reps[-1] == balanced_weight(deg * d, n + 1)
-                if deg <= q + reg and not mask[-1]:
-                    tops.append((q, deg, reps[-1]))
+                stable = veronese_points(min(n, q), d)
+                top = balanced_weight(deg * d, stable.n + 1)
+                if (deg <= q + npchecker.regularity(stable.n, d)
+                        and not vertex_cone_mask(stable, [top], q)[0]):
+                    tops.append((q, deg, top))
         assert seen == {"jobs": jobs, "coned": coned, "fired": fired}
         assert len(tops) == slices
 
@@ -166,7 +170,7 @@ def test_vertex_cone_decides_most_jobs_before_any_face_is_built(tmp_path, monkey
         cold = check_np(NpQuery(n=n, d=d, p=p, store_path=store))
         assert cold.status == HOLDS and cold.jobs_total == jobs
         assert built == tops
-        assert all(deg <= q + reg for q, deg, _ in built)
+        assert all(len(coords) == min(n, q) + 1 for _, _, coords in built)
         built.clear()
         warm = check_np(NpQuery(n=n, d=d, p=p, store_path=store))
         monkeypatch.undo()
@@ -259,6 +263,41 @@ def test_block_vanishing_does_not_depend_on_n_from_q():
                     compared += 1
                     nonzero += any(values)
     assert (compared, nonzero) == (64, 10)
+
+
+def test_stable_step_gives_the_values_of_every_block_at_n(monkeypatch):
+    # given reg, _betti_block decides a block with n > q at n' = q, with
+    # q + regularity(q, d) as its degree bound and the n' balanced weight
+    # as its job; without reg it runs every block at n. Both give the same
+    # values on every block of a small grid up to one past q + reg(n, d):
+    # 18 blocks lie above that, 10 above q + regularity(q, d) only, and of
+    # the 16 that run the n' job 12 are nonzero and go on at n.
+    kinds = Counter()
+    for n in (2, 3, 4):
+        for d in (1, 2, 3):
+            cfg = veronese_points(n, d)
+            reg = npchecker.regularity(n, d)
+            for q in range(1, n):
+                for deg in range(q + 1, q + reg + 2):
+                    reps = [r.coords for r in enumerate_multidegrees(cfg, deg)]
+                    plain = npchecker._betti_block(cfg, reps, q, None)
+                    assert npchecker._betti_block(cfg, reps, q, None, reg=reg) == plain, \
+                        (n, d, q, deg)
+                    kind = ("above reg(n)" if deg > q + reg else "above reg(q)"
+                            if deg > q + npchecker.regularity(q, d) else "job")
+                    kinds[kind, any(plain[0])] += 1
+    assert kinds == {("above reg(n)", False): 18, ("above reg(q)", False): 10,
+                     ("job", False): 4, ("job", True): 12}
+    # the verdict for v_3(P^6) through N_4 builds slices at n' = q only
+    built = []
+
+    def counting_build_slice(config, coords, j_lo, j_hi):
+        built.append((config.n, j_hi))
+        return build_slice(config, coords, j_lo, j_hi)
+
+    monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
+    assert check_np(NpQuery(n=6, d=3, p=4)).status == HOLDS
+    assert built and all(n == q for n, q in built)
 
 
 def test_schur_lift_from_n_equal_q_gives_every_value_at_larger_n():
@@ -406,26 +445,30 @@ def test_block_stops_at_its_first_capacity_failure(tmp_path, monkeypatch):
 
 
 def test_capacity_error_at_the_balanced_weight_ends_its_block(tmp_path, monkeypatch):
-    # in the first block of (3,2,2), q = 2 at degree 4, only the balanced
-    # weight (2, 2, 2, 2), last in enumeration order, needs a facet table of
-    # more than 90 entries. It runs first, so its error ends the block at
-    # once: no other representative is built, and the store holds nothing
-    # of the block.
+    # the first block of (n,3,2), q = 2 at degree 4, is decided by the
+    # balanced weight (4, 4, 4) of v_3(P^2): at n = 2 the block's own, last
+    # in enumeration order, and at n = 3 the one at n' = q = 2. Its slice
+    # alone needs a facet table of more than 90 entries. It runs first, so
+    # its error ends the block at once: no other slice is built, and the
+    # store holds nothing of the block.
     monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 90)
-    reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(3, 2), 4)]
-    assert reps.index((2, 2, 2, 2)) == 14
     built = []
 
     def counting_build_slice(config, coords, *args, **kwargs):
-        built.append(coords)
+        built.append((config.n, coords))
         return build_slice(config, coords, *args, **kwargs)
 
     monkeypatch.setattr(npchecker, "build_slice", counting_build_slice)
-    with pytest.raises(CapacityError, match=r"^job at b=\(2, 2, 2, 2\) \(q=2, degree 4\) "
-                                            r"exceeded capacity: "):
-        check_np(NpQuery(n=3, d=2, p=2, store_path=str(tmp_path)))
-    assert built == [(2, 2, 2, 2)]
-    assert ResultsStore(tmp_path).get(3, 2, 1, reps) == {}
+    for n in (2, 3):
+        reps = [r.canonical.coords for r in enumerate_multidegrees(veronese_points(n, 3), 4)]
+        assert ((4, 4, 4) in reps) == (n == 2) and reps[-1] == balanced_weight(12, n + 1)
+        built.clear()
+        store = tmp_path / str(n)
+        with pytest.raises(CapacityError, match=r"^job at b=\(4, 4, 4\) \(q=2, degree 4\) "
+                                                r"exceeded capacity: "):
+            check_np(NpQuery(n=n, d=3, p=2, store_path=str(store)))
+        assert built == [(2, (4, 4, 4))]
+        assert ResultsStore(store).get(n, 3, 1, reps) == {}
 
 
 def test_cross_validate_names_the_job_over_capacity(monkeypatch):
