@@ -7,8 +7,8 @@ differentials
     wedge^{p+1} Sym^d V (x) Sym^{(q-1)d} V -> wedge^p Sym^d V (x) Sym^{qd} V
         -> wedge^{p-1} Sym^d V (x) Sym^{(q+1)d} V
 
-and takes kernel dimension minus image rank in the middle, optionally
-restricted to one torus weight. Both pipelines must agree wherever both are
+and takes kernel dimension minus image rank in the middle, one torus
+weight at a time. Both pipelines must agree wherever both are
 defined; the checker module asserts exactly that.
 
 A basis element of wedge^p Sym^d V (x) Sym^s V is a pair (S, e): a p-subset
@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .complexes import BoundaryMatrix, make_matrix
+from .complexes import BoundaryMatrix
 from .errors import CapacityError
 # rank_mod_p is unused here: the benchmark's tracer wraps it under this name
 from .homology import middle_homology, rank_exact, rank_mod_p  # noqa: F401
@@ -74,9 +74,13 @@ def _wedge_table(p: int, degree: int, v_dim: int) -> tuple[np.ndarray, np.ndarra
     lex[t, e] = comb(m - 1 - e, p - t) where position t can hold e, else 0
     (row p is 0), that ranks subset e_0 < ... < e_{p-1} as row comb(m, p) -
     1 - sum_t lex[t, e_t]. Each term is below comb(m, p), so every rank fits
-    in 64 bits, which base-m codes of the subsets of big wedges do not."""
+    in 64 bits, which base-m codes of the subsets of big wedges do not.
+    Above p = m the wedge is zero: no rows, and m + 1 zero rank rows."""
     mon = np.asarray(monomial_basis(degree, v_dim), dtype=np.int64).T
     m = mon.shape[1]
+    if p > m:  # before combinations, which allocates p indices
+        return (np.zeros((0, p), dtype=np.intp), np.zeros((v_dim, 0), dtype=np.int64),
+                np.zeros((m + 1, m), dtype=np.int64))
     combos = list(combinations(range(m), p))
     idx = np.asarray(combos, dtype=np.intp).reshape(len(combos), p)
     # one factor at a time: gathering all p at once holds p times the sums
@@ -89,19 +93,16 @@ def _wedge_table(p: int, degree: int, v_dim: int) -> tuple[np.ndarray, np.ndarra
     return idx, sums, lex
 
 
-def _checked_sizes(p: int, wedge_degree: int, sym_degree: int, v_dim: int) -> tuple[int, int]:
-    """The monomial count of the wedge factor and dim Sym^sym_degree, once
-    both and the wedge basis pass DEFAULT_BASIS_GUARD, then the wedge sums
-    check_cells (each read at each call, and for weight spaces too); else
-    CapacityError, or ValueError for p < 0."""
-    if p < 0:
-        raise ValueError("exterior power must be nonnegative")
+def _checked_sizes(p: int, wedge_degree: int, sym_degree: int, v_dim: int) -> int:
+    """The monomial count m of the wedge factor, once m, dim Sym^sym_degree
+    (counted) and the wedge basis comb(m, p) pass DEFAULT_BASIS_GUARD, then
+    the wedge sums check_cells, each read at each call; else CapacityError."""
     m = len(monomial_basis(wedge_degree, v_dim))
-    sym_dim = _sym_dimension(sym_degree, v_dim)
+    _sym_dimension(sym_degree, v_dim)
     if comb(m, p) > DEFAULT_BASIS_GUARD:
         raise CapacityError(f"wedge basis exceeds guard {DEFAULT_BASIS_GUARD}")
     check_cells("wedge", comb(m, p), v_dim)
-    return m, sym_dim
+    return m
 
 
 @lru_cache(maxsize=3)
@@ -113,23 +114,6 @@ def _weight_space(p: int, degree: int, weight: Vector) -> np.ndarray:
     the middle one twice. Callers check the weight and the guards first."""
     under = _wedge_table(p, degree, len(weight))[1] <= np.asarray(weight, dtype=np.int64)[:, None]
     return np.flatnonzero(np.logical_and.reduce(under))
-
-
-def wedge_tensor_basis(p: int, wedge_degree: int, sym_degree: int,
-                       v_dim: int) -> list[tuple[tuple[int, ...], Vector]]:
-    """Basis of wedge^p Sym^{wedge_degree} V (x) Sym^{sym_degree} V.
-
-    Elements are (S, e): S a strictly increasing index tuple into the
-    wedge_degree monomial basis, e the exponent vector of the symmetric
-    factor. Elements are ordered wedge-major, then by descending e. A
-    basis, or the wedge factor alone, of more than DEFAULT_BASIS_GUARD
-    elements (read at each call) raises CapacityError. Weight spaces are
-    not listed: a weighted map reads its subsets from _weight_space.
-    """
-    m, sym_dim = _checked_sizes(p, wedge_degree, sym_degree, v_dim)
-    if comb(m, p) * sym_dim > DEFAULT_BASIS_GUARD:
-        raise CapacityError(f"basis exceeds guard {DEFAULT_BASIS_GUARD}")
-    return list(product(combinations(range(m), p), monomial_basis(sym_degree, v_dim)))
 
 
 def _checked_weight(p: int, q: int, n: int, d: int, weight: Vector | None) -> Vector | None:
@@ -149,36 +133,22 @@ def _checked_weight(p: int, q: int, n: int, d: int, weight: Vector | None) -> Ve
     return weight
 
 
-def koszul_map(p: int, q: int, n: int, d: int,
-               weight: Vector | None = None) -> BoundaryMatrix:
+def koszul_map(p: int, q: int, n: int, d: int, weight: Vector) -> BoundaryMatrix:
     """Matrix of the contraction differential from wedge^p (x) Sym^{qd} to
     wedge^{p-1} (x) Sym^{(q+1)d}, multiplying the dropped wedge factor into
-    the symmetric part with alternating signs.
+    the symmetric part with alternating signs, on one torus weight.
 
-    When a weight is given, domain and codomain are its weight spaces
-    (`_weight_space`), after the same guards as the whole bases; the
-    differential preserves weights, so the restriction is a subcomplex
-    direct summand. There a subset names its element, and every facet of
-    a fitting subset fits too, so the row of the facet without factor i is
-    its lexicographic rank, summed from the codomain's `_wedge_table` rank
-    table, looked up among the codomain's fitting rows, which ascend. The
-    whole map keeps one loop step per entry: it is the reference the
-    weighted maps are tested against.
+    Domain and codomain are the weight spaces (`_weight_space`) of the
+    weight, after the guards of both terms; the differential preserves
+    weights, so the restriction is a subcomplex direct summand. There a
+    subset names its element, and every facet of a fitting subset fits
+    too, so the row of the facet without factor i is its lexicographic
+    rank, summed from the codomain's `_wedge_table` rank table, looked up
+    among the codomain's fitting rows, which ascend.
     """
     weight = _checked_weight(p, q, n, d, weight)
     v_dim = n + 1
-    if weight is None:
-        dom = wedge_tensor_basis(p, d, q * d, v_dim)
-        cod = wedge_tensor_basis(p - 1, d, (q + 1) * d, v_dim)
-        row_of = {key: i for i, key in enumerate(cod)}
-        mon = monomial_basis(d, v_dim)
-        triplets: list[tuple[int, int, int]] = []
-        for col, (w, f) in enumerate(dom):
-            for i, mi in enumerate(w):
-                key = w[:i] + w[i + 1:], tuple(a + b for a, b in zip(f, mon[mi]))
-                triplets.append((row_of[key], col, 1 if i % 2 == 0 else -1))
-        return make_matrix(len(cod), len(dom), triplets)
-    m = _checked_sizes(p, d, q * d, v_dim)[0]
+    m = _checked_sizes(p, d, q * d, v_dim)
     _checked_sizes(p - 1, d, (q + 1) * d, v_dim)
     dom, cod = _weight_space(p, d, weight), _weight_space(p - 1, d, weight)
     subsets = _wedge_table(p, d, v_dim)[0][dom]

@@ -348,25 +348,19 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
     representatives reps, all of one lattice degree, in the order given,
     and how many of them came from the store.
 
-    Given reg, the regularity of the configuration, a block of degree above
-    q + reg is zero at every representative without any job or vertex test:
-    the Veronese ring is Cohen-Macaulay with a-invariant -ceil((n + 1) / d)
-    (Goto-Watanabe, On graded rings I), so Tor_q lives in degrees up to
-    q + reg (Bruns-Herzog, Cohen-Macaulay Rings). Those zeros go to the
-    store like computed ones. Given reg and n > q, the block is decided at
-    n' = q instead (the stable step of the module docstring): reg becomes
-    regularity(q, d), and the balanced weight of veronese_points(q, d)
-    decides first, by its vertex test or one `_betti_job`: a 0 makes every
-    representative a certified zero, stored at n like any other, while the
-    n' value itself is not stored; a nonzero goes straight to the loop over
-    the representatives below. Otherwise the block's balanced weight at n
-    decides first (see the module docstring):
-    its value comes from its vertex test or one `_betti_job`, as a store holds a
-    prefix of each block, never its last representative alone; a 0 makes every
-    representative a certified zero. Otherwise each representative, in order, is
-    read from the store, is a zero when the vertex test cones it, or runs
-    `_betti_job` once, and the new values go to the store in one put. A job over
-    capacity, the balanced weight's too, ends the block, naming its multidegree.
+    The block is decided in the order that the module docstring argues.
+    Given reg, the configuration's regularity, a degree above q + reg is
+    zero with no job or vertex test. Given reg and n > q, that skip and the
+    balanced weight's test below run at n' = q instead, with regularity(q,
+    d) on veronese_points(q, d), and the n' value is not stored. Past the
+    skip, the balanced weight decides first, by its vertex test or one
+    `_betti_job`, never from the store, which holds a prefix of each block
+    and never its last representative alone: a 0 makes every representative
+    a certified zero. Otherwise each representative, in order, is read from
+    the store, is a zero when the vertex test cones it, or runs `_betti_job`
+    once. The new values, certified zeros included, go to the store in one
+    put, keyed by n. A job over capacity, the balanced weight's too, ends
+    the block, naming its multidegree.
     """
     n, d = config.n, config.d
     cached = store.get(n, d, q - 1, reps) if store else {}

@@ -275,17 +275,25 @@ def test_check_np_refuses_an_unenumerable_window_at_once():
         assert proc.stderr.startswith("capacity error: coordinate sum"), proc.stderr
 
 
-def assert_window_refused_within_a_second(*argv):
+def run_timed(*argv):
+    # exit code, stdout and stderr of the command in a fresh interpreter, and
+    # the seconds its main() took, which it writes as the last stderr line
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", "import sys, time; from syzcheck.cli "
                            "import main; start = time.perf_counter(); "
-                           "code = main(sys.argv[1:]); "
-                           "print(time.perf_counter() - start); sys.exit(code)", *argv],
+                           "code = main(sys.argv[1:]); print(time.perf_counter() - start, "
+                           "file=sys.stderr); sys.exit(code)", *argv],
                           env=env, capture_output=True, text=True, timeout=20)
-    assert proc.returncode == 2, argv
-    assert proc.stderr.startswith("capacity error: window of q = 2"), proc.stderr
-    assert "orbit representatives" in proc.stderr
-    assert float(proc.stdout) < 1.0, argv
+    stderr, _, seconds = proc.stderr.rstrip("\n").rpartition("\n")
+    return proc.returncode, proc.stdout, stderr, float(seconds)
+
+
+def assert_window_refused_within_a_second(*argv):
+    code, out, err, seconds = run_timed(*argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith("capacity error: window of q = 2"), err
+    assert "orbit representatives" in err
+    assert seconds < 1.0, argv
 
 
 def test_check_np_refuses_a_window_of_too_many_representatives_at_once():
@@ -340,6 +348,17 @@ def test_koszul_command(capsys):
     code, out, _ = run(capsys, "koszul", "-n", "1", "-d", "3", "-p", "1",
                        "-q", "1", "-b", "4,2", "--format", "json")
     assert json.loads(out)["total_dim"] == 1
+
+
+def test_a_wedge_power_above_the_monomial_count_is_zero_within_a_second():
+    # Sym^1 V of P^1 has 2 monomials, so wedge^p of it is zero for p > 2: the
+    # piece is 0 at once, with no loop, rank row or index per wedge factor
+    for p in (10_000_000, 1_000_000_000):
+        code, out, _, seconds = run_timed("koszul", "-n", "1", "-d", "1", "-p", str(p),
+                                          "-q", "1", "-b", f"{p // 2},{p // 2 + 1}")
+        assert code == 0, p
+        assert out == f"graded piece (p={p}, q=1): total_dim 0\n"
+        assert seconds < 1.0, p
 
 
 def test_koszul_short_weight_names_its_length(capsys):

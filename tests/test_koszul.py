@@ -8,14 +8,14 @@ of that rank routine lives here for spot re-checks.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
 import pytest
 
 from syzcheck import koszul, lattice
-from syzcheck.complexes import build_slice
+from syzcheck.complexes import build_slice, make_matrix
 from syzcheck.errors import CapacityError
 from syzcheck.homology import rank_exact, reduced_betti
 from syzcheck.koszul import (
@@ -23,7 +23,6 @@ from syzcheck.koszul import (
     koszul_map,
     monomial_basis,
     tor_dimension,
-    wedge_tensor_basis,
 )
 from syzcheck.lattice import compositions, partitions_into, veronese_points
 from syzcheck.reptheory import WeightCharacter, tor_schur_decomposition
@@ -51,6 +50,27 @@ def fraction_rank(matrix: "BoundaryMatrix") -> int:
     return rank
 
 
+def whole_basis(p, wedge_degree, sym_degree, v_dim):
+    # wedge^p Sym^wedge_degree V (x) Sym^sym_degree V: pairs (S, e) of an
+    # increasing index tuple S into the wedge monomials and a symmetric
+    # exponent vector e, wedge-major, then by descending e
+    m = len(monomial_basis(wedge_degree, v_dim))
+    return list(product(combinations(range(m), p), monomial_basis(sym_degree, v_dim)))
+
+
+def whole_map(p, q, n, d):
+    # the differential on the whole bases, one loop step per entry: the
+    # reference the weighted maps are tested against
+    v_dim = n + 1
+    dom = whole_basis(p, d, q * d, v_dim)
+    cod = whole_basis(p - 1, d, (q + 1) * d, v_dim)
+    row_of = {key: i for i, key in enumerate(cod)}
+    mon = monomial_basis(d, v_dim)
+    triplets = [(row_of[w[:i] + w[i + 1:], tuple(a + b for a, b in zip(f, mon[mi]))], col,
+                 (-1) ** i) for col, (w, f) in enumerate(dom) for i, mi in enumerate(w)]
+    return make_matrix(len(cod), len(dom), triplets)
+
+
 def test_monomial_basis_counts_and_order():
     for v_dim in (1, 2, 3, 4):
         for deg in (0, 1, 2, 3):
@@ -63,10 +83,11 @@ def test_monomial_basis_counts_and_order():
 
 
 def test_wedge_tensor_basis_size():
-    b = wedge_tensor_basis(2, 2, 4, 2)
+    # the reference's whole basis
+    b = whole_basis(2, 2, 4, 2)
     assert len(b) == comb(3, 2) * 5
     assert all(len(w) == 2 and w[0] < w[1] for w, _ in b)
-    empty_wedge = wedge_tensor_basis(0, 2, 4, 2)
+    empty_wedge = whole_basis(0, 2, 4, 2)
     assert len(empty_wedge) == 5
     assert all(w == () for w, _ in empty_wedge)
 
@@ -84,7 +105,7 @@ def test_weighted_bases_pair_each_subset_with_its_exponent():
             rem = np.asarray(b)[:, None] - sums[:, rows]
             assert (rem >= 0).all()
             seen += zip(map(tuple, idx[rows].tolist()), map(tuple, rem.T.tolist()))
-        full = wedge_tensor_basis(p, wedge_degree, sym_degree, v_dim)
+        full = whole_basis(p, wedge_degree, sym_degree, v_dim)
         assert len(seen) == len(set(seen)) == len(full)
         assert set(seen) == set(full)
 
@@ -100,19 +121,27 @@ def test_wedge_table_ranks_each_subset_to_its_row():
         assert lex.shape == (p + 1, m) and not lex[p].any()
         ranks = comb(m, p) - 1 - lex[np.arange(p), idx].sum(axis=1)
         assert ranks.tolist() == list(range(len(idx))), (p, degree, v_dim)
+    # above the 3 linear forms in 3 variables the wedge is zero: an empty
+    # table with 4 zero rank rows, and maps out of it or onto it are empty
+    idx, sums, lex = koszul._wedge_table(4, 1, 3)
+    assert idx.shape == (0, 4) and sums.shape == (3, 0)
+    assert lex.shape == (4, 3) and not lex.any()
+    for p, b, shape in ((4, (2, 2, 1), (1, 0)), (5, (2, 2, 2), (0, 0))):
+        down = koszul_map(p, 1, 2, 1, b)
+        assert (down.rows, down.cols) == shape and down.entries == []
 
 
 def test_linear_map_shape_and_entries():
     # wedge^1 Sym^1 (x) Sym^1 -> Sym^2 over two variables: every column has
     # a single +1, images x*x, x*y, y*x, y*y.
-    mat = koszul_map(1, 1, 1, 1)
+    mat = whole_map(1, 1, 1, 1)
     assert (mat.cols, mat.rows) == (4, 3)
     assert sorted(mat.entries) == [(0, 0, 1), (1, 1, 1), (1, 2, 1), (2, 3, 1)]
     assert fraction_rank(mat) == 3
 
 
 def test_quadric_map_rank():
-    mat = koszul_map(1, 1, 1, 2)
+    mat = whole_map(1, 1, 1, 2)
     assert (mat.cols, mat.rows) == (9, 5)
     assert all(v in (1, -1) for _, _, v in mat.entries)
     assert fraction_rank(mat) == 5
@@ -120,7 +149,7 @@ def test_quadric_map_rank():
 
 def test_weight_restriction_partitions_bases():
     p, q, n, d = 2, 1, 1, 2
-    full = koszul_map(p, q, n, d)
+    full = whole_map(p, q, n, d)
     col_total = row_total = 0
     for b in compositions((p + q) * d, n + 1):
         part = koszul_map(p, q, n, d, b)
@@ -134,11 +163,9 @@ def test_composite_of_consecutive_maps_is_zero():
     for n in (1, 2):
         for d in (1, 2, 3):
             for p in (1, 2, 3):
-                for q in (0, 1, 2):
-                    down = csr(koszul_map(p, q, n, d))
-                    up = csr(koszul_map(p + 1, q - 1, n, d)) if q >= 1 else None
-                    if up is None:
-                        continue
+                for q in (1, 2):
+                    down = csr(whole_map(p, q, n, d))
+                    up = csr(whole_map(p + 1, q - 1, n, d))
                     assert abs(down @ up).sum() == 0
 
 
@@ -160,9 +187,9 @@ def test_weighted_maps_restrict_the_full_map():
                        (2, 2, 1, 1), (2, 2, 2, 2), (2, 2, 3, 1), (1, 2, 3, 2),
                        (3, 1, 1, 2), (3, 2, 3, 1)):
         v_dim = n + 1
-        full = csr(koszul_map(p, q, n, d)).toarray()
-        dom = [weight_of(x, d, v_dim) for x in wedge_tensor_basis(p, d, q * d, v_dim)]
-        cod = [weight_of(x, d, v_dim) for x in wedge_tensor_basis(p - 1, d, (q + 1) * d, v_dim)]
+        full = csr(whole_map(p, q, n, d)).toarray()
+        dom = [weight_of(x, d, v_dim) for x in whole_basis(p, d, q * d, v_dim)]
+        cod = [weight_of(x, d, v_dim) for x in whole_basis(p - 1, d, (q + 1) * d, v_dim)]
         for b in compositions((p + q) * d, v_dim):
             rows = [i for i, w in enumerate(cod) if w == b]
             cols = [i for i, w in enumerate(dom) if w == b]
@@ -246,8 +273,8 @@ def test_tor_sweep_total_matches_unrestricted():
     # reference: middle homology of the unrestricted complex, ranked by the
     # Fraction elimination above
     for (p, q, n, d) in [(1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (1, 2, 2, 2)]:
-        down = koszul_map(p, q, n, d)
-        up = koszul_map(p + 1, q - 1, n, d)
+        down = whole_map(p, q, n, d)
+        up = whole_map(p + 1, q - 1, n, d)
         plain = down.cols - fraction_rank(down) - fraction_rank(up)
         swept = tor_dimension(p, q, n, d)
         assert swept.total_dim == plain, (p, q, n, d)
@@ -312,9 +339,9 @@ def test_schur_peel_matches_brute_force_character():
 
 def test_preconditions_rejected():
     with pytest.raises(ValueError):
-        koszul_map(0, 1, 1, 2)
+        koszul_map(0, 1, 1, 2, (3,))
     with pytest.raises(ValueError):
-        koszul_map(1, -1, 1, 2)
+        koszul_map(1, -1, 1, 2, (0, 0))
     with pytest.raises(ValueError):
         tor_dimension(0, 1, 1, 2)
     with pytest.raises(ValueError):
@@ -325,28 +352,32 @@ def test_preconditions_rejected():
         koszul_map(1, 1, 1, 2, (5, -1))
     with pytest.raises(ValueError, match="wrong length"):
         koszul_map(1, 1, 1, 2, (4,))
-    with pytest.raises(ValueError, match="exterior power must be nonnegative"):
-        wedge_tensor_basis(-1, 1, 1, 2)
 
 
 def test_basis_guard_trips(monkeypatch):
-    koszul_map(2, 2, 2, 3)  # cached under the default guard
-    monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 100)
-    with pytest.raises(CapacityError):
-        koszul_map(2, 2, 2, 3)
+    # the 55 monomials of Sym^9 in three variables, the codomain's symmetric
+    # factor, are over guard 50, though the map's weight spaces were cached
+    # under the default guard first; the sweep reaches that map too
+    koszul_map(2, 2, 2, 3, (4, 4, 4))
+    monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 50)
+    with pytest.raises(CapacityError, match=r"^Sym\^9 of C\^3 exceeds guard 50$"):
+        koszul_map(2, 2, 2, 3, (4, 4, 4))
+    with pytest.raises(CapacityError, match=r"^Sym\^9 of C\^3 exceeds guard 50$"):
+        tor_dimension(2, 2, 2, 3)
 
 
 def test_wedge_guard_trips_in_a_weight_space(monkeypatch):
-    # 15 two-subsets of the 6 quadrics: over the guard, with the same text
-    # from a weighted map over that wedge as from the whole basis, though
+    # 15 two-subsets of the 6 quadrics: over the guard, with _checked_sizes'
+    # text from a weighted map over that wedge and from the sweep, though
     # the map's weight spaces were cached under the default guard first
     koszul_map(2, 1, 2, 2, (2, 2, 2))
     monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 10)
-    with pytest.raises(CapacityError, match="wedge basis exceeds guard 10") as basis:
-        wedge_tensor_basis(2, 2, 0, 3)
-    with pytest.raises(CapacityError) as weighted:
+    with pytest.raises(CapacityError, match="^wedge basis exceeds guard 10$"):
+        koszul._checked_sizes(2, 2, 0, 3)
+    with pytest.raises(CapacityError, match="^wedge basis exceeds guard 10$"):
         koszul_map(2, 1, 2, 2, (2, 2, 2))
-    assert str(weighted.value) == str(basis.value)
+    with pytest.raises(CapacityError, match="^wedge basis exceeds guard 10$"):
+        tor_dimension(2, 1, 2, 2)
 
 
 def test_a_lowered_cell_guard_refuses_each_table_before_it_is_built(monkeypatch):
@@ -404,11 +435,11 @@ def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypa
     assert (down.rows, down.cols) == (1, 2)
     assert down.entries == [(0, 0, 1), (0, 1, 1)]
     assert set(built) == {1}  # the wedge factor's degree only
-    # the same guard as the full basis, and its degree check
+    # the same guard as a listed Sym factor, and its degree check
     with pytest.raises(CapacityError, match=r"Sym\^1000000 of C\^2 exceeds guard"):
         koszul_map(1, 999999, 1, 1, (500000, 500000))
     with pytest.raises(ValueError, match="need degree >= 0"):
-        wedge_tensor_basis(1, 1, -1, 2)
+        monomial_basis(-1, 2)
     assert set(built) == {1}
 
 
