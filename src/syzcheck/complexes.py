@@ -2,24 +2,25 @@
 
 For a configuration A and a bound vector b, a set F of points is a face when
 the residual b - sum(F) lies in the semigroup of A, so a bound outside the
-semigroup gives the void complex, without even the empty face.
+semigroup gives the void complex, without even the empty face. Slices are
+built for the veronese configurations (the degree-d monomials) only: their
+semigroup holds exactly the vectors >= 0 with coordinate sum divisible by
+d, every point has sum d, so once d divides sum(b) the bound test
+b - sum(F) >= 0 alone decides a face.
 
-The vertices are the points w with b - w in the semigroup, picked in one
-array test on the residuals b - w. Larger faces grow from them a vertex at
-a time, for every configuration, by joining two faces that differ only in
-their last vertex (Agrawal-Srikant prefix join), as whole arrays. Each
-face carries its slack b - sum(F) packed into uint64 words: every
-coordinate gets a field of W bits, W one more than the bit length of the
-largest bound or point coordinate, so its top (guard) bit starts clear,
-and a word holds 64 // W fields. With G the mask of the guard bits, a
-vertex w fits under F exactly when ((slack(F) | G) - w) & G == G in every
-word, and clearing the guard bits of that difference leaves the child's
-slack: no field borrows once w fits. Survivors then pass a
-residual-membership test on their unpacked slack, which is skipped for
-the monomial (veronese) presets: every point there has coordinate sum d
-and b lies in the semigroup, so the bound test alone is exact. Bounds
-and points are packed once per build, and a coordinate of 2**63 or more,
-which no 64-bit field can hold with its guard bit, is refused.
+The vertices are the points w <= b, picked in one array test on the
+residuals b - w. Larger faces grow from them a vertex at a time by joining
+two faces that differ only in their last vertex (Agrawal-Srikant prefix
+join), as whole arrays. Each face carries its slack b - sum(F) packed into
+uint64 words: every coordinate gets a field of W bits, W one more than the
+bit length of the largest bound coordinate or d (no point coordinate
+exceeds d), so its top (guard) bit starts clear, and a word holds 64 // W
+fields. With G the mask of the guard bits, a vertex w fits under F exactly
+when ((slack(F) | G) - w) & G == G in every word, and clearing the guard
+bits of that difference leaves the child's slack: no field borrows once w
+fits. Bounds and points are packed once per build, and a coordinate of
+2**63 or more, which no 64-bit field can hold with its guard bit, is
+refused.
 
 A vertex w cones the complex through dimension j_hi - 1 when every face
 below j_hi that avoids w extends by w, and then reduced homology vanishes
@@ -58,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, UnsupportedConfigError
-from .lattice import PointConfig, Vector, membership_tester
+from .lattice import PointConfig, Vector
 
 # per-dimension face count guard
 DEFAULT_FACE_CAP = 5 * 10**7
@@ -160,21 +161,12 @@ def _pack(vectors: np.ndarray, width: int, per_word: int) -> np.ndarray:
     return np.bitwise_or.reduceat(fields, np.arange(0, k, per_word), axis=1).T.copy()
 
 
-def _unpack(words: np.ndarray, k: int, width: int, per_word: int) -> np.ndarray:
-    """The (R, k) rows that `_pack` packed into words."""
-    shifts = np.arange(per_word, dtype=np.uint64) * np.uint64(width)
-    fields = (words.T[:, :, None] >> shifts) & np.uint64((1 << width) - 1)
-    return fields.reshape(words.shape[1], words.shape[0] * per_word)[:, :k]
-
-
-def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
-                  points: np.ndarray, guard: np.uint64,
-                  admits) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray, points: np.ndarray,
+                  guard: np.uint64) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One level of face extension: parents (N, k) to children (M, k+1).
 
     A child is parent F (k >= 1, N >= 1) plus a vertex w after F's last
-    vertex a whose sum stays admissible: under the bound and, when `admits`
-    is given, with a residual in the semigroup. As faces are closed under
+    vertex a whose sum stays under the bound. As faces are closed under
     subsets, w must end a later row F - a + w of F's prefix block, the rows
     sharing F's own parent row (`parent_rows`). Candidate pairs (parent,
     later row of its block) run parent-major, so children come out
@@ -187,8 +179,7 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
     subtracting w's word leaves a field's guard bit set exactly when that
     coordinate of w fits, and no field borrows from the next, so w fits
     under every coordinate when all guard bits survive in every word.
-    Clearing them again leaves the child's slack, b - sum(F) - w. `admits`
-    maps such (words, M) slacks to M booleans.
+    Clearing them again leaves the child's slack, b - sum(F) - w.
 
     Returns the children, their slack words, parent rows and partner rows.
     """
@@ -214,8 +205,6 @@ def _expand_level(cur: np.ndarray, parent_rows: np.ndarray, slack: np.ndarray,
         words = ((slack.take(par, axis=1) | guard)
                  - points.take(partner_vertex.take(partner), axis=1))
         fit = np.flatnonzero(reduce(np.bitwise_and, words) & guard == guard)
-        if admits is not None:
-            fit = fit[admits(words.take(fit, axis=1) ^ guard)]
         total += int(fit.size)
         if total > DEFAULT_FACE_CAP:
             raise CapacityError(
@@ -311,27 +300,28 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
                 j_hi: int) -> ComplexSlice:
     """Materialize the faces of the divisor complex with dims in [j_lo, j_hi].
 
-    The vertices are the points w with b - w in the semigroup, found in one
-    array test on the residuals b - w, which packed into words are their
-    slack. Levels are expanded from them up to dimension j_hi
-    (`_expand_level`); above the first empty level nothing is expanded or
-    stored. General configurations test each residual for semigroup
-    membership; the veronese presets need only the bound test, exact there.
-    The facet rows of every level come from the parent and partner rows
-    that the expansion returned (`_facet_rows`). No cone test runs here;
-    callers certify coned zeros beforehand (`vertex_cone_mask`).
+    The vertices are the points w <= b, found in one array test on the
+    residuals b - w, which packed into words are their slack. Levels are
+    expanded from them up to dimension j_hi (`_expand_level`); above the
+    first empty level nothing is expanded or stored. The facet rows of
+    every level come from the parent and partner rows that the expansion
+    returned (`_facet_rows`). No cone test runs here; callers certify
+    coned zeros beforehand (`vertex_cone_mask`).
 
     Args:
-        config: the point configuration.
+        config: a veronese configuration.
         bound: nonnegative bound vector of matching length.
         j_lo: lowest dimension kept, at least -1.
         j_hi: highest dimension kept.
 
     Raises:
+        UnsupportedConfigError: a general configuration.
         ValueError: a bound or point coordinate is 2**63 or more.
         CapacityError: the face count of some dimension, or the entry count
             of some facet table, exceeds DEFAULT_FACE_CAP, read at each call.
     """
+    if config.kind != "veronese":
+        raise UnsupportedConfigError("slice build needs a veronese configuration")
     if j_lo < -1:
         raise ValueError("j_lo must be >= -1")
     if j_hi < j_lo:
@@ -342,30 +332,20 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
     if any(x < 0 for x in bb):
         raise ValueError("bound vector must be nonnegative")
 
-    # one field per coordinate, wide enough for every bound and point
-    # coordinate plus a clear top bit, as many fields per word as fit
-    width = max(max(bb), max(map(max, config.points))).bit_length() + 1
+    # one field per coordinate, wide enough for every bound coordinate and d
+    # plus a clear top bit, as many fields per word as fit
+    width = max(max(bb), config.d).bit_length() + 1
     if width > 64:
         raise ValueError("bound and point coordinates must be below 2**63")
     per_word = 64 // width
     guard = np.uint64(sum(1 << (i * width + width - 1) for i in range(per_word)))
-    k = config.ambient_dim
-    in_semigroup = membership_tester(config)
-    admits = None
-    if config.kind != "veronese":
-        def admits(words: np.ndarray) -> np.ndarray:
-            resid = _unpack(words, k, width, per_word).tolist()
-            return np.array([in_semigroup(r) for r in resid], dtype=bool)
     # the empty face is present exactly when the bound lies in the semigroup;
     # without it no face is, so a bound outside gives the void complex
-    empty_count = int(in_semigroup(bb))
+    empty_count = int(sum(bb) % config.d == 0)
     pts = config.array
     resid = np.asarray(bb, dtype=np.int64) - pts
     vertices = np.flatnonzero((resid >= 0).all(axis=1) & bool(empty_count))
     slack = _pack(resid.take(vertices, axis=0), width, per_word)
-    if admits is not None:
-        keep = admits(slack)
-        vertices, slack = vertices[keep], slack[:, keep]
     v_count = vertices.size
     if v_count > DEFAULT_FACE_CAP:
         raise CapacityError(f"face count exceeds cap {DEFAULT_FACE_CAP} during expansion")
@@ -386,7 +366,7 @@ def build_slice(config: PointConfig, bound: Sequence[int], j_lo: int,
             break
         keys = parents * v_count + faces[:, -1]
         children, slack, parents, partners = _expand_level(faces, parents, slack,
-                                                           local_points, guard, admits)
+                                                           local_points, guard)
         facets = _facet_rows(facets, parents, partners, children[:, -1], keys,
                              grand_count * v_count, v_count)
         grand_count, faces = faces.shape[0], children

@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .complexes import BoundaryMatrix
+from .complexes import BoundaryMatrix, make_matrix
 from .errors import CapacityError
 # rank_mod_p is unused here: the benchmark's tracer wraps it under this name
 from .homology import middle_homology, rank_exact, rank_mod_p  # noqa: F401
@@ -151,6 +151,8 @@ def koszul_map(p: int, q: int, n: int, d: int, weight: Vector) -> BoundaryMatrix
     m = _checked_sizes(p, d, q * d, v_dim)
     _checked_sizes(p - 1, d, (q + 1) * d, v_dim)
     dom, cod = _weight_space(p, d, weight), _weight_space(p - 1, d, weight)
+    if not dom.size:  # before the rank tables, which cost O(p) even then
+        return make_matrix(len(cod), 0, ())
     subsets = _wedge_table(p, d, v_dim)[0][dom]
     # the facet without factor i holds each j < i at its own position j and
     # each j > i one to the left, at j - 1 (row -1 is the zero row): a running

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from syzcheck import complexes
 from syzcheck.complexes import (
     BoundaryMatrix,
+    ComplexSlice,
     boundary_matrix,
     build_slice,
     make_matrix,
@@ -21,7 +22,44 @@ from syzcheck.complexes import (
     vertex_cone_mask,
 )
 from syzcheck.errors import CapacityError, UnsupportedConfigError
-from syzcheck.lattice import enumerate_multidegrees, general_config, veronese_points
+from syzcheck.lattice import (enumerate_multidegrees, general_config, membership_tester,
+                              veronese_points)
+
+
+def general_slice(config, bound, j_lo, j_hi):
+    """The slice of any configuration by brute force, for the tests that need
+    complexes no veronese bound gives: the lexicographic (t+1)-subsets of
+    the vertices whose residual b - sum lies in the semigroup, up to the
+    first empty level, in build_slice's arrays and dtypes."""
+    b, pts = tuple(bound), config.points
+    member = membership_tester(config)
+
+    def fits(subset):
+        return member([x - sum(pts[i][k] for i in subset) for k, x in enumerate(b)])
+
+    vertices = np.array([i for i in range(len(pts)) if fits([i])], dtype=np.int64)
+    level = [()] if member(b) else []
+    faces, facets = {}, {}
+    for t in range(-1, j_hi + 1):
+        if t >= 0:
+            row_of = {f: r for r, f in enumerate(level)}
+            level = [s for s in combinations(range(vertices.size), t + 1)
+                     if fits(vertices[list(s)].tolist())]
+            if t > j_lo:
+                facets[t] = np.array([[row_of[s[:i] + s[i + 1:]] for i in range(t + 1)]
+                                      for s in level], dtype=np.int32).reshape(-1, t + 1)
+        if t >= j_lo:
+            faces[t] = np.array(level, dtype=np.int32).reshape(len(level), t + 1)
+        if t >= 0 and not level:
+            break
+    return ComplexSlice(config=config, bound=b, j_lo=j_lo, j_hi=j_hi, vertices=vertices,
+                        faces_by_dim=faces, facets_by_dim=facets)
+
+
+def any_slice(config, bound, j_lo, j_hi):
+    # build_slice for a veronese configuration, the reference for any other
+    builder = build_slice if config.kind == "veronese" else general_slice
+    return builder(config, bound, j_lo, j_hi)
 
 
 def faces_as_point_sets(slc, dim):
@@ -61,7 +99,7 @@ def test_line_cubic_bound_42_slice():
 def test_zero_bound_keeps_only_the_empty_face():
     # zero lies in every semigroup, so the complex is {empty face}, not void
     for cfg in (veronese_points(1, 3), veronese_points(2, 2), line_triple()):
-        slc = build_slice(cfg, (0,) * cfg.ambient_dim, -1, 2)
+        slc = any_slice(cfg, (0,) * cfg.ambient_dim, -1, 2)
         assert slc.vertex_count == 0
         assert slc.face_count(-1) == 1
         assert all(slc.face_count(t) == 0 for t in range(0, 3))
@@ -76,7 +114,7 @@ def test_bound_outside_semigroup_gives_void_complex():
 
 
 def test_hollow_triangle_from_line_config():
-    slc = build_slice(line_triple(), (5,), -1, 2)
+    slc = general_slice(line_triple(), (5,), -1, 2)
     assert slc.vertex_count == 3
     assert slc.face_count(1) == 3
     assert slc.face_count(2) == 0
@@ -90,7 +128,7 @@ def test_hollow_triangle_from_line_config():
 
 
 def test_two_simplex_boundary_signs():
-    slc = build_slice(line_triple(), (6,), -1, 2)
+    slc = general_slice(line_triple(), (6,), -1, 2)
     assert slc.face_count(2) == 1
     bm = boundary_matrix(slc, 2)
     assert (bm.rows, bm.cols) == (3, 1)
@@ -136,6 +174,12 @@ def test_build_slice_rejects_bad_input(bound, j_lo, j_hi, message):
         build_slice(veronese_points(1, 3), bound, j_lo, j_hi)
 
 
+def test_build_slice_refuses_a_general_configuration():
+    # only the veronese semigroup makes the bound test the whole face test
+    with pytest.raises(UnsupportedConfigError):
+        build_slice(general_config([(1,), (2,), (3,)]), (6,), -1, 2)
+
+
 def csr(m: BoundaryMatrix) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.asarray(m.values), (np.asarray(m.row_idx), np.asarray(m.col_idx))),
@@ -166,9 +210,16 @@ def brute_force_faces(cfg, b, t):
     return faces
 
 
+def arrays_of(slc):
+    # vertices, then faces and facet rows by dimension, with dtypes and shapes
+    named = [("vertices", slc.vertices), *slc.faces_by_dim.items(), *slc.facets_by_dim.items()]
+    return [(t, a.dtype, a.shape, a.tolist()) for t, a in named]
+
+
 def test_veronese_rule_matches_residual_rule():
-    # the coordinatewise bound rule and the residual-membership rule both
-    # give every face that brute force over all vertex subsets finds
+    # the coordinatewise bound rule gives every face that brute force over
+    # all vertex subsets finds, and the same arrays as the residual-membership
+    # rule of the reference on the same points taken as a general configuration
     for n, d in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]:
         cfg = veronese_points(n, d)
         gen = general_config(cfg.points)
@@ -176,10 +227,11 @@ def test_veronese_rule_matches_residual_rule():
         for deg in range(0, 5):
             for m in enumerate_multidegrees(cfg, deg):
                 b = m.canonical.coords
-                for slc in (build_slice(cfg, b, -1, top), build_slice(gen, b, -1, top)):
-                    for t in range(-1, top + 1):
-                        got = [tuple(f) for f in slc.vertices[slc.faces(t)].tolist()]
-                        assert got == brute_force_faces(cfg, b, t), (n, d, b, t)
+                slc, ref = build_slice(cfg, b, -1, top), general_slice(gen, b, -1, top)
+                for t in range(-1, top + 1):
+                    got = [tuple(f) for f in slc.vertices[slc.faces(t)].tolist()]
+                    assert got == brute_force_faces(cfg, b, t), (n, d, b, t)
+                assert arrays_of(slc) == arrays_of(ref), (n, d, b)
 
 
 def subsets_under(points, b, t):
@@ -212,23 +264,6 @@ def test_veronese_faces_match_subset_enumeration(nd, data):
         assert global_faces(slc, t) == brute_force_faces(cfg, b, t), (b, t)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
-    st.lists(st.tuples(*[st.integers(0, 6)] * k), max_size=4),
-    st.tuples(*[st.integers(0, 10)] * k))))
-def test_general_faces_match_subset_enumeration(drawn):
-    # with the unit vectors among the points the semigroup is all of N^k,
-    # so the faces are exactly the subsets whose sum stays below b, and the
-    # membership test sees every residual the packed bound test admits
-    extra, b = drawn
-    k = len(b)
-    points = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    points += [p for p in dict.fromkeys(extra) if p not in points]
-    slc = build_slice(general_config(points), b, -1, len(points) - 1)
-    for t in range(-1, len(points)):
-        assert global_faces(slc, t) == subsets_under(points, b, t), (points, b, t)
-
-
 def test_two_word_layout_with_a_field_at_its_top():
     # v_2(P^12) has 13 coordinates. The bound's 63 = 2**6 - 1 makes 7-bit
     # fields, 9 to a word, so coordinates 9..12 sit in a second word, and
@@ -242,33 +277,6 @@ def test_two_word_layout_with_a_field_at_its_top():
         want = [tuple(below[i] for i in s) for s in subsets_under(sub, b, t)]
         assert global_faces(slc, t) == want, t
     assert slc.face_count(0) == 12 and slc.face_count(3) > 0
-
-
-def test_general_config_residuals_unpack_from_both_words():
-    # 10 coordinates up to 64 make 8-bit fields, 8 to a word. The points
-    # 2e_i, e_8 + e_9 and 3e_9 generate the r with r_0..r_7 even and, for
-    # some a <= min(r_8, r_9), r_8 - a even and r_9 - a != 1. So the
-    # membership test on the residual's second word (coordinates 8 and 9)
-    # removes subsets that fit under the bound, such as {2e_9}
-    k = 10
-    points = [tuple(2 * (i == j) for j in range(k)) for i in range(k)]
-    points += [(0,) * 8 + (1, 1), (0,) * 9 + (3,)]
-    b = (64, 2, 2, 2, 2, 2, 2, 2, 3, 4)
-
-    def in_semigroup(r):
-        if any(x < 0 or x % 2 for x in r[:8]):
-            return False
-        return any((r[8] - a) % 2 == 0 and r[9] - a != 1 for a in range(min(r[8:]) + 1))
-
-    slc = build_slice(general_config(points), b, -1, 3)
-    cut = 0
-    for t in range(-1, 4):
-        under = subsets_under(points, b, t)
-        want = [s for s in under
-                if in_semigroup([x - sum(points[i][j] for i in s) for j, x in enumerate(b)])]
-        cut += len(under) - len(want)
-        assert global_faces(slc, t) == want, t
-    assert slc.face_count(-1) == 1 and (9,) not in global_faces(slc, 0) and cut > 0
 
 
 def test_monotone_in_bound():
@@ -405,16 +413,6 @@ def test_matrix_text_and_container():
     bm = make_matrix(2, 2, [(0, 0, 1), (1, 1, -1)])
     assert bm.nnz == 2
     assert isinstance(bm, BoundaryMatrix)
-
-
-def test_general_config_uses_residual_rule():
-    gen = general_config([(2,), (3,)])
-    slc = build_slice(gen, (4,), -1, 1)
-    # residual of (3,) against bound 4 is 1, not in the semigroup of {2, 3}
-    assert faces_as_point_sets(slc, 0) == {frozenset({(2,)})}
-    slc2 = build_slice(gen, (5,), -1, 1)
-    assert faces_as_point_sets(slc2, 0) == {frozenset({(2,)}), frozenset({(3,)})}
-    assert slc2.face_count(1) == 1
 
 
 def test_vertex_cone_mask_examples():

@@ -29,6 +29,7 @@ from syzcheck.homology import (
     reduced_betti,
 )
 from syzcheck.lattice import enumerate_multidegrees, general_config, veronese_points
+from test_complexes import any_slice, general_slice
 
 
 def fraction_rank(bm):
@@ -289,8 +290,7 @@ def test_reduced_betti_examples():
     assert reduced_betti(build_slice(cfg, (3, 3), -1, 1), 0).value == 1
     assert reduced_betti(build_slice(cfg, (4, 2), -1, 1), 0).value == 1
     # a full simplex is contractible
-    tri = general_config([(1,), (2,), (3,)])
-    full = build_slice(tri, (6,), -1, 2)
+    full = general_slice(general_config([(1,), (2,), (3,)]), (6,), -1, 2)
     assert reduced_betti(full, 0).value == 0
     assert reduced_betti(full, 1).value == 0
 
@@ -394,7 +394,7 @@ def test_cone_certificate_short_circuits():
     for cfg, b, q, apex in [(v2, (4, 2), 2, 0),
                             (veronese_points(1, 3), (4, 2), 1, None),
                             (general_config([(1,), (2,), (3,)]), (6,), 2, 0)]:
-        slc = build_slice(cfg, b, -1, q)
+        slc = any_slice(cfg, b, -1, q)
         assert set_apex(slc, q) == apex, (cfg.points, b)
         for j in range(0, q):
             bn = reduced_betti(slc, j)
@@ -403,9 +403,9 @@ def test_cone_certificate_short_circuits():
 
 
 def cone_grid():
-    """(config, bound) pairs: Veronese orbit representatives of small degree
-    and the general configurations of the other tests, whose faces need the
-    residual-membership predicate."""
+    """(config, bound) pairs, built by `any_slice`: Veronese orbit
+    representatives of small degree, and the general configurations of the
+    other tests, whose slices come from the reference `general_slice`."""
     for n, d in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         cfg = veronese_points(n, d)
         for deg in range(0, 5):
@@ -437,10 +437,10 @@ def test_cone_certificate_matches_brute_force():
     # ranks the full boundaries over Q. Every band -1..q with q <= 3 is checked.
     coned = unconed = 0
     for cfg, b in cone_grid():
-        oracle = build_slice(cfg, b, -1, 3)
+        oracle = any_slice(cfg, b, -1, 3)
         expected = {j: naive_betti(oracle, j) for j in range(0, 3)}
         for q in range(1, 4):
-            slc = build_slice(cfg, b, -1, q)
+            slc = any_slice(cfg, b, -1, q)
             if set_apex(slc, q) is None:
                 unconed += 1
             else:
@@ -502,10 +502,10 @@ def test_cascade_and_rank_match_brute_force_on_the_cone_grid():
     # the matching now decides most zeros before the cascade, so the cascade
     # and rank are checked on their own in every band -1..q with q <= 3
     for cfg, b in cone_grid():
-        oracle = build_slice(cfg, b, -1, 3)
+        oracle = any_slice(cfg, b, -1, 3)
         expected = {j: naive_betti(oracle, j) for j in range(0, 3)}
         for q in range(1, 4):
-            slc = build_slice(cfg, b, -1, q)
+            slc = any_slice(cfg, b, -1, q)
             for j in range(0, q):
                 assert cascade_betti(slc, j) == expected[j], (cfg.points, b, q, j)
 
@@ -548,7 +548,7 @@ def test_restricted_rank_matches_brute_force_on_the_cone_grid(monkeypatch):
     dropped = 0
     for cfg, b in cone_grid():
         for q in range(1, 4):
-            slc = build_slice(cfg, b, -1, q)
+            slc = any_slice(cfg, b, -1, q)
             alive, sub = _reduce_band(slc)
             for j in range(0, q):
                 for out_map, in_map in (
@@ -578,7 +578,7 @@ def test_matching_never_certifies_a_nonzero():
     # and rank, checked above against brute force, give the reference there
     fires = Counter()
     for cfg, b in cone_grid():
-        slc = build_slice(cfg, b, -1, 3)
+        slc = any_slice(cfg, b, -1, 3)
         for j in range(0, 3):
             if slc.face_count(j):
                 value = naive_betti(slc, j)
@@ -626,7 +626,7 @@ def test_element_matching_is_acyclic():
     assert not has_directed_cycle(triangle)
     checked = 0
     for cfg, b in cone_grid():
-        slc = build_slice(cfg, b, -1, 3)
+        slc = any_slice(cfg, b, -1, 3)
         for j in range(0, 3):
             faces = {t: [frozenset(r) for r in slc.faces(t).tolist()]
                      for t in (j - 1, j, j + 1)}
@@ -688,7 +688,7 @@ def test_element_matching_matches_the_reference():
     # them) and on the unconed jobs of two verdict windows
     def cases():
         for cfg, b in cone_grid():
-            slc = build_slice(cfg, b, -1, 3)
+            slc = any_slice(cfg, b, -1, 3)
             for j in range(0, 3):
                 yield "grid", slc, j
         for window in [(2, 3, 7, 2), (3, 2, 6, 3)]:
@@ -791,7 +791,7 @@ def scan_band(slc):
 def test_reduce_band_matches_face_by_face_scan():
     # the cone grid, band -1..3, and v_2(P^3) at (3,3,3,3), band -1..4,
     # which the cascade clears over several rounds
-    slices = [build_slice(cfg, b, -1, 3) for cfg, b in cone_grid()]
+    slices = [any_slice(cfg, b, -1, 3) for cfg, b in cone_grid()]
     slices.append(build_slice(veronese_points(3, 2), (3, 3, 3, 3), -1, 4))
     cancelled = 0
     for slc in slices:

@@ -6,6 +6,7 @@ builds the same maps from scratch with Fraction arithmetic; a compact copy
 of that rank routine lives here for spot re-checks.
 """
 
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -441,6 +442,21 @@ def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypa
     with pytest.raises(ValueError, match="need degree >= 0"):
         monomial_basis(-1, 2)
     assert set(built) == {1}
+
+
+def test_a_map_out_of_an_empty_weight_space_costs_no_memory():
+    # the 10**7-th wedge power of the two linear forms is zero: a 0 x 0 map
+    # that must not index rank tables by p. An empty domain keeps its
+    # codomain's rows: wedge^2 at (2, 2) holds the one pair
+    tracemalloc.start()
+    try:
+        down = koszul_map(10**7, 1, 1, 1, (5000000, 5000001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (down.rows, down.cols, down.nnz) == (0, 0, 0) and peak < 2**20
+    down = koszul_map(3, 1, 1, 1, (2, 2))
+    assert (down.rows, down.cols, down.nnz) == (1, 0, 0)
 
 
 def exact_weights(p, q, n, d):

@@ -8,7 +8,9 @@ digest did from before the enumerator became array passes. The
 cascade digest covers the alive mask per dimension that the cancellation
 cascade (`homology._reduce_band`) leaves; it was last re-recorded when the
 cascade became one single-facet rule. A change to either part fails the
-test on that part alone. To re-record after an intended change, run
+test on that part alone. Veronese slices come from build_slice, general
+ones from the brute-force reference `general_slice` (tests/test_complexes.py).
+To re-record after an intended change, run
 `PYTHONPATH=src python tests/test_slice_digests.py` and review the diff.
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 from syzcheck.complexes import build_slice, vertex_cone_mask
 from syzcheck.homology import _reduce_band, reduced_betti
 from syzcheck.lattice import enumerate_multidegrees, general_config, veronese_points
+from test_complexes import any_slice
 from test_homology import set_apex
 
 GOLDEN = Path(__file__).parent / "golden" / "slices.json"
@@ -71,7 +74,7 @@ def compute():
     digests = {}
     unconed = 0
     for label, cfg, b, q in slices():
-        slc = build_slice(cfg, b, -1, q)
+        slc = any_slice(cfg, b, -1, q)
         apex = set_apex(slc, q)
         unconed += apex is None
         digests[label] = slice_digests(slc, apex)
@@ -107,7 +110,7 @@ def test_facet_rows_drop_one_vertex():
     # looked up by brute force among the rows of the level below
     checked = 0
     for label, cfg, b, q in slices():
-        slc = build_slice(cfg, b, -1, q)
+        slc = any_slice(cfg, b, -1, q)
         for t in range(0, q + 1):
             row_of = {tuple(r): i for i, r in enumerate(slc.faces(t - 1).tolist())}
             want = [[row_of[tuple(f[:i] + f[i + 1:])] for i in range(t + 1)]
