@@ -202,7 +202,9 @@ def tor_dimension(p: int, q: int, n: int, d: int,
         raise ValueError("q >= 1 required for a two-sided homology computation")
 
     weight = _checked_weight(p, q, n, d, weight)
-    _checked_sizes(p, d, q * d, n + 1)  # the middle term's guards, for every weight
+    # the middle term's guards, for every weight; wedge^p of m monomials is 0 for p > m
+    if p > _checked_sizes(p, d, q * d, n + 1):
+        return TorSlice(p=p, q=q, total_dim=0, weights={})
     weights: dict[Vector, int] = {}
     # a given weight is a sweep of one
     for b in [weight] if weight is not None else partitions_into((p + q) * d, n + 1):

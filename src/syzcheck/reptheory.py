@@ -1,15 +1,14 @@
-"""Decomposing symmetric weight characters into Schur functor pieces.
+"""Decomposing GL-module weight multiplicities into Schur functor pieces.
 
 The Tor slices computed by the Koszul module are GL-representations, so
-their weight multiplicities are permutation-symmetric and decompose
-uniquely into Schur characters. The decomposition here is the classical
-greedy one: peel off the lexicographically largest surviving weight, whose
-multiplicity is the coefficient of that Schur term, subtract, repeat. The
-symmetry check rebuilds each orbit from its dominant member, and every step
-keeps the input symmetric, so the peel reads and updates only the dominant
-(non-increasing) weights: one per orbit, where a Schur character has the
-Kostka number K_{lambda mu}. A negative multiplicity at any step means the
-input was not a genuine character: a hard error, never clamped.
+their weight multiplicities are permutation-symmetric and fixed by their
+values at the dominant (non-increasing) weights, one per orbit; these
+decompose uniquely into Schur characters, whose value at a dominant weight
+mu is the Kostka number K_{lambda mu}. The decomposition here is the
+classical greedy one: peel off the lexicographically largest surviving
+dominant weight, whose multiplicity is the coefficient of that Schur term,
+subtract, repeat. A negative multiplicity at any step means the input was
+not a genuine character: a hard error, never clamped.
 
 Kostka numbers (weight multiplicities of one Schur character) peel the
 largest tableau entry as a horizontal strip. A shape's strips are one
@@ -21,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import MismatchError
 from .koszul import tor_dimension
-from .lattice import Vector, orbit_expansion, partitions_into
+from .lattice import Vector, partitions_into
 
 
 @dataclass(frozen=True, order=True)
@@ -59,31 +58,6 @@ def partition(parts: Iterable[int]) -> Partition:
 
 def _is_dominant(w: Vector) -> bool:
     return all(a >= b for a, b in zip(w, w[1:]))
-
-
-@dataclass(eq=True)
-class WeightCharacter:
-    """Finite weight multiset on Z^{v_dim}, stored as nonzero multiplicities."""
-
-    v_dim: int
-    mults: dict[Vector, int]
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for w, m in self.mults.items():
-            if len(w) != self.v_dim:
-                raise ValueError("weight length does not match v_dim")
-            if m:
-                clean[tuple(int(x) for x in w)] = int(m)
-        self.mults = clean
-
-    def is_symmetric(self) -> bool:
-        """Each permutation orbit is present whole, with one multiplicity:
-        spreading each dominant weight's multiplicity over its orbit
-        (orbit_expansion) gives back exactly this character."""
-        whole = {v: m for w, m in self.mults.items() if _is_dominant(w)
-                 for v in orbit_expansion(w)}
-        return whole == self.mults
 
 
 @dataclass(eq=True)
@@ -137,25 +111,21 @@ def _dominant_kostka(lam: Partition, v_dim: int) -> dict[Vector, int]:
             if (k := _kostka_sorted(lam.parts, tuple(c for c in mu if c)))}
 
 
-def schur_character(shape: Partition | Iterable[int], v_dim: int) -> WeightCharacter:
-    """Weight multiplicities of one Schur functor applied to a v_dim-dim
-    space: Kostka numbers, spread over all permutations of each content."""
-    lam = shape if isinstance(shape, Partition) else partition(shape)
-    mults: dict[Vector, int] = {}
-    for mu, k in _dominant_kostka(lam, v_dim).items():
-        mults.update(dict.fromkeys(orbit_expansion(mu), k))
-    return WeightCharacter(v_dim=v_dim, mults=mults)
+def schur_decompose(values: Mapping[Vector, int], v_dim: int) -> SchurDecomposition:
+    """Greedy peeling of the lex-largest weight from the multiplicities of
+    a GL(C^v_dim)-module at its dominant weights, one per permutation
+    orbit; zero values are dropped. Any other key is a ValueError, and a
+    negative multiplicity at any stage is a hard error.
 
-
-def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
-    """Greedy peeling of the lex-largest weight. Requires a symmetric
-    character; a negative multiplicity at any stage is a hard error.
-
-    Subtracting Schur characters keeps the remainder symmetric, so only
-    the dominant weights are tracked: each stands for its whole orbit."""
-    if not char.is_symmetric():
-        raise ValueError("character is not symmetric under coordinate permutations")
-    work = {w: m for w, m in char.mults.items() if _is_dominant(w)}
+    Subtracting Schur characters keeps the remainder a symmetric character,
+    so the dominant weights stand for their whole orbits at every step."""
+    work: dict[Vector, int] = {}
+    for w, m in values.items():
+        if len(w) != v_dim or not _is_dominant(w) or any(x < 0 for x in w):
+            raise ValueError(f"key {w} is not a non-increasing, nonnegative weight "
+                             f"of length {v_dim}")
+        if m:
+            work[w] = m
     terms: dict[Partition, int] = {}
     while work:
         # the lex-max dominant weight is the lex-max weight of the remainder
@@ -165,7 +135,7 @@ def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
             raise MismatchError(f"negative multiplicity {c} at weight {top}")
         lam = partition(top)
         terms[lam] = terms.get(lam, 0) + c
-        for mu, k in _dominant_kostka(lam, char.v_dim).items():
+        for mu, k in _dominant_kostka(lam, v_dim).items():
             left = work.get(mu, 0) - c * k
             if left < 0:
                 raise MismatchError(
@@ -175,7 +145,7 @@ def schur_decompose(char: WeightCharacter) -> SchurDecomposition:
                 work[mu] = left
             else:
                 work.pop(mu, None)
-    return SchurDecomposition(v_dim=char.v_dim, terms=terms)
+    return SchurDecomposition(v_dim=v_dim, terms=terms)
 
 
 def tor_schur_decomposition(p: int, q: int, d: int, v_dim: int) -> SchurDecomposition:
@@ -187,5 +157,4 @@ def tor_schur_decomposition(p: int, q: int, d: int, v_dim: int) -> SchurDecompos
     if v_dim < p + 1:
         raise ValueError(f"need v_dim >= p + 1, got v_dim={v_dim}, p={p}")
     tor = tor_dimension(p, q, v_dim - 1, d)
-    char = WeightCharacter(v_dim=v_dim, mults=dict(tor.weights))
-    return schur_decompose(char)
+    return schur_decompose({w: m for w, m in tor.weights.items() if _is_dominant(w)}, v_dim)

@@ -352,10 +352,12 @@ def test_koszul_command(capsys):
 
 def test_a_wedge_power_above_the_monomial_count_is_zero_within_a_second():
     # Sym^1 V of P^1 has 2 monomials, so wedge^p of it is zero for p > 2: the
-    # piece is 0 at once, with no loop, rank row or index per wedge factor
-    for p in (10_000_000, 1_000_000_000):
+    # piece is 0 at once, with no loop, rank row or index per wedge factor,
+    # and without -b, with no walk over the partitions of (p + q) d
+    for p, weight in [(10_000_000, ["-b", "5000000,5000001"]),
+                      (1_000_000_000, ["-b", "500000000,500000001"]), (100_000_000, [])]:
         code, out, _, seconds = run_timed("koszul", "-n", "1", "-d", "1", "-p", str(p),
-                                          "-q", "1", "-b", f"{p // 2},{p // 2 + 1}")
+                                          "-q", "1", *weight)
         assert code == 0, p
         assert out == f"graded piece (p={p}, q=1): total_dim 0\n"
         assert seconds < 1.0, p

@@ -2,12 +2,11 @@
 
 Derived constants below (the 9x5 rank-5 differential, the per-weight Tor
 values for n=1) were produced by an independent dense rational oracle that
-builds the same maps from scratch with Fraction arithmetic; a compact copy
-of that rank routine lives here for spot re-checks.
+builds the same maps from scratch with Fraction arithmetic; test_homology's
+fraction_rank is that kind of rank routine, reused here for spot re-checks.
 """
 
 import tracemalloc
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
@@ -26,29 +25,10 @@ from syzcheck.koszul import (
     tor_dimension,
 )
 from syzcheck.lattice import compositions, partitions_into, veronese_points
-from syzcheck.reptheory import WeightCharacter, tor_schur_decomposition
+from syzcheck.reptheory import tor_schur_decomposition
 from test_complexes import csr
-from test_homology import check_middle_homology, rank_calls, rational_residuals
+from test_homology import check_middle_homology, fraction_rank, rank_calls, rational_residuals
 from test_reptheory import reconstruct_character
-
-
-def fraction_rank(matrix: "BoundaryMatrix") -> int:
-    rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
-    for r, c, v in matrix.entries:
-        rows[r][c] += v
-    rank = 0
-    for c in range(matrix.cols):
-        piv = next((i for i in range(rank, matrix.rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][c]
-        for i in range(rank + 1, matrix.rows):
-            if rows[i][c]:
-                f = rows[i][c] / lead
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def whole_basis(p, wedge_degree, sym_degree, v_dim):
@@ -271,8 +251,8 @@ def test_tor_single_weight_matches_sweep_entry():
 
 
 def test_tor_sweep_total_matches_unrestricted():
-    # reference: middle homology of the unrestricted complex, ranked by the
-    # Fraction elimination above
+    # reference: middle homology of the unrestricted complex, ranked by
+    # test_homology's Fraction elimination
     for (p, q, n, d) in [(1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (1, 2, 2, 2)]:
         down = whole_map(p, q, n, d)
         up = whole_map(p + 1, q - 1, n, d)
@@ -333,9 +313,8 @@ def test_orbit_sweep_matches_every_composition():
 
 def test_schur_peel_matches_brute_force_character():
     for (p, q, n, d) in [(1, 2, 2, 2), (2, 1, 2, 2)]:
-        brute = WeightCharacter(n + 1, every_composition_weights(p, q, n, d))
         decomp = tor_schur_decomposition(p, q, d, n + 1)
-        assert reconstruct_character(decomp) == brute, (p, q, n, d)
+        assert reconstruct_character(decomp) == every_composition_weights(p, q, n, d), (p, q, n, d)
 
 
 def test_preconditions_rejected():
