@@ -8,7 +8,7 @@ only the form that --format names is rendered. `complex` has no CSV form,
 `bench` prints text only, and the CSV of `points` has no header row.
 Exit codes: 0 success, 1 for a mathematically negative verdict (a
 certified obstruction or a pipeline disagreement), 2 for usage,
-validation, capacity and file errors.
+validation, capacity (memory included) and file errors.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def cmd_cross_validate(args) -> int:
                             store_path=_store(args))
     _emit(args.format, report.to_json,
           lambda: ["b,tor,betti"]
-                  + [f"{_spaced(pr.coords)},{pr.tor},{pr.betti}" for pr in report.pairs],
+                  + [f"{_spaced(pr.coords)},{pr.tor},{pr.tor}" for pr in report.pairs],
           lambda: [f"{report.matches} matches, {report.mismatches} mismatches "
                    f"({report.compared} weights compared)"]
                   + [f"  b={coords}: both pipelines give {value}"
@@ -233,8 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     except MismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

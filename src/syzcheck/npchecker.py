@@ -13,37 +13,36 @@ Work is organised as one job per coordinate-permutation orbit of bound
 vectors: permuting the coordinates of b permutes the points of the
 configuration, so the divisor complexes of an orbit are isomorphic. The
 jobs of one (q, degree) block, for check_np and for cross_validate alike,
-run through one block runner, `_betti_block`, which certifies in this
-order. For check_np, first the regularity: the Veronese ring is
-Cohen-Macaulay with a-invariant -ceil((n + 1) / d) (Goto-Watanabe, On
-graded rings I, 1978), so its Castelnuovo-Mumford regularity is
-reg(n, d) = n + 1 - ceil((n + 1) / d) (Bruns-Herzog, Cohen-Macaulay
-Rings), Tor_q lives in degrees q + 1 .. q + reg, and a block of higher
-degree is a certified zero with no job and no vertex test. cross_validate
-computes every block, so that it stays a comparison of two pipelines.
-For check_np with n > q, next the stable step: Tor_q in one lattice
-degree is a GL(V)-module whose Young diagrams have at most q + 1 rows and
-do not depend on V (the row bound of "A result on resolutions of Veronese
+run through one block runner, `_betti_block`, which decides the block at
+n' = min(n, q) when its shortcuts are on, as check_np has them, and at
+n' = n otherwise, so that cross_validate computes every block at its own
+n and stays a comparison of two pipelines. Tor_q in one lattice degree is
+a GL(V)-module whose Young diagrams have at most q + 1 rows and do not
+depend on V (the row bound of "A result on resolutions of Veronese
 embeddings", arXiv math/0309102; see PAPER.md), so a block is zero at n
-exactly when it is zero at n' = q. The block is then decided at n': zero
-with no job above q + reg(q, d), otherwise by its balanced weight in
-q + 1 parts over veronese_points(q, d), vertex test first, then one job;
-a nonzero there sends the block straight to the loop over its
-representatives at n, below. The n' value is not stored: the store stays
-keyed by n. For the other blocks, the block's balanced weight, degree * d
-split into n + 1 parts that differ by at most 1. Tor_q in that degree is
-a GL(V)-module, so beta_{q,b} = sum over lambda of c_lambda K_{lambda,b},
-with c_lambda the multiplicity of the Schur module of shape lambda, and
-the Kostka number K_{lambda,b} is positive exactly when lambda dominates
-sort(b) (Macdonald, Symmetric Functions and Hall Polynomials, ch. I). Every
-partition with at most n + 1 parts dominates the balanced weight, so the
-block vanishes exactly when beta does there, and a zero there certifies
-every job of the block without building another face; a balanced weight
-over capacity ends its block before any other job runs. In a nonzero
-block, jobs coned by a vertex are zeros read off the point coordinates by
-one array pass (`vertex_cone_mask`), and never reach build_slice. Every
-other job (`_betti_job`) builds its slice and goes through
-`reduced_betti`: an element matching certifies nearly all of the
+exactly when it is zero at n'. With the shortcuts, the regularity comes
+first: the Veronese ring is Cohen-Macaulay with a-invariant
+-ceil((n + 1) / d) (Goto-Watanabe, On graded rings I, 1978), so its
+Castelnuovo-Mumford regularity is reg(n, d) = n + 1 - ceil((n + 1) / d)
+(Bruns-Herzog, Cohen-Macaulay Rings), Tor_q lives in degrees
+q + 1 .. q + reg, and a block above q + reg(n', d) is a certified zero
+with no job and no vertex test. Below that, the block's balanced weight
+over veronese_points(n', d), degree * d split into n' + 1 parts that
+differ by at most 1, decides it, vertex test first, then one job. Tor_q
+in that degree is a GL(V)-module, so beta_{q,b} = sum over lambda of
+c_lambda K_{lambda,b}, with c_lambda the multiplicity of the Schur module
+of shape lambda, and the Kostka number K_{lambda,b} is positive exactly
+when lambda dominates sort(b) (Macdonald, Symmetric Functions and Hall
+Polynomials, ch. I). Every partition with at most n' + 1 parts dominates
+the balanced weight, so the block vanishes exactly when beta does there,
+and a zero there certifies every job of the block without building
+another face; a balanced weight over capacity ends its block before any
+other job runs. A nonzero there sends the block to the loop over its
+representatives at n. The n' value is not stored: the store stays keyed
+by n. In a nonzero block, jobs coned by a vertex are zeros read off the
+point coordinates by one array pass (`vertex_cone_mask`), and never reach
+build_slice. Every other job (`_betti_job`) builds its slice and goes
+through `reduced_betti`: an element matching certifies nearly all of the
 remaining zeros, and the cascade and rank decide the rest, every nonzero
 included. Every job runs inline, so the witness is the first nonzero in
 the deterministic search order (q ascending, degree ascending, canonical
@@ -343,24 +342,23 @@ def _betti_job(coords: Vector, config: PointConfig, q: int) -> int:
 
 def _betti_block(config: PointConfig, reps: list[Vector], q: int,
                  store: ResultsStore | None, *,
-                 reg: int | None = None) -> tuple[list[int], int]:
+                 shortcuts: bool = False) -> tuple[list[int], int]:
     """Certified reduced homology ranks in dimension q - 1 of the orbit
     representatives reps, all of one lattice degree, in the order given,
     and how many of them came from the store.
 
-    The block is decided in the order that the module docstring argues.
-    Given reg, the configuration's regularity, a degree above q + reg is
-    zero with no job or vertex test. Given reg and n > q, that skip and the
-    balanced weight's test below run at n' = q instead, with regularity(q,
-    d) on veronese_points(q, d), and the n' value is not stored. Past the
-    skip, the balanced weight decides first, by its vertex test or one
-    `_betti_job`, never from the store, which holds a prefix of each block
-    and never its last representative alone: a 0 makes every representative
-    a certified zero. Otherwise each representative, in order, is read from
-    the store, is a zero when the vertex test cones it, or runs `_betti_job`
-    once. The new values, certified zeros included, go to the store in one
-    put, keyed by n. A job over capacity, the balanced weight's too, ends
-    the block, naming its multidegree.
+    The block is decided at n' = min(n, q) with shortcuts, else at n' = n,
+    in the order that the module docstring argues. With shortcuts, a degree
+    above q + regularity(n', d) is zero with no job or vertex test. Past
+    that, the balanced weight over veronese_points(n', d) decides first, by
+    its vertex test or one `_betti_job`, never from the store, which holds
+    a prefix of each block and never its last representative alone: a 0
+    makes every representative a certified zero. Otherwise each
+    representative, in order, is read from the store, is a zero when the
+    vertex test cones it, or runs `_betti_job` once. The new values,
+    certified zeros included, go to the store in one put, keyed by n. A job
+    over capacity, the balanced weight's too, ends the block, naming its
+    multidegree.
     """
     n, d = config.n, config.d
     cached = store.get(n, d, q - 1, reps) if store else {}
@@ -374,15 +372,13 @@ def _betti_block(config: PointConfig, reps: list[Vector], q: int,
             raise CapacityError(f"job at b={coords} (q={q}, degree {sum(coords) // d}) "
                                 f"exceeded capacity: {exc}") from None
 
-    decide_at = config
-    if reg is not None and n > q:
-        # Tor_q is zero at n exactly when it is zero at n' = q
-        decide_at, reg = veronese_points(q, d), regularity(q, d)
+    # Tor_q is zero at n exactly when it is zero at n' = min(n, q)
+    decide_at = veronese_points(min(n, q), d) if shortcuts else config
     try:
-        if todo and reg is not None and sum(todo[0]) // d > q + reg:
+        if todo and shortcuts and sum(todo[0]) // d > q + regularity(decide_at.n, d):
             new = dict.fromkeys(todo, 0)
         elif todo:
-            # a representative only when decide_at is config
+            # a representative only when n' = n
             top = balanced_weight(sum(todo[0]), decide_at.n + 1)
             top_value = job(top, vertex_cone_mask(decide_at, [top], q)[0], decide_at)
             if top_value == 0:
@@ -420,9 +416,9 @@ def _check_window(n: int, d: int, window: dict[int, range]) -> None:
 
 def check_np(query: NpQuery) -> NpVerdict:
     """Sweep the finite degree window and return the first certified
-    obstruction, or holds_up_to_bound with the exact ranges checked. Blocks
-    above q + regularity(n, d) are certified zeros that run no job, and a
-    block with n > q is decided at n' = q unless it is nonzero there. A
+    obstruction, or holds_up_to_bound with the exact ranges checked. Each
+    block is decided at n' = min(n, q), through `_betti_block`'s shortcuts:
+    above q + regularity(n', d) it is a certified zero that runs no job. A
     window that `_check_window` refuses raises its CapacityError before the
     points are listed or any job runs; so does a block whose balanced
     weight is over capacity."""
@@ -430,7 +426,6 @@ def check_np(query: NpQuery) -> NpVerdict:
     window = {q: range(q + 2, q + 3 + slack) for q in range(2, query.p + 1)}
     _check_window(query.n, query.d, window)
     config = veronese_points(query.n, query.d)
-    reg = regularity(query.n, query.d)
     store = ResultsStore(query.store_path) if query.store_path else None
 
     checked: dict[int, tuple[int, ...]] = {}
@@ -442,7 +437,7 @@ def check_np(query: NpQuery) -> NpVerdict:
     for q, deg in [(q, deg) for q, degrees in window.items() for deg in degrees]:
         checked.setdefault(q, tuple(window[q]))
         block = enumerate_multidegrees(config, deg)
-        values, reused = _betti_block(config, [m.coords for m in block], q, store, reg=reg)
+        values, reused = _betti_block(config, [m.coords for m in block], q, store, shortcuts=True)
         jobs_reused += reused
         jobs_total += len(block) - reused
         for m, value in zip(block, values):
@@ -467,7 +462,6 @@ def check_np(query: NpQuery) -> NpVerdict:
 class CrossPair:
     coords: Vector
     tor: int
-    betti: int
 
 
 @dataclass(eq=False)
@@ -477,6 +471,8 @@ class CrossValidationReport:
     p: int
     q: int
     pairs: list[CrossPair]
+    # cross_validate raises at the first disagreement, so a report has none
+    mismatches = 0
 
     @property
     def compared(self) -> int:
@@ -486,19 +482,16 @@ class CrossValidationReport:
     def matches(self) -> int:
         return len(self.matched_pairs())
 
-    @property
-    def mismatches(self) -> int:
-        return sum(1 for pr in self.pairs if pr.tor != pr.betti)
-
     def matched_pairs(self) -> list[tuple[Vector, int]]:
-        return [(pr.coords, pr.tor) for pr in self.pairs if pr.tor == pr.betti and pr.tor > 0]
+        return [(pr.coords, pr.tor) for pr in self.pairs if pr.tor > 0]
 
     def to_json(self) -> dict:
+        # "betti" repeats the agreed value, so that the document's bytes stay
         return {
             "n": self.n, "d": self.d, "p": self.p, "q": self.q,
             "compared": self.compared, "matches": self.matches,
             "mismatches": self.mismatches,
-            "pairs": [{"b": list(pr.coords), "tor": pr.tor, "betti": pr.betti}
+            "pairs": [{"b": list(pr.coords), "tor": pr.tor, "betti": pr.tor}
                       for pr in self.pairs],
         }
 
@@ -509,9 +502,9 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     p + q: the graded Tor dimension from the explicit contraction complex
     against the divisor-complex homology in dimension p - 1. One rank pair
     is computed per coordinate-permutation orbit and reported for every
-    member of the orbit. The homology side is one `_betti_block`, the same
-    path as a check_np block; any disagreement raises, naming the first
-    disagreeing multidegree. A block that `_check_window` finds too large
+    member of the orbit. The homology side is one `_betti_block`, the block
+    runner of check_np without its shortcuts; any disagreement raises,
+    naming the first disagreeing multidegree. A block that `_check_window` finds too large
     raises its CapacityError before the points are listed or any job runs."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
@@ -529,5 +522,5 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
             raise MismatchError(
                 f"pipelines disagree at b={coords}: tor={tor}, homology={betti}")
         for member in orbit_expansion(coords):
-            pairs.append(CrossPair(coords=member, tor=tor, betti=betti))
+            pairs.append(CrossPair(coords=member, tor=tor))
     return CrossValidationReport(n=n, d=d, p=p, q=q, pairs=pairs)

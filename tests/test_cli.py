@@ -409,6 +409,19 @@ def test_cross_validate_disagreement_exits_1(capsys, monkeypatch):
     assert err.startswith("mismatch: pipelines disagree at b=")
 
 
+def test_running_out_of_memory_exits_2(capsys, monkeypatch):
+    # exit 1 is kept for negative verdicts: a job whose arrays do not fit
+    # in memory is a capacity error, with numpy's text or a fixed one
+    for message, shown in (("Unable to allocate 583. MiB", "Unable to allocate 583. MiB"),
+                           ("", "out of memory")):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("syzcheck.npchecker.build_slice", out_of_memory)
+        code, out, err = run(capsys, "check-np", "-n", "2", "-d", "3", "-p", "7")
+        assert (code, out, err) == (2, "", f"capacity error: {shown}\n")
+
+
 def test_store_env_and_flag(capsys, tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     flag_dir = tmp_path / "from-flag"

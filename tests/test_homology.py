@@ -101,7 +101,7 @@ def test_rank_mod_p_rejects_bad_modulus():
             rank_mod_p(bm, bad)
 
 
-def test_rank_mod_p_rejects_wide_prime_before_trial_division(monkeypatch):
+def test_rank_mod_p_refuses_another_prime_before_reading_the_matrix(monkeypatch):
     # refused before the matrix is read: no row is built, no pivot taken
     def no_work(*args):
         raise AssertionError("rank_mod_p worked on a refused modulus")

@@ -450,7 +450,7 @@ def exact_weights(p, q, n, d):
     return weights
 
 
-def test_exact_strategy_agrees_with_modular_first():
+def test_tor_dimension_matches_whole_map_ranks_on_every_weight():
     # tor_dimension, which ranks each map once on the rows the other leaves
     # unpivoted, against exact ranks of both whole maps on every weight
     expected = exact_weights(1, 1, 1, 2)
