@@ -116,7 +116,11 @@ class BoundaryMatrix:
     """Sparse matrix with entries in {+1, -1}, triplet storage.
 
     Also reused as the container for any signed sparse matrix fed to the
-    rank engines (Koszul differentials have the same shape of data).
+    rank engines (Koszul differentials have the same shape of data). A
+    block-diagonal matrix names its blocks by `ends`, the ascending ends of
+    their rows and of their columns: block k holds rows ends[0][k-1] to
+    ends[0][k] - 1 (from row 0 for k = 0), and likewise columns, and no
+    entry lies outside the blocks. None is one block.
     """
 
     rows: int
@@ -124,6 +128,7 @@ class BoundaryMatrix:
     row_idx: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    ends: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def entries(self) -> list[tuple[int, int, int]]:

@@ -12,8 +12,13 @@ ranked only on the rows the outgoing one leaves unpivoted
 Odlyzko, 1991): the exact rank takes the +-1 entries first, over Z, and
 then ranks whatever is left without a unit pivot by rational elimination
 in the same sparse rows; over F_p (`rank_mod_p`, which no certificate
-calls) every entry is a pivot candidate. Callers certify most coned
-slices before any face is built (`complexes.vertex_cone_mask`).
+calls) every entry is a pivot candidate. Before the loop the exact rank
+runs a deletion-only pre-pass in numpy rounds (`_peel`): an entry alone
+in its row or column is a pivot with no arithmetic and no fill, so its
+row and column go. A block-diagonal matrix, a batch of Koszul weights,
+is peeled as a whole, and what is left of each block goes through the
+loop on its own, under the cell cap of one block. Callers certify most
+coned slices before any face is built (`complexes.vertex_cone_mask`).
 
 The element matching walks the local vertices by ascending largest
 coordinate of their points, ties by index, and, at vertex v, pairs every
@@ -209,22 +214,72 @@ def rank_mod_p(m: BoundaryMatrix, p: int) -> RankResult:
     return RankResult(tuple(pivots))
 
 
+def _peel(m: BoundaryMatrix) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Pivots that need no arithmetic, taken in numpy rounds: the pivot
+    columns, then the rows, columns and values of the triplets left. Zero triplets are dropped. Each round
+    then pivots on every triplet alone in its column, one per row, and on
+    every triplet alone in its row, one per column, and deletes their rows
+    and columns. Such a pivot fills nothing in: the other entries of its
+    row (or column) are zero, so its Schur complement is the submatrix
+    left, and the pivots of a round are a valid sequence, since no two of
+    them share a row or a column. Two triplets at one position count twice
+    in their row and column, so they are never a pivot, and _sparse_rows
+    sums whatever is left. Rounds repeat until one finds no pivot, at most
+    bit_length(entries) of them, so that a chain of singletons costs what a
+    sort does; _eliminate, which takes the sparsest column first, takes the
+    rest of a longer chain."""
+    keep = m.values != 0
+    r, c, values = m.row_idx[keep], m.col_idx[keep], m.values[keep]
+    pivots = []
+    owner = np.empty(max(m.rows, m.cols), dtype=np.intp)
+    for _ in range(r.size.bit_length()):
+        alone_c = np.flatnonzero(np.bincount(c, minlength=m.cols)[c] == 1)
+        alone_r = np.flatnonzero(np.bincount(r, minlength=m.rows)[r] == 1)
+        if not (alone_c.size or alone_r.size):
+            break
+        # one of each group by the last write to its row, then its column
+        pivot = np.zeros(r.size, dtype=bool)
+        owner[r[alone_c]] = alone_c
+        pivot[owner[r[alone_c]]] = True
+        owner[c[alone_r]] = alone_r
+        pivot[owner[c[alone_r]]] = True
+        pivots += c[pivot].tolist()
+        dead_r = np.zeros(m.rows, dtype=bool)
+        dead_r[r[pivot]] = True
+        dead_c = np.zeros(m.cols, dtype=bool)
+        dead_c[c[pivot]] = True
+        keep = ~(dead_r[r] | dead_c[c])
+        r, c, values = r[keep], c[keep], values[keep]
+    return pivots, r, c, values
+
+
 def rank_exact(m: BoundaryMatrix) -> RankResult:
-    """Rank over Q: _eliminate on +-1 pivots (a unit is its own inverse, so
-    every entry stays an integer), then _eliminate over Q on the unit-free
+    """Rank over Q. `_peel` takes the pivots that need no arithmetic; what
+    it leaves of each diagonal block (`BoundaryMatrix.ends`) then goes
+    through _eliminate on its own: on +-1 pivots (a unit is its own
+    inverse, so every entry stays an integer), then over Q on the unit-free
     residual those pivots leave, in the same sparse rows. The rows x cols
-    cap, EXACT_CELL_CAP read at each call, is tested on that residual
-    before any rational work: it bounds the fill of the rational pass."""
-    rows_d, col_rows = _sparse_rows(m, int)  # int keeps each sum as it is
-    pivots = _eliminate(rows_d, col_rows, {1: 1, -1: -1}.get, int)
-    if len(rows_d) * len(col_rows) > EXACT_CELL_CAP:
-        raise CapacityError(f"{len(rows_d)}x{len(col_rows)} residual exceeds the "
-                            f"exact-rank cap of {EXACT_CELL_CAP} cells")
-    if rows_d:
-        # imported here: fractions pulls in decimal, and no workload's
-        # divisor complex or Koszul map leaves a residual
-        from fractions import Fraction
-        pivots += _eliminate(rows_d, col_rows, lambda u: 1 / Fraction(u), Fraction)
+    cap, EXACT_CELL_CAP read at each call, is tested on each block's
+    residual before any rational work: it bounds the fill of that block's
+    rational pass."""
+    pivots, rows, cols, values = _peel(m)
+    if rows.size:
+        block = (np.zeros_like(rows) if m.ends is None
+                 else np.searchsorted(m.ends[0], rows, side="right"))
+        order = np.argsort(block, kind="stable")
+        cuts = np.flatnonzero(np.diff(block[order])) + 1
+        for at in np.split(order, cuts):
+            rows_d, col_rows = _sparse_rows(
+                BoundaryMatrix(m.rows, m.cols, rows[at], cols[at], values[at]), int)
+            pivots += _eliminate(rows_d, col_rows, {1: 1, -1: -1}.get, int)
+            if len(rows_d) * len(col_rows) > EXACT_CELL_CAP:
+                raise CapacityError(f"{len(rows_d)}x{len(col_rows)} residual exceeds the "
+                                    f"exact-rank cap of {EXACT_CELL_CAP} cells")
+            if rows_d:
+                # imported here: fractions pulls in decimal, and no workload's
+                # divisor complex or Koszul map leaves a residual
+                from fractions import Fraction
+                pivots += _eliminate(rows_d, col_rows, lambda u: 1 / Fraction(u), Fraction)
     return RankResult(tuple(pivots))
 
 
@@ -334,8 +389,11 @@ def _matching_certifies_zero(slice_: ComplexSlice, j: int) -> bool:
     return False
 
 
-def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, rank=None) -> int:
-    """dim ker(out_map) - rank(in_map), exact over Q.
+def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix,
+                    rank=None) -> int | list[int]:
+    """dim ker(out_map) - rank(in_map), exact over Q; for block-diagonal
+    maps (`BoundaryMatrix.ends`, out_map's column blocks being in_map's row
+    blocks), one such value per block, as a list.
 
     The rank certificate of both pipelines: each map is ranked once,
     exactly, so a zero is as exact as a nonzero. rank is the rank function
@@ -352,11 +410,23 @@ def middle_homology(out_map: BoundaryMatrix, in_map: BoundaryMatrix, rank=None) 
     free[list(out.pivot_cols)] = False
     keep = free[in_map.row_idx]
     rest = BoundaryMatrix(in_map.rows, in_map.cols, in_map.row_idx[keep],
-                          in_map.col_idx[keep], in_map.values[keep])
-    val = out_map.cols - out.rank - rank(rest).rank
-    if val < 0:
+                          in_map.col_idx[keep], in_map.values[keep], in_map.ends)
+    ranked = rank(rest)
+    if out_map.ends is None:
+        val = out_map.cols - out.rank - ranked.rank
+        if val < 0:
+            raise RuntimeError("negative homology rank")
+        return val
+    # each pivot column counts in its own block
+    mid, cols = out_map.ends[1], in_map.ends[1]
+    vals = (mid - np.concatenate(([0], mid[:-1]))
+            - np.bincount(np.searchsorted(mid, out.pivot_cols, side="right"),
+                          minlength=mid.size)
+            - np.bincount(np.searchsorted(cols, ranked.pivot_cols, side="right"),
+                          minlength=mid.size))
+    if (vals < 0).any():
         raise RuntimeError("negative homology rank")
-    return val
+    return vals.tolist()
 
 
 def reduced_betti(slice_: ComplexSlice, j: int) -> BettiNumber:

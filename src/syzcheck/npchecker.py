@@ -502,9 +502,11 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     p + q: the graded Tor dimension from the explicit contraction complex
     against the divisor-complex homology in dimension p - 1. One rank pair
     is computed per coordinate-permutation orbit and reported for every
-    member of the orbit. The homology side is one `_betti_block`, the block
-    runner of check_np without its shortcuts; any disagreement raises,
-    naming the first disagreeing multidegree. A block that `_check_window` finds too large
+    member of the orbit. The Koszul side is one `tor_dimension` sweep of
+    the piece, whose dominant weights are the representatives; the
+    homology side is one `_betti_block`, the block runner of check_np
+    without its shortcuts. Any disagreement raises, naming the first
+    disagreeing multidegree. A block that `_check_window` finds too large
     raises its CapacityError before the points are listed or any job runs."""
     if p < 1 or q < 1:
         raise ValueError("need p >= 1 and q >= 1")
@@ -516,8 +518,10 @@ def cross_validate(n: int, d: int, p: int, q: int, *,
     pairs: list[CrossPair] = []
     reps = [m.coords for m in enumerate_multidegrees(config, p + q)]
     bettis, _ = _betti_block(config, reps, p, store)
+    # the representatives are the sweep's dominant weights
+    swept = tor_dimension(p, q, n, d).weights
     for coords, betti in zip(reps, bettis):
-        tor = tor_dimension(p, q, n, d, weight=coords).total_dim
+        tor = swept.get(coords, 0)
         if tor != betti:
             raise MismatchError(
                 f"pipelines disagree at b={coords}: tor={tor}, homology={betti}")

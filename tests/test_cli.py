@@ -13,6 +13,7 @@ import pytest
 
 from syzcheck.cli import build_parser, main
 from syzcheck.koszul import TorSlice, tor_dimension
+from syzcheck.lattice import compositions
 
 
 def run(capsys, *argv):
@@ -276,20 +277,23 @@ def test_check_np_refuses_an_unenumerable_window_at_once():
 
 
 def run_timed(*argv):
-    # exit code, stdout and stderr of the command in a fresh interpreter, and
-    # the seconds its main() took, which it writes as the last stderr line
+    # exit code, stdout and stderr of the command in a fresh interpreter, the
+    # seconds its main() took and the interpreter's peak RSS in MiB, which it
+    # writes as the last stderr line
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", "import sys, time; from syzcheck.cli "
+    proc = subprocess.run([sys.executable, "-c", "import resource, sys, time; from syzcheck.cli "
                            "import main; start = time.perf_counter(); "
                            "code = main(sys.argv[1:]); print(time.perf_counter() - start, "
+                           "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "
                            "file=sys.stderr); sys.exit(code)", *argv],
                           env=env, capture_output=True, text=True, timeout=20)
-    stderr, _, seconds = proc.stderr.rstrip("\n").rpartition("\n")
-    return proc.returncode, proc.stdout, stderr, float(seconds)
+    stderr, _, last = proc.stderr.rstrip("\n").rpartition("\n")
+    seconds, peak = map(float, last.split())
+    return proc.returncode, proc.stdout, stderr, seconds, peak
 
 
 def assert_window_refused_within_a_second(*argv):
-    code, out, err, seconds = run_timed(*argv)
+    code, out, err, seconds, _ = run_timed(*argv)
     assert code == 2 and out == "", argv
     assert err.startswith("capacity error: window of q = 2"), err
     assert "orbit representatives" in err
@@ -356,11 +360,22 @@ def test_a_wedge_power_above_the_monomial_count_is_zero_within_a_second():
     # and without -b, with no walk over the partitions of (p + q) d
     for p, weight in [(10_000_000, ["-b", "5000000,5000001"]),
                       (1_000_000_000, ["-b", "500000000,500000001"]), (100_000_000, [])]:
-        code, out, _, seconds = run_timed("koszul", "-n", "1", "-d", "1", "-p", str(p),
-                                          "-q", "1", *weight)
+        code, out, _, seconds, _ = run_timed("koszul", "-n", "1", "-d", "1", "-p", str(p),
+                                             "-q", "1", *weight)
         assert code == 0, p
         assert out == f"graded piece (p={p}, q=1): total_dim 0\n"
         assert seconds < 1.0, p
+
+
+def test_a_sweep_of_half_a_million_weights_answers_in_bounded_batches():
+    # wedge^1 of the two linear forms against Sym^999998: 500,000 dominant
+    # weights, each with a middle term of at most 2 elements, ranked in
+    # batches whose fit tables hold at most DEFAULT_BASIS_GUARD subsets.
+    # About 1.5 s at a 350 MiB peak on a 2 vCPU host
+    code, out, _, seconds, peak = run_timed("koszul", "-n", "1", "-d", "1", "-p", "1",
+                                            "-q", "999998")
+    assert (code, out) == (0, "graded piece (p=1, q=999998): total_dim 0\n")
+    assert seconds < 10.0 and peak < 512, (seconds, peak)
 
 
 def test_koszul_short_weight_names_its_length(capsys):
@@ -400,8 +415,10 @@ def test_cross_validate_command(capsys):
 def test_cross_validate_disagreement_exits_1(capsys, monkeypatch):
     # a pipeline disagreement is a negative verdict: exit 1, as README says
     def disagreeing(p, q, n, d, weight=None):
+        # one more than the real value at every weight of the piece
         real = tor_dimension(p, q, n, d, weight=weight)
-        return TorSlice(p=p, q=q, total_dim=real.total_dim + 1, weights={})
+        weights = {b: real.weights.get(b, 0) + 1 for b in compositions((p + q) * d, n + 1)}
+        return TorSlice(p=p, q=q, total_dim=sum(weights.values()), weights=weights)
 
     monkeypatch.setattr("syzcheck.npchecker.tor_dimension", disagreeing)
     code, out, err = run(capsys, "cross-validate", "-n", "1", "-d", "2", "-p", "1", "-q", "1")

@@ -9,6 +9,7 @@ import pytest
 
 from syzcheck import homology
 from syzcheck.complexes import (
+    BoundaryMatrix,
     ComplexSlice,
     boundary_matrix,
     build_slice,
@@ -135,8 +136,9 @@ def test_rank_exact_examples():
 
 
 def test_rank_exact_capacity_guard(monkeypatch):
-    # no unit pivot: the whole 1 x 30 row is the residual, 30 cells > 10
-    wide = make_matrix(1, 30, [(0, c, 2) for c in range(30)])
+    # no unit pivot and no entry alone in its row or column: the whole
+    # 2 x 30 matrix is the residual, 60 cells > 10
+    wide = make_matrix(2, 30, [(r, c, 2) for r in range(2) for c in range(30)])
     monkeypatch.setattr(homology, "EXACT_CELL_CAP", 10)
     with pytest.raises(CapacityError):
         rank_exact(wide)
@@ -169,23 +171,26 @@ def test_rank_exact_cell_cap_bounds_memory(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**20
 
-    # a unit-free 4000 x 4000 residual (a row and a column of 2s) is refused
-    # before the rational pass starts
+    # a unit-free 4000 x 4000 residual (two rows and two columns of 2s, so
+    # that no entry is alone in its row or column) is refused before the
+    # rational pass starts
     seen = rational_residuals(monkeypatch)
-    cross = make_matrix(4000, 4000, [(0, c, 2) for c in range(4000)]
-                        + [(r, 0, 2) for r in range(1, 4000)])
+    cross = make_matrix(4000, 4000, [(r, c, 2) for r in range(2) for c in range(4000)]
+                        + [(r, c, 2) for r in range(2, 4000) for c in range(2)])
     with pytest.raises(CapacityError):
         rank_exact(cross)
     assert seen == []
 
 
 def test_rank_exact_sparse_residual_stays_sparse():
-    # a unit-free 300 x 300 diagonal of 2s is inside the cell cap; the
+    # a unit-free 300 x 300 diagonal of 2 x 2 blocks [[2, 2], [2, -2]] is
+    # inside the cell cap and has no entry alone in its row or column; the
     # rational pass ranks it in its sparse rows, while dense rows would
-    # hold 300 * 300 cells, 8 bytes each: 2400 bytes per entry
+    # hold 300 * 300 cells, 8 bytes each: 1200 bytes per entry
     n = 300
     assert n * n <= homology.EXACT_CELL_CAP
-    diagonal = make_matrix(n, n, [(i, i, 2) for i in range(n)])
+    diagonal = make_matrix(n, n, [(i + a, i + b, -2 if a == b == 1 else 2)
+                                  for i in range(0, n, 2) for a in (0, 1) for b in (0, 1)])
     tracemalloc.start()
     try:
         assert rank_exact(diagonal).rank == n
@@ -237,10 +242,11 @@ def test_rank_exact_sums_duplicate_triplets():
 
 def test_rank_exact_residual_goes_to_the_rational_pass(monkeypatch):
     seen = rational_residuals(monkeypatch)
-    # no unit anywhere: the rational pass gets the whole matrix
-    no_unit = make_matrix(2, 3, [(0, 0, 2), (0, 1, 4), (1, 1, -3), (1, 2, 6)])
+    # no unit anywhere, and no entry alone in its row or column: the
+    # rational pass gets the whole matrix
+    no_unit = make_matrix(2, 2, [(0, 0, 2), (0, 1, 4), (1, 0, -3), (1, 1, 6)])
     assert rank_exact(no_unit).rank == fraction_rank(no_unit) == 2
-    assert seen == [{0: {0: 2, 1: 4}, 1: {1: -3, 2: 6}}]
+    assert seen == [{0: {0: 2, 1: 4}, 1: {0: -3, 1: 6}}]
     # the unit pivot at (0, 0) fills (1, 1) with -1 - 1 = -2, no unit
     seen.clear()
     fill = make_matrix(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
@@ -250,6 +256,65 @@ def test_rank_exact_residual_goes_to_the_rational_pass(monkeypatch):
     seen.clear()
     assert rank_exact(hollow_triangle_matrix()).rank == 2
     assert seen == []
+
+
+def test_peel_then_loop_matches_fraction_rank(monkeypatch):
+    # seeded matrices with duplicate triplets (one pair cancelling), explicit
+    # zeros, a non-unit entry alone in its row and column and an empty row,
+    # against naive dense rational elimination; the pivot columns are
+    # distinct and have full rank in the matrix, as middle_homology needs
+    peeled = []
+    peel = homology._peel
+
+    def spy(m):
+        found = peel(m)
+        peeled.append(len(found[0]))
+        return found
+
+    monkeypatch.setattr(homology, "_peel", spy)
+    rng = np.random.default_rng(20261022)
+    for trial in range(80):
+        rows, cols = (int(x) for x in rng.integers(1, 11, size=2))
+        bm = random_integer_matrix(rng, rows, cols, int(rng.integers(0, rows * cols // 2 + 3)),
+                                   (1, -1, 2, -3, 0, 5) if trial % 2 else (2, -2, 3, 0))
+        triplets = bm.entries + [(rows, cols, 7), (0, 0, 0)]
+        if triplets[:-2]:
+            r, c, v = triplets[0]
+            triplets += [(r, c, 4), (r, c, -4)]
+        bm = make_matrix(rows + 2, cols + 1, triplets)
+        result = rank_exact(bm)
+        assert result.rank == fraction_rank(bm), trial
+        pivots = list(result.pivot_cols)
+        assert len(set(pivots)) == len(pivots) and cols in pivots, trial
+        on_pivots = [(r, pivots.index(c), v) for r, c, v in triplets if c in pivots]
+        assert fraction_rank(make_matrix(rows + 2, len(pivots), on_pivots)) == len(pivots)
+    assert sum(peeled) > 80
+
+
+def test_the_cell_cap_holds_per_block(monkeypatch):
+    # 2 x 30 and 2 x 40 blocks of 2s leave unit-free residuals of 60 and 80
+    # cells, each under a cap of 100, though 4 x 70 = 280 cells together:
+    # each block goes through the loop on its own. A 3 x 40 block, 120
+    # cells, raises the one text of the cap
+    monkeypatch.setattr(homology, "EXACT_CELL_CAP", 100)
+
+    def blocks(*shapes):
+        triplets, at = [], [0, 0]
+        for h, w in shapes:
+            triplets += [(at[0] + r, at[1] + c, 2) for r in range(h) for c in range(w)]
+            at = [at[0] + h, at[1] + w]
+        m = make_matrix(at[0], at[1], triplets)
+        ends = (np.cumsum([h for h, _ in shapes]), np.cumsum([w for _, w in shapes]))
+        return m, BoundaryMatrix(m.rows, m.cols, m.row_idx, m.col_idx, m.values, ends)
+
+    whole, split = blocks((2, 30), (2, 40))
+    assert rank_exact(split).rank == fraction_rank(split) == 2
+    with pytest.raises(CapacityError, match="^4x70 residual exceeds the exact-rank cap of 100 "
+                                            "cells$"):
+        rank_exact(whole)
+    with pytest.raises(CapacityError, match="^3x40 residual exceeds the exact-rank cap of 100 "
+                                            "cells$"):
+        rank_exact(blocks((2, 30), (3, 40))[1])
 
 
 def test_random_sparse_ranks_agree_across_primes():
@@ -527,10 +592,12 @@ def check_middle_homology(out_map, in_map, calls) -> tuple[int, int]:
     """middle_homology against Fraction ranks of the two full matrices.
     It ranks out_map once, then in_map once, with the same shape but
     without its entries in rows at out_map's pivot columns. Returns the
-    value and whether an entry was dropped that way."""
+    value, a list of one per block for block-diagonal maps, and whether an
+    entry was dropped that way."""
     calls.clear()
     value = middle_homology(out_map, in_map)
-    assert value == out_map.cols - fraction_rank(out_map) - fraction_rank(in_map)
+    total = value if out_map.ends is None else sum(value)
+    assert total == out_map.cols - fraction_rank(out_map) - fraction_rank(in_map)
     assert len(calls) == 2
     (out_m, out_r), (in_m, _) = calls
     assert out_m is out_map

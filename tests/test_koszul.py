@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from syzcheck import koszul, lattice
 from syzcheck.complexes import build_slice, make_matrix
@@ -52,6 +53,11 @@ def whole_map(p, q, n, d):
     return make_matrix(len(cod), len(dom), triplets)
 
 
+def weight_space(p, degree, b):
+    # the rows of _wedge_table that fit under b: a batch of one weight
+    return koszul._weight_spaces(p, degree, len(b), np.asarray([b], dtype=np.int64).tobytes())[2]
+
+
 def test_monomial_basis_counts_and_order():
     for v_dim in (1, 2, 3, 4):
         for deg in (0, 1, 2, 3):
@@ -75,14 +81,14 @@ def test_wedge_tensor_basis_size():
 
 def test_weighted_bases_pair_each_subset_with_its_exponent():
     # within weight b the symmetric factor of subset S is b - sum(S), which
-    # is nonnegative exactly on the rows of _weight_space: the weight spaces
+    # is nonnegative exactly on the rows of _weight_spaces: the weight spaces
     # split the full basis
     for p, wedge_degree, sym_degree, v_dim in ((0, 2, 3, 2), (1, 1, 2, 3), (2, 2, 2, 2),
                                                (2, 1, 3, 3), (3, 2, 1, 3)):
         idx, sums, _ = koszul._wedge_table(p, wedge_degree, v_dim)
         seen = []
         for b in compositions(p * wedge_degree + sym_degree, v_dim):
-            rows = koszul._weight_space(p, wedge_degree, b)
+            rows = weight_space(p, wedge_degree, b)
             rem = np.asarray(b)[:, None] - sums[:, rows]
             assert (rem >= 0).all()
             seen += zip(map(tuple, idx[rows].tolist()), map(tuple, rem.T.tolist()))
@@ -108,7 +114,7 @@ def test_wedge_table_ranks_each_subset_to_its_row():
     assert idx.shape == (0, 4) and sums.shape == (3, 0)
     assert lex.shape == (4, 3) and not lex.any()
     for p, b, shape in ((4, (2, 2, 1), (1, 0)), (5, (2, 2, 2), (0, 0))):
-        down = koszul_map(p, 1, 2, 1, b)
+        down = koszul_map(p, 1, 2, 1, [b])
         assert (down.rows, down.cols) == shape and down.entries == []
 
 
@@ -133,7 +139,7 @@ def test_weight_restriction_partitions_bases():
     full = whole_map(p, q, n, d)
     col_total = row_total = 0
     for b in compositions((p + q) * d, n + 1):
-        part = koszul_map(p, q, n, d, b)
+        part = koszul_map(p, q, n, d, [b])
         col_total += part.cols
         row_total += part.rows
     assert col_total == full.cols
@@ -174,13 +180,13 @@ def test_weighted_maps_restrict_the_full_map():
         for b in compositions((p + q) * d, v_dim):
             rows = [i for i, w in enumerate(cod) if w == b]
             cols = [i for i, w in enumerate(dom) if w == b]
-            down = koszul_map(p, q, n, d, b)
+            down = koszul_map(p, q, n, d, [b])
             assert (down.rows, down.cols) == (len(rows), len(cols)), (n, d, p, q, b)
             assert (csr(down).toarray() == full[rows][:, cols]).all(), (n, d, p, q, b)
             assert p > 1 or down.rows == 1
             empty += not down.cols
             if q >= 1:
-                up = koszul_map(p + 1, q - 1, n, d, b)
+                up = koszul_map(p + 1, q - 1, n, d, [b])
                 assert up.rows == down.cols
                 assert abs(csr(down) @ csr(up)).sum() == 0, (n, d, p, q, b)
     assert empty > 0
@@ -190,16 +196,94 @@ def test_weighted_maps_restrict_the_full_map():
     p, q, n, d, b = 19, 1, 3, 3, (15, 15, 15, 15)
 
     def space(k):
-        rows = koszul._weight_space(k, d, b)
+        rows = weight_space(k, d, b)
         return [tuple(s) for s in koszul._wedge_table(k, d, n + 1)[0][rows]]
 
     dom = space(p)
     row_of = {w: i for i, w in enumerate(space(p - 1))}
     expected = [(row_of[w[:i] + w[i + 1:]], col, (-1) ** i)
                 for col, w in enumerate(dom) for i in range(p)]
-    down = koszul_map(p, q, n, d, b)
+    down = koszul_map(p, q, n, d, [b])
     assert (down.rows, down.cols) == (len(row_of), len(dom)) == (190, 20)
     assert down.entries == expected
+
+
+def test_a_map_over_weights_is_the_block_diagonal_of_its_one_weight_maps():
+    # one block per weight, in the order given, with its rows and columns
+    # where the blocks before it end; weights without a middle element
+    # give empty blocks
+    empty = 0
+    cases = [((p, q, n, d), list(compositions((p + q) * d, n + 1))[::-1])
+             for p, q, n, d in ((1, 1, 1, 2), (2, 1, 2, 2), (2, 2, 1, 3), (3, 1, 2, 2))]
+    # near the top of the wedge of the 20 cubics in four variables
+    cases.append(((19, 1, 3, 3), [(15, 15, 15, 15), (60, 0, 0, 0), (16, 15, 15, 14)]))
+    for (p, q, n, d), weights in cases:
+        whole = koszul_map(p, q, n, d, weights)
+        parts = [koszul_map(p, q, n, d, [b]) for b in weights]
+        assert whole.ends[0].tolist() == np.cumsum([m.rows for m in parts]).tolist()
+        assert whole.ends[1].tolist() == np.cumsum([m.cols for m in parts]).tolist()
+        empty += sum(not m.cols for m in parts)
+        expected = sp.block_diag([csr(m) for m in parts], format="csr")
+        assert expected.shape == (whole.rows, whole.cols)
+        assert abs(csr(whole) - expected).sum() == 0, (p, q, n, d)
+        assert whole.nnz == sum(m.nnz for m in parts)
+    assert empty > 0
+
+
+# (p, q, n, d): pieces whose weights rank the down map first at some
+# weights and the dual complex at others
+BOTH_ORDERS = [(1, 1, 1, 2), (1, 2, 2, 2), (2, 2, 2, 2), (1, 1, 2, 3), (2, 2, 1, 3), (2, 1, 2, 2)]
+
+
+def whole_map_values(p, q, n, d):
+    """Per dominant weight b: the middle homology of the whole maps' rows
+    and columns of weight b, by Fraction ranks, and whether the up map has
+    fewer entries there than the down map."""
+    v_dim = n + 1
+    down = csr(whole_map(p, q, n, d)).toarray()
+    up = csr(whole_map(p + 1, q - 1, n, d)).toarray()
+    cod, mid, top = ([weight_of(x, d, v_dim) for x in whole_basis(k, d, (p + q - k) * d, v_dim)]
+                     for k in (p - 1, p, p + 1))
+
+    def rank(a):
+        return fraction_rank(make_matrix(*a.shape, [(i, j, int(a[i, j]))
+                                                    for i, j in zip(*a.nonzero())]))
+
+    values, dual = {}, set()
+    for b in partitions_into((p + q) * d, v_dim):
+        at = [[i for i, w in enumerate(space) if w == b] for space in (cod, mid, top)]
+        values[b] = len(at[1]) - rank(down[at[0]][:, at[1]]) - rank(up[at[1]][:, at[2]])
+        if at[1] and (p + 1) * len(at[2]) < p * len(at[1]):
+            dual.add(b)
+    return values, dual
+
+
+def test_batched_sweep_matches_whole_map_ranks_on_every_weight(monkeypatch):
+    # with the guard lowered so that each sweep is cut into batches of two
+    # weights, every dominant value equals the whole maps' ranks at that
+    # weight, for weights of both rank orders
+    maps = []
+    real = koszul.koszul_map
+
+    def counting(p, q, n, d, weights):
+        maps.append(len(weights))
+        return real(p, q, n, d, weights)
+
+    monkeypatch.setattr(koszul, "koszul_map", counting)
+    expected = {piece: whole_map_values(*piece) for piece in BOTH_ORDERS}
+    orders = set()
+    for (p, q, n, d), (values, dual) in expected.items():
+        orders.update(b in dual for b in values)
+        m = len(monomial_basis(d, n + 1))
+        monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD",
+                            max(2 * max(comb(m, k) for k in (p - 1, p, p + 1)),
+                                lattice.composition_count((q + 1) * d, n + 1)))
+        maps.clear()
+        swept = tor_dimension(p, q, n, d)
+        assert {b: v for b, v in swept.weights.items() if list(b) == sorted(b, reverse=True)} \
+            == {b: v for b, v in values.items() if v}, (p, q, n, d)
+        assert len(maps) > 2 and max(maps) <= 2, (p, q, n, d)
+    assert orders == {True, False}
 
 
 def test_restricted_rank_matches_brute_force_on_koszul_weights(monkeypatch):
@@ -213,9 +297,9 @@ def test_restricted_rank_matches_brute_force_on_koszul_weights(monkeypatch):
             for p in (1, 2, 3):
                 for q in (1, 2):
                     for b in compositions((p + q) * d, n + 1):
-                        down = koszul_map(p, q, n, d, b)
-                        up = koszul_map(p + 1, q - 1, n, d, b)
-                        value, drops = check_middle_homology(down, up, calls)
+                        down = koszul_map(p, q, n, d, [b])
+                        up = koszul_map(p + 1, q - 1, n, d, [b])
+                        (value,), drops = check_middle_homology(down, up, calls)
                         assert tor_dimension(p, q, n, d, weight=b).total_dim == value
                         dropped += drops
     assert dropped > 0
@@ -319,29 +403,29 @@ def test_schur_peel_matches_brute_force_character():
 
 def test_preconditions_rejected():
     with pytest.raises(ValueError):
-        koszul_map(0, 1, 1, 2, (3,))
+        koszul_map(0, 1, 1, 2, [(3,)])
     with pytest.raises(ValueError):
-        koszul_map(1, -1, 1, 2, (0, 0))
+        koszul_map(1, -1, 1, 2, [(0, 0)])
     with pytest.raises(ValueError):
         tor_dimension(0, 1, 1, 2)
     with pytest.raises(ValueError):
         tor_dimension(1, 0, 1, 2)
     with pytest.raises(ValueError):
-        koszul_map(1, 1, 1, 2, (3, 2))
+        koszul_map(1, 1, 1, 2, [(3, 2)])
     with pytest.raises(ValueError):
-        koszul_map(1, 1, 1, 2, (5, -1))
+        koszul_map(1, 1, 1, 2, [(5, -1)])
     with pytest.raises(ValueError, match="wrong length"):
-        koszul_map(1, 1, 1, 2, (4,))
+        koszul_map(1, 1, 1, 2, [(4,)])
 
 
 def test_basis_guard_trips(monkeypatch):
     # the 55 monomials of Sym^9 in three variables, the codomain's symmetric
     # factor, are over guard 50, though the map's weight spaces were cached
     # under the default guard first; the sweep reaches that map too
-    koszul_map(2, 2, 2, 3, (4, 4, 4))
+    koszul_map(2, 2, 2, 3, [(4, 4, 4)])
     monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 50)
     with pytest.raises(CapacityError, match=r"^Sym\^9 of C\^3 exceeds guard 50$"):
-        koszul_map(2, 2, 2, 3, (4, 4, 4))
+        koszul_map(2, 2, 2, 3, [(4, 4, 4)])
     with pytest.raises(CapacityError, match=r"^Sym\^9 of C\^3 exceeds guard 50$"):
         tor_dimension(2, 2, 2, 3)
 
@@ -350,14 +434,27 @@ def test_wedge_guard_trips_in_a_weight_space(monkeypatch):
     # 15 two-subsets of the 6 quadrics: over the guard, with _checked_sizes'
     # text from a weighted map over that wedge and from the sweep, though
     # the map's weight spaces were cached under the default guard first
-    koszul_map(2, 1, 2, 2, (2, 2, 2))
+    koszul_map(2, 1, 2, 2, [(2, 2, 2)])
     monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 10)
     with pytest.raises(CapacityError, match="^wedge basis exceeds guard 10$"):
         koszul._checked_sizes(2, 2, 0, 3)
     with pytest.raises(CapacityError, match="^wedge basis exceeds guard 10$"):
-        koszul_map(2, 1, 2, 2, (2, 2, 2))
+        koszul_map(2, 1, 2, 2, [(2, 2, 2)])
     with pytest.raises(CapacityError, match="^wedge basis exceeds guard 10$"):
         tor_dimension(2, 1, 2, 2)
+
+
+def test_a_batch_holds_no_more_subsets_than_one_weight_may(monkeypatch):
+    # the 15 two-subsets of the 6 quadrics in 3 variables under a guard of
+    # 30: one map may take two weights, not three, and a sweep of the piece
+    # is cut into batches that fit
+    monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 30)
+    weights = [(2, 2, 2), (3, 2, 1), (4, 1, 1)]
+    assert koszul_map(2, 1, 2, 2, weights[:2]).ends[1].size == 2
+    with pytest.raises(CapacityError, match="^3 weight spaces of 15 wedge subsets each "
+                                            "exceed guard 30$"):
+        koszul_map(2, 1, 2, 2, weights)
+    assert tor_dimension(2, 1, 2, 2).total_dim == 8
 
 
 def test_a_lowered_cell_guard_refuses_each_table_before_it_is_built(monkeypatch):
@@ -388,15 +485,15 @@ def test_a_lowered_cell_guard_refuses_each_table_before_it_is_built(monkeypatch)
     assert len(veronese_points(2, 2).points) == len(monomial_basis(2, 3)) == 6
     built.clear()
     # the Sym^4 factor of 15 x 3 entries is only counted, never built
-    assert koszul_map(1, 1, 2, 2, (2, 1, 1)).cols == 4
+    assert koszul_map(1, 1, 2, 2, [(2, 1, 1)]).cols == 4
     assert "monomials" not in built
     built.clear()
     with pytest.raises(CapacityError, match="^wedge table of 15 rows x 3 coordinates "
                                             "exceeds guard 18$"):
-        koszul_map(2, 1, 2, 2, (2, 2, 2))
+        koszul_map(2, 1, 2, 2, [(2, 2, 2)])
     assert built == []
     monkeypatch.setattr(lattice, "TABLE_CELL_GUARD", 45)
-    assert koszul_map(2, 1, 2, 2, (2, 2, 2)).cols == 9
+    assert koszul_map(2, 1, 2, 2, [(2, 2, 2)]).cols == 9
     assert "wedge" in built
 
 
@@ -411,13 +508,13 @@ def test_weighted_basis_counts_its_symmetric_factor_without_building_it(monkeypa
         return real(degree, v_dim)
 
     monkeypatch.setattr(koszul, "monomial_basis", spy)
-    down = koszul_map(1, 999998, 1, 1, (500000, 499999))
+    down = koszul_map(1, 999998, 1, 1, [(500000, 499999)])
     assert (down.rows, down.cols) == (1, 2)
     assert down.entries == [(0, 0, 1), (0, 1, 1)]
     assert set(built) == {1}  # the wedge factor's degree only
     # the same guard as a listed Sym factor, and its degree check
     with pytest.raises(CapacityError, match=r"Sym\^1000000 of C\^2 exceeds guard"):
-        koszul_map(1, 999999, 1, 1, (500000, 500000))
+        koszul_map(1, 999999, 1, 1, [(500000, 500000)])
     with pytest.raises(ValueError, match="need degree >= 0"):
         monomial_basis(-1, 2)
     assert set(built) == {1}
@@ -429,12 +526,12 @@ def test_a_map_out_of_an_empty_weight_space_costs_no_memory():
     # codomain's rows: wedge^2 at (2, 2) holds the one pair
     tracemalloc.start()
     try:
-        down = koszul_map(10**7, 1, 1, 1, (5000000, 5000001))
+        down = koszul_map(10**7, 1, 1, 1, [(5000000, 5000001)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (down.rows, down.cols, down.nnz) == (0, 0, 0) and peak < 2**20
-    down = koszul_map(3, 1, 1, 1, (2, 2))
+    down = koszul_map(3, 1, 1, 1, [(2, 2)])
     assert (down.rows, down.cols, down.nnz) == (1, 0, 0)
 
 
@@ -443,7 +540,7 @@ def exact_weights(p, q, n, d):
     # with no modular stage
     weights = {}
     for b in compositions((p + q) * d, n + 1):
-        down, up = koszul_map(p, q, n, d, b), koszul_map(p + 1, q - 1, n, d, b)
+        down, up = koszul_map(p, q, n, d, [b]), koszul_map(p + 1, q - 1, n, d, [b])
         val = down.cols - rank_exact(down).rank - rank_exact(up).rank
         if val:
             weights[b] = val
@@ -470,32 +567,38 @@ def test_exact_koszul_ranks_need_no_bareiss(monkeypatch):
 
 
 def test_middle_basis_built_once_per_weight(monkeypatch):
-    # the two maps around one weight use three weight spaces: the middle
-    # term is the domain of one and the codomain of the other. The middle
-    # space is computed first, once per weight, and the outer two only where
-    # it is not empty. A fresh cache of the same size counts computations
+    # the two maps around a batch's middle term use three weight spaces per
+    # weight: the middle term is the domain of one and the codomain of the
+    # other. The middle spaces are computed first, once per weight in one
+    # batch, and the outer two only for a batch with a middle element. A
+    # fresh cache of the same size counts computations
     builds = []
-    space = koszul._weight_space.__wrapped__
+    space = koszul._weight_spaces.__wrapped__
 
-    @lru_cache(maxsize=3)
-    def counting(*args):
-        builds.append(args)
-        return space(*args)
+    @lru_cache(maxsize=2)
+    def counting(p, degree, v_dim, weights):
+        batch = np.frombuffer(weights, dtype=np.int64).reshape(-1, v_dim)
+        builds.append((p, degree, tuple(map(tuple, batch.tolist()))))
+        return space(p, degree, v_dim, weights)
 
-    monkeypatch.setattr(koszul, "_weight_space", counting)
+    monkeypatch.setattr(koszul, "_weight_spaces", counting)
     t = tor_dimension(2, 1, 2, 2)
-    expected = []
-    for b in partitions_into(6, 3):
-        expected.append((2, 2, b))
-        # (6, 0, 0) is the one weight without a middle element
-        if b != (6, 0, 0):
-            expected += [(1, 2, b), (3, 2, b)]
-    assert builds == expected and len(builds) == 3 * 7 - 2
-    assert space(2, 2, (6, 0, 0)).size == 0
+    sweep = tuple(partitions_into(6, 3))
+    assert builds == [(2, 2, sweep), (1, 2, sweep), (3, 2, sweep)] and len(sweep) == 7
+    # (6, 0, 0) is the one weight without a middle element
+    assert weight_space(2, 2, (6, 0, 0)).size == 0
+    for b, spaces in (((6, 0, 0), [2]), ((2, 2, 2), [2, 1, 3])):
+        counting.cache_clear()
+        builds.clear()
+        tor_dimension(2, 1, 2, 2, weight=b)
+        assert builds == [(k, 2, (b,)) for k in spaces], b
+    # a sweep cut into batches of two weights computes each batch's spaces once
+    monkeypatch.setattr(koszul, "DEFAULT_BASIS_GUARD", 2 * comb(6, 3))
     counting.cache_clear()
     builds.clear()
-    tor_dimension(2, 1, 2, 2, weight=(2, 2, 2))
-    assert sorted(args[:2] for args in builds) == [(1, 2), (2, 2), (3, 2)]
+    assert tor_dimension(2, 1, 2, 2).weights == t.weights
+    batches = [sweep[i:i + 2] for i in range(0, 7, 2)]
+    assert builds == [(k, 2, batch) for batch in batches for k in (2, 1, 3)]
     assert t.total_dim == 8
 
 

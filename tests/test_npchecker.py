@@ -742,12 +742,18 @@ def test_cross_validate_report_json():
 
 
 def test_cross_validate_mismatch_is_hard_error(monkeypatch):
+    # the Koszul side is one sweep of the piece, without a weight
+    calls = []
+
     def broken(p, q, n, d, weight=None, **kw):
-        return TorSlice(p=p, q=q, total_dim=99, weights={tuple(weight): 99})
+        calls.append(weight)
+        return TorSlice(p=p, q=q, total_dim=99,
+                        weights=dict.fromkeys(compositions((p + q) * d, n + 1), 99))
 
     monkeypatch.setattr("syzcheck.npchecker.tor_dimension", broken)
     with pytest.raises(MismatchError, match=r"b=\("):
         cross_validate(1, 2, 1, 1)
+    assert calls == [None]
 
 
 def test_cross_validate_uses_store(tmp_path):

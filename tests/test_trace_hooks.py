@@ -6,8 +6,11 @@ name would otherwise show only in a traced benchmark run. The wrappers
 replace names in `syzcheck.npchecker`, so its block runner must look
 `build_slice` and `reduced_betti` up at call time, and the store's `put`
 must take (n, d, ...) first, as the tracer sizes the file it appends to
-from them. This runs a small traced round in a fresh interpreter, with
-`perfbench/` on its path as the benchmark puts it, and reads `perfbench/`
+from them. The spans' attributes, copied from the package's arguments and
+results, must be plain JSON, as `tracing.dump` writes them: a numpy weight
+array handed to `koszul_map` would fail there. This runs a small traced
+round in a fresh interpreter, with `perfbench/` on its path as the
+benchmark puts it, writes its spans to a file and reads `perfbench/`
 without changing it.
 """
 
@@ -19,8 +22,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ROUND = """
+import json
+from pathlib import Path
+
 from syzcheck import npchecker, reptheory
-from tracing import LAYER_UNITS, Tracer, layer_metrics
+from tracing import LAYER_UNITS, Tracer, dump, layer_metrics
 
 tracer = Tracer()
 tracer.install()
@@ -48,6 +54,10 @@ under = {s.name for s in tracer.spans
          if s.parent is not None and s.parent.name == "npchecker.cross_validate"}
 for name in ("complexes.build_slice", "homology.reduced_betti"):
     assert name in under, name
+# the spans as the benchmark writes them, one JSON line each
+dump(tracer.spans, Path("spans.jsonl"))
+lines = Path("spans.jsonl").read_text().splitlines()
+assert [json.loads(line)["name"] for line in lines] == [s.name for s in tracer.spans]
 """
 
 
@@ -57,3 +67,4 @@ def test_traced_round_reports_every_layer(tmp_path):
     proc = subprocess.run([sys.executable, "-c", ROUND], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "spans.jsonl").stat().st_size > 0
